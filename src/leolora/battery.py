@@ -44,15 +44,12 @@ class DegradationParams:
     d: float                    # DoD exponent
     alpha_sei: float
     k_sei: float
-    r_gas: float = R_GAS
 
     def __post_init__(self):
         if self.k1 <= 0 or self.k2 <= 0:
             raise ValueError(f"k1 and k2 must be > 0, got k1={self.k1}, k2={self.k2}")
         if self.ea_j_per_mol <= 0:
             raise ValueError(f"activation energy must be > 0, got {self.ea_j_per_mol}")
-        if self.r_gas != R_GAS:
-            raise ValueError(f"gas constant is fixed at {R_GAS}, got {self.r_gas}")
         if self.b < 0 or self.c < 0 or self.d < 0:
             raise ValueError("exponents b, c, d must be >= 0")
         if not 0.0 <= self.alpha_sei <= 1.0:
@@ -127,16 +124,8 @@ class BatteryState:
             raise ValueError("d_linear, cycles_completed, calendar_days must be >= 0")
 
     @property
-    def effective_capacity_ah(self) -> float:
-        return self.capacity_rated_ah * (1.0 - self.fade_fraction)
-
-    @property
     def capacity_rated_j(self) -> float:
         return self.capacity_rated_ah * self.voltage_nominal_v * 3600.0
-
-    @property
-    def effective_capacity_j(self) -> float:
-        return self.effective_capacity_ah * self.voltage_nominal_v * 3600.0
 
 
 def arrhenius_factor(ea_j_per_mol: float, temperature_k: float) -> float:

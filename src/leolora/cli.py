@@ -22,7 +22,7 @@ from . import engine
 from .airtime import payload_symbols, symbol_duration, time_on_air, tx_energy
 from .config import ScenarioConfig, default_scenario_dict, load_scenario, parse_scenario
 from .exceptions import ValidationError
-from .orbit import build_schedule, sun_seconds
+from .orbit import build_schedule, next_phase_boundary, phase_at, sun_seconds
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -165,14 +165,9 @@ def cmd_schedule(args: argparse.Namespace) -> int:
     timeline = []
     t = 0.0
     while t < horizon:
-        off = (t + scenario.orbit.phase_time_offset_s) % scenario.orbit.period_s
-        if off < scenario.orbit.sun_duration_s:
-            seg_end = t + (scenario.orbit.sun_duration_s - off)
-            phase = "sun"
-        else:
-            seg_end = t + (scenario.orbit.period_s - off)
-            phase = "eclipse"
-        timeline.append({"start_s": t, "end_s": min(seg_end, horizon), "phase": phase})
+        seg_end, _ = next_phase_boundary(scenario.orbit, t)
+        timeline.append({"start_s": t, "end_s": min(seg_end, horizon),
+                         "phase": phase_at(scenario.orbit, t)})
         t = seg_end
 
     doc = {

@@ -23,6 +23,7 @@ from .energy import HarvestModel, PowerProfile
 from .exceptions import ValidationError
 from .mac import MacConfig, nominal_backoff_base
 from .orbit import GroundStation, OrbitConfig, TWO_PI
+from .report import MAX_DOD_OBSERVATIONS, MAX_NODE_ID
 
 TRAFFIC_MODELS = ("poisson", "periodic", "none")
 PROTOCOLS = ("battery_aware", "naive_aloha")
@@ -421,6 +422,20 @@ def parse_scenario(data: dict) -> ScenarioConfig:
         problems.append(
             f"sim.slot_s: slot length {sim.slot_s} s is shorter than the packet "
             f"time-on-air {time_on_air(radio):.6f} s"
+        )
+    if None not in (sim, orbit):
+        # one DoD observation per orbit, plus a trailing partial orbit
+        max_report_s = (MAX_DOD_OBSERVATIONS - 1) * orbit.period_s
+        if sim.report_interval_s > max_report_s:
+            problems.append(
+                f"sim.report_interval_s: must be <= {max_report_s} so a report's "
+                f"DoD observations fit the uplink's {MAX_DOD_OBSERVATIONS}, "
+                f"got {sim.report_interval_s}"
+            )
+    if sim is not None and sim.node_count > MAX_NODE_ID:
+        problems.append(
+            f"sim.node_count: must be <= {MAX_NODE_ID} to fit the uplink's "
+            f"uint16 node_id, got {sim.node_count}"
         )
     if None not in (battery, energy):
         phi_max = battery.capacity_rated_j

@@ -12,7 +12,6 @@ already happened.  Packets queue until the next tick of their node's
 
 from __future__ import annotations
 
-import bisect
 import enum
 import heapq
 import itertools
@@ -41,7 +40,6 @@ from .mac import (
     DropReason,
     SelectionResult,
     TxDecision,
-    report_battery_summary,
     run_transmission_sequence,
     select_forecast_window,
 )
@@ -53,6 +51,7 @@ from .orbit import (
     Schedule,
     build_schedule,
     load_schedule_override,
+    next_phase_boundary,
     phase_at,
     sun_seconds,
 )
@@ -63,22 +62,24 @@ MAX_NAIVE_SPAN_S = 1800.0
 
 
 class EventKind(enum.Enum):
+    """What a heap entry (time, sequence, kind, payload) asks the loop to do."""
+
     PHASE_CHANGE = "phase_change"
     WINDOW_OPEN = "window_open"
-    WINDOW_CLOSE = "window_close"
     TX_ATTEMPT_START = "tx_attempt_start"
     TX_ATTEMPT_END = "tx_attempt_end"
     SLOT_TICK = "slot_tick"
     REPORT_DUE = "report_due"
-    BROWNOUT_RECOVERY = "brownout_recovery"
 
 
-@dataclass(frozen=True, order=True)
-class SimEvent:
-    time: float
-    sequence: int
-    kind: EventKind = field(compare=False)
-    payload: tuple = field(compare=False, default=())
+class PacketState(enum.Enum):
+    """Lifecycle of one packet; delivered and dropped are terminal."""
+
+    QUEUED = "queued"
+    WAITING = "waiting"
+    IN_FLIGHT = "in_flight"
+    DELIVERED = "delivered"
+    DROPPED = "dropped"
 
 
 @dataclass(frozen=True)
@@ -186,13 +187,10 @@ def gateway_compute_fleet_degradation(
 
 @dataclass
 class OrbitLedger:
-    """Charge/discharge totals accumulated over (roughly) one orbit."""
+    """Duration and battery discharge accumulated over (roughly) one orbit."""
 
     duration_s: float = 0.0
     discharge_j: float = 0.0
-    harvest_j: float = 0.0
-    consumption_j: float = 0.0
-    soc_time_integral: float = 0.0
 
 
 def step_battery_per_orbit(
@@ -341,18 +339,14 @@ class _ActiveAttempt:
 
 @dataclass
 class _Packet:
-    node_id: int
     packet_id: int
     created: float
-    status: str = "queued"          # queued | waiting | in_flight | delivered | dropped
-    drop_reason: str | None = None
+    state: PacketState = PacketState.QUEUED
     window: ForecastWindow | None = None
     tx_phase: str | None = None
     tx_slot_idx: int | None = None
     reserved_j: float = 0.0
-    attempts_made: int = 0
     had_receiver: bool = False
-    canceled: bool = False
     current_attempt: _ActiveAttempt | None = None
 
 
@@ -368,7 +362,6 @@ class _Node:
     account_end: float
     backoff_rng: np.random.Generator
     arrivals: list[float]
-    window_starts: list[float]
     arrival_ptr: int = 0
     queue: list[_Packet] = field(default_factory=list)
     busy_until: float = 0.0
@@ -431,7 +424,7 @@ class Simulator:
         self.harvest = scenario.energy.harvest
         self.naive = scenario.sim.protocol == "naive_aloha"
 
-        self._heap: list[SimEvent] = []
+        self._heap: list[tuple[float, int, EventKind, tuple]] = []
         self._seq = itertools.count()
         self.now = 0.0
         self.metrics: list[MetricsRecord] = []
@@ -491,7 +484,6 @@ class Simulator:
                 account_end=account_end,
                 backoff_rng=np.random.default_rng(children[2 * u + 1]),
                 arrivals=self._generate_arrivals(traffic_rng, account_end),
-                window_starts=[w.start for w in schedule.windows],
             )
             self.nodes.append(node)
 
@@ -506,7 +498,7 @@ class Simulator:
     def _push(self, time: float, kind: EventKind, payload: tuple):
         if time < self.now - 1e-9:
             raise ContractError(f"event {kind} scheduled at {time} before now {self.now}")
-        heapq.heappush(self._heap, SimEvent(time, next(self._seq), kind, payload))
+        heapq.heappush(self._heap, (time, next(self._seq), kind, payload))
 
     def _generate_arrivals(self, rng: np.random.Generator, horizon: float) -> list[float]:
         model = self.sc.sim.traffic_model
@@ -531,15 +523,7 @@ class Simulator:
 
     def _schedule_next_phase_change(self, node: _Node, after: float):
         """Queue the next phase boundary of this node's orbit profile."""
-        period = node.orbit.period_s
-        off = node.orbit.phase_time_offset_s
-        t_orbit = (after + off) % period
-        if t_orbit < node.orbit.sun_duration_s:
-            next_t = after + (node.orbit.sun_duration_s - t_orbit)
-            phase = ECLIPSE
-        else:
-            next_t = after + (period - t_orbit)
-            phase = SUN
+        next_t, phase = next_phase_boundary(node.orbit, after)
         if next_t <= self.t_end:
             self._push(next_t, EventKind.PHASE_CHANGE, (node.node_id, phase))
 
@@ -550,18 +534,16 @@ class Simulator:
             EventKind.SLOT_TICK: self._on_slot_tick,
             EventKind.PHASE_CHANGE: self._on_phase_change,
             EventKind.WINDOW_OPEN: self._on_window_open,
-            EventKind.WINDOW_CLOSE: lambda ev: None,
             EventKind.TX_ATTEMPT_START: self._on_attempt_start,
             EventKind.TX_ATTEMPT_END: self._on_attempt_end,
             EventKind.REPORT_DUE: self._on_report_due,
-            EventKind.BROWNOUT_RECOVERY: lambda ev: None,
         }
         while self._heap:
-            ev = heapq.heappop(self._heap)
-            if ev.time > self.t_end + 1e-9:
+            time, _, kind, payload = heapq.heappop(self._heap)
+            if time > self.t_end + 1e-9:
                 continue
-            self.now = ev.time
-            handlers[ev.kind](ev)
+            self.now = time
+            handlers[kind](time, payload)
         self.now = self.t_end
         self._finalize()
         return RunResult(
@@ -583,9 +565,7 @@ class Simulator:
             node.arrival_ptr += 1
             node.generated += 1
             self._packet_count += 1
-            node.queue.append(
-                _Packet(node_id=node.node_id, packet_id=self._packet_count, created=created)
-            )
+            node.queue.append(_Packet(packet_id=self._packet_count, created=created))
 
     def _decide_queue(self, node: _Node, now: float):
         pending = node.queue
@@ -620,17 +600,15 @@ class Simulator:
         decision = result.decision
         self._audit(node, now, decision, result)
         if not decision.is_transmit:
-            self._drop(node, packet, _DROP_COUNTER[decision.reason], decision.reason.value)
+            self._drop(node, packet, _DROP_COUNTER[decision.reason])
             return
         window = decision.window
-        packet.status = "waiting"
+        packet.state = PacketState.WAITING
         packet.window = window
         packet.tx_phase = window.phase
         packet.reserved_j = node.energy.ewma_estimate_j
         node.energy.reserved_j += packet.reserved_j
         self._push(max(window.start, now), EventKind.WINDOW_OPEN, (node.node_id, packet))
-        self._push(min(window.end, self.t_end), EventKind.WINDOW_CLOSE,
-                   (node.node_id, window.window_id))
 
     def _audit(self, node: _Node, now: float, decision: TxDecision, result: SelectionResult):
         if decision.is_transmit:
@@ -654,7 +632,7 @@ class Simulator:
         start = max(now, node.busy_until)
         end = min(start + MAX_NAIVE_SPAN_S, node.account_end)
         if end - start < self.toa:
-            self._drop(node, packet, "dropped_no_window", DropReason.NO_WINDOW.value)
+            self._drop(node, packet, "dropped_no_window")
             return
         pseudo = ForecastWindow(
             window_id=f"naive:{packet.packet_id}",
@@ -667,9 +645,9 @@ class Simulator:
             node.backoff_rng, not_before=start,
         )
         if not attempts:
-            self._drop(node, packet, "dropped_no_window", DropReason.NO_WINDOW.value)
+            self._drop(node, packet, "dropped_no_window")
             return
-        packet.status = "in_flight"
+        packet.state = PacketState.IN_FLIGHT
         packet.window = pseudo
         packet.tx_phase = phase_at(node.orbit, attempts[0])
         node.in_flight = packet
@@ -686,16 +664,12 @@ class Simulator:
                        (node.node_id, packet, k, total, receiver))
 
     def _visible_target(self, node: _Node, t: float) -> str | None:
-        """Earliest-starting window covering the whole attempt, if any."""
-        hi = bisect.bisect_right(node.window_starts, t)
-        best = None
-        for i in range(hi - 1, -1, -1):
-            w = node.schedule.windows[i]
-            if w.start < t - 1800.0 - self.slot_s:
-                break
-            if w.start <= t and t + self.toa <= w.end:
-                best = w.target if best is None else best
-        return best
+        """Target of the latest-starting window covering the whole attempt, if any."""
+        target = None
+        for w in node.schedule.candidates(t, math.nextafter(t, math.inf)):
+            if t + self.toa <= w.end:
+                target = w.target
+        return target
 
     def _mark_tx_slot(self, node: _Node, packet: _Packet, t: float):
         idx = node.slot_index(t)
@@ -704,13 +678,13 @@ class Simulator:
 
     # ── event handlers ───────────────────────────────────────────────────
 
-    def _on_window_open(self, ev: SimEvent):
-        node_id, packet = ev.payload
+    def _on_window_open(self, now: float, payload: tuple):
+        node_id, packet = payload
         node = self.nodes[node_id]
-        if packet.status != "waiting" or packet.canceled:
+        if packet.state is not PacketState.WAITING:
             return
         window = packet.window
-        start = max(window.start, ev.time, node.busy_until)
+        start = max(window.start, now, node.busy_until)
 
         # The hard reserve is re-checked when the window actually opens;
         # sun-window estimates were projections and stand as decided.
@@ -725,11 +699,10 @@ class Simulator:
             )
         if not attempts:
             self._release(node, packet)
-            packet.status = "queued"
-            self._decide_aware(node, packet, max(ev.time, node.busy_until))
+            self._decide_aware(node, packet, max(now, node.busy_until))
             return
 
-        packet.status = "in_flight"
+        packet.state = PacketState.IN_FLIGHT
         node.in_flight = packet
         self._mark_tx_slot(node, packet, attempts[0])
         node.busy_until = attempts[-1] + self.toa
@@ -741,19 +714,18 @@ class Simulator:
             self._push(t_start + self.toa, EventKind.TX_ATTEMPT_END,
                        (node.node_id, packet, k, total, window.target))
 
-    def _on_attempt_start(self, ev: SimEvent):
-        node_id, packet, k, total, receiver = ev.payload
-        if packet.status != "in_flight" or packet.canceled:
+    def _on_attempt_start(self, now: float, payload: tuple):
+        node_id, packet, k, total, receiver = payload
+        if packet.state is not PacketState.IN_FLIGHT:
             return
-        packet.attempts_made += 1
         if receiver is None:
             packet.current_attempt = None
             return
         attempt = _ActiveAttempt(
-            end=ev.time + self.toa, sf=self.sc.radio.spreading_factor, channel=0
+            end=now + self.toa, sf=self.sc.radio.spreading_factor, channel=0
         )
         active = self._active.setdefault(receiver, [])
-        active[:] = [a for a in active if a.end > ev.time]
+        active[:] = [a for a in active if a.end > now]
         for other in active:
             if other.sf == attempt.sf and other.channel == attempt.channel:
                 other.collided = True
@@ -761,34 +733,31 @@ class Simulator:
         active.append(attempt)
         packet.current_attempt = attempt
 
-    def _on_attempt_end(self, ev: SimEvent):
-        node_id, packet, k, total, receiver = ev.payload
+    def _on_attempt_end(self, now: float, payload: tuple):
+        node_id, packet, k, total, receiver = payload
         node = self.nodes[node_id]
-        if packet.status != "in_flight" or packet.canceled:
+        if packet.state is not PacketState.IN_FLIGHT:
             return
         attempt = packet.current_attempt
         packet.current_attempt = None
         collided = attempt.collided if attempt is not None else True
         if receiver is not None:
             self.attempt_log.append((
-                TxAttempt(start=ev.time - self.toa, airtime=self.toa, channel=0,
+                TxAttempt(start=now - self.toa, airtime=self.toa, channel=0,
                           sf=self.sc.radio.spreading_factor, receiver=receiver),
                 not collided,
             ))
         if receiver is not None and not collided:
             self._release(node, packet)
-            packet.status = "delivered"
-            packet.canceled = True
+            packet.state = PacketState.DELIVERED
             node.delivered += 1
             node.period_txs += 1
             self._tx_complete(node)
         elif k == total - 1:
-            if packet.had_receiver:
-                counter, detail = "dropped_collision_exhausted", "collision_exhausted"
-            else:
-                counter, detail = "dropped_no_window", DropReason.NO_WINDOW.value
+            counter = ("dropped_collision_exhausted" if packet.had_receiver
+                       else "dropped_no_window")
             node.period_txs += 1
-            self._drop(node, packet, counter, detail)
+            self._drop(node, packet, counter)
             self._tx_complete(node)
 
     def _tx_complete(self, node: _Node):
@@ -802,15 +771,13 @@ class Simulator:
             node.energy.reserved_j = max(0.0, node.energy.reserved_j - packet.reserved_j)
             packet.reserved_j = 0.0
 
-    def _drop(self, node: _Node, packet: _Packet, counter: str, detail: str):
+    def _drop(self, node: _Node, packet: _Packet, counter: str):
         self._release(node, packet)
-        packet.status = "dropped"
-        packet.drop_reason = detail
-        packet.canceled = True
+        packet.state = PacketState.DROPPED
         setattr(node, counter, getattr(node, counter) + 1)
 
-    def _on_slot_tick(self, ev: SimEvent):
-        node_id, k = ev.payload
+    def _on_slot_tick(self, now: float, payload: tuple):
+        node_id, k = payload
         node = self.nodes[node_id]
         t_end = node.slot_time(k)
         t_start = node.slot_time(k - 1)
@@ -847,11 +814,9 @@ class Simulator:
                 victim = node.in_flight
                 if victim.tx_slot_idx is not None and victim.tx_slot_idx > idx:
                     node.tx_slot_info.pop(victim.tx_slot_idx, None)
-                self._drop(node, victim, "dropped_energy", "brownout")
+                self._drop(node, victim, "dropped_energy")
                 node.in_flight = None
                 node.busy_until = t_end
-            self._push(min(t_end + self.slot_s, self.t_end),
-                       EventKind.BROWNOUT_RECOVERY, (node_id,))
 
         # orbit ledger: the battery discharges wherever consumption beats harvest
         eclipse_secs = self.slot_s - sun_secs
@@ -862,12 +827,8 @@ class Simulator:
             discharge += (bus_rate - harvest_rate) * sun_secs
         if x and tx_phase == ECLIPSE:
             discharge += self.profile.e_cons_tx_j - self.profile.e_sleep_j
-        led = node.ledger
-        led.duration_s += self.slot_s
-        led.discharge_j += discharge
-        led.harvest_j += y * e_g
-        led.consumption_j += cons
-        led.soc_time_integral += node.energy.soc * self.slot_s
+        node.ledger.duration_s += self.slot_s
+        node.ledger.discharge_j += discharge
 
         self._drain_arrivals(node, t_end)
         if not brownout_now:
@@ -876,12 +837,12 @@ class Simulator:
         if k + 1 <= (node.account_end - node.slot_offset) / self.slot_s + 1e-9:
             self._push(node.slot_time(k + 1), EventKind.SLOT_TICK, (node_id, k + 1))
 
-    def _on_phase_change(self, ev: SimEvent):
-        node_id, new_phase = ev.payload
+    def _on_phase_change(self, now: float, payload: tuple):
+        node_id, new_phase = payload
         node = self.nodes[node_id]
         if new_phase == SUN:
             self._flush_orbit(node)
-        self._schedule_next_phase_change(node, ev.time + 1e-9)
+        self._schedule_next_phase_change(node, now + 1e-9)
 
     def _flush_orbit(self, node: _Node):
         if node.ledger.duration_s <= 0.0:
@@ -903,31 +864,33 @@ class Simulator:
         node.energy.phi_max_j = new_phi_max
         node.battery.soc = node.energy.soc
 
-    def _on_report_due(self, ev: SimEvent):
-        (node_id,) = ev.payload
+    def _on_report_due(self, now: float, payload: tuple):
+        (node_id,) = payload
         node = self.nodes[node_id]
         # a phase boundary landing exactly on the report boundary settles
         # its orbit first, so the observation rides this period's report
         off = node.orbit.phase_time_offset_s
-        if node.ledger.duration_s > 0.0 and (ev.time + off) % node.orbit.period_s < 1e-6:
+        if node.ledger.duration_s > 0.0 and (now + off) % node.orbit.period_s < 1e-6:
             self._flush_orbit(node)
-        self._emit_report(node, ev.time)
-        nxt = ev.time + self.sc.sim.report_interval_s
+        self._emit_report(node, now)
+        nxt = now + self.sc.sim.report_interval_s
         if nxt < self.t_end:
             self._push(nxt, EventKind.REPORT_DUE, (node_id,))
 
     def _emit_report(self, node: _Node, t: float):
         if t <= node.period_start:
             return
-        self.reports.append(report_battery_summary(
+        thermal = self.sc.battery.thermal
+        self.reports.append(NodeBatteryReport(
             node_id=node.node_id,
             period_start=node.period_start,
             period_end=t,
             n_slots=node.period_slots,
             n_transmissions=node.period_txs,
             energy_consumed_j=node.period_energy_j,
-            dod_observations=list(node.period_dods),
-            thermal=self.sc.battery.thermal,
+            dod_observations=tuple(node.period_dods),
+            mean_temperature_sun_k=thermal.t_sun_k,
+            mean_temperature_eclipse_k=thermal.t_eclipse_k,
         ))
         self.metrics.append(MetricsRecord(
             time_s=t,
@@ -953,11 +916,10 @@ class Simulator:
             self._flush_orbit(node)
             self._drain_arrivals(node, self.t_end)
             for packet in node.queue:
-                if packet.status == "queued":
-                    self._drop(node, packet, "dropped_no_window", DropReason.NO_WINDOW.value)
+                self._drop(node, packet, "dropped_no_window")
             node.queue = []
-            if node.in_flight is not None and node.in_flight.status == "in_flight":
-                self._drop(node, node.in_flight, "dropped_collision_exhausted", "run_end")
+            if node.in_flight is not None and node.in_flight.state is PacketState.IN_FLIGHT:
+                self._drop(node, node.in_flight, "dropped_collision_exhausted")
                 node.in_flight = None
             self._emit_report(node, self.t_end)
 

@@ -1,5 +1,5 @@
-"""Battery-lifespan-aware MAC: forecast-window selection, retransmission
-with growing random backoff, and battery-usage reporting.
+"""Battery-lifespan-aware MAC: forecast-window selection and retransmission
+with growing random backoff.
 
 A pending packet is matched against the node's forecast windows.  Sun
 windows are feasible when the projected energy clears the reserve plus the
@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .airtime import RadioConfig, time_on_air
-from .battery import CycleStress, DegradationParams, ThermalProfile, degradation_impact_factor
+from .battery import CycleStress, DegradationParams, degradation_impact_factor
 from .energy import (
     DEFAULT_SLOT_S,
     HarvestModel,
@@ -31,7 +31,6 @@ from .energy import (
 )
 from .exceptions import ConfigError, ContractError
 from .orbit import SUN, ForecastWindow
-from .report import NodeBatteryReport
 
 
 class DropReason(enum.Enum):
@@ -155,9 +154,7 @@ def window_dif(
     return degradation_impact_factor(deg, stress_tx, base_stress, dif_ref)
 
 
-def choose_window(
-    evaluations: list[WindowEvaluation], mac: MacConfig
-) -> TxDecision:
+def choose_window(evaluations: list[WindowEvaluation]) -> TxDecision:
     """Argmin of the weighted objective over feasible windows.
 
     Ties break by earliest start, then window id, so the outcome is
@@ -225,7 +222,7 @@ def select_forecast_window(
             )
         )
     return SelectionResult(
-        decision=choose_window(evaluations, mac),
+        decision=choose_window(evaluations),
         evaluations=tuple(evaluations),
     )
 
@@ -256,27 +253,3 @@ def run_transmission_sequence(
         starts.append(start)
         t = start + toa
     return starts
-
-
-def report_battery_summary(
-    node_id: int,
-    period_start: float,
-    period_end: float,
-    n_slots: int,
-    n_transmissions: int,
-    energy_consumed_j: float,
-    dod_observations: list[float],
-    thermal: ThermalProfile,
-) -> NodeBatteryReport:
-    """Summarize a reporting period for the gateway's fleet accounting."""
-    return NodeBatteryReport(
-        node_id=node_id,
-        period_start=period_start,
-        period_end=period_end,
-        n_slots=n_slots,
-        n_transmissions=n_transmissions,
-        energy_consumed_j=energy_consumed_j,
-        dod_observations=tuple(dod_observations),
-        mean_temperature_sun_k=thermal.t_sun_k,
-        mean_temperature_eclipse_k=thermal.t_eclipse_k,
-    )

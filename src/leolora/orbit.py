@@ -99,10 +99,6 @@ class ForecastWindow:
     def duration(self) -> float:
         return self.end - self.start
 
-    @property
-    def midpoint(self) -> float:
-        return 0.5 * (self.start + self.end)
-
 
 def phase_at(config: OrbitConfig, t: float) -> str:
     """Phase of the orbit at simulation time t, periodic with the period."""
@@ -110,6 +106,14 @@ def phase_at(config: OrbitConfig, t: float) -> str:
         raise ValueError(f"t must be >= 0, got {t}")
     t_orbit = (t + config.phase_time_offset_s) % config.period_s
     return SUN if t_orbit < config.sun_duration_s else ECLIPSE
+
+
+def next_phase_boundary(config: OrbitConfig, t: float) -> tuple[float, str]:
+    """First phase boundary after t, and the phase that begins there."""
+    t_orbit = (t + config.phase_time_offset_s) % config.period_s
+    if t_orbit < config.sun_duration_s:
+        return t + (config.sun_duration_s - t_orbit), ECLIPSE
+    return t + (config.period_s - t_orbit), SUN
 
 
 def sun_seconds(config: OrbitConfig, t0: float, t1: float) -> float:
@@ -235,7 +239,7 @@ def visibility_windows(
 
 @dataclass(frozen=True)
 class Schedule:
-    """A node's forecast windows, sorted by start, partitioned by phase."""
+    """A node's forecast windows, sorted by start."""
 
     windows: tuple[ForecastWindow, ...] = field(default_factory=tuple)
 
@@ -257,14 +261,6 @@ class Schedule:
             self, "windows", tuple(sorted(self.windows, key=lambda w: (w.start, w.window_id)))
         )
         object.__setattr__(self, "_starts", [w.start for w in self.windows])
-
-    @property
-    def sun(self) -> tuple[ForecastWindow, ...]:
-        return tuple(w for w in self.windows if w.phase == SUN)
-
-    @property
-    def eclipse(self) -> tuple[ForecastWindow, ...]:
-        return tuple(w for w in self.windows if w.phase == ECLIPSE)
 
     def candidates(self, now: float, deadline: float) -> list[ForecastWindow]:
         """Windows still usable at `now` that begin before `deadline`.

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 MAX_ENCODED_BYTES = 51
 MAX_DOD_OBSERVATIONS = 9
+MAX_NODE_ID = 0xFFFF
 _DOD_SCALE = 65535.0
 
 _HEADER = struct.Struct("<HIIIIfffB")

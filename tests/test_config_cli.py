@@ -74,6 +74,21 @@ class TestValidation:
         with pytest.raises(ValidationError, match="psi_min"):
             parse_scenario(scenario_dict)
 
+    def test_report_interval_beyond_uplink_rejected(self, scenario_dict):
+        # a day of 90-minute orbits is 17 DoD observations; the uplink holds 9
+        scenario_dict["sim"]["report_interval_s"] = 86400.0
+        with pytest.raises(ValidationError, match="report_interval_s"):
+            parse_scenario(scenario_dict)
+
+    def test_report_interval_of_eight_orbits_accepted(self, scenario_dict):
+        scenario_dict["sim"]["report_interval_s"] = 8 * 5400.0
+        assert parse_scenario(scenario_dict).sim.report_interval_s == 43200.0
+
+    def test_node_count_beyond_uint16_rejected(self, scenario_dict):
+        scenario_dict["sim"]["node_count"] = 65536
+        with pytest.raises(ValidationError, match="node_count"):
+            parse_scenario(scenario_dict)
+
     def test_not_json_reports_cleanly(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{nope")

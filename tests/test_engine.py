@@ -305,6 +305,29 @@ class TestFullRuns:
         result = run(sc)
         assert result.summary["packets"]["delivered"] >= 1
 
+    def test_naive_receiver_is_latest_starting_covering_window(self, tmp_path, default_dict):
+        # both windows cover every attempt; the later-starting one is the receiver
+        windows = [
+            {"node": 0, "target": "gw-early", "start_s": 0.0, "end_s": 1800.0, "phase": "sun"},
+            {"node": 0, "target": "gw-late", "start_s": 10.0, "end_s": 1800.0, "phase": "sun"},
+        ]
+        path = tmp_path / "override.json"
+        path.write_text(json.dumps(windows))
+        sc = make_scenario(
+            default_dict,
+            **{
+                "sim.protocol": "naive_aloha",
+                "sim.node_count": 1,
+                "sim.duration_days": 0.02,
+                "sim.traffic_model": "periodic",
+                "sim.traffic_rate_per_s": 1.0 / 300.0,
+                "sim.schedule_override_path": str(path),
+            },
+        )
+        result = run(sc)
+        assert result.attempt_log
+        assert {a.receiver for a, _ in result.attempt_log} == {"gw-late"}
+
     def test_gateway_summary_matches_node_states(self, default_dict):
         sc = make_scenario(default_dict, **{"sim.duration_days": 1.0})
         result = run(sc)

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from leolora.airtime import RadioConfig, time_on_air
-from leolora.battery import CycleStress, DegradationParams, ThermalProfile, cycle_aging
+from leolora.battery import CycleStress, DegradationParams, cycle_aging
 from leolora.energy import HarvestModel, NodeEnergyState, PowerProfile
 from leolora.exceptions import ConfigError, ContractError
 from leolora.mac import (
@@ -17,7 +17,6 @@ from leolora.mac import (
     choose_window,
     marginal_tx_discharge,
     nominal_backoff_base,
-    report_battery_summary,
     run_transmission_sequence,
     select_forecast_window,
     window_dif,
@@ -88,26 +87,24 @@ class TestChooseWindow:
         # w_dif=1, w_energy=0: objectives are the DIF values themselves
         late_good = ForecastWindow("good", 300.0, 600.0, SUN, "gs")
         early_bad = ForecastWindow("bad", 0.0, 200.0, SUN, "gs")
-        decision = choose_window(
-            [self._eval(early_bad, 0.6), self._eval(late_good, 0.2)], mac()
-        )
+        decision = choose_window([self._eval(early_bad, 0.6), self._eval(late_good, 0.2)])
         assert decision.window is late_good
 
     def test_tie_breaks_by_earliest_start(self):
         w1 = ForecastWindow("w1", 100.0, 400.0, SUN, "gs")
         w2 = ForecastWindow("w2", 500.0, 800.0, SUN, "gs")
-        decision = choose_window([self._eval(w2, 0.3), self._eval(w1, 0.3)], mac())
+        decision = choose_window([self._eval(w2, 0.3), self._eval(w1, 0.3)])
         assert decision.window is w1
 
     def test_no_candidates_is_no_window(self):
-        assert choose_window([], mac()).reason is DropReason.NO_WINDOW
+        assert choose_window([]).reason is DropReason.NO_WINDOW
 
     def test_no_feasible_reports_earliest_failure(self):
         w1 = ForecastWindow("w1", 0.0, 100.0, ECLIPSE, "gs")
         w2 = ForecastWindow("w2", 200.0, 300.0, SUN, "gs")
         e1 = self._eval(w1, None, feasible=False, reason=DropReason.BELOW_RESERVE_ECLIPSE)
         e2 = self._eval(w2, None, feasible=False, reason=DropReason.INSUFFICIENT_ENERGY_SUN)
-        assert choose_window([e2, e1], mac()).reason is DropReason.BELOW_RESERVE_ECLIPSE
+        assert choose_window([e2, e1]).reason is DropReason.BELOW_RESERVE_ECLIPSE
 
     @given(st.permutations(range(6)))
     def test_permutation_invariance(self, order):
@@ -115,8 +112,8 @@ class TestChooseWindow:
                    for i in range(6)]
         objectives = [0.5, 0.2, 0.9, 0.2, 0.7, 0.4]
         evals = [self._eval(w, j) for w, j in zip(windows, objectives)]
-        baseline = choose_window(evals, mac())
-        shuffled = choose_window([evals[i] for i in order], mac())
+        baseline = choose_window(evals)
+        shuffled = choose_window([evals[i] for i in order])
         assert shuffled.window is baseline.window
 
 
@@ -270,15 +267,3 @@ class TestDecisionAndConfig:
     def test_beta_range_enforced(self):
         with pytest.raises(ConfigError):
             mac(beta=1.2)
-
-    def test_report_summary_round_numbers(self):
-        thermal = ThermalProfile(t_sun_k=303.0, t_eclipse_k=263.0)
-        report = report_battery_summary(
-            node_id=3, period_start=0.0, period_end=43200.0, n_slots=1080,
-            n_transmissions=12, energy_consumed_j=2.1e7,
-            dod_observations=[0.4] * 8, thermal=thermal,
-        )
-        assert report.node_id == 3
-        assert report.period_days == pytest.approx(0.5)
-        assert report.mean_temperature_sun_k == 303.0
-        assert len(report.dod_observations) == 8

@@ -140,7 +140,7 @@ class TestVisibility:
     def test_phase_tag_matches_midpoint(self):
         windows = visibility_windows(ORBIT, self.STATION, 0.0, 43200.0, 1.0)
         for w in windows:
-            assert w.phase == phase_at(ORBIT, w.midpoint)
+            assert w.phase == phase_at(ORBIT, 0.5 * (w.start + w.end))
 
     def test_bad_interval_rejected(self):
         with pytest.raises(ValueError):
@@ -151,13 +151,6 @@ class TestSchedule:
     def test_no_stations_gives_empty_schedule(self):
         sched = build_schedule(ORBIT, [], horizon=86400.0)
         assert sched.windows == ()
-
-    def test_partition_is_exhaustive_and_disjoint(self):
-        station = GroundStation(id="gs", latitude_rad=0.3, longitude_rad=1.0,
-                                min_elevation_rad=0.1745)
-        sched = build_schedule(ORBIT, [station], horizon=86400.0, step=2.0)
-        assert set(sched.sun) | set(sched.eclipse) == set(sched.windows)
-        assert not set(sched.sun) & set(sched.eclipse)
 
     def test_deterministic_regeneration(self):
         station = GroundStation(id="gs", latitude_rad=0.3, longitude_rad=1.0,

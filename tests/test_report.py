@@ -71,6 +71,9 @@ class TestValidation:
         with pytest.raises(ValueError):
             make_report(energy_consumed_j=-1.0)
 
+    def test_period_days_from_bounds(self):
+        assert make_report(period_start=0.0, period_end=43200.0).period_days == 0.5
+
     def test_dod_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             make_report(n_dod=1, dod_observations=(1.5,))
