@@ -61,7 +61,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         out = args.out or "metrics.csv"
         out_path = Path(out).with_suffix(f"{suffix}{Path(out).suffix}") if suffix else Path(out)
         if args.format == "json":
-            rows = [dict(zip(engine.METRICS_COLUMNS, m.as_row())) for m in result.metrics]
+            rows = [m._asdict() for m in result.metrics]
             out_path.write_text(json.dumps(rows, indent=2) + "\n")
         else:
             engine.write_metrics_csv(result.metrics, out_path)

@@ -3,6 +3,8 @@
 Metrics are a pure function of (scenario, seed).  Events are processed in
 strictly increasing (time, sequence) order; sequence numbers are assigned
 at scheduling time, so simultaneous events resolve first-scheduled-first.
+A packet's attempt ends take theirs when the packet is launched, even
+though each is pushed only once the attempt before it has failed.
 
 Accounting is retrospective: the slot tick at time T settles the slot
 [T - slot, T), by which point every transmission attempt inside it has
@@ -19,6 +21,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -66,7 +69,6 @@ class EventKind(enum.Enum):
 
     PHASE_CHANGE = "phase_change"
     WINDOW_OPEN = "window_open"
-    TX_ATTEMPT_START = "tx_attempt_start"
     TX_ATTEMPT_END = "tx_attempt_end"
     SLOT_TICK = "slot_tick"
     REPORT_DUE = "report_due"
@@ -281,23 +283,9 @@ _DROP_COUNTER = {
     DropReason.NO_WINDOW: "dropped_no_window",
 }
 
-METRICS_COLUMNS = (
-    "time_s",
-    "node_id",
-    "soc",
-    "fade_fraction",
-    "d_linear",
-    "packets_delivered",
-    "packets_dropped_energy",
-    "packets_dropped_collision_exhausted",
-    "packets_dropped_no_window",
-    "energy_harvested_j",
-    "energy_consumed_j",
-)
+class MetricsRecord(NamedTuple):
+    """One row of the metrics output; the field order is the column order."""
 
-
-@dataclass
-class MetricsRecord:
     time_s: float
     node_id: int
     soc: float
@@ -310,8 +298,8 @@ class MetricsRecord:
     energy_harvested_j: float
     energy_consumed_j: float
 
-    def as_row(self) -> tuple:
-        return tuple(getattr(self, c) for c in METRICS_COLUMNS)
+
+METRICS_COLUMNS = MetricsRecord._fields
 
 
 @dataclass(frozen=True)
@@ -330,14 +318,6 @@ class SafetyAudit:
 
 
 @dataclass
-class _ActiveAttempt:
-    end: float
-    sf: int
-    channel: int
-    collided: bool = False
-
-
-@dataclass
 class _Packet:
     packet_id: int
     created: float
@@ -346,8 +326,9 @@ class _Packet:
     tx_phase: str | None = None
     tx_slot_idx: int | None = None
     reserved_j: float = 0.0
-    had_receiver: bool = False
-    current_attempt: _ActiveAttempt | None = None
+    # the drawn sequence, (start, receiver, end-event sequence number) per
+    # attempt; a receiver of None means nobody can hear that attempt
+    attempts: list[tuple[float, str | None, int]] = field(default_factory=list)
 
 
 @dataclass
@@ -431,7 +412,8 @@ class Simulator:
         self.audits: list[SafetyAudit] = []
         self.attempt_log: list[tuple[TxAttempt, bool]] = []
         self.reports: list[NodeBatteryReport] = []
-        self._active: dict[str, list[_ActiveAttempt]] = {}
+        # announced attempts (start, receiver, packet) that may still overlap one to come
+        self._on_air: list[tuple[float, str, _Packet]] = []
         self._packet_count = 0
 
         n = scenario.sim.node_count
@@ -534,7 +516,6 @@ class Simulator:
             EventKind.SLOT_TICK: self._on_slot_tick,
             EventKind.PHASE_CHANGE: self._on_phase_change,
             EventKind.WINDOW_OPEN: self._on_window_open,
-            EventKind.TX_ATTEMPT_START: self._on_attempt_start,
             EventKind.TX_ATTEMPT_END: self._on_attempt_end,
             EventKind.REPORT_DUE: self._on_report_due,
         }
@@ -640,28 +621,15 @@ class Simulator:
             phase=phase_at(node.orbit, start),
             target="",
         )
-        attempts = run_transmission_sequence(
+        starts = run_transmission_sequence(
             TxDecision.transmit(pseudo), self.sc.radio, self.sc.mac,
             node.backoff_rng, not_before=start,
         )
-        if not attempts:
+        if not starts:
             self._drop(node, packet, "dropped_no_window")
             return
-        packet.state = PacketState.IN_FLIGHT
-        packet.window = pseudo
-        packet.tx_phase = phase_at(node.orbit, attempts[0])
-        node.in_flight = packet
-        self._mark_tx_slot(node, packet, attempts[0])
-        node.busy_until = attempts[-1] + self.toa
-        total = len(attempts)
-        for k, t_start in enumerate(attempts):
-            receiver = self._visible_target(node, t_start)
-            if receiver is not None:
-                packet.had_receiver = True
-            self._push(t_start, EventKind.TX_ATTEMPT_START,
-                       (node.node_id, packet, k, total, receiver))
-            self._push(t_start + self.toa, EventKind.TX_ATTEMPT_END,
-                       (node.node_id, packet, k, total, receiver))
+        packet.tx_phase = phase_at(node.orbit, starts[0])
+        self._launch(node, packet, [(t, self._visible_target(node, t)) for t in starts])
 
     def _visible_target(self, node: _Node, t: float) -> str | None:
         """Target of the latest-starting window covering the whole attempt, if any."""
@@ -671,10 +639,29 @@ class Simulator:
                 target = w.target
         return target
 
-    def _mark_tx_slot(self, node: _Node, packet: _Packet, t: float):
-        idx = node.slot_index(t)
-        packet.tx_slot_idx = idx
-        node.tx_slot_info[idx] = packet.tx_phase
+    def _launch(self, node: _Node, packet: _Packet, attempts: list[tuple[float, str | None]]):
+        """Put a packet on air; its drawn attempts go out one at a time."""
+        packet.state = PacketState.IN_FLIGHT
+        # each attempt's end takes its sequence number now, so it orders among
+        # simultaneous events as if it had been scheduled at launch
+        packet.attempts = [(t, receiver, next(self._seq)) for t, receiver in attempts]
+        node.in_flight = packet
+        packet.tx_slot_idx = node.slot_index(attempts[0][0])
+        node.tx_slot_info[packet.tx_slot_idx] = packet.tx_phase
+        node.busy_until = attempts[-1][0] + self.toa
+        self._announce(node, packet, 0)
+
+    def _announce(self, node: _Node, packet: _Packet, k: int):
+        """List attempt k at its receiver and push the event that settles it.
+
+        Listing an attempt before it starts is safe: nothing that settles
+        before it starts can overlap it.
+        """
+        start, receiver, seq = packet.attempts[k]
+        if receiver is not None:
+            self._on_air.append((start, receiver, packet))
+        heapq.heappush(self._heap, (start + self.toa, seq, EventKind.TX_ATTEMPT_END,
+                                    (node.node_id, packet, k)))
 
     # ── event handlers ───────────────────────────────────────────────────
 
@@ -691,76 +678,55 @@ class Simulator:
         psi = node.energy.phi_j - node.energy.reserved_j + packet.reserved_j
         ok = psi > node.energy.phi_min_j if window.phase == ECLIPSE else True
 
-        attempts: list[float] = []
+        starts: list[float] = []
         if ok and start + self.toa <= window.end:
-            attempts = run_transmission_sequence(
+            starts = run_transmission_sequence(
                 TxDecision.transmit(window), self.sc.radio, self.sc.mac,
                 node.backoff_rng, not_before=start,
             )
-        if not attempts:
+        if not starts:
             self._release(node, packet)
             self._decide_aware(node, packet, max(now, node.busy_until))
             return
-
-        packet.state = PacketState.IN_FLIGHT
-        node.in_flight = packet
-        self._mark_tx_slot(node, packet, attempts[0])
-        node.busy_until = attempts[-1] + self.toa
-        total = len(attempts)
-        for k, t_start in enumerate(attempts):
-            packet.had_receiver = True
-            self._push(t_start, EventKind.TX_ATTEMPT_START,
-                       (node.node_id, packet, k, total, window.target))
-            self._push(t_start + self.toa, EventKind.TX_ATTEMPT_END,
-                       (node.node_id, packet, k, total, window.target))
-
-    def _on_attempt_start(self, now: float, payload: tuple):
-        node_id, packet, k, total, receiver = payload
-        if packet.state is not PacketState.IN_FLIGHT:
-            return
-        if receiver is None:
-            packet.current_attempt = None
-            return
-        attempt = _ActiveAttempt(
-            end=now + self.toa, sf=self.sc.radio.spreading_factor, channel=0
-        )
-        active = self._active.setdefault(receiver, [])
-        active[:] = [a for a in active if a.end > now]
-        for other in active:
-            if other.sf == attempt.sf and other.channel == attempt.channel:
-                other.collided = True
-                attempt.collided = True
-        active.append(attempt)
-        packet.current_attempt = attempt
+        self._launch(node, packet, [(t, window.target) for t in starts])
 
     def _on_attempt_end(self, now: float, payload: tuple):
-        node_id, packet, k, total, receiver = payload
-        node = self.nodes[node_id]
+        """Settle one attempt: delivered, retried with the next one, or dropped.
+
+        Two attempts at one receiver collide iff their airtimes overlap
+        (pure ALOHA, no capture).  Every attempt that could overlap this one
+        started before now and is listed; entries that ended an airtime
+        before the earliest start still pending overlap nothing to come.
+        """
+        node_id, packet, k = payload
         if packet.state is not PacketState.IN_FLIGHT:
             return
-        attempt = packet.current_attempt
-        packet.current_attempt = None
-        collided = attempt.collided if attempt is not None else True
+        node = self.nodes[node_id]
+        toa = self.toa
+        start, receiver, _ = packet.attempts[k]
+        got_through = False
         if receiver is not None:
+            self._on_air = [e for e in self._on_air if e[0] + toa > now - 2 * toa]
+            got_through = not any(
+                r == receiver and other is not packet and min(s, start) + toa > max(s, start)
+                for s, r, other in self._on_air
+            )
             self.attempt_log.append((
-                TxAttempt(start=now - self.toa, airtime=self.toa, channel=0,
+                TxAttempt(start=start, airtime=toa, channel=0,
                           sf=self.sc.radio.spreading_factor, receiver=receiver),
-                not collided,
+                got_through,
             ))
-        if receiver is not None and not collided:
+        if got_through:
             self._release(node, packet)
             packet.state = PacketState.DELIVERED
             node.delivered += 1
-            node.period_txs += 1
-            self._tx_complete(node)
-        elif k == total - 1:
-            counter = ("dropped_collision_exhausted" if packet.had_receiver
-                       else "dropped_no_window")
-            node.period_txs += 1
-            self._drop(node, packet, counter)
-            self._tx_complete(node)
-
-    def _tx_complete(self, node: _Node):
+        elif k + 1 < len(packet.attempts):
+            self._announce(node, packet, k + 1)
+            return
+        else:
+            heard = any(r is not None for _, r, _ in packet.attempts)
+            self._drop(node, packet, "dropped_collision_exhausted" if heard else "dropped_no_window")
+        node.period_txs += 1
         node.in_flight = None
         node.energy.ewma_estimate_j = ewma_update(
             self.sc.mac.beta, self.profile.e_cons_tx_j, node.energy.ewma_estimate_j
@@ -812,8 +778,10 @@ class Simulator:
             node.forced_sleep.add(idx + 1)
             if node.in_flight is not None:
                 victim = node.in_flight
-                if victim.tx_slot_idx is not None and victim.tx_slot_idx > idx:
+                if victim.tx_slot_idx > idx:
                     node.tx_slot_info.pop(victim.tx_slot_idx, None)
+                # an attempt already on air still collides; one yet to start never happens
+                self._on_air = [e for e in self._on_air if e[2] is not victim or e[0] <= now]
                 self._drop(node, victim, "dropped_energy")
                 node.in_flight = None
                 node.busy_until = t_end
@@ -994,7 +962,7 @@ def run(
 def write_metrics_csv(metrics: list[MetricsRecord], path: str | Path):
     lines = [",".join(METRICS_COLUMNS)]
     for m in metrics:
-        lines.append(",".join(repr(v) if isinstance(v, float) else str(v) for v in m.as_row()))
+        lines.append(",".join(repr(v) if isinstance(v, float) else str(v) for v in m))
     Path(path).write_text("\n".join(lines) + "\n")
 
 

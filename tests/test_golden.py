@@ -3,8 +3,9 @@
 Each case pins the sha256 of the metrics CSV bytes followed by the summary
 JSON bytes, at seeds 1-3.  The cases cover paths no other byte-level check
 reaches: brownouts that drop packets in flight under both protocols,
-collision-exhausted retries on shared override windows, and a dense
-naive-ALOHA fleet whose receivers come from real visibility windows.
+collision-exhausted retries on shared override windows (with and without
+brownouts), and a dense naive-ALOHA fleet whose receivers come from real
+visibility windows.
 
 If a change is meant to alter what the simulator computes, re-take the
 hashes and say why in the change log; otherwise a mismatch is a regression.
@@ -43,6 +44,10 @@ CASES = {
                              "sim.traffic_rate_per_s": 1.0 / 120.0,
                              "sim.duration_days": 0.25,
                              "energy.psi_min_j": 1000.0, "energy.e_critical_j": 0.0},
+    # brownouts that drop a packet whose next attempt on a shared window is
+    # still ahead, while other nodes' attempts share that receiver
+    "aware_brownout_shared": {**BROWNOUT, "sim.protocol": "battery_aware",
+                              "mac.backoff_base_s": 60.0},
 }
 
 GOLDEN = {
@@ -70,6 +75,23 @@ GOLDEN = {
         "24e6be1b76de697ddf95f05f00ad599456fbe80a6ce35357715e7f22f5fae581",
     ("aware_shared_windows", 3):
         "7644fa1bfb821457c30f0235e3998122a43956fdf217d789c9b28ae0627d2e39",
+    ("aware_brownout_shared", 1):
+        "8ea539d9f93ae2884eec75a036bd55c1fc5670e057abb2a9ff99e2aaa7213584",
+    ("aware_brownout_shared", 2):
+        "c8db59a62b08e171e5da5cc81cb3ba710465ff7442b9679541a65fa72cd57a54",
+    ("aware_brownout_shared", 3):
+        "a92cf0eb71924e1f221023345e079020238a1384982a5bbcac04016f0e8903d1",
+}
+
+
+# sha256 of every battery-aware decision's selection-time values on shared
+# windows with brownouts.  Windows open the instant a node's last attempt
+# ends, so these pin the order of simultaneous attempt ends and window
+# openings, which the metrics alone do not show.
+DECISIONS_CASE = {**BROWNOUT, "sim.protocol": "battery_aware", "mac.backoff_base_s": 30.0}
+DECISIONS = {
+    1: "0b2bb5560bc44876f1cb860958e8e5af20f197e43a2c23f0970544375dfd6830",
+    3: "f38a8abad9d3f0c8d8b6115f588606cc8e4d7a51d22ad61bacce2b146545d192",
 }
 
 
@@ -95,10 +117,24 @@ def _digest(result, tmp_path) -> str:
 @pytest.mark.parametrize("case", list(CASES))
 def test_golden_outputs(case, tmp_path, default_dict):
     overrides = dict(CASES[case])
-    if case == "aware_shared_windows":
+    if case in ("aware_shared_windows", "aware_brownout_shared"):
         overrides["sim.schedule_override_path"] = _shared_windows(
             tmp_path / "override.json", overrides["sim.node_count"],
             overrides["sim.duration_days"])
     sc = make_scenario(default_dict, **overrides)
     got = {seed: _digest(run(sc, seed=seed), tmp_path) for seed in (1, 2, 3)}
     assert got == {seed: GOLDEN[(case, seed)] for seed in (1, 2, 3)}
+
+
+def _decisions_digest(result) -> str:
+    rows = [(a.node_id, a.time, a.transmit, a.phase, a.psi_j, a.psi_min_j, a.estimate_j,
+             a.threshold_j, a.reason.value if a.reason else None) for a in result.audits]
+    return hashlib.sha256(repr(rows).encode()).hexdigest()
+
+
+def test_golden_decisions(tmp_path, default_dict):
+    overrides = dict(DECISIONS_CASE)
+    overrides["sim.schedule_override_path"] = _shared_windows(
+        tmp_path / "override.json", overrides["sim.node_count"], overrides["sim.duration_days"])
+    sc = make_scenario(default_dict, **overrides)
+    assert {seed: _decisions_digest(run(sc, seed=seed)) for seed in DECISIONS} == DECISIONS

@@ -5,6 +5,7 @@ import pytest
 from leolora.report import (
     MAX_DOD_OBSERVATIONS,
     MAX_ENCODED_BYTES,
+    MAX_NODE_ID,
     NodeBatteryReport,
     decode_report,
     encode_report,
@@ -29,7 +30,9 @@ def make_report(n_dod=8, **kw):
 
 class TestEncoding:
     def test_fits_uplink_budget(self):
-        blob = encode_report(make_report(n_dod=MAX_DOD_OBSERVATIONS))
+        # the largest report encode_report accepts: 31-byte header + 9 x uint16
+        blob = encode_report(make_report(n_dod=MAX_DOD_OBSERVATIONS, node_id=MAX_NODE_ID))
+        assert len(blob) == 49
         assert len(blob) <= MAX_ENCODED_BYTES
 
     def test_empty_observation_list_is_small(self):
