@@ -1,18 +1,23 @@
 """Per-node stored-energy balance, solar harvest, and the EWMA estimator.
 
-The slot balance is
+`energy_step` is the one owner of the slot law.  From what the node did in
+the slot (transmitted in a sun or eclipse window, or slept) and the slot's
+sunlit seconds it derives the decision variables x, y and the harvest E_g,
+and settles
 
     phi[t] = phi[t-1] + y[t]*E_g[t] - x[t]*E_cons - (1 - x[t])*E_sleep
 
 with phi clamped to [0, phi_max].  A clamp at zero is a brownout; every
 clamp is reported so the run-level ledger can still be audited exactly.
+The same call gives the slot's battery discharge for the orbit ledger.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
-from .exceptions import ConfigError, ContractError
+from .exceptions import ConfigError
 from .orbit import ECLIPSE, SUN, ForecastWindow
 
 DEFAULT_SLOT_S = 40.0
@@ -20,7 +25,7 @@ DEFAULT_SLOT_S = 40.0
 
 @dataclass
 class NodeEnergyState:
-    """Stored energy and decision history for one node.
+    """Stored energy, EWMA estimate and reservations for one node.
 
     reserved_j is energy provisionally debited for packets already
     scheduled but not yet transmitted; availability estimates subtract it.
@@ -32,8 +37,6 @@ class NodeEnergyState:
     e_critical_j: float
     ewma_estimate_j: float = 0.0
     reserved_j: float = 0.0
-    x_history: list[int] = field(default_factory=list)
-    y_history: list[int] = field(default_factory=list)
 
     def __post_init__(self):
         if not 0.0 <= self.phi_j <= self.phi_max_j:
@@ -88,56 +91,55 @@ class PowerProfile:
             )
 
 
-@dataclass(frozen=True)
-class EnergyStep:
-    """Outcome of one slot update, with the clamp audit trail."""
+class SlotEnergy(NamedTuple):
+    """What one settled slot adds to a node's ledgers."""
 
-    phi_before: float
-    phi_after: float
-    delta_requested: float      # raw balance before clamping
-    clamp_adjustment_j: float   # phi_after - (phi_before + delta_requested)
+    harvested_j: float
+    consumed_j: float
+    discharge_j: float   # battery discharge, for the orbit ledger
+    clamp_j: float       # phi_after - (phi_before + harvested - consumed)
     brownout: bool
-    clamped_high: bool
 
 
 def energy_step(
     state: NodeEnergyState,
-    x: int,
-    y: int,
-    e_g_j: float,
+    tx_phase: str | None,
+    sun_s: float,
+    slot_s: float,
+    harvest: HarvestModel,
     profile: PowerProfile,
-    phase: str = SUN,
-) -> EnergyStep:
-    """Advance phi by one slot and record the decision variables.
+) -> SlotEnergy:
+    """Settle one slot: advance phi and measure the battery discharge.
 
-    Raises ContractError if harvest is claimed during eclipse.  A brownout
-    (clamp at zero) is reported to the caller, which must force the node to
-    sleep for the following slot.
+    tx_phase is the phase of the window the node transmitted in (x = 1),
+    or None if it slept (x = 0); sun_s is the slot's sunlit time, which
+    sets y and E_g.  A brownout (clamp at zero) is reported to the caller,
+    which must force the node to sleep for the following slot.
+
+    The battery discharges wherever the bus draw beats harvest: the sleep
+    draw through the slot's eclipse seconds, the shortfall below it in
+    sunlight, and a transmit's extra draw in an eclipse window.  A sun
+    window's transmit is taken as covered by harvest.
     """
-    if x not in (0, 1) or y not in (0, 1):
-        raise ValueError(f"decision variables must be 0 or 1, got x={x}, y={y}")
-    if e_g_j < 0:
-        raise ValueError(f"harvest must be >= 0, got {e_g_j}")
-    if phase == ECLIPSE and e_g_j > 0:
-        raise ContractError(f"harvest {e_g_j} J claimed during eclipse")
+    if tx_phase not in (None, SUN, ECLIPSE):
+        raise ValueError(f"transmit phase must be None, {SUN} or {ECLIPSE}, got {tx_phase!r}")
+    x = 0 if tx_phase is None else 1
+    y = 1 if sun_s > 0.0 else 0
+    e_g = harvest.slot_harvest(min(max(sun_s / slot_s, 0.0), 1.0)) if y else 0.0
+    harvested = y * e_g
+    consumed = x * profile.e_cons_tx_j + (1 - x) * profile.e_sleep_j
+    raw = state.phi_j + (harvested - consumed)   # this order: outputs are pinned bit for bit
+    state.phi_j = min(max(raw, 0.0), state.phi_max_j)
 
-    phi_before = state.phi_j
-    delta = y * e_g_j - x * profile.e_cons_tx_j - (1 - x) * profile.e_sleep_j
-    raw = phi_before + delta
-    phi_after = min(max(raw, 0.0), state.phi_max_j)
-
-    state.phi_j = phi_after
-    state.x_history.append(x)
-    state.y_history.append(y)
-
-    return EnergyStep(
-        phi_before=phi_before,
-        phi_after=phi_after,
-        delta_requested=delta,
-        clamp_adjustment_j=phi_after - raw,
-        brownout=raw < 0.0,
-        clamped_high=raw > state.phi_max_j,
-    )
+    bus_rate = profile.e_sleep_j / slot_s
+    discharge = bus_rate * (slot_s - sun_s)
+    if y:
+        harvest_rate = e_g / sun_s
+        if bus_rate > harvest_rate:
+            discharge += (bus_rate - harvest_rate) * sun_s
+    if tx_phase == ECLIPSE:
+        discharge += profile.e_cons_tx_j - profile.e_sleep_j
+    return SlotEnergy(harvested, consumed, discharge, state.phi_j - raw, raw < 0.0)
 
 
 def ewma_update(beta: float, e_cons_prev_j: float, ewma_prev_j: float) -> float:

@@ -19,6 +19,7 @@ import heapq
 import itertools
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
@@ -277,7 +278,11 @@ def run_degradation_curve(
 
 # ── engine internals ─────────────────────────────────────────────────────────
 
-_DROP_COUNTER = {
+# A node's packet counts, keyed as in the summary.
+DROP_OUTCOMES = ("dropped_energy", "dropped_collision_exhausted", "dropped_no_window")
+PACKET_OUTCOMES = ("generated", "delivered") + DROP_OUTCOMES
+
+_DROP_OUTCOME = {
     DropReason.INSUFFICIENT_ENERGY_SUN: "dropped_energy",
     DropReason.BELOW_RESERVE_ECLIPSE: "dropped_energy",
     DropReason.NO_WINDOW: "dropped_no_window",
@@ -350,7 +355,6 @@ class _Node:
     forced_sleep: set[int] = field(default_factory=set)
     in_flight: _Packet | None = None
     ledger: OrbitLedger = field(default_factory=OrbitLedger)
-    e_g_history: list[float] = field(default_factory=list)
     clamp_events: list[tuple[float, float]] = field(default_factory=list)
     brownout_count: int = 0
     # per reporting period
@@ -360,11 +364,7 @@ class _Node:
     period_energy_j: float = 0.0
     period_dods: list[float] = field(default_factory=list)
     # cumulative
-    generated: int = 0
-    delivered: int = 0
-    dropped_energy: int = 0
-    dropped_collision_exhausted: int = 0
-    dropped_no_window: int = 0
+    packets: Counter[str] = field(default_factory=Counter)  # PACKET_OUTCOMES
     energy_harvested_j: float = 0.0
     energy_consumed_j: float = 0.0
 
@@ -377,13 +377,10 @@ class _Node:
 
 @dataclass
 class RunResult:
-    scenario: ScenarioConfig
-    seed: int
     metrics: list[MetricsRecord]
     summary: dict
     audits: list[SafetyAudit]
     attempt_log: list[tuple[TxAttempt, bool]]
-    reports: list[NodeBatteryReport]
     nodes: list[_Node]
 
 
@@ -473,7 +470,7 @@ class Simulator:
                 self._push(node.slot_time(1), EventKind.SLOT_TICK, (u, 1))
             if scenario.sim.report_interval_s < self.t_end:
                 self._push(scenario.sim.report_interval_s, EventKind.REPORT_DUE, (u,))
-            self._schedule_next_phase_change(node, 0.0)
+            self._schedule_next_sunrise(node, 0.0)
 
     # ── plumbing ─────────────────────────────────────────────────────────
 
@@ -503,11 +500,13 @@ class Simulator:
                 t += step
         return out
 
-    def _schedule_next_phase_change(self, node: _Node, after: float):
-        """Queue the next phase boundary of this node's orbit profile."""
+    def _schedule_next_sunrise(self, node: _Node, after: float):
+        """Queue the next sunrise of this node's orbit profile, where its orbit closes."""
         next_t, phase = next_phase_boundary(node.orbit, after)
+        if phase != SUN:
+            next_t, _ = next_phase_boundary(node.orbit, next_t + 1e-9)
         if next_t <= self.t_end:
-            self._push(next_t, EventKind.PHASE_CHANGE, (node.node_id, phase))
+            self._push(next_t, EventKind.PHASE_CHANGE, (node.node_id,))
 
     # ── main loop ────────────────────────────────────────────────────────
 
@@ -528,13 +527,10 @@ class Simulator:
         self.now = self.t_end
         self._finalize()
         return RunResult(
-            scenario=self.sc,
-            seed=self.seed,
             metrics=self.metrics,
             summary=self._summary(),
             audits=self.audits,
             attempt_log=self.attempt_log,
-            reports=self.reports,
             nodes=self.nodes,
         )
 
@@ -544,7 +540,7 @@ class Simulator:
         while node.arrival_ptr < len(node.arrivals) and node.arrivals[node.arrival_ptr] <= until:
             created = node.arrivals[node.arrival_ptr]
             node.arrival_ptr += 1
-            node.generated += 1
+            node.packets["generated"] += 1
             self._packet_count += 1
             node.queue.append(_Packet(packet_id=self._packet_count, created=created))
 
@@ -581,7 +577,7 @@ class Simulator:
         decision = result.decision
         self._audit(node, now, decision, result)
         if not decision.is_transmit:
-            self._drop(node, packet, _DROP_COUNTER[decision.reason])
+            self._drop(node, packet, _DROP_OUTCOME[decision.reason])
             return
         window = decision.window
         packet.state = PacketState.WAITING
@@ -719,7 +715,7 @@ class Simulator:
         if got_through:
             self._release(node, packet)
             packet.state = PacketState.DELIVERED
-            node.delivered += 1
+            node.packets["delivered"] += 1
         elif k + 1 < len(packet.attempts):
             self._announce(node, packet, k + 1)
             return
@@ -737,43 +733,34 @@ class Simulator:
             node.energy.reserved_j = max(0.0, node.energy.reserved_j - packet.reserved_j)
             packet.reserved_j = 0.0
 
-    def _drop(self, node: _Node, packet: _Packet, counter: str):
+    def _drop(self, node: _Node, packet: _Packet, outcome: str):
         self._release(node, packet)
         packet.state = PacketState.DROPPED
-        setattr(node, counter, getattr(node, counter) + 1)
+        node.packets[outcome] += 1
 
     def _on_slot_tick(self, now: float, payload: tuple):
         node_id, k = payload
         node = self.nodes[node_id]
         t_end = node.slot_time(k)
-        t_start = node.slot_time(k - 1)
         idx = k - 1
 
-        sun_secs = sun_seconds(node.orbit, t_start, t_end)
-        sun_frac = min(max(sun_secs / self.slot_s, 0.0), 1.0)
-        y = 1 if sun_secs > 0.0 else 0
-        e_g = self.harvest.slot_harvest(sun_frac) if y else 0.0
-        phase_flag = SUN if y else ECLIPSE
-
         tx_phase = node.tx_slot_info.pop(idx, None)
-        x = 1 if tx_phase is not None else 0
         if idx in node.forced_sleep:
-            node.forced_sleep.discard(idx)
-            x = 0
+            node.forced_sleep.remove(idx)
             tx_phase = None
-
-        step = energy_step(node.energy, x, y, e_g, self.profile, phase_flag)
-        node.e_g_history.append(e_g)
-        cons = x * self.profile.e_cons_tx_j + (1 - x) * self.profile.e_sleep_j
-        node.energy_consumed_j += cons
-        node.energy_harvested_j += y * e_g
-        node.period_energy_j += cons
+        slot = energy_step(node.energy, tx_phase,
+                           sun_seconds(node.orbit, node.slot_time(idx), t_end),
+                           self.slot_s, self.harvest, self.profile)
+        node.energy_consumed_j += slot.consumed_j
+        node.energy_harvested_j += slot.harvested_j
+        node.period_energy_j += slot.consumed_j
         node.period_slots += 1
+        node.ledger.duration_s += self.slot_s
+        node.ledger.discharge_j += slot.discharge_j
+        if slot.clamp_j:
+            node.clamp_events.append((t_end, slot.clamp_j))
 
-        brownout_now = step.brownout
-        if step.clamped_high or step.brownout:
-            node.clamp_events.append((t_end, step.clamp_adjustment_j))
-        if brownout_now:
+        if slot.brownout:
             node.brownout_count += 1
             node.forced_sleep.add(idx + 1)
             if node.in_flight is not None:
@@ -786,31 +773,18 @@ class Simulator:
                 node.in_flight = None
                 node.busy_until = t_end
 
-        # orbit ledger: the battery discharges wherever consumption beats harvest
-        eclipse_secs = self.slot_s - sun_secs
-        bus_rate = self.profile.e_sleep_j / self.slot_s
-        harvest_rate = e_g / sun_secs if sun_secs > 0.0 else 0.0
-        discharge = bus_rate * eclipse_secs
-        if sun_secs > 0.0 and bus_rate > harvest_rate:
-            discharge += (bus_rate - harvest_rate) * sun_secs
-        if x and tx_phase == ECLIPSE:
-            discharge += self.profile.e_cons_tx_j - self.profile.e_sleep_j
-        node.ledger.duration_s += self.slot_s
-        node.ledger.discharge_j += discharge
-
         self._drain_arrivals(node, t_end)
-        if not brownout_now:
+        if not slot.brownout:
             self._decide_queue(node, t_end)
 
         if k + 1 <= (node.account_end - node.slot_offset) / self.slot_s + 1e-9:
             self._push(node.slot_time(k + 1), EventKind.SLOT_TICK, (node_id, k + 1))
 
     def _on_phase_change(self, now: float, payload: tuple):
-        node_id, new_phase = payload
+        (node_id,) = payload
         node = self.nodes[node_id]
-        if new_phase == SUN:
-            self._flush_orbit(node)
-        self._schedule_next_phase_change(node, now + 1e-9)
+        self._flush_orbit(node)
+        self._schedule_next_sunrise(node, now + 1e-9)
 
     def _flush_orbit(self, node: _Node):
         if node.ledger.duration_s <= 0.0:
@@ -866,10 +840,10 @@ class Simulator:
             soc=node.energy.soc,
             fade_fraction=node.battery.fade_fraction,
             d_linear=node.battery.d_linear,
-            packets_delivered=node.delivered,
-            packets_dropped_energy=node.dropped_energy,
-            packets_dropped_collision_exhausted=node.dropped_collision_exhausted,
-            packets_dropped_no_window=node.dropped_no_window,
+            packets_delivered=node.packets["delivered"],
+            packets_dropped_energy=node.packets["dropped_energy"],
+            packets_dropped_collision_exhausted=node.packets["dropped_collision_exhausted"],
+            packets_dropped_no_window=node.packets["dropped_no_window"],
             energy_harvested_j=node.energy_harvested_j,
             energy_consumed_j=node.energy_consumed_j,
         ))
@@ -893,16 +867,8 @@ class Simulator:
 
     def _summary(self) -> dict:
         per_node = {}
-        totals = {
-            "generated": 0, "delivered": 0, "dropped_energy": 0,
-            "dropped_collision_exhausted": 0, "dropped_no_window": 0,
-        }
+        totals = {key: sum(node.packets[key] for node in self.nodes) for key in PACKET_OUTCOMES}
         for node in self.nodes:
-            totals["generated"] += node.generated
-            totals["delivered"] += node.delivered
-            totals["dropped_energy"] += node.dropped_energy
-            totals["dropped_collision_exhausted"] += node.dropped_collision_exhausted
-            totals["dropped_no_window"] += node.dropped_no_window
             per_node[str(node.node_id)] = {
                 "soc": node.energy.soc,
                 "fade_fraction": node.battery.fade_fraction,
@@ -911,18 +877,14 @@ class Simulator:
                 "dc_cycle": node.battery.dc_cycle_total,
                 "cycles_completed": node.battery.cycles_completed,
                 "calendar_days": node.battery.calendar_days,
-                "delivered": node.delivered,
-                "dropped_energy": node.dropped_energy,
-                "dropped_collision_exhausted": node.dropped_collision_exhausted,
-                "dropped_no_window": node.dropped_no_window,
+                **{key: node.packets[key] for key in ("delivered",) + DROP_OUTCOMES},
                 "energy_harvested_j": node.energy_harvested_j,
                 "energy_consumed_j": node.energy_consumed_j,
                 "brownouts": node.brownout_count,
                 "clamp_events": len(node.clamp_events),
             }
         delivered = totals["delivered"]
-        dropped = (totals["dropped_energy"] + totals["dropped_collision_exhausted"]
-                   + totals["dropped_no_window"])
+        dropped = sum(totals[key] for key in DROP_OUTCOMES)
         gateway = gateway_compute_fleet_degradation(
             self.reports, self.sc.battery.params,
             soc_reference=self.sc.battery.soc_reference,
@@ -934,7 +896,7 @@ class Simulator:
             "protocol": self.sc.sim.protocol,
             "duration_s": self.t_end,
             "node_count": self.sc.sim.node_count,
-            "packets": dict(totals),
+            "packets": totals,
             "packets_terminal": delivered + dropped,
             "pdr": delivered / totals["generated"] if totals["generated"] else None,
             "per_node": per_node,

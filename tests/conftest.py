@@ -33,6 +33,28 @@ def default_scenario():
     return parse_scenario(default_scenario_dict())
 
 
+@pytest.fixture
+def energy_spy(monkeypatch):
+    """Record every slot the engine settles, per node, through `energy_step`.
+
+    Returns `slots(node)`: the node's (tx_phase, sun_s, slot_s, SlotEnergy)
+    per settled slot, in slot order.  Runs keep no per-slot history of
+    their own.
+    """
+    from leolora import engine
+
+    real = engine.energy_step
+    calls: dict[int, list] = {}
+
+    def spy(state, tx_phase, sun_s, slot_s, harvest, profile):
+        out = real(state, tx_phase, sun_s, slot_s, harvest, profile)
+        calls.setdefault(id(state), []).append((tx_phase, sun_s, slot_s, out))
+        return out
+
+    monkeypatch.setattr(engine, "energy_step", spy)
+    return lambda node: calls.get(id(node.energy), [])
+
+
 def make_scenario(base: dict, **overrides) -> "ScenarioConfig":
     """Deep-copy `base` and apply {'section.key': value} overrides."""
     d = copy.deepcopy(base)

@@ -12,10 +12,12 @@ from leolora.energy import (
     estimate_available_energy,
     ewma_update,
 )
-from leolora.exceptions import ConfigError, ContractError
+from leolora.exceptions import ConfigError
 from leolora.orbit import ECLIPSE, SUN, ForecastWindow
 
 PROFILE = PowerProfile(e_cons_tx_j=5.0, e_sleep_j=1.0)
+HARVEST = HarvestModel(e_g_sun_j_per_slot=10.0, charge_rate_limit_j_per_slot=100.0)
+SLOT_S = 40.0
 
 
 def fresh_state(phi=100.0, phi_max=200.0, phi_min=10.0, e_critical=20.0):
@@ -23,67 +25,110 @@ def fresh_state(phi=100.0, phi_max=200.0, phi_min=10.0, e_critical=20.0):
                            e_critical_j=e_critical)
 
 
+def step(state, tx_phase=None, sun_s=0.0, harvest=HARVEST, profile=PROFILE):
+    return energy_step(state, tx_phase, sun_s, SLOT_S, harvest, profile)
+
+
 class TestEnergyStep:
     def test_sleep_only_drains_sleep_energy(self):
         state = fresh_state()
-        step = energy_step(state, 0, 0, 0.0, PROFILE)
-        assert step.phi_after == pytest.approx(99.0)
-        assert state.x_history == [0] and state.y_history == [0]
+        slot = step(state)
+        assert state.phi_j == pytest.approx(99.0)
+        assert (slot.harvested_j, slot.consumed_j) == (0.0, 1.0)
 
     def test_harvest_and_transmit_one_step(self):
         state = fresh_state()
-        step = energy_step(state, 1, 1, 10.0, PROFILE)
-        assert step.phi_after == pytest.approx(105.0)
+        slot = step(state, SUN, sun_s=SLOT_S)
+        assert state.phi_j == pytest.approx(105.0)
+        assert (slot.harvested_j, slot.consumed_j) == (10.0, 5.0)
+
+    def test_partial_sun_harvests_its_fraction(self):
+        state = fresh_state()
+        slot = step(state, sun_s=10.0)
+        assert slot.harvested_j == pytest.approx(2.5)
+        assert state.phi_j == pytest.approx(101.5)
+
+    def test_no_harvest_without_sunlight(self):
+        harvest = HarvestModel(e_g_sun_j_per_slot=1e6, charge_rate_limit_j_per_slot=1e6)
+        for tx_phase in (None, SUN, ECLIPSE):
+            assert step(fresh_state(), tx_phase, sun_s=0.0, harvest=harvest).harvested_j == 0.0
 
     def test_zero_everything_is_identity(self):
         profile = PowerProfile(e_cons_tx_j=1e-12, e_sleep_j=0.0)
         state = fresh_state()
-        step = energy_step(state, 0, 0, 0.0, profile)
-        assert step.phi_after == 100.0
-
-    def test_harvest_in_eclipse_is_contract_violation(self):
-        state = fresh_state()
-        with pytest.raises(ContractError):
-            energy_step(state, 0, 1, 5.0, PROFILE, phase=ECLIPSE)
-
-    def test_zero_harvest_in_eclipse_is_fine(self):
-        state = fresh_state()
-        energy_step(state, 0, 0, 0.0, PROFILE, phase=ECLIPSE)
+        step(state, profile=profile)
+        assert state.phi_j == 100.0
 
     def test_brownout_clamps_at_zero_and_reports(self):
         state = fresh_state(phi=0.5)
-        step = energy_step(state, 0, 0, 0.0, PROFILE)
-        assert step.brownout
+        slot = step(state)
+        assert slot.brownout
         assert state.phi_j == 0.0
-        assert step.clamp_adjustment_j == pytest.approx(0.5)
+        assert slot.clamp_j == pytest.approx(0.5)
 
     def test_clamp_at_capacity(self):
         state = fresh_state(phi=199.5)
-        step = energy_step(state, 0, 1, 10.0, PROFILE)
-        assert step.clamped_high
+        slot = step(state, sun_s=SLOT_S)
+        assert not slot.brownout
         assert state.phi_j == 200.0
-        assert step.clamp_adjustment_j == pytest.approx(-8.5)
+        assert slot.clamp_j == pytest.approx(-8.5)
 
     def test_bad_decision_variables_rejected(self):
         with pytest.raises(ValueError):
-            energy_step(fresh_state(), 2, 0, 0.0, PROFILE)
+            step(fresh_state(), "dusk")
 
     @given(
         phi=st.floats(0.0, 200.0),
-        x=st.sampled_from([0, 1]),
-        y=st.sampled_from([0, 1]),
-        e_g=st.floats(0.0, 50.0),
+        tx_phase=st.sampled_from([None, SUN, ECLIPSE]),
+        sun_s=st.floats(0.0, SLOT_S),
+        e_g_sun=st.floats(0.0, 50.0),
     )
-    def test_phi_stays_in_bounds_and_histories_are_binary(self, phi, x, y, e_g):
+    def test_phi_stays_in_bounds_and_slot_balance_closes(self, phi, tx_phase, sun_s, e_g_sun):
         state = fresh_state(phi=phi)
-        step = energy_step(state, x, y, e_g, PROFILE)
+        harvest = HarvestModel(e_g_sun_j_per_slot=e_g_sun, charge_rate_limit_j_per_slot=30.0)
+        slot = step(state, tx_phase, sun_s, harvest=harvest)
         assert 0.0 <= state.phi_j <= state.phi_max_j
-        assert set(state.x_history) <= {0, 1}
-        assert set(state.y_history) <= {0, 1}
-        # ledger identity for the single step
-        assert step.phi_after == pytest.approx(
-            step.phi_before + step.delta_requested + step.clamp_adjustment_j, abs=1e-12
+        assert state.phi_j == pytest.approx(
+            phi + slot.harvested_j - slot.consumed_j + slot.clamp_j, abs=1e-12
         )
+        x = 0 if tx_phase is None else 1
+        assert slot.consumed_j == x * PROFILE.e_cons_tx_j + (1 - x) * PROFILE.e_sleep_j
+        if sun_s == 0.0:
+            assert slot.harvested_j == 0.0
+        assert slot.discharge_j >= 0.0
+
+
+class TestDischarge:
+    """The slot's battery discharge, which feeds the orbit ledger."""
+
+    BUS_W = PROFILE.e_sleep_j / SLOT_S
+
+    def test_eclipse_sleep_discharges_sleep_draw(self):
+        assert step(fresh_state()).discharge_j == pytest.approx(PROFILE.e_sleep_j, rel=1e-15)
+
+    def test_sunlit_slot_with_harvest_above_bus_draw_discharges_nothing(self):
+        assert step(fresh_state(), sun_s=SLOT_S).discharge_j == 0.0
+
+    def test_sunlit_shortfall_discharges_its_gap(self):
+        harvest = HarvestModel(e_g_sun_j_per_slot=0.4, charge_rate_limit_j_per_slot=100.0)
+        harvest_w = 0.4 / SLOT_S   # below the bus draw in every sunlit second
+        full = step(fresh_state(), sun_s=SLOT_S, harvest=harvest).discharge_j
+        assert full == pytest.approx((self.BUS_W - harvest_w) * SLOT_S, rel=1e-12)
+        # a partly sunlit slot also draws the bus through its eclipse seconds
+        part = step(fresh_state(), sun_s=10.0, harvest=harvest).discharge_j
+        want = self.BUS_W * (SLOT_S - 10.0) + (self.BUS_W - harvest_w) * 10.0
+        assert part == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("sun_s", [0.0, 10.0, SLOT_S])
+    def test_eclipse_transmit_adds_its_extra_draw(self, sun_s):
+        sleep = step(fresh_state(), None, sun_s).discharge_j
+        eclipse_tx = step(fresh_state(), ECLIPSE, sun_s).discharge_j
+        assert eclipse_tx - sleep == pytest.approx(PROFILE.e_cons_tx_j - PROFILE.e_sleep_j)
+
+    @pytest.mark.parametrize("sun_s", [0.0, 10.0, SLOT_S])
+    def test_sun_transmit_adds_nothing(self, sun_s):
+        sleep = step(fresh_state(), None, sun_s).discharge_j
+        assert step(fresh_state(), SUN, sun_s).discharge_j == sleep
 
 
 class TestEwma:

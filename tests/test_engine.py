@@ -224,17 +224,18 @@ class TestFullRuns:
                 assert m.energy_consumed_j >= prev.energy_consumed_j
             by_node[m.node_id] = m
 
-    def test_harvest_only_in_sun_slots(self, default_dict):
+    def test_harvest_only_in_sun_slots(self, default_dict, energy_spy):
         from leolora.orbit import sun_seconds
 
         sc = make_scenario(default_dict, **{"sim.duration_days": 0.25,
                                             "sim.node_count": 2})
         result = run(sc)
         for node in result.nodes:
-            for k, e_g in enumerate(node.e_g_history):
+            assert energy_spy(node)
+            for k, (_, _, _, slot) in enumerate(energy_spy(node)):
                 t0 = node.slot_offset + k * sc.sim.slot_s
                 sunlit = sun_seconds(node.orbit, t0, t0 + sc.sim.slot_s)
-                if e_g > 0.0:
+                if slot.harvested_j > 0.0:
                     assert sunlit > 0.0
 
     def test_brownout_forces_sleep_and_is_logged(self, default_dict):
