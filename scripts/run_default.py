@@ -28,10 +28,10 @@ def main():
 
     s = result.summary
     p = s["packets"]
+    pdr = "n/a" if s["pdr"] is None else f"{s['pdr']:.3f}"  # None: no packet generated
     print(f"protocol={s['protocol']} seed={s['seed']} "
           f"duration={s['duration_s']/86400:.2f} d nodes={s['node_count']}")
-    print(f"packets: generated={p['generated']} delivered={p['delivered']} "
-          f"pdr={s['pdr']:.3f}")
+    print(f"packets: generated={p['generated']} delivered={p['delivered']} pdr={pdr}")
     print(f"drops:   energy={p['dropped_energy']} "
           f"collisions={p['dropped_collision_exhausted']} "
           f"no_window={p['dropped_no_window']}")

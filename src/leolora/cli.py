@@ -49,6 +49,9 @@ def _write_or_print(text: str, out: str | None):
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    if args.sweep < 1:
+        print("error: sweep must be >= 1", file=sys.stderr)
+        return EXIT_VALIDATION
     scenario = _load_config(args.config)
     seeds = [args.seed if args.seed is not None else scenario.sim.seed]
     if args.sweep > 1:
@@ -69,7 +72,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         summary_path = (Path(summary).with_suffix(f"{suffix}{Path(summary).suffix}")
                         if suffix else Path(summary))
         engine.write_summary_json(result.summary, summary_path)
-        merged.append({"seed": seed, "summary": str(summary_path),
+        # the index sits next to the summaries, so it names them alone
+        merged.append({"seed": seed, "summary": summary_path.name,
                        "pdr": result.summary["pdr"],
                        "delivered": result.summary["packets"]["delivered"]})
         print(f"seed {seed}: wrote {out_path} and {summary_path}")

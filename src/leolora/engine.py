@@ -42,7 +42,6 @@ from .energy import NodeEnergyState, PowerProfile, energy_step, ewma_update
 from .exceptions import ContractError
 from .mac import (
     DropReason,
-    SelectionResult,
     TxDecision,
     run_transmission_sequence,
     select_forecast_window,
@@ -307,24 +306,8 @@ class MetricsRecord(NamedTuple):
 METRICS_COLUMNS = MetricsRecord._fields
 
 
-@dataclass(frozen=True)
-class SafetyAudit:
-    """Selection-time values behind one MAC decision, for invariant checks."""
-
-    node_id: int
-    time: float
-    transmit: bool
-    phase: str | None
-    psi_j: float
-    psi_min_j: float
-    estimate_j: float | None
-    threshold_j: float | None
-    reason: DropReason | None
-
-
 @dataclass
 class _Packet:
-    packet_id: int
     created: float
     state: PacketState = PacketState.QUEUED
     window: ForecastWindow | None = None
@@ -355,7 +338,8 @@ class _Node:
     forced_sleep: set[int] = field(default_factory=set)
     in_flight: _Packet | None = None
     ledger: OrbitLedger = field(default_factory=OrbitLedger)
-    clamp_events: list[tuple[float, float]] = field(default_factory=list)
+    clamp_count: int = 0
+    clamp_total_j: float = 0.0
     brownout_count: int = 0
     # per reporting period
     period_start: float = 0.0
@@ -379,8 +363,6 @@ class _Node:
 class RunResult:
     metrics: list[MetricsRecord]
     summary: dict
-    audits: list[SafetyAudit]
-    attempt_log: list[tuple[TxAttempt, bool]]
     nodes: list[_Node]
 
 
@@ -406,12 +388,9 @@ class Simulator:
         self._seq = itertools.count()
         self.now = 0.0
         self.metrics: list[MetricsRecord] = []
-        self.audits: list[SafetyAudit] = []
-        self.attempt_log: list[tuple[TxAttempt, bool]] = []
         self.reports: list[NodeBatteryReport] = []
         # announced attempts (start, receiver, packet) that may still overlap one to come
         self._on_air: list[tuple[float, str, _Packet]] = []
-        self._packet_count = 0
 
         n = scenario.sim.node_count
         ss = np.random.SeedSequence([self.seed])
@@ -526,13 +505,7 @@ class Simulator:
             handlers[kind](time, payload)
         self.now = self.t_end
         self._finalize()
-        return RunResult(
-            metrics=self.metrics,
-            summary=self._summary(),
-            audits=self.audits,
-            attempt_log=self.attempt_log,
-            nodes=self.nodes,
-        )
+        return RunResult(metrics=self.metrics, summary=self._summary(), nodes=self.nodes)
 
     # ── traffic and MAC decisions ────────────────────────────────────────
 
@@ -541,8 +514,7 @@ class Simulator:
             created = node.arrivals[node.arrival_ptr]
             node.arrival_ptr += 1
             node.packets["generated"] += 1
-            self._packet_count += 1
-            node.queue.append(_Packet(packet_id=self._packet_count, created=created))
+            node.queue.append(_Packet(created=created))
 
     def _decide_queue(self, node: _Node, now: float):
         pending = node.queue
@@ -561,7 +533,7 @@ class Simulator:
         ]
 
     def _decide_aware(self, node: _Node, packet: _Packet, now: float):
-        result: SelectionResult = select_forecast_window(
+        result = select_forecast_window(
             self._candidates(node, now, packet.created),
             node.energy,
             self.harvest,
@@ -575,7 +547,6 @@ class Simulator:
             min_attempt_s=self.toa,
         )
         decision = result.decision
-        self._audit(node, now, decision, result)
         if not decision.is_transmit:
             self._drop(node, packet, _DROP_OUTCOME[decision.reason])
             return
@@ -587,23 +558,6 @@ class Simulator:
         node.energy.reserved_j += packet.reserved_j
         self._push(max(window.start, now), EventKind.WINDOW_OPEN, (node.node_id, packet))
 
-    def _audit(self, node: _Node, now: float, decision: TxDecision, result: SelectionResult):
-        if decision.is_transmit:
-            ev = next(e for e in result.evaluations if e.window is decision.window)
-            self.audits.append(SafetyAudit(
-                node_id=node.node_id, time=now, transmit=True,
-                phase=ev.window.phase, psi_j=ev.psi_j,
-                psi_min_j=node.energy.phi_min_j, estimate_j=ev.estimate_j,
-                threshold_j=ev.threshold_j, reason=None,
-            ))
-        else:
-            self.audits.append(SafetyAudit(
-                node_id=node.node_id, time=now, transmit=False,
-                phase=None, psi_j=node.energy.phi_j - node.energy.reserved_j,
-                psi_min_j=node.energy.phi_min_j, estimate_j=None,
-                threshold_j=None, reason=decision.reason,
-            ))
-
     def _decide_naive(self, node: _Node, packet: _Packet, now: float):
         """Immediate-ALOHA baseline: transmit as generated, no energy checks."""
         start = max(now, node.busy_until)
@@ -612,7 +566,7 @@ class Simulator:
             self._drop(node, packet, "dropped_no_window")
             return
         pseudo = ForecastWindow(
-            window_id=f"naive:{packet.packet_id}",
+            window_id="naive",
             start=start, end=end,
             phase=phase_at(node.orbit, start),
             target="",
@@ -707,11 +661,6 @@ class Simulator:
                 r == receiver and other is not packet and min(s, start) + toa > max(s, start)
                 for s, r, other in self._on_air
             )
-            self.attempt_log.append((
-                TxAttempt(start=start, airtime=toa, channel=0,
-                          sf=self.sc.radio.spreading_factor, receiver=receiver),
-                got_through,
-            ))
         if got_through:
             self._release(node, packet)
             packet.state = PacketState.DELIVERED
@@ -758,7 +707,8 @@ class Simulator:
         node.ledger.duration_s += self.slot_s
         node.ledger.discharge_j += slot.discharge_j
         if slot.clamp_j:
-            node.clamp_events.append((t_end, slot.clamp_j))
+            node.clamp_count += 1
+            node.clamp_total_j += slot.clamp_j
 
         if slot.brownout:
             node.brownout_count += 1
@@ -801,7 +751,8 @@ class Simulator:
         node.ledger = OrbitLedger()
         new_phi_max = self.sc.phi_max_j(node.battery.fade_fraction)
         if node.energy.phi_j > new_phi_max:
-            node.clamp_events.append((self.now, new_phi_max - node.energy.phi_j))
+            node.clamp_count += 1
+            node.clamp_total_j += new_phi_max - node.energy.phi_j
             node.energy.phi_j = new_phi_max
         node.energy.phi_max_j = new_phi_max
         node.battery.soc = node.energy.soc
@@ -881,7 +832,7 @@ class Simulator:
                 "energy_harvested_j": node.energy_harvested_j,
                 "energy_consumed_j": node.energy_consumed_j,
                 "brownouts": node.brownout_count,
-                "clamp_events": len(node.clamp_events),
+                "clamp_events": node.clamp_count,
             }
         delivered = totals["delivered"]
         dropped = sum(totals[key] for key in DROP_OUTCOMES)

@@ -1,6 +1,7 @@
 import copy
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -8,6 +9,7 @@ from hypothesis import HealthCheck, settings
 sys.path.insert(0, str(Path(__file__).parent))
 
 from leolora.config import default_scenario_dict, parse_scenario
+from leolora.mac import DropReason
 
 settings.register_profile(
     "suite",
@@ -53,6 +55,83 @@ def energy_spy(monkeypatch):
 
     monkeypatch.setattr(engine, "energy_step", spy)
     return lambda node: calls.get(id(node.energy), [])
+
+
+class Decision(NamedTuple):
+    """Selection-time values behind one battery-aware MAC decision."""
+
+    node_id: int
+    time: float
+    transmit: bool
+    phase: str | None
+    psi_j: float
+    psi_min_j: float
+    estimate_j: float | None
+    threshold_j: float | None
+    reason: DropReason | None
+
+
+@pytest.fixture
+def decision_spy(monkeypatch):
+    """Record every battery-aware MAC decision through `select_forecast_window`.
+
+    Returns `decisions(result)`: one `Decision` per call the run made, in
+    call order.  A transmit reads the chosen window's evaluation; a drop
+    reads the energy state the selection was given.
+    """
+    from leolora import engine
+
+    real = engine.select_forecast_window
+    calls: list[tuple] = []  # (energy state, Decision fields after node_id)
+
+    def spy(windows, energy, *args, **kwargs):
+        result = real(windows, energy, *args, **kwargs)
+        decision, now = result.decision, kwargs["now"]
+        if decision.is_transmit:
+            ev = next(e for e in result.evaluations if e.window is decision.window)
+            row = (now, True, ev.window.phase, ev.psi_j, energy.phi_min_j,
+                   ev.estimate_j, ev.threshold_j, None)
+        else:
+            row = (now, False, None, energy.phi_j - energy.reserved_j, energy.phi_min_j,
+                   None, None, decision.reason)
+        calls.append((energy, row))
+        return result
+
+    monkeypatch.setattr(engine, "select_forecast_window", spy)
+
+    def decisions(result):
+        node_of = {id(node.energy): node.node_id for node in result.nodes}
+        return [Decision(node_of[id(energy)], *row)
+                for energy, row in calls if id(energy) in node_of]
+
+    return decisions
+
+
+@pytest.fixture
+def attempt_spy(monkeypatch):
+    """Record every settled attempt that had a receiver, through `_on_attempt_end`.
+
+    Returns `attempts(result)`: the run's (TxAttempt, delivered) pairs in
+    settling order, where delivered is whether that attempt got through.
+    """
+    from leolora.engine import PacketState, Simulator, TxAttempt
+
+    real = Simulator._on_attempt_end
+    logs: dict[int, tuple[list, list]] = {}  # id(sim.nodes) -> (sim.nodes, log)
+
+    def spy(sim, now, payload):
+        _, packet, k = payload
+        settles = packet.state is PacketState.IN_FLIGHT
+        real(sim, now, payload)
+        start, receiver, _ = packet.attempts[k]
+        if settles and receiver is not None:
+            attempt = TxAttempt(start=start, airtime=sim.toa, channel=0,
+                                sf=sim.sc.radio.spreading_factor, receiver=receiver)
+            log = logs.setdefault(id(sim.nodes), (sim.nodes, []))[1]
+            log.append((attempt, packet.state is PacketState.DELIVERED))
+
+    monkeypatch.setattr(Simulator, "_on_attempt_end", spy)
+    return lambda result: logs.get(id(result.nodes), (None, []))[1]
 
 
 def make_scenario(base: dict, **overrides) -> "ScenarioConfig":

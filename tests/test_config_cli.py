@@ -136,6 +136,33 @@ class TestCliSimulate:
             paths.append((csv.read_bytes(), summary.read_bytes()))
         assert paths[0] == paths[1]
 
+    def test_sweep_index_is_location_independent(self, tmp_path, scenario_dict):
+        scenario_dict["sim"]["duration_days"] = 0.05
+        cfg = tmp_path / "short.json"
+        cfg.write_text(json.dumps(scenario_dict))
+        indexes = []
+        for tag in ("a", "b"):
+            out_dir = (tmp_path / tag).resolve()
+            out_dir.mkdir()
+            assert main(["simulate", "--config", str(cfg), "--seed", "5", "--sweep", "2",
+                         "--out", str(out_dir / "metrics.csv"),
+                         "--summary", str(out_dir / "summary.json")]) == 0
+            index = out_dir / "summary.sweep.json"
+            entries = json.loads(index.read_text())
+            assert [e["seed"] for e in entries] == [5, 6]
+            for e in entries:
+                assert (index.parent / e["summary"]).is_file()
+            indexes.append(index.read_bytes())
+        assert indexes[0] == indexes[1]
+
+    @pytest.mark.parametrize("sweep", ["0", "-3"])
+    def test_sweep_below_one_exits_2(self, tmp_path, sweep, capsys):
+        code = main(["simulate", "--sweep", sweep, "--out", str(tmp_path / "m.csv"),
+                     "--summary", str(tmp_path / "s.json")])
+        assert code == 2
+        assert "error: sweep must be >= 1" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestCliDegradation:
     def test_zero_years_header_only(self, tmp_path):

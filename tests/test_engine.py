@@ -256,10 +256,35 @@ class TestFullRuns:
         result = run(sc)
         node = result.nodes[0]
         assert node.brownout_count >= 1
-        assert node.clamp_events
+        assert node.clamp_count >= 1
+        assert node.clamp_total_j > 0.0
         assert node.energy.phi_j == 0.0
 
-    def test_engine_outcomes_match_collision_law(self, tmp_path, default_dict):
+    def test_capacity_fade_clamp_is_counted(self, default_dict, energy_spy):
+        # a pack that stays full through eclipse: each orbit's fade lowers
+        # phi_max below phi, and the flush clamps phi down to it
+        sc = make_scenario(
+            default_dict,
+            **{
+                "battery.capacity_rated_ah": 0.5,
+                "energy.e_sleep_j": 1e-6,
+                "energy.psi_min_j": 0.0,
+                "energy.e_critical_j": 0.0,
+                "energy.e_g_sun_j_per_slot": 60000.0,
+                "energy.charge_rate_limit_j_per_slot": 60000.0,
+                "sim.duration_days": 0.25,
+                "sim.node_count": 1,
+                "sim.traffic_model": "none",
+            },
+        )
+        node = run(sc).nodes[0]
+        slot_clamps = [slot.clamp_j for *_, slot in energy_spy(node) if slot.clamp_j]
+        assert slot_clamps
+        assert node.clamp_count > len(slot_clamps)
+        assert node.clamp_total_j < sum(slot_clamps)
+        assert node.energy.phi_j <= node.energy.phi_max_j
+
+    def test_engine_outcomes_match_collision_law(self, tmp_path, default_dict, attempt_spy):
         # two nodes sharing identical override windows at one station
         windows = []
         for k in range(16):
@@ -281,9 +306,9 @@ class TestFullRuns:
                 "energy.e_critical_j": 0.0,
             },
         )
-        result = run(sc)
-        attempts = [a for a, _ in result.attempt_log]
-        outcomes = [ok for _, ok in result.attempt_log]
+        log = attempt_spy(run(sc))
+        attempts = [a for a, _ in log]
+        outcomes = [ok for _, ok in log]
         assert attempts, "override scenario should produce attempts"
         assert resolve_collisions(attempts) == outcomes
         assert any(not ok for ok in outcomes), "expected at least one collision"
@@ -306,7 +331,8 @@ class TestFullRuns:
         result = run(sc)
         assert result.summary["packets"]["delivered"] >= 1
 
-    def test_naive_receiver_is_latest_starting_covering_window(self, tmp_path, default_dict):
+    def test_naive_receiver_is_latest_starting_covering_window(self, tmp_path, default_dict,
+                                                              attempt_spy):
         # both windows cover every attempt; the later-starting one is the receiver
         windows = [
             {"node": 0, "target": "gw-early", "start_s": 0.0, "end_s": 1800.0, "phase": "sun"},
@@ -325,9 +351,9 @@ class TestFullRuns:
                 "sim.schedule_override_path": str(path),
             },
         )
-        result = run(sc)
-        assert result.attempt_log
-        assert {a.receiver for a, _ in result.attempt_log} == {"gw-late"}
+        log = attempt_spy(run(sc))
+        assert log
+        assert {a.receiver for a, _ in log} == {"gw-late"}
 
     def test_gateway_summary_matches_node_states(self, default_dict):
         sc = make_scenario(default_dict, **{"sim.duration_days": 1.0})

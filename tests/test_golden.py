@@ -126,15 +126,16 @@ def test_golden_outputs(case, tmp_path, default_dict):
     assert got == {seed: GOLDEN[(case, seed)] for seed in (1, 2, 3)}
 
 
-def _decisions_digest(result) -> str:
+def _decisions_digest(decisions) -> str:
     rows = [(a.node_id, a.time, a.transmit, a.phase, a.psi_j, a.psi_min_j, a.estimate_j,
-             a.threshold_j, a.reason.value if a.reason else None) for a in result.audits]
+             a.threshold_j, a.reason.value if a.reason else None) for a in decisions]
     return hashlib.sha256(repr(rows).encode()).hexdigest()
 
 
-def test_golden_decisions(tmp_path, default_dict):
+def test_golden_decisions(tmp_path, default_dict, decision_spy):
     overrides = dict(DECISIONS_CASE)
     overrides["sim.schedule_override_path"] = _shared_windows(
         tmp_path / "override.json", overrides["sim.node_count"], overrides["sim.duration_days"])
     sc = make_scenario(default_dict, **overrides)
-    assert {seed: _decisions_digest(run(sc, seed=seed)) for seed in DECISIONS} == DECISIONS
+    got = {seed: _decisions_digest(decision_spy(run(sc, seed=seed))) for seed in DECISIONS}
+    assert got == DECISIONS
