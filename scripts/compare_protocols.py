@@ -13,7 +13,6 @@ import copy
 
 from leolora import engine
 from leolora.config import default_scenario_dict, parse_scenario
-from leolora.orbit import build_schedule
 
 
 def main():
@@ -31,12 +30,7 @@ def main():
         d["sim"]["protocol"] = protocol
         scenarios[protocol] = parse_scenario(d)
 
-    sc = scenarios["battery_aware"]
-    schedules = {
-        u: build_schedule(sc.node_orbit(u), list(sc.stations),
-                          horizon=sc.sim.duration_s, step=sc.sim.schedule_step_s)
-        for u in range(sc.sim.node_count)
-    }
+    schedules = engine.build_schedules(scenarios["battery_aware"])
 
     rows = []
     print(" seed   aware_cycle_aging   naive_cycle_aging   aware_pdr  naive_pdr")

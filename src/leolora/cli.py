@@ -1,7 +1,7 @@
 """Command-line entry point.
 
 Subcommands:
-    simulate     run a scenario, write metrics CSV and a summary JSON
+    simulate     run a scenario, write metrics (CSV or JSON) and a summary JSON
     degradation  quiet per-orbit fade curve (day, d_linear, fade_fraction)
     airtime      symbol/airtime/energy figures for the configured radio
     schedule     forecast windows and phase timeline as re-ingestible JSON
@@ -57,11 +57,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.sweep > 1:
         seeds = [seeds[0] + i for i in range(args.sweep)]
 
+    schedules = engine.build_schedules(scenario)
     merged = []
     for seed in seeds:
-        result = engine.run(scenario, seed=seed)
+        result = engine.run(scenario, seed=seed, schedules=schedules)
         suffix = f".seed{seed}" if len(seeds) > 1 else ""
-        out = args.out or "metrics.csv"
+        out = args.out or f"metrics.{args.format}"
         out_path = Path(out).with_suffix(f"{suffix}{Path(out).suffix}") if suffix else Path(out)
         if args.format == "json":
             rows = [m._asdict() for m in result.metrics]
@@ -194,15 +195,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    def common(p):
+    def common(p, out_help="output path (stdout if omitted)"):
         p.add_argument("--config", default=None,
                        help="scenario JSON path ('default' or omit for the bundled scenario)")
         p.add_argument("--seed", type=int, default=None, help="seed override")
-        p.add_argument("--out", default=None, help="output path (stdout if omitted)")
+        p.add_argument("--out", default=None, help=out_help)
         p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p_sim = sub.add_parser("simulate", help="run the discrete-event simulation")
-    common(p_sim)
+    common(p_sim, out_help="metrics path (default metrics.csv, or metrics.json with --format json)")
     p_sim.set_defaults(out=None)
     p_sim.add_argument("--summary", default=None, help="summary JSON path (default summary.json)")
     p_sim.add_argument("--sweep", type=int, default=1,

@@ -367,7 +367,11 @@ class RunResult:
 
 
 class Simulator:
-    """One deterministic run of a validated scenario."""
+    """One deterministic run of a validated scenario.
+
+    `schedules` holds each node's forecast windows by node id (a node left
+    out has none); when omitted they come from `build_schedules`.
+    """
 
     def __init__(
         self,
@@ -397,25 +401,13 @@ class Simulator:
         children = ss.spawn(2 * n + 1)
         offset_rng = np.random.default_rng(children[-1])
 
-        override = None
-        if scenario.sim.schedule_override_path:
-            override = load_schedule_override(scenario.sim.schedule_override_path)
+        if schedules is None:
+            schedules = build_schedules(scenario)
 
         self.nodes: list[_Node] = []
         for u in range(n):
             orbit = scenario.node_orbit(u)
-            if schedules is not None and u in schedules:
-                schedule = schedules[u]
-            elif override is not None:
-                schedule = override.get(u, Schedule())
-            elif scenario.stations:
-                schedule = build_schedule(
-                    orbit, list(scenario.stations), horizon=self.t_end,
-                    step=scenario.sim.schedule_step_s,
-                )
-            else:
-                schedule = Schedule()
-
+            schedule = schedules.get(u, Schedule())
             slot_offset = float(offset_rng.uniform(0.0, self.slot_s))
             n_slots = max(int(math.floor((self.t_end - slot_offset) / self.slot_s)), 0)
             account_end = slot_offset + n_slots * self.slot_s
@@ -861,6 +853,25 @@ class Simulator:
                 for a in gateway.values()
             },
         }
+
+
+def build_schedules(scenario: ScenarioConfig) -> dict[int, Schedule]:
+    """Every node's forecast windows, keyed by node id; they do not depend on the seed.
+
+    The schedule-override file's windows if the scenario names one, else
+    the windows built from the ground stations, else none.
+    """
+    nodes = range(scenario.sim.node_count)
+    if scenario.sim.schedule_override_path:
+        override = load_schedule_override(scenario.sim.schedule_override_path)
+        return {u: override.get(u, Schedule()) for u in nodes}
+    if not scenario.stations:
+        return {u: Schedule() for u in nodes}
+    return {
+        u: build_schedule(scenario.node_orbit(u), list(scenario.stations),
+                          horizon=scenario.sim.duration_s, step=scenario.sim.schedule_step_s)
+        for u in nodes
+    }
 
 
 def run(

@@ -4,6 +4,18 @@ The phase timeline is profile-driven: a fixed sunlit span per orbital
 period, anchored by the orbit's phase offset.  Visibility uses a spherical
 Earth, a circular-orbit ground track, and a sampled central-angle
 threshold; no perturbations or TLE propagation.
+
+Visibility is decided on the sample grid t0 + step * i, found in two passes
+(bracketing and refinement of rise and set times).  The coarse pass samples
+the central angle c every COARSE_STEP_S seconds, last sample included.  The
+ground track moves no faster than the mean motion plus the Earth's rotation,
+so c changes no faster than rate = 2 pi / period + omega_earth, and over a
+coarse interval of length h with end values c_a and c_b it stays at or above
+(c_a + c_b - rate * h) / 2.  Only intervals where that floor is within the
+cone, widened by a margin for rounding in the computed angle, are refined:
+the fine pass evaluates their grid samples with the same times and the same
+cos-threshold test as a scan of every sample.  Every sample it skips lies
+outside the cone, so the windows are those of the full scan, bit for bit.
 """
 
 from __future__ import annotations
@@ -27,6 +39,11 @@ SUN = "sun"
 ECLIPSE = "eclipse"
 
 _SAMPLE_CHUNK = 1_000_000
+
+# Spacing of the coarse visibility pass, and the slack its bound allows for
+# rounding in the computed central angle.
+COARSE_STEP_S = 60.0
+_ANGLE_MARGIN_RAD = 1e-6
 
 
 @dataclass(frozen=True)
@@ -162,18 +179,19 @@ def max_central_angle(altitude_m: float, min_elevation_rad: float) -> float:
     return math.acos(ratio * math.cos(min_elevation_rad)) - min_elevation_rad
 
 
-def _visible_mask(
+def _cos_central_angle(
     config: OrbitConfig, station: GroundStation, times: np.ndarray
 ) -> np.ndarray:
-    """Boolean visibility per sample time, chunked to bound memory."""
-    lam_max = max_central_angle(config.altitude_m, station.min_elevation_rad)
-    cos_lam = math.cos(lam_max)
+    """Cosine of the Earth-central angle from station to ground track per sample time.
+
+    Chunked to bound the memory of the temporaries.
+    """
     sin_lat_s = math.sin(station.latitude_rad)
     cos_lat_s = math.cos(station.latitude_rad)
     sin_i = math.sin(config.inclination_rad)
     cos_i = math.cos(config.inclination_rad)
 
-    out = np.empty(times.shape[0], dtype=bool)
+    out = np.empty(times.shape[0], dtype=np.float64)
     for lo in range(0, times.shape[0], _SAMPLE_CHUNK):
         t = times[lo : lo + _SAMPLE_CHUNK]
         u = TWO_PI * t / config.period_s + config.phase_offset_rad
@@ -181,9 +199,36 @@ def _visible_mask(
         sin_lat = sin_i * sin_u
         lat = np.arcsin(sin_lat)
         lon = config.raan_rad + np.arctan2(cos_i * sin_u, np.cos(u)) - EARTH_ROTATION_RAD_S * t
-        cos_c = sin_lat_s * sin_lat + cos_lat_s * np.cos(lat) * np.cos(lon - station.longitude_rad)
-        out[lo : lo + _SAMPLE_CHUNK] = cos_c >= cos_lam
+        out[lo : lo + _SAMPLE_CHUNK] = (
+            sin_lat_s * sin_lat + cos_lat_s * np.cos(lat) * np.cos(lon - station.longitude_rad)
+        )
     return out
+
+
+def _candidate_indices(
+    config: OrbitConfig, station: GroundStation, t0: float, step: float, n: int, lam_max: float
+) -> np.ndarray:
+    """Sorted sample indices in [0, n) that the coarse pass cannot rule out.
+
+    Every index left out has central angle beyond lam_max, so it is not
+    visible.
+    """
+    stride = max(1, int(COARSE_STEP_S // step))
+    coarse = np.arange(0, n, stride)
+    if coarse[-1] != n - 1:
+        coarse = np.append(coarse, n - 1)
+    c = np.arccos(np.clip(_cos_central_angle(config, station, t0 + step * coarse), -1.0, 1.0))
+    # least central angle any time between two coarse samples can reach
+    rate = TWO_PI / config.period_s + EARTH_ROTATION_RAD_S
+    floor = 0.5 * (c[:-1] + c[1:] - rate * (stride * step))
+    flagged = (floor <= lam_max + _ANGLE_MARGIN_RAD).view(np.int8)
+    # merge runs of flagged intervals into closed index ranges
+    edges = np.diff(np.concatenate(([0], flagged, [0])))
+    first = coarse[np.flatnonzero(edges == 1)]
+    last = coarse[np.flatnonzero(edges == -1)]
+    if first.size == 0:
+        return np.empty(0, dtype=np.int64)
+    return np.concatenate([np.arange(a, b + 1) for a, b in zip(first, last)])
 
 
 def visibility_windows(
@@ -195,10 +240,11 @@ def visibility_windows(
 ) -> list[ForecastWindow]:
     """Passes of the satellite over one station within [t0, t1].
 
-    A window covers a maximal run of sample times with central angle within
-    the visibility cone.  Runs shorter than two samples are dropped as
-    numerical slivers; runs longer than MAX_WINDOW_S keep only their first
-    MAX_WINDOW_S seconds.
+    A window covers a maximal run of sample times t0 + step * i with central
+    angle within the visibility cone.  Runs shorter than two samples are
+    dropped as numerical slivers; runs longer than MAX_WINDOW_S keep only
+    their first MAX_WINDOW_S seconds.  Only the samples the coarse pass
+    cannot rule out are evaluated (see the module docstring).
     """
     if t1 <= t0:
         raise ValueError(f"need t0 < t1, got [{t0}, {t1}]")
@@ -206,23 +252,26 @@ def visibility_windows(
         raise ValueError(f"step must be > 0, got {step}")
 
     n = int(math.floor((t1 - t0) / step)) + 1
-    times = t0 + step * np.arange(n, dtype=np.float64)
-    visible = _visible_mask(config, station, times)
-    if not visible.any():
+    lam_max = max_central_angle(config.altitude_m, station.min_elevation_rad)
+    idx = _candidate_indices(config, station, t0, step, n, lam_max)
+    times = t0 + step * idx
+    visible = _cos_central_angle(config, station, times) >= math.cos(lam_max)
+    idx, times = idx[visible], times[visible]
+    if idx.size == 0:
         return []
 
-    # run boundaries from the 0/1 edge positions
-    padded = np.diff(np.concatenate(([0], visible.view(np.int8), [0])))
-    run_starts = np.flatnonzero(padded == 1)
-    run_ends = np.flatnonzero(padded == -1) - 1  # inclusive index
+    # indices left out are not visible, so runs break wherever indices skip
+    breaks = np.flatnonzero(np.diff(idx) != 1)
+    run_starts = np.concatenate(([0], breaks + 1))
+    run_ends = np.concatenate((breaks, [idx.size - 1]))
 
     windows = []
     k = 0
-    for i0, i1 in zip(run_starts, run_ends):
-        if i1 - i0 + 1 < 2:
+    for j0, j1 in zip(run_starts, run_ends):
+        if j1 - j0 + 1 < 2:
             continue
-        start = float(times[i0])
-        end = min(float(times[i1]) + step, t1)
+        start = float(times[j0])
+        end = min(float(times[j1]) + step, t1)
         end = min(end, start + MAX_WINDOW_S)
         windows.append(
             ForecastWindow(

@@ -38,3 +38,56 @@ def oracle_airtime(sf, bw_hz, cr_denominator, payload_bytes,
     )
     n_payload = 8 + max(groups * cr_denominator, 0)
     return (preamble_symbols + 4.25 + n_payload) * t_symbol
+
+
+ORACLE_EARTH_RADIUS_M = 6.371e6
+ORACLE_EARTH_ROTATION_RAD_S = 7.2921159e-5
+ORACLE_MAX_WINDOW_S = 1800.0
+
+
+def oracle_visibility_windows(orbit, station, t0, t1, step):
+    """(window_id, start, end, phase) of every pass, from a scan of every sample.
+
+    `orbit` and `station` are read by attribute only.  The central angle is
+    computed on the whole grid t0 + step * i with the simulator's float
+    expression; windows are the maximal visible runs of two or more samples,
+    capped at 30 minutes and tagged by the phase at their midpoint.
+    """
+    import numpy as np
+
+    two_pi = 2.0 * math.pi
+    ratio = ORACLE_EARTH_RADIUS_M / (ORACLE_EARTH_RADIUS_M + orbit.altitude_m)
+    lam_max = (math.acos(ratio * math.cos(station.min_elevation_rad))
+               - station.min_elevation_rad)
+
+    n = int(math.floor((t1 - t0) / step)) + 1
+    t = t0 + step * np.arange(n, dtype=np.float64)
+    u = two_pi * t / orbit.period_s + orbit.phase_offset_rad
+    sin_u = np.sin(u)
+    sin_lat = math.sin(orbit.inclination_rad) * sin_u
+    lat = np.arcsin(sin_lat)
+    lon = (orbit.raan_rad + np.arctan2(math.cos(orbit.inclination_rad) * sin_u, np.cos(u))
+           - ORACLE_EARTH_ROTATION_RAD_S * t)
+    cos_c = (math.sin(station.latitude_rad) * sin_lat
+             + math.cos(station.latitude_rad) * np.cos(lat)
+             * np.cos(lon - station.longitude_rad))
+    visible = cos_c >= math.cos(lam_max)
+
+    offset = (orbit.phase_offset_rad / two_pi) * orbit.period_s % orbit.period_s
+    windows = []
+    i = 0
+    while i < n:
+        if not visible[i]:
+            i += 1
+            continue
+        j = i
+        while j + 1 < n and visible[j + 1]:
+            j += 1
+        if j > i:
+            start = float(t[i])
+            end = min(min(float(t[j]) + step, t1), start + ORACLE_MAX_WINDOW_S)
+            mid = (0.5 * (start + end) + offset) % orbit.period_s
+            phase = "sun" if mid < orbit.sun_duration_s else "eclipse"
+            windows.append((f"{station.id}:{len(windows)}", start, end, phase))
+        i = j + 1
+    return windows

@@ -155,6 +155,38 @@ class TestCliSimulate:
             indexes.append(index.read_bytes())
         assert indexes[0] == indexes[1]
 
+    def test_json_format_defaults_to_json_file(self, tmp_path, scenario_dict, monkeypatch):
+        scenario_dict["sim"]["duration_days"] = 0.05
+        cfg = tmp_path / "short.json"
+        cfg.write_text(json.dumps(scenario_dict))
+        monkeypatch.chdir(tmp_path)
+        assert main(["simulate", "--config", str(cfg), "--format", "json"]) == 0
+        assert main(["simulate", "--config", str(cfg), "--format", "json",
+                     "--seed", "5", "--sweep", "2"]) == 0
+        for name in ("metrics.json", "metrics.seed5.json", "metrics.seed6.json"):
+            rows = json.loads((tmp_path / name).read_text())
+            assert rows and "soc" in rows[0]
+        assert not list(tmp_path.glob("metrics*.csv"))
+
+    def test_sweep_builds_each_schedule_once(self, tmp_path, scenario_dict, monkeypatch):
+        from leolora import engine
+
+        scenario_dict["sim"]["duration_days"] = 0.05
+        cfg = tmp_path / "short.json"
+        cfg.write_text(json.dumps(scenario_dict))
+        real = engine.build_schedule
+        nodes = []
+
+        def counting(orbit, *args, **kwargs):
+            nodes.append(orbit)
+            return real(orbit, *args, **kwargs)
+
+        monkeypatch.setattr(engine, "build_schedule", counting)
+        assert main(["simulate", "--config", str(cfg), "--sweep", "3",
+                     "--out", str(tmp_path / "m.csv"),
+                     "--summary", str(tmp_path / "s.json")]) == 0
+        assert len(nodes) == scenario_dict["sim"]["node_count"]
+
     @pytest.mark.parametrize("sweep", ["0", "-3"])
     def test_sweep_below_one_exits_2(self, tmp_path, sweep, capsys):
         code = main(["simulate", "--sweep", sweep, "--out", str(tmp_path / "m.csv"),

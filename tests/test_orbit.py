@@ -4,8 +4,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import oracle_visibility_windows
 
 from leolora.orbit import (
     ECLIPSE,
@@ -145,6 +146,71 @@ class TestVisibility:
     def test_bad_interval_rejected(self):
         with pytest.raises(ValueError):
             visibility_windows(ORBIT, self.STATION, 100.0, 100.0, 1.0)
+
+    @settings(max_examples=200)
+    @given(data=st.data())
+    def test_windows_identical_to_dense_scan(self, data):
+        orbit = data.draw(_orbits, label="orbit")
+        step = data.draw(st.one_of(st.floats(0.5, 60.0), st.floats(60.0, 400.0)), label="step")
+        t0 = data.draw(st.one_of(st.just(0.0), st.floats(0.0, 1e6)), label="t0")
+        # at most ~20k samples; a horizon under one step leaves a single sample
+        t1 = t0 + step * data.draw(st.floats(1e-3, 2e4), label="horizon / step")
+        station = data.draw(_stations(orbit, t0, t1), label="station")
+        got = visibility_windows(orbit, station, t0, t1, step)
+        assert [(w.window_id, w.start, w.end, w.phase) for w in got] == \
+            oracle_visibility_windows(orbit, station, t0, t1, step)
+
+
+_angles = st.floats(-math.pi, math.pi)
+_orbits = st.builds(
+    lambda period, sun_share, altitude, inclination, phase, raan: OrbitConfig(
+        period_s=period, sun_duration_s=sun_share * period, altitude_m=altitude,
+        inclination_rad=inclination, phase_offset_rad=phase, raan_rad=raan),
+    period=st.floats(5000.0, 8000.0),
+    sun_share=st.floats(0.3, 1.0),
+    altitude=st.floats(300e3, 2000e3),
+    # prograde, retrograde, and exactly equatorial either way
+    inclination=st.one_of(st.sampled_from([0.0, math.pi / 2, math.pi]),
+                          st.floats(0.0, math.pi)),
+    phase=_angles,
+    raan=_angles,
+)
+
+
+def _stations(orbit, t0, t1):
+    """Stations anywhere (poles included), or near the ground track within [t0, t1].
+
+    A station near the track sits up to one cone radius off it, so its
+    passes range from overhead to grazing; track times near t1 put passes
+    at the end of the horizon.
+    """
+    anywhere = st.tuples(
+        st.one_of(st.sampled_from([-math.pi / 2, math.pi / 2]),
+                  st.floats(-math.pi / 2, math.pi / 2)),
+        _angles,
+    )
+    track_time = st.one_of(st.floats(t0, t1), st.floats(max(t0, t1 - 120.0), t1))
+
+    @st.composite
+    def near_track(draw, el):
+        lat, lon = subsatellite_point(orbit, draw(track_time))
+        d = draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))) * \
+            max_central_angle(orbit.altitude_m, el)
+        bearing = draw(_angles)
+        sin_lat2 = math.sin(lat) * math.cos(d) + math.cos(lat) * math.sin(d) * math.cos(bearing)
+        lat2 = math.asin(min(max(sin_lat2, -1.0), 1.0))
+        lon2 = lon + math.atan2(math.sin(bearing) * math.sin(d) * math.cos(lat),
+                                math.cos(d) - math.sin(lat) * math.sin(lat2))
+        return lat2, lon2
+
+    @st.composite
+    def station(draw):
+        el = draw(st.one_of(st.floats(0.0, 0.5), st.floats(0.5, math.pi / 2 - 1e-6)))
+        lat, lon = draw(st.one_of(anywhere, near_track(el)))
+        return GroundStation(id="gs", latitude_rad=lat, longitude_rad=lon,
+                             min_elevation_rad=el)
+
+    return station()
 
 
 class TestSchedule:
