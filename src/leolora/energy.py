@@ -10,6 +10,13 @@ and settles
 with phi clamped to [0, phi_max].  A clamp at zero is a brownout; every
 clamp is reported so the run-level ledger can still be audited exactly.
 The same call gives the slot's battery discharge for the orbit ledger.
+
+`settle_slots` settles a run of slots in one call, bit for bit as a loop of
+`energy_step` would, running sums included.  It is for runs that cannot
+brown out: a node's phi drops by at most E_cons per slot, so the first
+floor(phi / E_cons) slots after a settled one are safe.  The engine settles
+such runs lazily and steps a slot through `energy_step` wherever a
+brownout could happen.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .exceptions import ConfigError
+from .exceptions import ConfigError, ContractError
 from .orbit import ECLIPSE, SUN, ForecastWindow
 
 DEFAULT_SLOT_S = 40.0
@@ -101,6 +108,26 @@ class SlotEnergy(NamedTuple):
     brownout: bool
 
 
+def _slot_law(phi, phi_max, tx_phase, sun_s, slot_s, harvest, profile):
+    """(phi after the slot, harvested, consumed, discharge, raw phi before clamping)."""
+    x = 0 if tx_phase is None else 1
+    y = 1 if sun_s > 0.0 else 0
+    e_g = harvest.slot_harvest(min(max(sun_s / slot_s, 0.0), 1.0)) if y else 0.0
+    harvested = y * e_g
+    consumed = x * profile.e_cons_tx_j + (1 - x) * profile.e_sleep_j
+    raw = phi + (harvested - consumed)   # this order: outputs are pinned bit for bit
+
+    bus_rate = profile.e_sleep_j / slot_s
+    discharge = bus_rate * (slot_s - sun_s)
+    if y:
+        harvest_rate = e_g / sun_s
+        if bus_rate > harvest_rate:
+            discharge += (bus_rate - harvest_rate) * sun_s
+    if tx_phase == ECLIPSE:
+        discharge += profile.e_cons_tx_j - profile.e_sleep_j
+    return min(max(raw, 0.0), phi_max), harvested, consumed, discharge, raw
+
+
 def energy_step(
     state: NodeEnergyState,
     tx_phase: str | None,
@@ -123,23 +150,86 @@ def energy_step(
     """
     if tx_phase not in (None, SUN, ECLIPSE):
         raise ValueError(f"transmit phase must be None, {SUN} or {ECLIPSE}, got {tx_phase!r}")
-    x = 0 if tx_phase is None else 1
-    y = 1 if sun_s > 0.0 else 0
-    e_g = harvest.slot_harvest(min(max(sun_s / slot_s, 0.0), 1.0)) if y else 0.0
-    harvested = y * e_g
-    consumed = x * profile.e_cons_tx_j + (1 - x) * profile.e_sleep_j
-    raw = state.phi_j + (harvested - consumed)   # this order: outputs are pinned bit for bit
-    state.phi_j = min(max(raw, 0.0), state.phi_max_j)
+    phi, harvested, consumed, discharge, raw = _slot_law(
+        state.phi_j, state.phi_max_j, tx_phase, sun_s, slot_s, harvest, profile)
+    state.phi_j = phi
+    return SlotEnergy(harvested, consumed, discharge, phi - raw, raw < 0.0)
 
-    bus_rate = profile.e_sleep_j / slot_s
-    discharge = bus_rate * (slot_s - sun_s)
-    if y:
-        harvest_rate = e_g / sun_s
-        if bus_rate > harvest_rate:
-            discharge += (bus_rate - harvest_rate) * sun_s
-    if tx_phase == ECLIPSE:
-        discharge += profile.e_cons_tx_j - profile.e_sleep_j
-    return SlotEnergy(harvested, consumed, discharge, state.phi_j - raw, raw < 0.0)
+
+@dataclass
+class SlotTotals:
+    """Running sums over a node's settled slots, each added to one slot at a time.
+
+    harvested_j and consumed_j cover the run; the period sums restart at
+    each report and the orbit sums at each orbit flush.  The clamp figures
+    also take the capacity-fade clamps an orbit flush makes.
+    """
+
+    harvested_j: float = 0.0
+    consumed_j: float = 0.0
+    period_consumed_j: float = 0.0
+    period_slots: int = 0
+    orbit_s: float = 0.0
+    orbit_discharge_j: float = 0.0
+    clamp_count: int = 0
+    clamp_total_j: float = 0.0
+
+    def add(self, slot: SlotEnergy, slot_s: float) -> None:
+        """Add one slot that `energy_step` settled."""
+        self.consumed_j += slot.consumed_j
+        self.harvested_j += slot.harvested_j
+        self.period_consumed_j += slot.consumed_j
+        self.period_slots += 1
+        self.orbit_s += slot_s
+        self.orbit_discharge_j += slot.discharge_j
+        if slot.clamp_j:
+            self.clamp_count += 1
+            self.clamp_total_j += slot.clamp_j
+
+
+def settle_slots(
+    state: NodeEnergyState,
+    totals: SlotTotals,
+    tx_phases: list[str | None],
+    sun_s: list[float],
+    slot_s: float,
+    harvest: HarvestModel,
+    profile: PowerProfile,
+) -> None:
+    """Settle a run of slots that cannot brown out, as `energy_step` and `SlotTotals.add` would.
+
+    Slot i of the run has transmit phase tx_phases[i] and sunlit time
+    sun_s[i].  The result is bit for bit that of settling the slots one at
+    a time: each slot goes through the same slot law, clamps at phi_max
+    included, and each running sum grows by one slot at a time, in slot
+    order.  The sums are carried in locals for speed; the tests hold them
+    to `SlotTotals.add`.  A brownout belongs to `energy_step`'s caller,
+    which must react to it, so reaching one here is a broken contract.
+    """
+    phi, phi_max = state.phi_j, state.phi_max_j
+    harvested_sum, consumed_sum, period_sum = (
+        totals.harvested_j, totals.consumed_j, totals.period_consumed_j)
+    orbit_s, discharge_sum = totals.orbit_s, totals.orbit_discharge_j
+    clamp_count, clamp_sum = totals.clamp_count, totals.clamp_total_j
+    for tx_phase, s in zip(tx_phases, sun_s, strict=True):
+        phi, harvested, consumed, discharge, raw = _slot_law(
+            phi, phi_max, tx_phase, s, slot_s, harvest, profile)
+        if raw < 0.0:
+            raise ContractError(f"a batch-settled slot browns out (raw phi {raw})")
+        consumed_sum += consumed
+        harvested_sum += harvested
+        period_sum += consumed
+        orbit_s += slot_s
+        discharge_sum += discharge
+        clamp = phi - raw
+        if clamp:
+            clamp_count += 1
+            clamp_sum += clamp
+    state.phi_j = phi
+    totals.harvested_j, totals.consumed_j = harvested_sum, consumed_sum
+    totals.period_consumed_j, totals.period_slots = period_sum, totals.period_slots + len(sun_s)
+    totals.orbit_s, totals.orbit_discharge_j = orbit_s, discharge_sum
+    totals.clamp_count, totals.clamp_total_j = clamp_count, clamp_sum
 
 
 def ewma_update(beta: float, e_cons_prev_j: float, ewma_prev_j: float) -> float:

@@ -1,15 +1,38 @@
 """Deterministic discrete-event loop: nodes, gateways, collisions, batteries.
 
 Metrics are a pure function of (scenario, seed).  Events are processed in
-strictly increasing (time, sequence) order; sequence numbers are assigned
-at scheduling time, so simultaneous events resolve first-scheduled-first.
-A packet's attempt ends take theirs when the packet is launched, even
-though each is pushed only once the attempt before it has failed.
+strictly increasing (time, rank, sequence) order; sequence numbers are
+assigned at scheduling time, so simultaneous events resolve
+first-scheduled-first.  A packet's attempt ends take theirs when the
+packet is launched, even though each is pushed only once the attempt
+before it has failed.
 
-Accounting is retrospective: the slot tick at time T settles the slot
-[T - slot, T), by which point every transmission attempt inside it has
-already happened.  Packets queue until the next tick of their node's
-(randomly offset, unsynchronized) slot grid, where the MAC decides them.
+Accounting is retrospective: slot k of a node spans [T_k, T_{k+1}) on its
+(randomly offset, unsynchronized) grid T_k = slot_offset + k * slot, and
+tick k+1 at T_{k+1} settles it, by which point every transmission attempt
+inside it has already happened.  Packets queue until the next tick, where
+the MAC decides them.
+
+Ticks are lazy.  A tick is a real event only where the node has work: it
+drains the node's next arrival, it is the node's last, or it is the
+brownout guard, the first slot where a transmit in every slot could empty
+the battery (phi drops by at most E_cons a slot).  After a brownout phi
+is 0, so the guard is the very next tick, where queued packets are
+decided.  The slots between real ticks cannot brown out and settle in one
+`energy.settle_slots` batch, bit for bit as one tick each would have
+settled them.  A real tick settles that gap, then its own
+slot through `energy.energy_step`, and pushes the next real tick; an orbit
+flush that clamps phi to a faded capacity may bring the guard, and so the
+pending tick, forward.
+
+Whatever reads or resets the energy state (window open, orbit flush,
+report, end of run) first settles the node up to now.  The rank keeps
+the order that one pushed tick per slot gave.  Tick k would have been
+pushed by tick k-1, last in its handler, so a node's event at exactly T_k
+runs before tick k iff it was pushed before T_{k-1}, or at T_{k-1} by
+tick k-1 or by an event that itself ran before tick k-1.  Such an event
+ranks before the tick and sees slot k-1 unsettled; any other event at T_k
+ranks after it and sees slot k-1 settled.
 """
 
 from __future__ import annotations
@@ -38,7 +61,14 @@ from .battery import (
     sei_capacity_fade,
 )
 from .config import BatteryScenario, ScenarioConfig
-from .energy import NodeEnergyState, PowerProfile, energy_step, ewma_update
+from .energy import (
+    NodeEnergyState,
+    PowerProfile,
+    SlotTotals,
+    energy_step,
+    ewma_update,
+    settle_slots,
+)
 from .exceptions import ContractError
 from .mac import (
     DropReason,
@@ -57,15 +87,19 @@ from .orbit import (
     next_phase_boundary,
     phase_at,
     sun_seconds,
+    sun_seconds_per_slot,
 )
 from .report import NodeBatteryReport
 
 # A naive sender keeps retrying over at most this span before giving up.
 MAX_NAIVE_SPAN_S = 1800.0
 
+# How an event sorts against its node's slot tick at the same instant.
+_BEFORE_TICK, _TICK, _AFTER_TICK = 0, 1, 2
+
 
 class EventKind(enum.Enum):
-    """What a heap entry (time, sequence, kind, payload) asks the loop to do."""
+    """What a heap entry (time, (rank, sequence), kind, payload) asks the loop to do."""
 
     PHASE_CHANGE = "phase_change"
     WINDOW_OPEN = "window_open"
@@ -145,9 +179,13 @@ def gateway_compute_fleet_degradation(
     Calendar aging is evaluated at the reported sunlit-phase temperature
     and the configured reference SoC.  Each DoD observation covers one
     orbit's discharge; its equivalent cycle count is dod / dod_reference,
-    the same fractional-cycle convention the nodes accrue by, so gateway
-    and node-side figures agree exactly.  Overlapping report periods for
-    one node are rejected.
+    the same fractional-cycle convention the nodes accrue by, so cycle
+    aging agrees with the node's own figure.  Calendar aging does not
+    quite: the gateway ages a node over its report periods, which cover
+    the run, while the node ages over its settled whole slots, which stop
+    short of the run end by up to two slots.  On a 40 s slot the fades
+    differ by about 1.44e-11.  Overlapping report periods for one node are
+    rejected.
     """
     by_node: dict[int, list[NodeBatteryReport]] = {}
     for r in reports:
@@ -314,9 +352,9 @@ class _Packet:
     tx_phase: str | None = None
     tx_slot_idx: int | None = None
     reserved_j: float = 0.0
-    # the drawn sequence, (start, receiver, end-event sequence number) per
-    # attempt; a receiver of None means nobody can hear that attempt
-    attempts: list[tuple[float, str | None, int]] = field(default_factory=list)
+    # the drawn sequence, (start, receiver, end-event order) per attempt; a
+    # receiver of None means nobody can hear that attempt
+    attempts: list[tuple[float, str | None, tuple[int, int]]] = field(default_factory=list)
 
 
 @dataclass
@@ -328,29 +366,25 @@ class _Node:
     energy: NodeEnergyState
     battery: BatteryState
     slot_offset: float
-    account_end: float
+    n_slots: int             # slots 0 .. n_slots - 1; slot k ends at tick k + 1
+    account_end: float       # slot_time(n_slots)
     backoff_rng: np.random.Generator
     arrivals: list[float]
     arrival_ptr: int = 0
     queue: list[_Packet] = field(default_factory=list)
     busy_until: float = 0.0
     tx_slot_info: dict[int, str] = field(default_factory=dict)
-    forced_sleep: set[int] = field(default_factory=set)
+    sleep_slot: int = -1     # the slot after the latest brownout: no transmit counts there
     in_flight: _Packet | None = None
-    ledger: OrbitLedger = field(default_factory=OrbitLedger)
-    clamp_count: int = 0
-    clamp_total_j: float = 0.0
+    totals: SlotTotals = field(default_factory=SlotTotals)
+    settled: int = 0         # slots 0 .. settled - 1 are settled
+    wake: int = 0            # index of the pending slot tick; 0 once the last one has run
     brownout_count: int = 0
     # per reporting period
     period_start: float = 0.0
-    period_slots: int = 0
     period_txs: int = 0
-    period_energy_j: float = 0.0
     period_dods: list[float] = field(default_factory=list)
-    # cumulative
     packets: Counter[str] = field(default_factory=Counter)  # PACKET_OUTCOMES
-    energy_harvested_j: float = 0.0
-    energy_consumed_j: float = 0.0
 
     def slot_index(self, t: float) -> int:
         return int(math.floor((t - self.slot_offset) / self.slot_s + 1e-9))
@@ -388,9 +422,10 @@ class Simulator:
         self.harvest = scenario.energy.harvest
         self.naive = scenario.sim.protocol == "naive_aloha"
 
-        self._heap: list[tuple[float, int, EventKind, tuple]] = []
+        self._heap: list[tuple[float, tuple, EventKind, tuple]] = []
         self._seq = itertools.count()
         self.now = 0.0
+        self._rank = _AFTER_TICK   # the rank of the event being handled
         self.metrics: list[MetricsRecord] = []
         self.reports: list[NodeBatteryReport] = []
         # announced attempts (start, receiver, packet) that may still overlap one to come
@@ -431,24 +466,42 @@ class Simulator:
                     voltage_nominal_v=scenario.battery.voltage_nominal_v,
                 ),
                 slot_offset=slot_offset,
+                n_slots=n_slots,
                 account_end=account_end,
                 backoff_rng=np.random.default_rng(children[2 * u + 1]),
                 arrivals=self._generate_arrivals(traffic_rng, account_end),
             )
             self.nodes.append(node)
 
-            if n_slots >= 1:
-                self._push(node.slot_time(1), EventKind.SLOT_TICK, (u, 1))
+            self._schedule_wake(node)
             if scenario.sim.report_interval_s < self.t_end:
-                self._push(scenario.sim.report_interval_s, EventKind.REPORT_DUE, (u,))
+                self._push(node, scenario.sim.report_interval_s, EventKind.REPORT_DUE, (u,))
             self._schedule_next_sunrise(node, 0.0)
 
     # ── plumbing ─────────────────────────────────────────────────────────
 
-    def _push(self, time: float, kind: EventKind, payload: tuple):
+    def _push(self, node: _Node, time: float, kind: EventKind, payload: tuple):
         if time < self.now - 1e-9:
             raise ContractError(f"event {kind} scheduled at {time} before now {self.now}")
-        heapq.heappush(self._heap, (time, next(self._seq), kind, payload))
+        heapq.heappush(self._heap, (time, self._order(node, time), kind, payload))
+
+    def _order(self, node: _Node, t: float) -> tuple[int, int]:
+        """(rank, sequence) of a node's event pushed now for time t.
+
+        The rank places the event against the node's tick at t, if t is a
+        tick time T_k.  Tick k would have been pushed by tick k - 1 at the
+        end of its handler, so the event runs before it iff it is pushed
+        before T_{k-1}, or at T_{k-1} by tick k - 1 or by an event that
+        itself ran before tick k - 1.  Tick 1 is pushed at set-up, before
+        any other event of its node, so nothing runs before it.
+        """
+        rank = _AFTER_TICK
+        k = round((t - node.slot_offset) / self.slot_s)
+        if k >= 2 and node.slot_time(k) == t:
+            prev = node.slot_time(k - 1)
+            if self.now < prev or (self.now == prev and self._rank <= _TICK):
+                rank = _BEFORE_TICK
+        return rank, next(self._seq)
 
     def _generate_arrivals(self, rng: np.random.Generator, horizon: float) -> list[float]:
         model = self.sc.sim.traffic_model
@@ -477,7 +530,7 @@ class Simulator:
         if phase != SUN:
             next_t, _ = next_phase_boundary(node.orbit, next_t + 1e-9)
         if next_t <= self.t_end:
-            self._push(next_t, EventKind.PHASE_CHANGE, (node.node_id,))
+            self._push(node, next_t, EventKind.PHASE_CHANGE, (node.node_id,))
 
     # ── main loop ────────────────────────────────────────────────────────
 
@@ -490,10 +543,11 @@ class Simulator:
             EventKind.REPORT_DUE: self._on_report_due,
         }
         while self._heap:
-            time, _, kind, payload = heapq.heappop(self._heap)
+            time, order, kind, payload = heapq.heappop(self._heap)
             if time > self.t_end + 1e-9:
                 continue
             self.now = time
+            self._rank = order[0]
             handlers[kind](time, payload)
         self.now = self.t_end
         self._finalize()
@@ -548,7 +602,7 @@ class Simulator:
         packet.tx_phase = window.phase
         packet.reserved_j = node.energy.ewma_estimate_j
         node.energy.reserved_j += packet.reserved_j
-        self._push(max(window.start, now), EventKind.WINDOW_OPEN, (node.node_id, packet))
+        self._push(node, max(window.start, now), EventKind.WINDOW_OPEN, (node.node_id, packet))
 
     def _decide_naive(self, node: _Node, packet: _Packet, now: float):
         """Immediate-ALOHA baseline: transmit as generated, no energy checks."""
@@ -584,9 +638,10 @@ class Simulator:
     def _launch(self, node: _Node, packet: _Packet, attempts: list[tuple[float, str | None]]):
         """Put a packet on air; its drawn attempts go out one at a time."""
         packet.state = PacketState.IN_FLIGHT
-        # each attempt's end takes its sequence number now, so it orders among
-        # simultaneous events as if it had been scheduled at launch
-        packet.attempts = [(t, receiver, next(self._seq)) for t, receiver in attempts]
+        # each attempt's end takes its place in the order now, so it orders
+        # among simultaneous events as if it had been scheduled at launch
+        packet.attempts = [(t, receiver, self._order(node, t + self.toa))
+                           for t, receiver in attempts]
         node.in_flight = packet
         packet.tx_slot_idx = node.slot_index(attempts[0][0])
         node.tx_slot_info[packet.tx_slot_idx] = packet.tx_phase
@@ -599,10 +654,10 @@ class Simulator:
         Listing an attempt before it starts is safe: nothing that settles
         before it starts can overlap it.
         """
-        start, receiver, seq = packet.attempts[k]
+        start, receiver, order = packet.attempts[k]
         if receiver is not None:
             self._on_air.append((start, receiver, packet))
-        heapq.heappush(self._heap, (start + self.toa, seq, EventKind.TX_ATTEMPT_END,
+        heapq.heappush(self._heap, (start + self.toa, order, EventKind.TX_ATTEMPT_END,
                                     (node.node_id, packet, k)))
 
     # ── event handlers ───────────────────────────────────────────────────
@@ -612,6 +667,7 @@ class Simulator:
         node = self.nodes[node_id]
         if packet.state is not PacketState.WAITING:
             return
+        self._settle_before_now(node)
         window = packet.window
         start = max(window.start, now, node.busy_until)
 
@@ -679,32 +735,27 @@ class Simulator:
         packet.state = PacketState.DROPPED
         node.packets[outcome] += 1
 
+    # ── slot ticks and lazy settling ─────────────────────────────────────
+
     def _on_slot_tick(self, now: float, payload: tuple):
         node_id, k = payload
         node = self.nodes[node_id]
         t_end = node.slot_time(k)
         idx = k - 1
+        self._settle(node, idx)
 
         tx_phase = node.tx_slot_info.pop(idx, None)
-        if idx in node.forced_sleep:
-            node.forced_sleep.remove(idx)
+        if idx == node.sleep_slot:
             tx_phase = None
         slot = energy_step(node.energy, tx_phase,
                            sun_seconds(node.orbit, node.slot_time(idx), t_end),
                            self.slot_s, self.harvest, self.profile)
-        node.energy_consumed_j += slot.consumed_j
-        node.energy_harvested_j += slot.harvested_j
-        node.period_energy_j += slot.consumed_j
-        node.period_slots += 1
-        node.ledger.duration_s += self.slot_s
-        node.ledger.discharge_j += slot.discharge_j
-        if slot.clamp_j:
-            node.clamp_count += 1
-            node.clamp_total_j += slot.clamp_j
+        node.totals.add(slot, self.slot_s)
+        node.settled = k
 
         if slot.brownout:
             node.brownout_count += 1
-            node.forced_sleep.add(idx + 1)
+            node.sleep_slot = k
             if node.in_flight is not None:
                 victim = node.in_flight
                 if victim.tx_slot_idx > idx:
@@ -718,61 +769,138 @@ class Simulator:
         self._drain_arrivals(node, t_end)
         if not slot.brownout:
             self._decide_queue(node, t_end)
+        self._schedule_wake(node)
 
-        if k + 1 <= (node.account_end - node.slot_offset) / self.slot_s + 1e-9:
-            self._push(node.slot_time(k + 1), EventKind.SLOT_TICK, (node_id, k + 1))
+    def _schedule_wake(self, node: _Node):
+        """Push the node's next slot tick: the first slot that needs one.
+
+        A slot needs its own tick if its end drains the next arrival, if it
+        is the node's last, or if the worst-case draw (a transmit every
+        slot) could brown the node out in it (the guard).  A brownout leaves
+        phi at 0, so the guard also gives the tick right after it, where the
+        packets it left queued are decided.  Every slot before the tick
+        settles in one batch.
+        """
+        if node.settled >= node.n_slots:
+            node.wake = 0
+            return
+        k = min(node.n_slots, self._guard(node))
+        if node.arrival_ptr < len(node.arrivals):
+            k = min(k, self._tick_draining(node, node.arrivals[node.arrival_ptr]))
+        self._push_wake(node, k)
+
+    def _guard(self, node: _Node) -> int:
+        """The first tick whose slot a transmit in every slot from now could brown out."""
+        return node.settled + max(1, int(node.energy.phi_j // self.profile.e_cons_tx_j))
+
+    def _tick_draining(self, node: _Node, arrival: float) -> int:
+        """The first tick k with slot_time(k) >= arrival, after the settled slots."""
+        k = max(node.settled + 1, math.ceil((arrival - node.slot_offset) / self.slot_s))
+        while node.slot_time(k) < arrival:
+            k += 1
+        while k - 1 > node.settled and node.slot_time(k - 1) >= arrival:
+            k -= 1
+        return k
+
+    def _push_wake(self, node: _Node, k: int):
+        node.wake = k
+        heapq.heappush(self._heap, (node.slot_time(k), (_TICK, next(self._seq)),
+                                    EventKind.SLOT_TICK, (node.node_id, k)))
+
+    def _settle(self, node: _Node, upto: int):
+        """Settle slots settled .. upto - 1 in one batch.
+
+        The guard keeps a brownout out of these slots, and so also the slot
+        after a brownout: that one always has its own tick.
+        """
+        first = node.settled
+        if upto <= first:
+            return
+        phases = [node.tx_slot_info.pop(i, None) for i in range(first, upto)]
+        edges = [node.slot_time(k) for k in range(first, upto + 1)]
+        settle_slots(node.energy, node.totals, phases, sun_seconds_per_slot(node.orbit, edges),
+                     self.slot_s, self.harvest, self.profile)
+        node.settled = upto
+
+    def _settle_before_now(self, node: _Node):
+        """Settle every slot whose tick comes before the event being handled.
+
+        Tick m comes first if slot_time(m) < now, or if slot_time(m) == now
+        and the event ranks after the tick (`_order`).  The node's pending
+        tick never comes first, or it would be the event being handled.
+        """
+        now = self.now
+        m = int((now - node.slot_offset) // self.slot_s) + 2
+        m = min(m, node.wake - 1 if node.wake else node.settled)
+        while m > node.settled:
+            t = node.slot_time(m)
+            if t < now or (t == now and self._rank == _AFTER_TICK):
+                break
+            m -= 1
+        self._settle(node, m)
 
     def _on_phase_change(self, now: float, payload: tuple):
         (node_id,) = payload
         node = self.nodes[node_id]
+        self._settle_before_now(node)
         self._flush_orbit(node)
         self._schedule_next_sunrise(node, now + 1e-9)
 
     def _flush_orbit(self, node: _Node):
-        if node.ledger.duration_s <= 0.0:
+        totals = node.totals
+        if totals.orbit_s <= 0.0:
             return
         dod = step_battery_per_orbit(
             node.battery, self.sc.battery.params, self.sc.battery.thermal,
-            node.ledger,
+            OrbitLedger(duration_s=totals.orbit_s, discharge_j=totals.orbit_discharge_j),
             dod_reference=self.sc.battery.dod_reference,
             c_rate_reference=self.sc.battery.c_rate_reference,
             soc_reference=self.sc.battery.soc_reference,
         )
-        if node.ledger.discharge_j > 0.0:
+        if totals.orbit_discharge_j > 0.0:
             node.period_dods.append(dod)
-        node.ledger = OrbitLedger()
+        totals.orbit_s = totals.orbit_discharge_j = 0.0
         new_phi_max = self.sc.phi_max_j(node.battery.fade_fraction)
         if node.energy.phi_j > new_phi_max:
-            node.clamp_count += 1
-            node.clamp_total_j += new_phi_max - node.energy.phi_j
+            totals.clamp_count += 1
+            totals.clamp_total_j += new_phi_max - node.energy.phi_j
             node.energy.phi_j = new_phi_max
+            # less stored energy can bring the guard before the pending tick
+            guard = self._guard(node)
+            if node.wake and guard < node.wake:
+                self._heap[:] = [e for e in self._heap if e[2] is not EventKind.SLOT_TICK
+                                 or e[3][0] != node.node_id]
+                heapq.heapify(self._heap)
+                self._push_wake(node, guard)
         node.energy.phi_max_j = new_phi_max
         node.battery.soc = node.energy.soc
 
     def _on_report_due(self, now: float, payload: tuple):
         (node_id,) = payload
         node = self.nodes[node_id]
+        self._settle_before_now(node)
         # a phase boundary landing exactly on the report boundary settles
         # its orbit first, so the observation rides this period's report
         off = node.orbit.phase_time_offset_s
-        if node.ledger.duration_s > 0.0 and (now + off) % node.orbit.period_s < 1e-6:
+        if node.totals.orbit_s > 0.0 and (now + off) % node.orbit.period_s < 1e-6:
             self._flush_orbit(node)
         self._emit_report(node, now)
         nxt = now + self.sc.sim.report_interval_s
         if nxt < self.t_end:
-            self._push(nxt, EventKind.REPORT_DUE, (node_id,))
+            self._push(node, nxt, EventKind.REPORT_DUE, (node_id,))
 
     def _emit_report(self, node: _Node, t: float):
         if t <= node.period_start:
             return
         thermal = self.sc.battery.thermal
+        totals = node.totals
         self.reports.append(NodeBatteryReport(
             node_id=node.node_id,
             period_start=node.period_start,
             period_end=t,
-            n_slots=node.period_slots,
+            n_slots=totals.period_slots,
             n_transmissions=node.period_txs,
-            energy_consumed_j=node.period_energy_j,
+            energy_consumed_j=totals.period_consumed_j,
             dod_observations=tuple(node.period_dods),
             mean_temperature_sun_k=thermal.t_sun_k,
             mean_temperature_eclipse_k=thermal.t_eclipse_k,
@@ -787,17 +915,18 @@ class Simulator:
             packets_dropped_energy=node.packets["dropped_energy"],
             packets_dropped_collision_exhausted=node.packets["dropped_collision_exhausted"],
             packets_dropped_no_window=node.packets["dropped_no_window"],
-            energy_harvested_j=node.energy_harvested_j,
-            energy_consumed_j=node.energy_consumed_j,
+            energy_harvested_j=totals.harvested_j,
+            energy_consumed_j=totals.consumed_j,
         ))
         node.period_start = t
-        node.period_slots = 0
+        totals.period_slots = 0
         node.period_txs = 0
-        node.period_energy_j = 0.0
+        totals.period_consumed_j = 0.0
         node.period_dods = []
 
     def _finalize(self):
         for node in self.nodes:
+            self._settle(node, node.n_slots)
             self._flush_orbit(node)
             self._drain_arrivals(node, self.t_end)
             for packet in node.queue:
@@ -821,10 +950,10 @@ class Simulator:
                 "cycles_completed": node.battery.cycles_completed,
                 "calendar_days": node.battery.calendar_days,
                 **{key: node.packets[key] for key in ("delivered",) + DROP_OUTCOMES},
-                "energy_harvested_j": node.energy_harvested_j,
-                "energy_consumed_j": node.energy_consumed_j,
+                "energy_harvested_j": node.totals.harvested_j,
+                "energy_consumed_j": node.totals.consumed_j,
                 "brownouts": node.brownout_count,
-                "clamp_events": node.clamp_count,
+                "clamp_events": node.totals.clamp_count,
             }
         delivered = totals["delivered"]
         dropped = sum(totals[key] for key in DROP_OUTCOMES)

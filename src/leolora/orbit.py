@@ -133,18 +133,28 @@ def next_phase_boundary(config: OrbitConfig, t: float) -> tuple[float, str]:
     return t + (config.period_s - t_orbit), SUN
 
 
+def _sunlit_below(config: OrbitConfig, u: float) -> float:
+    """Sunlit measure of [0, u) in orbit time (simulation time plus the phase offset)."""
+    full, rem = divmod(u, config.period_s)
+    return full * config.sun_duration_s + min(rem, config.sun_duration_s)
+
+
 def sun_seconds(config: OrbitConfig, t0: float, t1: float) -> float:
     """Exact sunlit time within [t0, t1) under the phase profile."""
     if t1 < t0:
         raise ValueError(f"need t0 <= t1, got [{t0}, {t1})")
     off = config.phase_time_offset_s
+    return _sunlit_below(config, t1 + off) - _sunlit_below(config, t0 + off)
 
-    def below(u: float) -> float:
-        # sunlit measure of [0, u)
-        full, rem = divmod(u, config.period_s)
-        return full * config.sun_duration_s + min(rem, config.sun_duration_s)
 
-    return below(t1 + off) - below(t0 + off)
+def sun_seconds_per_slot(config: OrbitConfig, edges: list[float]) -> list[float]:
+    """Sunlit time of each [edges[i], edges[i + 1]), bit for bit what `sun_seconds` gives.
+
+    Each edge is evaluated once, so a run of n slots costs n + 1 evaluations.
+    """
+    off = config.phase_time_offset_s
+    below = [_sunlit_below(config, t + off) for t in edges]
+    return [b - a for a, b in zip(below, below[1:])]
 
 
 def subsatellite_point(config: OrbitConfig, t: float) -> tuple[float, float]:

@@ -37,23 +37,39 @@ def default_scenario():
 
 @pytest.fixture
 def energy_spy(monkeypatch):
-    """Record every slot the engine settles, per node, through `energy_step`.
+    """Record every slot the engine settles, per node, in slot order.
+
+    A slot settled through `energy_step` is recorded as it is.  A run of
+    slots settled through `settle_slots` is replayed slot by slot through
+    `energy_step` and `SlotTotals.add` on copies of the node's state and
+    totals, which must end exactly where the batch did.
 
     Returns `slots(node)`: the node's (tx_phase, sun_s, slot_s, SlotEnergy)
-    per settled slot, in slot order.  Runs keep no per-slot history of
-    their own.
+    per settled slot.  Runs keep no per-slot history of their own.
     """
     from leolora import engine
 
-    real = engine.energy_step
+    real_step, real_settle = engine.energy_step, engine.settle_slots
     calls: dict[int, list] = {}
 
-    def spy(state, tx_phase, sun_s, slot_s, harvest, profile):
-        out = real(state, tx_phase, sun_s, slot_s, harvest, profile)
+    def step(state, tx_phase, sun_s, slot_s, harvest, profile):
+        out = real_step(state, tx_phase, sun_s, slot_s, harvest, profile)
         calls.setdefault(id(state), []).append((tx_phase, sun_s, slot_s, out))
         return out
 
-    monkeypatch.setattr(engine, "energy_step", spy)
+    def settle(state, totals, tx_phases, sun_s, slot_s, harvest, profile):
+        replay, replay_totals = copy.copy(state), copy.copy(totals)
+        rows = []
+        for tx_phase, s in zip(tx_phases, sun_s):
+            out = real_step(replay, tx_phase, s, slot_s, harvest, profile)
+            replay_totals.add(out, slot_s)
+            rows.append((tx_phase, s, slot_s, out))
+        real_settle(state, totals, tx_phases, sun_s, slot_s, harvest, profile)
+        assert (replay, replay_totals) == (state, totals)
+        calls.setdefault(id(state), []).extend(rows)
+
+    monkeypatch.setattr(engine, "energy_step", step)
+    monkeypatch.setattr(engine, "settle_slots", settle)
     return lambda node: calls.get(id(node.energy), [])
 
 

@@ -118,9 +118,9 @@ def _replayed_closure(sc, node, slots) -> float:
         y = 1 if sunlit > 0.0 else 0
         e_g = harvest.slot_harvest(min(max(sunlit / slot_s, 0.0), 1.0))
         total += y * e_g - x * prof.e_cons_tx_j - (1 - x) * prof.e_sleep_j
-    clamp = node.clamp_total_j
+    clamp = node.totals.clamp_total_j
     phi0 = sc.steady_state_phi_j(node.orbit)
-    gross = node.energy_consumed_j + node.energy_harvested_j
+    gross = node.totals.consumed_j + node.totals.harvested_j
     return abs(node.energy.phi_j - phi0 - total - clamp) / gross
 
 
@@ -141,13 +141,13 @@ def test_criterion_03_energy_conservation(default_dict, energy_spy):
     res_clamp = engine.run(sc_clamp)
     node = res_clamp.nodes[0]
     closure_clamp = _replayed_closure(sc_clamp, node, energy_spy(node))
-    clamp_ok = node.clamp_count and closure_clamp <= 1e-9
+    clamp_ok = node.totals.clamp_count and closure_clamp <= 1e-9
 
     elapsed = time.perf_counter() - t0
     _report("criterion 3 (30-day energy ledger closes to 1e-9)",
             worst <= 1e-9 and clamp_ok and elapsed < 30.0,
             f"worst closure {worst:.2e}; clamped run counted "
-            f"{node.clamp_count} clamps, closure "
+            f"{node.totals.clamp_count} clamps, closure "
             f"{closure_clamp:.2e}; {elapsed:.1f} s")
 
 

@@ -1,5 +1,8 @@
 """Stored-energy balance, EWMA estimator, and availability projections."""
 
+import copy
+import dataclasses
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -8,12 +11,14 @@ from leolora.energy import (
     HarvestModel,
     NodeEnergyState,
     PowerProfile,
+    SlotTotals,
     energy_step,
     estimate_available_energy,
     ewma_update,
+    settle_slots,
 )
-from leolora.exceptions import ConfigError
-from leolora.orbit import ECLIPSE, SUN, ForecastWindow
+from leolora.exceptions import ConfigError, ContractError
+from leolora.orbit import ECLIPSE, SUN, ForecastWindow, OrbitConfig, sun_seconds_per_slot
 
 PROFILE = PowerProfile(e_cons_tx_j=5.0, e_sleep_j=1.0)
 HARVEST = HarvestModel(e_g_sun_j_per_slot=10.0, charge_rate_limit_j_per_slot=100.0)
@@ -96,6 +101,76 @@ class TestEnergyStep:
         if sun_s == 0.0:
             assert slot.harvested_j == 0.0
         assert slot.discharge_j >= 0.0
+
+
+def _bits(obj) -> tuple:
+    """A dataclass's fields, floats by their exact bits (so 0.0 and -0.0 differ)."""
+    return tuple(v.hex() if isinstance(v, float) else v
+                 for v in dataclasses.astuple(obj))
+
+
+@st.composite
+def slot_runs(draw):
+    """A node's state, totals and a run of slots on an orbit of a few slots' period.
+
+    The slot grid starts at an offset that is not a whole number, and the
+    short period puts sunrises and sunsets inside slots, so runs mix
+    sunlit, eclipsed and partly sunlit slots.
+    """
+    slot_s = draw(st.floats(5.0, 90.0))
+    period = draw(st.floats(2.0 * slot_s, 12.0 * slot_s))
+    orbit = OrbitConfig(period_s=period, sun_duration_s=draw(st.floats(0.1, 1.0)) * period,
+                        altitude_m=550e3, inclination_rad=0.9,
+                        phase_offset_rad=draw(st.floats(0.0, 6.28)))
+    offset = draw(st.floats(0.0, slot_s, exclude_max=True))
+    first = draw(st.integers(0, 5000))
+    n = draw(st.integers(0, 40))
+    edges = [offset + k * slot_s for k in range(first, first + n + 1)]
+    e_sleep = draw(st.floats(0.0, 5.0))
+    profile = PowerProfile(e_cons_tx_j=e_sleep + draw(st.floats(0.01, 20.0)), e_sleep_j=e_sleep)
+    # up to ten times the transmit draw: sunlit runs clamp at phi_max
+    harvest = HarvestModel(e_g_sun_j_per_slot=draw(st.floats(0.0, 10.0 * profile.e_cons_tx_j)),
+                           charge_rate_limit_j_per_slot=draw(st.floats(0.0, 300.0)))
+    phi_max = draw(st.floats(20.0, 500.0))
+    state = fresh_state(phi=draw(st.just(1.0) | st.floats(0.0, 1.0)) * phi_max, phi_max=phi_max)
+    totals = SlotTotals(*(draw(st.floats(0.0, 1e6)) for _ in range(3)), draw(st.integers(0, 99)),
+                        *(draw(st.floats(0.0, 1e6)) for _ in range(2)), draw(st.integers(0, 99)),
+                        -draw(st.floats(0.0, 1e4)))
+    phases = draw(st.lists(st.sampled_from([None, None, SUN, ECLIPSE]), min_size=n, max_size=n))
+    return state, totals, phases, sun_seconds_per_slot(orbit, edges), slot_s, harvest, profile
+
+
+class TestSettleSlots:
+    """`settle_slots` is a loop of `energy_step` and `SlotTotals.add`, bit for bit."""
+
+    @given(slot_runs())
+    def test_batch_equals_slot_by_slot(self, run):
+        state, totals, phases, sun_s, slot_s, harvest, profile = run
+        ref_state, ref_totals = copy.copy(state), copy.copy(totals)
+        brownout = False
+        for tx_phase, s in zip(phases, sun_s):
+            slot = energy_step(ref_state, tx_phase, s, slot_s, harvest, profile)
+            brownout |= slot.brownout
+            ref_totals.add(slot, slot_s)
+        if brownout:
+            with pytest.raises(ContractError):
+                settle_slots(state, totals, phases, sun_s, slot_s, harvest, profile)
+            return
+        settle_slots(state, totals, phases, sun_s, slot_s, harvest, profile)
+        assert _bits(state) == _bits(ref_state)
+        assert _bits(totals) == _bits(ref_totals)
+
+    def test_clamps_at_capacity_are_counted(self):
+        state, totals = fresh_state(phi=195.0), SlotTotals()
+        settle_slots(state, totals, [None] * 3, [SLOT_S] * 3, SLOT_S, HARVEST, PROFILE)
+        assert state.phi_j == 200.0
+        assert (totals.clamp_count, totals.clamp_total_j) == (3, -(4.0 + 9.0 + 9.0))
+        assert (totals.period_slots, totals.orbit_s) == (3, 3 * SLOT_S)
+
+    def test_a_brownout_is_a_broken_contract(self):
+        with pytest.raises(ContractError):
+            settle_slots(fresh_state(phi=6.0), SlotTotals(), [ECLIPSE, ECLIPSE], [0.0, 0.0],
+                         SLOT_S, HARVEST, PROFILE)
 
 
 class TestDischarge:

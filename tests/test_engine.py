@@ -8,6 +8,7 @@ import pytest
 from leolora.battery import BatteryState, ThermalProfile
 from leolora.engine import (
     OrbitLedger,
+    Simulator,
     TxAttempt,
     gateway_compute_fleet_degradation,
     resolve_collisions,
@@ -15,6 +16,7 @@ from leolora.engine import (
     run_degradation_curve,
     step_battery_per_orbit,
 )
+from leolora.orbit import sun_seconds
 from leolora.report import NodeBatteryReport
 
 from conftest import make_scenario
@@ -256,8 +258,8 @@ class TestFullRuns:
         result = run(sc)
         node = result.nodes[0]
         assert node.brownout_count >= 1
-        assert node.clamp_count >= 1
-        assert node.clamp_total_j > 0.0
+        assert node.totals.clamp_count >= 1
+        assert node.totals.clamp_total_j > 0.0
         assert node.energy.phi_j == 0.0
 
     def test_capacity_fade_clamp_is_counted(self, default_dict, energy_spy):
@@ -280,9 +282,69 @@ class TestFullRuns:
         node = run(sc).nodes[0]
         slot_clamps = [slot.clamp_j for *_, slot in energy_spy(node) if slot.clamp_j]
         assert slot_clamps
-        assert node.clamp_count > len(slot_clamps)
-        assert node.clamp_total_j < sum(slot_clamps)
+        assert node.totals.clamp_count > len(slot_clamps)
+        assert node.totals.clamp_total_j < sum(slot_clamps)
         assert node.energy.phi_j <= node.energy.phi_max_j
+
+    def test_idle_slots_get_no_tick(self, default_dict, monkeypatch):
+        # a node gets a slot tick only where it has work; the slots between
+        # settle in batches, so ticks are a small share of node-slots
+        ticks = []
+        real = Simulator._on_slot_tick
+
+        def counted(sim, now, payload):
+            ticks.append(payload)
+            real(sim, now, payload)
+
+        monkeypatch.setattr(Simulator, "_on_slot_tick", counted)
+        result = run(make_scenario(default_dict, **{"sim.duration_days": 1.0}))
+        node_slots = sum(node.n_slots for node in result.nodes)
+        assert all(node.settled == node.n_slots for node in result.nodes)
+        assert 0 < len(ticks) <= 0.15 * node_slots
+
+    def test_fade_clamp_brings_the_pending_tick_forward(self, default_dict, monkeypatch,
+                                                        energy_spy):
+        # A full pack with no traffic: each sunrise's flush clamps phi to the
+        # faded capacity.  With E_cons between phi / 2 after and before one
+        # of those clamps, the clamp drops floor(phi / E_cons) from 2 to 1,
+        # which can move the brownout guard before the pending tick.
+        overrides = {
+            "battery.capacity_rated_ah": 0.5,
+            "energy.e_sleep_j": 1e-9,
+            "energy.psi_min_j": 0.0,
+            "energy.e_critical_j": 0.0,
+            "energy.e_g_sun_j_per_slot": 60000.0,
+            "energy.charge_rate_limit_j_per_slot": 60000.0,
+            "sim.duration_days": 0.5,
+            "sim.node_count": 1,
+            "sim.traffic_model": "none",
+        }
+        flushes = []   # (phi, pending tick) before the flush, then after it
+        real = Simulator._flush_orbit
+
+        def watched(sim, node):
+            before = (node.energy.phi_j, node.wake)
+            real(sim, node)
+            flushes.append((*before, node.energy.phi_j, node.wake))
+
+        monkeypatch.setattr(Simulator, "_flush_orbit", watched)
+        # without traffic, phi does not depend on E_cons; every run's nodes are
+        # kept alive, since the spy tells nodes apart by the id of their state
+        nodes = run(make_scenario(default_dict, **overrides,
+                                  **{"energy.e_cons_tx_j": 1000.0})).nodes
+        clamps = [(a, b) for a, _, b, _ in flushes if b < a][:4]
+        moved = 0
+        for a, b in clamps:
+            flushes.clear()
+            sc = make_scenario(default_dict, **overrides, **{"energy.e_cons_tx_j": (a + b) / 4})
+            nodes += run(sc).nodes
+            node = nodes[-1]
+            moved += sum(1 for _, wake, _, new_wake in flushes if 0 < new_wake < wake)
+            slots = energy_spy(node)
+            assert len(slots) == node.n_slots
+            for k, (_, sun_s, _, _) in enumerate(slots):
+                assert sun_s == sun_seconds(node.orbit, node.slot_time(k), node.slot_time(k + 1))
+        assert moved
 
     def test_engine_outcomes_match_collision_law(self, tmp_path, default_dict, attempt_spy):
         # two nodes sharing identical override windows at one station

@@ -16,7 +16,7 @@ import json
 
 import pytest
 
-from leolora.engine import run, write_metrics_csv, write_summary_json
+from leolora.engine import Simulator, run, write_metrics_csv, write_summary_json
 
 from conftest import make_scenario
 
@@ -44,6 +44,10 @@ CASES = {
                              "sim.traffic_rate_per_s": 1.0 / 120.0,
                              "sim.duration_days": 0.25,
                              "energy.psi_min_j": 1000.0, "energy.e_critical_j": 0.0},
+    # the default pack settles idle slots in batches; reports every orbit,
+    # on node 0's sunrises, read and reset the period sums mid-run
+    "aware_reports": {"sim.protocol": "battery_aware", "sim.duration_days": 0.5,
+                      "sim.report_interval_s": 5400.0},
     # brownouts that drop a packet whose next attempt on a shared window is
     # still ahead, while other nodes' attempts share that receiver
     "aware_brownout_shared": {**BROWNOUT, "sim.protocol": "battery_aware",
@@ -75,6 +79,12 @@ GOLDEN = {
         "24e6be1b76de697ddf95f05f00ad599456fbe80a6ce35357715e7f22f5fae581",
     ("aware_shared_windows", 3):
         "7644fa1bfb821457c30f0235e3998122a43956fdf217d789c9b28ae0627d2e39",
+    ("aware_reports", 1):
+        "8b7e1d3b47f27cdb1e8262c7d75a88efc7168c62d762ff79ec799552505731b6",
+    ("aware_reports", 2):
+        "c43549adb845ae88fe50562070cf5e78c641cc971f172a4e8882a905d50e2cd6",
+    ("aware_reports", 3):
+        "c43d1cbf9eef312768e59e99a317781c9f0312e96a1ce4d0827b9bc79d0d96ed",
     ("aware_brownout_shared", 1):
         "8ea539d9f93ae2884eec75a036bd55c1fc5670e057abb2a9ff99e2aaa7213584",
     ("aware_brownout_shared", 2):
@@ -92,6 +102,22 @@ DECISIONS_CASE = {**BROWNOUT, "sim.protocol": "battery_aware", "mac.backoff_base
 DECISIONS = {
     1: "0b2bb5560bc44876f1cb860958e8e5af20f197e43a2c23f0970544375dfd6830",
     3: "f38a8abad9d3f0c8d8b6115f588606cc8e4d7a51d22ad61bacce2b146545d192",
+}
+
+
+# sha256 of every decision when windows open exactly on a node's slot ticks,
+# slot_offset + k * slot_s: per node, four back-to-back 30-second windows
+# on consecutive ticks, every 45 slots.  The pack is the default one, so
+# idle slots settle in batches.  Opens that fail re-decide onto the next
+# tick's window, from a tick time or from inside the slot before it, so
+# events tie with ticks that are real and ticks that are not.  psi_j pins
+# which slots each decision saw settled.
+TIE_CASE = {"sim.protocol": "battery_aware", "sim.node_count": 4, "sim.duration_days": 0.25,
+            "sim.traffic_rate_per_s": 1.0 / 120.0, "energy.e_critical_j": 0.0}
+TIE_DECISIONS = {
+    1: "897e745598976ddbdebc1d2bf6dbdda45ec5076cf79e5443cb794a9548634a33",
+    2: "79d14da246dacdf56f827fff8e223f2061d0dcb2665c8c4c64c23bf0fc07596e",
+    3: "9d44ba731aaffec123d951e2997e511ac980df95866867d2ee90989f2f609f39",
 }
 
 
@@ -139,3 +165,30 @@ def test_golden_decisions(tmp_path, default_dict, decision_spy):
     sc = make_scenario(default_dict, **overrides)
     got = {seed: _decisions_digest(decision_spy(run(sc, seed=seed))) for seed in DECISIONS}
     assert got == DECISIONS
+
+
+def _tick_aligned_windows(path, sc, seed):
+    """Per node, 30-second windows opening on ticks 20-23, 65-68, ... (every 45th slot).
+
+    slot_offset is a function of the seed alone, so a run without windows
+    gives the tick times of the run that uses them.
+    """
+    nodes = Simulator(sc, seed=seed, schedules={}).nodes
+    n_ticks = int(sc.sim.duration_s // sc.sim.slot_s)
+    windows = [
+        {"node": node.node_id, "target": "gw", "start_s": node.slot_time(k),
+         "end_s": node.slot_time(k) + 30.0, "phase": "sun" if k0 % 90 == 20 else "eclipse"}
+        for node in nodes
+        for k0 in range(20, n_ticks - 4, 45)
+        for k in range(k0, k0 + 4)
+    ]
+    path.write_text(json.dumps(windows))
+    return str(path)
+
+
+@pytest.mark.parametrize("seed", list(TIE_DECISIONS))
+def test_golden_decisions_on_tick_aligned_windows(seed, tmp_path, default_dict, decision_spy):
+    base = make_scenario(default_dict, **TIE_CASE)
+    sc = make_scenario(default_dict, **TIE_CASE, **{
+        "sim.schedule_override_path": _tick_aligned_windows(tmp_path / "ticks.json", base, seed)})
+    assert _decisions_digest(decision_spy(run(sc, seed=seed))) == TIE_DECISIONS[seed]

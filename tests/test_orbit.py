@@ -21,6 +21,7 @@ from leolora.orbit import (
     phase_at,
     subsatellite_point,
     sun_seconds,
+    sun_seconds_per_slot,
     visibility_windows,
 )
 
@@ -51,6 +52,26 @@ class TestPhase:
         span = k * ORBIT.period_s
         frac = sun_seconds(ORBIT, 0.0, span) / span
         assert frac == 3300.0 / 5400.0
+
+    @given(
+        period=st.floats(60.0, 7000.0),
+        sun_share=st.floats(0.01, 1.0),
+        phase=st.floats(0.0, 6.28),
+        slot_s=st.floats(1.0, 300.0),
+        offset_share=st.floats(0.0, 1.0, exclude_max=True),
+        first=st.integers(0, 100_000),
+        n=st.integers(0, 60),
+    )
+    def test_per_slot_sunlit_time_is_bit_for_bit_sun_seconds(
+        self, period, sun_share, phase, slot_s, offset_share, first, n
+    ):
+        orbit = OrbitConfig(period_s=period, sun_duration_s=sun_share * period,
+                            altitude_m=550e3, inclination_rad=0.9, phase_offset_rad=phase)
+        offset = offset_share * slot_s
+        edges = [offset + k * slot_s for k in range(first, first + n + 1)]
+        got = sun_seconds_per_slot(orbit, edges)
+        want = [sun_seconds(orbit, a, b) for a, b in zip(edges, edges[1:])]
+        assert [x.hex() for x in got] == [x.hex() for x in want]
 
     @given(t=st.floats(0.0, 1e6), k=st.integers(1, 20))
     def test_sun_fraction_from_arbitrary_start(self, t, k):
