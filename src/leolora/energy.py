@@ -201,35 +201,18 @@ def settle_slots(
     Slot i of the run has transmit phase tx_phases[i] and sunlit time
     sun_s[i].  The result is bit for bit that of settling the slots one at
     a time: each slot goes through the same slot law, clamps at phi_max
-    included, and each running sum grows by one slot at a time, in slot
-    order.  The sums are carried in locals for speed; the tests hold them
-    to `SlotTotals.add`.  A brownout belongs to `energy_step`'s caller,
-    which must react to it, so reaching one here is a broken contract.
+    included, and `SlotTotals.add` takes it, in slot order.  A brownout
+    belongs to `energy_step`'s caller, which must react to it, so reaching
+    one here is a broken contract.
     """
     phi, phi_max = state.phi_j, state.phi_max_j
-    harvested_sum, consumed_sum, period_sum = (
-        totals.harvested_j, totals.consumed_j, totals.period_consumed_j)
-    orbit_s, discharge_sum = totals.orbit_s, totals.orbit_discharge_j
-    clamp_count, clamp_sum = totals.clamp_count, totals.clamp_total_j
     for tx_phase, s in zip(tx_phases, sun_s, strict=True):
         phi, harvested, consumed, discharge, raw = _slot_law(
             phi, phi_max, tx_phase, s, slot_s, harvest, profile)
         if raw < 0.0:
             raise ContractError(f"a batch-settled slot browns out (raw phi {raw})")
-        consumed_sum += consumed
-        harvested_sum += harvested
-        period_sum += consumed
-        orbit_s += slot_s
-        discharge_sum += discharge
-        clamp = phi - raw
-        if clamp:
-            clamp_count += 1
-            clamp_sum += clamp
+        totals.add(SlotEnergy(harvested, consumed, discharge, phi - raw, False), slot_s)
     state.phi_j = phi
-    totals.harvested_j, totals.consumed_j = harvested_sum, consumed_sum
-    totals.period_consumed_j, totals.period_slots = period_sum, totals.period_slots + len(sun_s)
-    totals.orbit_s, totals.orbit_discharge_j = orbit_s, discharge_sum
-    totals.clamp_count, totals.clamp_total_j = clamp_count, clamp_sum
 
 
 def ewma_update(beta: float, e_cons_prev_j: float, ewma_prev_j: float) -> float:

@@ -367,7 +367,6 @@ class _Node:
     battery: BatteryState
     slot_offset: float
     n_slots: int             # slots 0 .. n_slots - 1; slot k ends at tick k + 1
-    account_end: float       # slot_time(n_slots)
     backoff_rng: np.random.Generator
     arrivals: list[float]
     arrival_ptr: int = 0
@@ -391,6 +390,11 @@ class _Node:
 
     def slot_time(self, k: int) -> float:
         return self.slot_offset + k * self.slot_s
+
+    @property
+    def account_end(self) -> float:
+        """The end of the node's last slot."""
+        return self.slot_time(self.n_slots)
 
 
 @dataclass
@@ -445,7 +449,6 @@ class Simulator:
             schedule = schedules.get(u, Schedule())
             slot_offset = float(offset_rng.uniform(0.0, self.slot_s))
             n_slots = max(int(math.floor((self.t_end - slot_offset) / self.slot_s)), 0)
-            account_end = slot_offset + n_slots * self.slot_s
             traffic_rng = np.random.default_rng(children[2 * u])
             phi0 = scenario.steady_state_phi_j(orbit)
             node = _Node(
@@ -467,10 +470,10 @@ class Simulator:
                 ),
                 slot_offset=slot_offset,
                 n_slots=n_slots,
-                account_end=account_end,
                 backoff_rng=np.random.default_rng(children[2 * u + 1]),
-                arrivals=self._generate_arrivals(traffic_rng, account_end),
+                arrivals=[],
             )
+            node.arrivals = self._generate_arrivals(traffic_rng, node.account_end)
             self.nodes.append(node)
 
             self._schedule_wake(node)
@@ -573,10 +576,8 @@ class Simulator:
 
     def _candidates(self, node: _Node, now: float, created: float) -> list[ForecastWindow]:
         deadline = created + self.sc.mac.deadline_s
-        return [
-            w for w in node.schedule.candidates(now, deadline)
-            if w.end <= node.account_end
-        ]
+        account_end = node.account_end
+        return [w for w in node.schedule.candidates(now, deadline) if w.end <= account_end]
 
     def _decide_aware(self, node: _Node, packet: _Packet, now: float):
         result = select_forecast_window(

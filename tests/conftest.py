@@ -50,11 +50,15 @@ def energy_spy(monkeypatch):
     from leolora import engine
 
     real_step, real_settle = engine.energy_step, engine.settle_slots
-    calls: dict[int, list] = {}
+    # id(state) -> (state, rows); holding the state keeps its id from being reused
+    calls: dict[int, tuple] = {}
+
+    def rows_of(state):
+        return calls.setdefault(id(state), (state, []))[1]
 
     def step(state, tx_phase, sun_s, slot_s, harvest, profile):
         out = real_step(state, tx_phase, sun_s, slot_s, harvest, profile)
-        calls.setdefault(id(state), []).append((tx_phase, sun_s, slot_s, out))
+        rows_of(state).append((tx_phase, sun_s, slot_s, out))
         return out
 
     def settle(state, totals, tx_phases, sun_s, slot_s, harvest, profile):
@@ -66,11 +70,11 @@ def energy_spy(monkeypatch):
             rows.append((tx_phase, s, slot_s, out))
         real_settle(state, totals, tx_phases, sun_s, slot_s, harvest, profile)
         assert (replay, replay_totals) == (state, totals)
-        calls.setdefault(id(state), []).extend(rows)
+        rows_of(state).extend(rows)
 
     monkeypatch.setattr(engine, "energy_step", step)
     monkeypatch.setattr(engine, "settle_slots", settle)
-    return lambda node: calls.get(id(node.energy), [])
+    return lambda node: calls.get(id(node.energy), (None, []))[1]
 
 
 class Decision(NamedTuple):

@@ -328,17 +328,14 @@ class TestFullRuns:
             flushes.append((*before, node.energy.phi_j, node.wake))
 
         monkeypatch.setattr(Simulator, "_flush_orbit", watched)
-        # without traffic, phi does not depend on E_cons; every run's nodes are
-        # kept alive, since the spy tells nodes apart by the id of their state
-        nodes = run(make_scenario(default_dict, **overrides,
-                                  **{"energy.e_cons_tx_j": 1000.0})).nodes
+        # without traffic, phi does not depend on E_cons
+        run(make_scenario(default_dict, **overrides, **{"energy.e_cons_tx_j": 1000.0}))
         clamps = [(a, b) for a, _, b, _ in flushes if b < a][:4]
         moved = 0
         for a, b in clamps:
             flushes.clear()
             sc = make_scenario(default_dict, **overrides, **{"energy.e_cons_tx_j": (a + b) / 4})
-            nodes += run(sc).nodes
-            node = nodes[-1]
+            node = run(sc).nodes[-1]
             moved += sum(1 for _, wake, _, new_wake in flushes if 0 < new_wake < wake)
             slots = energy_spy(node)
             assert len(slots) == node.n_slots
