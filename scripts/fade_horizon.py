@@ -10,7 +10,7 @@ Usage: python scripts/fade_horizon.py [--years N]
 import argparse
 
 from leolora.config import default_scenario
-from leolora.engine import run_degradation_curve
+from leolora.battery import run_degradation_curve
 
 
 def main():

@@ -11,7 +11,9 @@ from .battery import (
     cycle_aging,
     degradation_impact_factor,
     linear_degradation,
+    run_degradation_curve,
     sei_capacity_fade,
+    step_battery_per_orbit,
 )
 from .config import ScenarioConfig, default_scenario, load_scenario, parse_scenario
 from .energy import (
@@ -22,19 +24,15 @@ from .energy import (
     estimate_available_energy,
     ewma_update,
 )
-from .engine import (
-    Simulator,
-    gateway_compute_fleet_degradation,
-    resolve_collisions,
-    run,
-    run_degradation_curve,
-    step_battery_per_orbit,
-)
+from .engine import Simulator, run
 from .exceptions import ConfigError, ContractError, ValidationError
 from .mac import (
     DropReason,
     MacConfig,
+    TxAttempt,
     TxDecision,
+    collides,
+    resolve_collisions,
     run_transmission_sequence,
     select_forecast_window,
 )
@@ -49,6 +47,11 @@ from .orbit import (
     sun_seconds,
     visibility_windows,
 )
-from .report import NodeBatteryReport, decode_report, encode_report
+from .report import (
+    NodeBatteryReport,
+    decode_report,
+    encode_report,
+    gateway_compute_fleet_degradation,
+)
 
 __version__ = "0.1.0"

@@ -8,7 +8,9 @@ The fade pipeline is
     fade     = 1 - alpha_sei*exp(-k_sei*D_L) - (1-alpha_sei)*exp(-D_L)
 
 All dC values are fractions of rated capacity, so D_L is dimensionless and
-fade is bounded in [0, 1).  All functions are pure and side-effect free.
+fade is bounded in [0, 1).  The aging functions are pure;
+`step_battery_per_orbit` advances a `BatteryState` by one orbit, and
+`run_degradation_curve` steps a quiet pack through many.
 """
 
 from __future__ import annotations
@@ -16,8 +18,14 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .exceptions import ConfigError
+
+if TYPE_CHECKING:
+    from .config import BatteryScenario
+    from .energy import PowerProfile
+    from .orbit import OrbitConfig
 
 # Universal gas constant (J/(mol*K))
 R_GAS = 8.314
@@ -103,7 +111,6 @@ class BatteryState:
     over a run, so effective capacity is non-increasing.
     """
 
-    soc: float
     capacity_rated_ah: float
     voltage_nominal_v: float
     fade_fraction: float = 0.0
@@ -114,8 +121,6 @@ class BatteryState:
     dc_cycle_total: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 <= self.soc <= 1.0:
-            raise ValueError(f"soc must be in [0, 1], got {self.soc}")
         if self.capacity_rated_ah <= 0 or self.voltage_nominal_v <= 0:
             raise ValueError("rated capacity and nominal voltage must be > 0")
         if not 0.0 <= self.fade_fraction <= 1.0:
@@ -201,3 +206,83 @@ def degradation_impact_factor(
         raise ConfigError(f"dif_ref must be > 0, got {dif_ref}")
     extra = cycle_aging(params, stress_if_tx, 1.0) - cycle_aging(params, stress_if_idle, 1.0)
     return min(max(extra / dif_ref, 0.0), 1.0)
+
+
+def step_battery_per_orbit(
+    state: BatteryState,
+    params: DegradationParams,
+    thermal: ThermalProfile,
+    duration_s: float,
+    discharge_j: float,
+    dod_reference: float,
+    c_rate_reference: float,
+    soc_reference: float,
+) -> float:
+    """Advance the pack's degradation by one completed orbit.
+
+    The orbit lasted `duration_s` and drew `discharge_j` from the battery.
+    Equivalent cycles accrue as discharged energy over one reference
+    cycle's energy (DoD_ref x rated pack energy); calendar time advances
+    by the orbit duration at the sunlit-phase temperature and reference
+    SoC.  Returns the orbit's observed depth of discharge.
+    """
+    days = duration_s / 86400.0
+    cycle_energy_j = dod_reference * state.capacity_rated_j
+    cycles_inc = discharge_j / cycle_energy_j
+    dod_observed = min(discharge_j / state.capacity_rated_j, 1.0)
+
+    dc_cal_inc = calendar_aging(params, thermal.t_sun_k, soc_reference, days)
+    dc_cycle_inc = 0.0
+    if cycles_inc > 0.0:
+        stress = CycleStress(
+            dod=dod_observed, c_rate=c_rate_reference, temperature_k=thermal.t_eclipse_k
+        )
+        dc_cycle_inc = cycle_aging(params, stress, cycles_inc)
+
+    state.calendar_days += days
+    state.cycles_completed += cycles_inc
+    state.dc_cal_total += dc_cal_inc
+    state.dc_cycle_total += dc_cycle_inc
+    state.d_linear = linear_degradation(state.dc_cal_total, state.dc_cycle_total)
+    state.fade_fraction = sei_capacity_fade(params, state.d_linear)
+    return dod_observed
+
+
+def run_degradation_curve(
+    battery: BatteryScenario,
+    orbit: OrbitConfig,
+    profile: PowerProfile,
+    slot_s: float,
+    days: float,
+    resolution_days: float = 1.0,
+) -> tuple[list[tuple[float, float, float]], BatteryState]:
+    """Quiet per-orbit fade curve: the nominal orbit cycle, no traffic.
+
+    Each orbit discharges the platform sleep draw across the eclipse span.
+    Returns (day, d_linear, fade_fraction) rows at the requested
+    resolution, plus the final battery state.
+    """
+    if days < 0 or resolution_days <= 0:
+        raise ValueError("days must be >= 0 and resolution > 0")
+    state = BatteryState(
+        capacity_rated_ah=battery.capacity_rated_ah,
+        voltage_nominal_v=battery.voltage_nominal_v,
+    )
+    eclipse_s = orbit.period_s - orbit.sun_duration_s
+    discharge_j = profile.e_sleep_j / slot_s * eclipse_s
+    n_orbits = int(math.floor(days * 86400.0 / orbit.period_s))
+    rows: list[tuple[float, float, float]] = []
+    next_mark = resolution_days
+    for k in range(1, n_orbits + 1):
+        step_battery_per_orbit(
+            state, battery.params, battery.thermal, orbit.period_s, discharge_j,
+            dod_reference=battery.dod_reference,
+            c_rate_reference=battery.c_rate_reference,
+            soc_reference=battery.soc_reference,
+        )
+        day = k * orbit.period_s / 86400.0
+        if day >= next_mark or k == n_orbits:
+            rows.append((day, state.d_linear, state.fade_fraction))
+            while next_mark <= day:
+                next_mark += resolution_days
+    return rows, state

@@ -20,6 +20,7 @@ from pathlib import Path
 
 from . import engine
 from .airtime import payload_symbols, symbol_duration, time_on_air, tx_energy
+from .battery import run_degradation_curve
 from .config import ScenarioConfig, default_scenario_dict, load_scenario, parse_scenario
 from .exceptions import ValidationError
 from .orbit import build_schedule, next_phase_boundary, phase_at, sun_seconds
@@ -87,7 +88,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_degradation(args: argparse.Namespace) -> int:
     scenario = _load_config(args.config)
-    rows, _ = engine.run_degradation_curve(
+    rows, _ = run_degradation_curve(
         scenario.battery,
         scenario.orbit,
         scenario.energy.profile,
@@ -195,16 +196,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    def common(p, out_help="output path (stdout if omitted)"):
+    def common(p, out_help="output path (stdout if omitted)", formats=True):
         p.add_argument("--config", default=None,
                        help="scenario JSON path ('default' or omit for the bundled scenario)")
-        p.add_argument("--seed", type=int, default=None, help="seed override")
         p.add_argument("--out", default=None, help=out_help)
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
+        if formats:
+            p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p_sim = sub.add_parser("simulate", help="run the discrete-event simulation")
     common(p_sim, out_help="metrics path (default metrics.csv, or metrics.json with --format json)")
     p_sim.set_defaults(out=None)
+    p_sim.add_argument("--seed", type=int, default=None, help="seed override")
     p_sim.add_argument("--summary", default=None, help="summary JSON path (default summary.json)")
     p_sim.add_argument("--sweep", type=int, default=1,
                        help="run N consecutive seeds starting at --seed")
@@ -225,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_air.set_defaults(func=cmd_airtime)
 
     p_sch = sub.add_parser("schedule", help="forecast windows and phase timeline")
-    common(p_sch)
+    common(p_sch, formats=False)
     p_sch.add_argument("--horizon-s", type=float, default=None)
     p_sch.add_argument("--step-s", type=float, default=None)
     p_sch.set_defaults(func=cmd_schedule)

@@ -18,7 +18,7 @@ from importlib import resources
 from pathlib import Path
 
 from .airtime import RadioConfig, time_on_air, tx_energy
-from .battery import CycleStress, DegradationParams, ThermalProfile
+from .battery import CycleStress, DegradationParams, ThermalProfile, cycle_aging
 from .energy import HarvestModel, PowerProfile
 from .exceptions import ValidationError
 from .mac import MacConfig, nominal_backoff_base
@@ -466,8 +466,6 @@ def default_dif_ref(battery: BatteryScenario, profile: PowerProfile) -> float:
     The envelope is a transmit slot whose full consumption difference is
     drawn from the battery (the eclipse case).
     """
-    from .battery import cycle_aging  # local import to avoid cycles at module load
-
     base = battery.base_stress
     marginal = profile.e_cons_tx_j - profile.e_sleep_j
     stressed = replace(base, dod=min(1.0, base.dod + marginal / battery.capacity_rated_j))

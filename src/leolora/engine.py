@@ -1,4 +1,4 @@
-"""Deterministic discrete-event loop: nodes, gateways, collisions, batteries.
+"""The discrete-event loop: packets, slot ticks and orbit flushes, node by node.
 
 Metrics are a pure function of (scenario, seed).  Events are processed in
 strictly increasing (time, rank, sequence) order; sequence numbers are
@@ -50,29 +50,15 @@ from typing import NamedTuple
 import numpy as np
 
 from .airtime import time_on_air
-from .battery import (
-    BatteryState,
-    CycleStress,
-    DegradationParams,
-    ThermalProfile,
-    calendar_aging,
-    cycle_aging,
-    linear_degradation,
-    sei_capacity_fade,
-)
-from .config import BatteryScenario, ScenarioConfig
-from .energy import (
-    NodeEnergyState,
-    PowerProfile,
-    SlotTotals,
-    energy_step,
-    ewma_update,
-    settle_slots,
-)
+from .battery import BatteryState, step_battery_per_orbit
+from .config import ScenarioConfig
+from .energy import NodeEnergyState, SlotTotals, energy_step, ewma_update, settle_slots
 from .exceptions import ContractError
 from .mac import (
     DropReason,
+    TxAttempt,
     TxDecision,
+    collides,
     run_transmission_sequence,
     select_forecast_window,
 )
@@ -89,7 +75,7 @@ from .orbit import (
     sun_seconds,
     sun_seconds_per_slot,
 )
-from .report import NodeBatteryReport
+from .report import NodeBatteryReport, gateway_compute_fleet_degradation
 
 # A naive sender keeps retrying over at most this span before giving up.
 MAX_NAIVE_SPAN_S = 1800.0
@@ -117,203 +103,6 @@ class PacketState(enum.Enum):
     DELIVERED = "delivered"
     DROPPED = "dropped"
 
-
-@dataclass(frozen=True)
-class TxAttempt:
-    """One on-air attempt as seen by a receiver."""
-
-    start: float
-    airtime: float
-    channel: int
-    sf: int
-    receiver: str
-
-
-def resolve_collisions(attempts: list[TxAttempt]) -> list[bool]:
-    """Per-attempt success under the pairwise-overlap collision law.
-
-    Two attempts destroy each other iff their airtime intervals overlap at
-    the same receiver on the same channel and spreading factor; there is no
-    capture effect.  Different (receiver, channel, sf) groups never
-    interact.
-    """
-    success = [True] * len(attempts)
-    groups: dict[tuple, list[int]] = {}
-    for i, a in enumerate(attempts):
-        groups.setdefault((a.receiver, a.channel, a.sf), []).append(i)
-    for idx in groups.values():
-        idx.sort(key=lambda i: attempts[i].start)
-        active: list[tuple[float, int]] = []  # (end, index) min-heap
-        for i in idx:
-            a = attempts[i]
-            while active and active[0][0] <= a.start:
-                heapq.heappop(active)
-            if active:
-                success[i] = False
-                for _, j in active:
-                    success[j] = False
-            heapq.heappush(active, (a.start + a.airtime, i))
-    return success
-
-
-@dataclass(frozen=True)
-class DegradationAssessment:
-    """Gateway-side fade figures for one node."""
-
-    node_id: int
-    dc_cal: float
-    dc_cycle: float
-    d_linear: float
-    fade_fraction: float
-
-
-def gateway_compute_fleet_degradation(
-    reports: list[NodeBatteryReport],
-    params: DegradationParams,
-    soc_reference: float,
-    c_rate_reference: float,
-    dod_reference: float = 0.4,
-) -> dict[int, DegradationAssessment]:
-    """Apply the fade pipeline to each node's reported usage summaries.
-
-    Calendar aging is evaluated at the reported sunlit-phase temperature
-    and the configured reference SoC.  Each DoD observation covers one
-    orbit's discharge; its equivalent cycle count is dod / dod_reference,
-    the same fractional-cycle convention the nodes accrue by, so cycle
-    aging agrees with the node's own figure.  Calendar aging does not
-    quite: the gateway ages a node over its report periods, which cover
-    the run, while the node ages over its settled whole slots, which stop
-    short of the run end by up to two slots.  On a 40 s slot the fades
-    differ by about 1.44e-11.  Overlapping report periods for one node are
-    rejected.
-    """
-    by_node: dict[int, list[NodeBatteryReport]] = {}
-    for r in reports:
-        by_node.setdefault(r.node_id, []).append(r)
-
-    out: dict[int, DegradationAssessment] = {}
-    for node_id in sorted(by_node):
-        node_reports = sorted(by_node[node_id], key=lambda r: r.period_start)
-        prev_end = -math.inf
-        dc_cal = 0.0
-        dc_cycle = 0.0
-        for r in node_reports:
-            if r.period_start < prev_end:
-                raise ValueError(
-                    f"node {node_id}: report period starting at {r.period_start} "
-                    f"overlaps the previous period ending at {prev_end}"
-                )
-            prev_end = r.period_end
-            dc_cal += calendar_aging(
-                params, r.mean_temperature_sun_k, soc_reference, r.period_days
-            )
-            for dod in r.dod_observations:
-                dc_cycle += cycle_aging(
-                    params,
-                    CycleStress(dod=dod, c_rate=c_rate_reference,
-                                temperature_k=r.mean_temperature_eclipse_k),
-                    dod / dod_reference,
-                )
-        d_linear = linear_degradation(dc_cal, dc_cycle)
-        out[node_id] = DegradationAssessment(
-            node_id=node_id,
-            dc_cal=dc_cal,
-            dc_cycle=dc_cycle,
-            d_linear=d_linear,
-            fade_fraction=sei_capacity_fade(params, d_linear),
-        )
-    return out
-
-
-@dataclass
-class OrbitLedger:
-    """Duration and battery discharge accumulated over (roughly) one orbit."""
-
-    duration_s: float = 0.0
-    discharge_j: float = 0.0
-
-
-def step_battery_per_orbit(
-    state: BatteryState,
-    params: DegradationParams,
-    thermal: ThermalProfile,
-    ledger: OrbitLedger,
-    dod_reference: float,
-    c_rate_reference: float,
-    soc_reference: float,
-) -> float:
-    """Advance the pack's degradation by one completed orbit.
-
-    Equivalent cycles accrue as discharged energy over one reference
-    cycle's energy (DoD_ref x rated pack energy); calendar time advances
-    by the orbit duration at the sunlit-phase temperature and reference
-    SoC.  Returns the orbit's observed depth of discharge.
-    """
-    days = ledger.duration_s / 86400.0
-    cycle_energy_j = dod_reference * state.capacity_rated_j
-    cycles_inc = ledger.discharge_j / cycle_energy_j
-    dod_observed = min(ledger.discharge_j / state.capacity_rated_j, 1.0)
-
-    dc_cal_inc = calendar_aging(params, thermal.t_sun_k, soc_reference, days)
-    dc_cycle_inc = 0.0
-    if cycles_inc > 0.0:
-        stress = CycleStress(
-            dod=dod_observed, c_rate=c_rate_reference, temperature_k=thermal.t_eclipse_k
-        )
-        dc_cycle_inc = cycle_aging(params, stress, cycles_inc)
-
-    state.calendar_days += days
-    state.cycles_completed += cycles_inc
-    state.dc_cal_total += dc_cal_inc
-    state.dc_cycle_total += dc_cycle_inc
-    state.d_linear = linear_degradation(state.dc_cal_total, state.dc_cycle_total)
-    state.fade_fraction = sei_capacity_fade(params, state.d_linear)
-    return dod_observed
-
-
-def run_degradation_curve(
-    battery: BatteryScenario,
-    orbit: OrbitConfig,
-    profile: PowerProfile,
-    slot_s: float,
-    days: float,
-    resolution_days: float = 1.0,
-) -> tuple[list[tuple[float, float, float]], BatteryState]:
-    """Quiet per-orbit fade curve: the nominal orbit cycle, no traffic.
-
-    Each orbit discharges the platform sleep draw across the eclipse span.
-    Returns (day, d_linear, fade_fraction) rows at the requested
-    resolution, plus the final battery state.
-    """
-    if days < 0 or resolution_days <= 0:
-        raise ValueError("days must be >= 0 and resolution > 0")
-    state = BatteryState(
-        soc=battery.soc_initial,
-        capacity_rated_ah=battery.capacity_rated_ah,
-        voltage_nominal_v=battery.voltage_nominal_v,
-    )
-    eclipse_s = orbit.period_s - orbit.sun_duration_s
-    bus_rate_w = profile.e_sleep_j / slot_s
-    per_orbit = OrbitLedger(duration_s=orbit.period_s, discharge_j=bus_rate_w * eclipse_s)
-    n_orbits = int(math.floor(days * 86400.0 / orbit.period_s))
-    rows: list[tuple[float, float, float]] = []
-    next_mark = resolution_days
-    for k in range(1, n_orbits + 1):
-        step_battery_per_orbit(
-            state, battery.params, battery.thermal, per_orbit,
-            dod_reference=battery.dod_reference,
-            c_rate_reference=battery.c_rate_reference,
-            soc_reference=battery.soc_reference,
-        )
-        day = k * orbit.period_s / 86400.0
-        if day >= next_mark or k == n_orbits:
-            rows.append((day, state.d_linear, state.fade_fraction))
-            while next_mark <= day:
-                next_mark += resolution_days
-    return rows, state
-
-
-# ── engine internals ─────────────────────────────────────────────────────────
 
 # A node's packet counts, keyed as in the summary.
 DROP_OUTCOMES = ("dropped_energy", "dropped_collision_exhausted", "dropped_no_window")
@@ -432,8 +221,8 @@ class Simulator:
         self._rank = _AFTER_TICK   # the rank of the event being handled
         self.metrics: list[MetricsRecord] = []
         self.reports: list[NodeBatteryReport] = []
-        # announced attempts (start, receiver, packet) that may still overlap one to come
-        self._on_air: list[tuple[float, str, _Packet]] = []
+        # announced attempts that may still overlap one to come, with their packets
+        self._on_air: list[tuple[TxAttempt, _Packet]] = []
 
         n = scenario.sim.node_count
         ss = np.random.SeedSequence([self.seed])
@@ -464,7 +253,6 @@ class Simulator:
                     ewma_estimate_j=scenario.energy.ewma_initial_j,
                 ),
                 battery=BatteryState(
-                    soc=phi0 / scenario.phi_max_j(),
                     capacity_rated_ah=scenario.battery.capacity_rated_ah,
                     voltage_nominal_v=scenario.battery.voltage_nominal_v,
                 ),
@@ -656,10 +444,13 @@ class Simulator:
         before it starts can overlap it.
         """
         start, receiver, order = packet.attempts[k]
+        attempt = None
         if receiver is not None:
-            self._on_air.append((start, receiver, packet))
+            attempt = TxAttempt(start=start, airtime=self.toa, channel=0,
+                                sf=self.sc.radio.spreading_factor, receiver=receiver)
+            self._on_air.append((attempt, packet))
         heapq.heappush(self._heap, (start + self.toa, order, EventKind.TX_ATTEMPT_END,
-                                    (node.node_id, packet, k)))
+                                    (node.node_id, packet, k, attempt)))
 
     # ── event handlers ───────────────────────────────────────────────────
 
@@ -692,24 +483,22 @@ class Simulator:
     def _on_attempt_end(self, now: float, payload: tuple):
         """Settle one attempt: delivered, retried with the next one, or dropped.
 
-        Two attempts at one receiver collide iff their airtimes overlap
-        (pure ALOHA, no capture).  Every attempt that could overlap this one
-        started before now and is listed; entries that ended an airtime
-        before the earliest start still pending overlap nothing to come.
+        An attempt nobody can hear (`attempt` None) never gets through; one
+        that can gets through iff it `collides` with no listed attempt of
+        another packet.  Every attempt that could overlap this one started
+        before now and is listed; entries that ended an airtime before the
+        earliest start still pending overlap nothing to come.
         """
-        node_id, packet, k = payload
+        node_id, packet, k, attempt = payload
         if packet.state is not PacketState.IN_FLIGHT:
             return
         node = self.nodes[node_id]
-        toa = self.toa
-        start, receiver, _ = packet.attempts[k]
         got_through = False
-        if receiver is not None:
-            self._on_air = [e for e in self._on_air if e[0] + toa > now - 2 * toa]
-            got_through = not any(
-                r == receiver and other is not packet and min(s, start) + toa > max(s, start)
-                for s, r, other in self._on_air
-            )
+        if attempt is not None:
+            toa = self.toa
+            self._on_air = [e for e in self._on_air if e[0].start + toa > now - 2 * toa]
+            got_through = not any(other is not packet and collides(attempt, a)
+                                  for a, other in self._on_air)
         if got_through:
             self._release(node, packet)
             packet.state = PacketState.DELIVERED
@@ -762,7 +551,8 @@ class Simulator:
                 if victim.tx_slot_idx > idx:
                     node.tx_slot_info.pop(victim.tx_slot_idx, None)
                 # an attempt already on air still collides; one yet to start never happens
-                self._on_air = [e for e in self._on_air if e[2] is not victim or e[0] <= now]
+                self._on_air = [(a, p) for a, p in self._on_air
+                                if p is not victim or a.start <= now]
                 self._drop(node, victim, "dropped_energy")
                 node.in_flight = None
                 node.busy_until = t_end
@@ -853,7 +643,7 @@ class Simulator:
             return
         dod = step_battery_per_orbit(
             node.battery, self.sc.battery.params, self.sc.battery.thermal,
-            OrbitLedger(duration_s=totals.orbit_s, discharge_j=totals.orbit_discharge_j),
+            totals.orbit_s, totals.orbit_discharge_j,
             dod_reference=self.sc.battery.dod_reference,
             c_rate_reference=self.sc.battery.c_rate_reference,
             soc_reference=self.sc.battery.soc_reference,
@@ -874,7 +664,6 @@ class Simulator:
                 heapq.heapify(self._heap)
                 self._push_wake(node, guard)
         node.energy.phi_max_j = new_phi_max
-        node.battery.soc = node.energy.soc
 
     def _on_report_due(self, now: float, payload: tuple):
         (node_id,) = payload

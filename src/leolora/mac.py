@@ -11,6 +11,9 @@ minimizing
 
 with ties broken by earliest start.  No feasible window means the packet
 is dropped with a single reason.
+
+The collision law lives here too: `collides` is the one overlap test, used
+by the engine for every attempt it settles and by `resolve_collisions`.
 """
 
 from __future__ import annotations
@@ -253,3 +256,38 @@ def run_transmission_sequence(
         starts.append(start)
         t = start + toa
     return starts
+
+
+@dataclass(frozen=True)
+class TxAttempt:
+    """One on-air attempt as seen by a receiver."""
+
+    start: float
+    airtime: float
+    channel: int
+    sf: int
+    receiver: str
+
+
+def collides(a: TxAttempt, b: TxAttempt) -> bool:
+    """Whether two attempts destroy each other (pure ALOHA, no capture).
+
+    They do iff they share receiver, channel and spreading factor and their
+    airtimes overlap; intervals that only touch do not overlap.
+    """
+    return (a.receiver == b.receiver and a.channel == b.channel and a.sf == b.sf
+            and a.start < b.start + b.airtime and b.start < a.start + a.airtime)
+
+
+def resolve_collisions(attempts: list[TxAttempt]) -> list[bool]:
+    """Per-attempt success under `collides`: an attempt succeeds iff it collides with no other."""
+    success = [True] * len(attempts)
+    active: list[int] = []  # attempts not yet ended by the current start
+    for i in sorted(range(len(attempts)), key=lambda i: attempts[i].start):
+        a = attempts[i]
+        active = [j for j in active if attempts[j].start + attempts[j].airtime > a.start]
+        for j in active:
+            if collides(a, attempts[j]):
+                success[i] = success[j] = False
+        active.append(i)
+    return success

@@ -134,19 +134,16 @@ def attempt_spy(monkeypatch):
     Returns `attempts(result)`: the run's (TxAttempt, delivered) pairs in
     settling order, where delivered is whether that attempt got through.
     """
-    from leolora.engine import PacketState, Simulator, TxAttempt
+    from leolora.engine import PacketState, Simulator
 
     real = Simulator._on_attempt_end
     logs: dict[int, tuple[list, list]] = {}  # id(sim.nodes) -> (sim.nodes, log)
 
     def spy(sim, now, payload):
-        _, packet, k = payload
+        _, packet, _, attempt = payload
         settles = packet.state is PacketState.IN_FLIGHT
         real(sim, now, payload)
-        start, receiver, _ = packet.attempts[k]
-        if settles and receiver is not None:
-            attempt = TxAttempt(start=start, airtime=sim.toa, channel=0,
-                                sf=sim.sc.radio.spreading_factor, receiver=receiver)
+        if settles and attempt is not None:
             log = logs.setdefault(id(sim.nodes), (sim.nodes, []))[1]
             log.append((attempt, packet.state is PacketState.DELIVERED))
 

@@ -9,7 +9,13 @@ import time
 
 import numpy as np
 
-from leolora import engine
+from leolora import (
+    TxAttempt,
+    engine,
+    gateway_compute_fleet_degradation,
+    resolve_collisions,
+    run_degradation_curve,
+)
 from leolora.airtime import RadioConfig, time_on_air
 from leolora.battery import (
     CycleStress,
@@ -20,12 +26,6 @@ from leolora.battery import (
 )
 from leolora.config import parse_scenario
 from leolora.energy import ewma_update
-from leolora.engine import (
-    TxAttempt,
-    gateway_compute_fleet_degradation,
-    resolve_collisions,
-    run_degradation_curve,
-)
 from leolora.mac import TxDecision, run_transmission_sequence
 from leolora.orbit import ECLIPSE, SUN, ForecastWindow, build_schedule, sun_seconds
 from leolora.report import NodeBatteryReport

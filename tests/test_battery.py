@@ -234,7 +234,7 @@ class TestTypes:
             ThermalProfile(t_sun_k=-1.0, t_eclipse_k=263.0)
 
     def test_battery_state_effective_capacity(self):
-        state = BatteryState(soc=0.5, capacity_rated_ah=25.0, voltage_nominal_v=28.0,
+        state = BatteryState(capacity_rated_ah=25.0, voltage_nominal_v=28.0,
                              fade_fraction=0.1)
         assert state.capacity_rated_j == pytest.approx(25.0 * 28.0 * 3600.0)
 

@@ -249,7 +249,7 @@ class TestCliAirtime:
 
 class TestCliSchedule:
     def test_sun_fraction_exact_over_one_orbit(self, capsys):
-        assert main(["schedule", "--horizon-s", "5400", "--format", "json"]) == 0
+        assert main(["schedule", "--horizon-s", "5400"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["sun_fraction"] == 3300.0 / 5400.0
 
@@ -277,3 +277,18 @@ class TestCliSchedule:
 
     def test_bad_horizon_exits_2(self):
         assert main(["schedule", "--horizon-s", "-5"]) == 2
+
+
+class TestCliOptions:
+    @pytest.mark.parametrize("argv", [
+        ["degradation", "--seed", "1"],
+        ["airtime", "--seed", "1"],
+        ["schedule", "--seed", "1"],
+        ["schedule", "--format", "csv"],
+    ])
+    def test_options_a_command_would_ignore_exit_2(self, argv, capsys):
+        # only `simulate` is seeded, and `schedule` writes JSON alone
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

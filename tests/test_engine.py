@@ -1,23 +1,21 @@
-"""Event engine: collisions, gateway accounting, orbit stepping, full runs."""
+"""Collision law, gateway accounting, orbit stepping, and full engine runs."""
 
 import json
 
 import numpy as np
 import pytest
 
-from leolora.battery import BatteryState, ThermalProfile
-from leolora.engine import (
-    OrbitLedger,
-    Simulator,
-    TxAttempt,
-    gateway_compute_fleet_degradation,
-    resolve_collisions,
-    run,
+from leolora import engine
+from leolora.battery import (
+    BatteryState,
+    ThermalProfile,
     run_degradation_curve,
     step_battery_per_orbit,
 )
+from leolora.engine import Simulator, run
+from leolora.mac import TxAttempt, resolve_collisions
 from leolora.orbit import sun_seconds
-from leolora.report import NodeBatteryReport
+from leolora.report import NodeBatteryReport, gateway_compute_fleet_degradation
 
 from conftest import make_scenario
 from oracles import oracle_calendar, oracle_cycle, oracle_sei
@@ -116,13 +114,12 @@ class TestOrbitStepping:
     THERMAL = ThermalProfile(t_sun_k=303.0, t_eclipse_k=263.0)
 
     def fresh_state(self):
-        return BatteryState(soc=0.5, capacity_rated_ah=25.0, voltage_nominal_v=28.0)
+        return BatteryState(capacity_rated_ah=25.0, voltage_nominal_v=28.0)
 
     def test_zero_discharge_advances_calendar_only(self, default_scenario):
         state = self.fresh_state()
-        ledger = OrbitLedger(duration_s=5400.0, discharge_j=0.0)
         step_battery_per_orbit(state, default_scenario.battery.params, self.THERMAL,
-                               ledger, dod_reference=0.4, c_rate_reference=12.5,
+                               5400.0, 0.0, dod_reference=0.4, c_rate_reference=12.5,
                                soc_reference=0.825)
         assert state.cycles_completed == 0.0
         assert state.calendar_days == pytest.approx(5400.0 / 86400.0)
@@ -131,9 +128,9 @@ class TestOrbitStepping:
 
     def test_reference_orbit_is_exactly_one_cycle(self, default_scenario):
         state = self.fresh_state()
-        ledger = OrbitLedger(duration_s=5400.0, discharge_j=0.4 * state.capacity_rated_j)
         dod = step_battery_per_orbit(state, default_scenario.battery.params, self.THERMAL,
-                                     ledger, dod_reference=0.4, c_rate_reference=12.5,
+                                     5400.0, 0.4 * state.capacity_rated_j,
+                                     dod_reference=0.4, c_rate_reference=12.5,
                                      soc_reference=0.825)
         assert state.cycles_completed == pytest.approx(1.0, rel=1e-12)
         assert dod == pytest.approx(0.4, rel=1e-12)
@@ -343,8 +340,9 @@ class TestFullRuns:
                 assert sun_s == sun_seconds(node.orbit, node.slot_time(k), node.slot_time(k + 1))
         assert moved
 
-    def test_engine_outcomes_match_collision_law(self, tmp_path, default_dict, attempt_spy):
-        # two nodes sharing identical override windows at one station
+    @staticmethod
+    def shared_override_scenario(tmp_path, default_dict):
+        """Two nodes sharing identical override windows at one station."""
         windows = []
         for k in range(16):
             start = k * 5400.0
@@ -353,7 +351,7 @@ class TestFullRuns:
                                 "end_s": start + 1800.0, "phase": "sun"})
         path = tmp_path / "override.json"
         path.write_text(json.dumps(windows))
-        sc = make_scenario(
+        return make_scenario(
             default_dict,
             **{
                 "sim.node_count": 2,
@@ -365,12 +363,33 @@ class TestFullRuns:
                 "energy.e_critical_j": 0.0,
             },
         )
+
+    def test_engine_outcomes_match_collision_law(self, tmp_path, default_dict, attempt_spy):
+        sc = self.shared_override_scenario(tmp_path, default_dict)
         log = attempt_spy(run(sc))
         attempts = [a for a, _ in log]
         outcomes = [ok for _, ok in log]
         assert attempts, "override scenario should produce attempts"
         assert resolve_collisions(attempts) == outcomes
         assert any(not ok for ok in outcomes), "expected at least one collision"
+
+    def test_engine_settles_through_collides(self, tmp_path, default_dict, attempt_spy,
+                                             monkeypatch):
+        # with a law under which everything collides, an attempt gets through
+        # iff the engine never had another packet's attempt to ask it about
+        asked = []
+
+        def always(a, b):
+            asked.append(a)
+            return True
+
+        monkeypatch.setattr(engine, "collides", always)
+        log = attempt_spy(run(self.shared_override_scenario(tmp_path, default_dict)))
+        asked_about = {id(a) for a in asked}
+        assert asked_about
+        assert any(ok for _, ok in log)
+        for attempt, ok in log:
+            assert ok == (id(attempt) not in asked_about)
 
     def test_schedule_override_drives_transmissions(self, tmp_path, default_dict):
         windows = [{"node": 0, "target": "gw", "start_s": 600.0, "end_s": 1200.0,
