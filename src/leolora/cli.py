@@ -138,8 +138,7 @@ def cmd_airtime(args: argparse.Namespace) -> int:
     if args.format == "json":
         text = json.dumps(figures, indent=2) + "\n"
     else:
-        width = max(len(k) for k in figures)
-        text = "".join(f"{k:<{width}}  {v}\n" for k, v in figures.items())
+        text = "key,value\n" + "".join(f"{k},{v}\n" for k, v in figures.items())
     _write_or_print(text, args.out)
     return EXIT_OK
 

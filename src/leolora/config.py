@@ -21,7 +21,7 @@ from .airtime import RadioConfig, time_on_air, tx_energy
 from .battery import CycleStress, DegradationParams, ThermalProfile, cycle_aging
 from .energy import HarvestModel, PowerProfile
 from .exceptions import ValidationError
-from .mac import MacConfig, nominal_backoff_base
+from .mac import MacConfig, nominal_backoff_base, transmit_stress
 from .orbit import GroundStation, OrbitConfig, TWO_PI
 from .report import MAX_DOD_OBSERVATIONS, MAX_NODE_ID
 
@@ -392,7 +392,6 @@ def parse_scenario(data: dict) -> ScenarioConfig:
             w_energy=mac_r.number("w_energy", required=True, minimum=0.0),
             dif_ref=dif_ref,
             max_attempts=max_attempts,
-            slot_budget_s=slot_budget,
             backoff_base_s=backoff,
             deadline_s=deadline_orbits * orbit.period_s,
         )
@@ -467,8 +466,7 @@ def default_dif_ref(battery: BatteryScenario, profile: PowerProfile) -> float:
     drawn from the battery (the eclipse case).
     """
     base = battery.base_stress
-    marginal = profile.e_cons_tx_j - profile.e_sleep_j
-    stressed = replace(base, dod=min(1.0, base.dod + marginal / battery.capacity_rated_j))
+    stressed = transmit_stress(base, battery.capacity_rated_j, profile, slot_harvest_j=0.0)
     ref = cycle_aging(battery.params, stressed, 1.0) - cycle_aging(battery.params, base, 1.0)
     return max(ref, 1e-30)
 

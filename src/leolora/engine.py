@@ -57,8 +57,8 @@ from .exceptions import ContractError
 from .mac import (
     DropReason,
     TxAttempt,
-    TxDecision,
     collides,
+    phase_dif,
     run_transmission_sequence,
     select_forecast_window,
 )
@@ -214,6 +214,9 @@ class Simulator:
         self.profile = scenario.energy.profile
         self.harvest = scenario.energy.harvest
         self.naive = scenario.sim.protocol == "naive_aloha"
+        battery = scenario.battery
+        self.dif = phase_dif(self.harvest, self.profile, battery.params, battery.base_stress,
+                             battery.capacity_rated_j, scenario.mac.dif_ref)
 
         self._heap: list[tuple[float, tuple, EventKind, tuple]] = []
         self._seq = itertools.count()
@@ -374,9 +377,7 @@ class Simulator:
             self.harvest,
             self.profile,
             self.sc.mac,
-            self.sc.battery.params,
-            self.sc.battery.base_stress,
-            self.sc.battery.capacity_rated_j,
+            self.dif,
             now=now,
             slot_s=self.slot_s,
             min_attempt_s=self.toa,
@@ -400,16 +401,7 @@ class Simulator:
         if end - start < self.toa:
             self._drop(node, packet, "dropped_no_window")
             return
-        pseudo = ForecastWindow(
-            window_id="naive",
-            start=start, end=end,
-            phase=phase_at(node.orbit, start),
-            target="",
-        )
-        starts = run_transmission_sequence(
-            TxDecision.transmit(pseudo), self.sc.radio, self.sc.mac,
-            node.backoff_rng, not_before=start,
-        )
+        starts = run_transmission_sequence(start, end, self.toa, self.sc.mac, node.backoff_rng)
         if not starts:
             self._drop(node, packet, "dropped_no_window")
             return
@@ -470,10 +462,8 @@ class Simulator:
 
         starts: list[float] = []
         if ok and start + self.toa <= window.end:
-            starts = run_transmission_sequence(
-                TxDecision.transmit(window), self.sc.radio, self.sc.mac,
-                node.backoff_rng, not_before=start,
-            )
+            starts = run_transmission_sequence(start, window.end, self.toa, self.sc.mac,
+                                               node.backoff_rng)
         if not starts:
             self._release(node, packet)
             self._decide_aware(node, packet, max(now, node.busy_until))

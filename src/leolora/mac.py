@@ -12,6 +12,11 @@ minimizing
 with ties broken by earliest start.  No feasible window means the packet
 is dropped with a single reason.
 
+DIF depends only on the window's phase and on run constants, so a run
+computes it once per phase (`phase_dif`), and selection is one pass over
+the candidates that keeps the best window and the earliest failure.  A
+transmit then draws its attempts between plain start and end times.
+
 The collision law lives here too: `collides` is the one overlap test, used
 by the engine for every attempt it settles and by `resolve_collisions`.
 """
@@ -20,20 +25,15 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from .airtime import RadioConfig, time_on_air
 from .battery import CycleStress, DegradationParams, degradation_impact_factor
-from .energy import (
-    DEFAULT_SLOT_S,
-    HarvestModel,
-    NodeEnergyState,
-    PowerProfile,
-    estimate_available_energy,
-)
-from .exceptions import ConfigError, ContractError
-from .orbit import SUN, ForecastWindow
+from .energy import HarvestModel, NodeEnergyState, PowerProfile, estimate_available_energy
+from .exceptions import ConfigError
+from .orbit import ECLIPSE, SUN, ForecastWindow
 
 
 class DropReason(enum.Enum):
@@ -75,7 +75,6 @@ class MacConfig:
     w_energy: float
     dif_ref: float
     max_attempts: int = 8
-    slot_budget_s: float = DEFAULT_SLOT_S
     backoff_base_s: float = 0.0
     deadline_s: float = 10800.0
 
@@ -91,30 +90,15 @@ class MacConfig:
             raise ConfigError(f"dif_ref must be > 0, got {self.dif_ref}")
         if self.max_attempts < 1:
             raise ConfigError(f"max_attempts must be >= 1, got {self.max_attempts}")
-        if self.slot_budget_s <= 0 or self.deadline_s <= 0:
-            raise ConfigError("slot budget and deadline must be > 0")
+        if self.deadline_s <= 0:
+            raise ConfigError(f"deadline must be > 0, got {self.deadline_s}")
         if self.backoff_base_s < 0:
             raise ConfigError(f"backoff base must be >= 0, got {self.backoff_base_s}")
 
 
-@dataclass(frozen=True)
-class WindowEvaluation:
-    """How one candidate window fared during selection."""
-
-    window: ForecastWindow
-    feasible: bool
-    estimate_j: float
-    psi_j: float
-    threshold_j: float
-    dif: float | None = None
-    objective: float | None = None
-    fail_reason: DropReason | None = None
-
-
-@dataclass(frozen=True)
-class SelectionResult:
+class SelectionResult(NamedTuple):
     decision: TxDecision
-    evaluations: tuple[WindowEvaluation, ...]
+    estimate_j: float | None  # the chosen window's projected energy; None on a drop
 
 
 def nominal_backoff_base(radio: RadioConfig, slot_budget_s: float, max_attempts: int) -> float:
@@ -128,51 +112,38 @@ def nominal_backoff_base(radio: RadioConfig, slot_budget_s: float, max_attempts:
     return max(0.0, 4.0 * spare / (max_attempts * (max_attempts + 1)))
 
 
-def marginal_tx_discharge(
-    window_phase: str, harvest: HarvestModel, profile: PowerProfile
-) -> float:
-    """Extra battery draw (J) a transmit slot causes over an idle slot.
+def transmit_stress(
+    base_stress: CycleStress, capacity_j: float, profile: PowerProfile, slot_harvest_j: float
+) -> CycleStress:
+    """Cycle stress of an orbit in which one idle slot becomes a transmit slot.
 
-    In sunlight the harvest covers consumption first; only the shortfall
-    hits the battery.  In eclipse the full consumption difference does.
+    The slot's harvest covers consumption first, so only the part of the
+    extra transmit draw that it leaves uncovered deepens the discharge; in
+    eclipse (no harvest) the full consumption difference does.
     """
-    slot_harvest = harvest.slot_harvest(1.0) if window_phase == SUN else 0.0
-    discharge_tx = max(0.0, profile.e_cons_tx_j - slot_harvest)
-    discharge_idle = max(0.0, profile.e_sleep_j - slot_harvest)
-    return discharge_tx - discharge_idle
+    marginal = (max(0.0, profile.e_cons_tx_j - slot_harvest_j)
+                - max(0.0, profile.e_sleep_j - slot_harvest_j))
+    return replace(base_stress, dod=min(1.0, base_stress.dod + marginal / capacity_j))
 
 
-def window_dif(
-    window: ForecastWindow,
+def phase_dif(
     harvest: HarvestModel,
     profile: PowerProfile,
     deg: DegradationParams,
     base_stress: CycleStress,
     capacity_j: float,
     dif_ref: float,
-) -> float:
-    """Degradation impact of transmitting in this window, in [0, 1]."""
-    marginal = marginal_tx_discharge(window.phase, harvest, profile)
-    stress_tx = replace(base_stress, dod=min(1.0, base_stress.dod + marginal / capacity_j))
-    return degradation_impact_factor(deg, stress_tx, base_stress, dif_ref)
+) -> dict[str, float]:
+    """DIF, in [0, 1], of transmitting in a window of each phase.
 
-
-def choose_window(evaluations: list[WindowEvaluation]) -> TxDecision:
-    """Argmin of the weighted objective over feasible windows.
-
-    Ties break by earliest start, then window id, so the outcome is
-    independent of input ordering.  With no feasible window the drop
-    reason is the earliest candidate's failure; with no candidates at
-    all it is NO_WINDOW.
+    It depends only on the window's phase and on run constants, so a run
+    computes it once per phase.
     """
-    feasible = [e for e in evaluations if e.feasible]
-    if feasible:
-        best = min(feasible, key=lambda e: (e.objective, e.window.start, e.window.window_id))
-        return TxDecision.transmit(best.window)
-    ordered = sorted(evaluations, key=lambda e: (e.window.start, e.window.window_id))
-    if ordered:
-        return TxDecision.drop(ordered[0].fail_reason)
-    return TxDecision.drop(DropReason.NO_WINDOW)
+    def dif(slot_harvest_j: float) -> float:
+        stress = transmit_stress(base_stress, capacity_j, profile, slot_harvest_j)
+        return degradation_impact_factor(deg, stress, base_stress, dif_ref)
+
+    return {SUN: dif(harvest.slot_harvest(1.0)), ECLIPSE: dif(0.0)}
 
 
 def select_forecast_window(
@@ -181,80 +152,65 @@ def select_forecast_window(
     harvest: HarvestModel,
     profile: PowerProfile,
     mac: MacConfig,
-    deg: DegradationParams,
-    base_stress: CycleStress,
-    capacity_j: float,
-    now: float = 0.0,
-    slot_s: float = DEFAULT_SLOT_S,
+    dif: dict[str, float],
+    now: float,
+    slot_s: float,
     min_attempt_s: float = 0.0,
 ) -> SelectionResult:
-    """Run the on-sensor selection over the candidate windows.
+    """Run the on-sensor selection over the candidate windows in one pass.
 
     `windows` must already be restricted to the node's candidate horizon;
-    windows too short to fit one attempt after `now` are ignored.
+    windows too short to fit one attempt after `now` are ignored.  `dif`
+    maps each phase to its DIF (`phase_dif`).  The feasible window of least
+    objective wins, ties broken by earliest start, then window id, so the
+    outcome is independent of input ordering.  With no feasible window the
+    drop reason is the earliest candidate's failure; with no candidates at
+    all it is NO_WINDOW.
     """
     psi = energy.phi_j - energy.reserved_j
-    evaluations: list[WindowEvaluation] = []
+    sun_threshold = energy.phi_min_j + energy.e_critical_j
+    eclipse_ok = psi > energy.phi_min_j
+    best = None     # (objective, start, window_id), window, estimate
+    failed = None   # (start, window_id), reason
     for window in windows:
         if max(window.start, now) + min_attempt_s > window.end:
             continue
         estimate = estimate_available_energy(energy, window, harvest, profile, slot_s)
         if window.phase == SUN:
-            threshold = energy.phi_min_j + energy.e_critical_j
-            feasible = estimate >= threshold
-            fail = None if feasible else DropReason.INSUFFICIENT_ENERGY_SUN
+            fail = None if estimate >= sun_threshold else DropReason.INSUFFICIENT_ENERGY_SUN
         else:
-            threshold = energy.phi_min_j
-            feasible = psi > threshold
-            fail = None if feasible else DropReason.BELOW_RESERVE_ECLIPSE
-        dif = None
-        objective = None
-        if feasible:
-            dif = window_dif(window, harvest, profile, deg, base_stress, capacity_j, mac.dif_ref)
-            objective = mac.w_dif * dif + mac.w_energy * estimate / energy.phi_max_j
-        evaluations.append(
-            WindowEvaluation(
-                window=window,
-                feasible=feasible,
-                estimate_j=estimate,
-                psi_j=psi,
-                threshold_j=threshold,
-                dif=dif,
-                objective=objective,
-                fail_reason=fail,
-            )
-        )
-    return SelectionResult(
-        decision=choose_window(evaluations),
-        evaluations=tuple(evaluations),
-    )
+            fail = None if eclipse_ok else DropReason.BELOW_RESERVE_ECLIPSE
+        if fail is not None:
+            key = (window.start, window.window_id)
+            if failed is None or key < failed[0]:
+                failed = (key, fail)
+            continue
+        objective = mac.w_dif * dif[window.phase] + mac.w_energy * estimate / energy.phi_max_j
+        key = (objective, window.start, window.window_id)
+        if best is None or key < best[0]:
+            best = (key, window, estimate)
+    if best is not None:
+        return SelectionResult(TxDecision.transmit(best[1]), best[2])
+    return SelectionResult(TxDecision.drop(failed[1] if failed else DropReason.NO_WINDOW), None)
 
 
 def run_transmission_sequence(
-    decision: TxDecision,
-    radio: RadioConfig,
-    mac: MacConfig,
-    rng: np.random.Generator,
-    not_before: float | None = None,
+    start: float, end: float, toa: float, mac: MacConfig, rng: np.random.Generator
 ) -> list[float]:
-    """Attempt start times for one packet inside its selected window.
+    """Attempt start times for one packet sent from `start` until `end`.
 
     Attempt k starts after a uniform backoff on [0, k*b0] following the
-    previous attempt; attempts that would not finish inside the window are
-    cut, truncating the sequence.
+    previous attempt; attempts that would not finish by `end` are cut,
+    truncating the sequence.
     """
-    if not decision.is_transmit:
-        raise ContractError("cannot run a transmission sequence for a dropped packet")
-    window = decision.window
-    toa = time_on_air(radio)
-    t = window.start if not_before is None else max(window.start, not_before)
+    t = start
     starts: list[float] = []
     for k in range(1, mac.max_attempts + 1):
-        start = t + rng.uniform(0.0, k * mac.backoff_base_s)
-        if start + toa > window.end:
+        s = t + rng.uniform(0.0, k * mac.backoff_base_s)
+        if s + toa > end:
             break
-        starts.append(start)
-        t = start + toa
+        starts.append(s)
+        t = s + toa
     return starts
 
 

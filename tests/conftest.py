@@ -10,6 +10,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from leolora.config import default_scenario_dict, parse_scenario
 from leolora.mac import DropReason
+from leolora.orbit import SUN
 
 settings.register_profile(
     "suite",
@@ -96,8 +97,10 @@ def decision_spy(monkeypatch):
     """Record every battery-aware MAC decision through `select_forecast_window`.
 
     Returns `decisions(result)`: one `Decision` per call the run made, in
-    call order.  A transmit reads the chosen window's evaluation; a drop
-    reads the energy state the selection was given.
+    call order.  psi comes from the energy state the selection was given; a
+    transmit adds the chosen window's estimate from the result and the
+    threshold of the paper's phase rule (the reserve plus the eclipse
+    budget in sunlight, the reserve alone in eclipse).
     """
     from leolora import engine
 
@@ -107,13 +110,14 @@ def decision_spy(monkeypatch):
     def spy(windows, energy, *args, **kwargs):
         result = real(windows, energy, *args, **kwargs)
         decision, now = result.decision, kwargs["now"]
+        psi = energy.phi_j - energy.reserved_j
         if decision.is_transmit:
-            ev = next(e for e in result.evaluations if e.window is decision.window)
-            row = (now, True, ev.window.phase, ev.psi_j, energy.phi_min_j,
-                   ev.estimate_j, ev.threshold_j, None)
+            phase = decision.window.phase
+            threshold = (energy.phi_min_j + energy.e_critical_j if phase == SUN
+                         else energy.phi_min_j)
+            row = (now, True, phase, psi, energy.phi_min_j, result.estimate_j, threshold, None)
         else:
-            row = (now, False, None, energy.phi_j - energy.reserved_j, energy.phi_min_j,
-                   None, None, decision.reason)
+            row = (now, False, None, psi, energy.phi_min_j, None, None, decision.reason)
         calls.append((energy, row))
         return result
 

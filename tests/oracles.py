@@ -91,3 +91,57 @@ def oracle_visibility_windows(orbit, station, t0, t1, step):
             windows.append((f"{station.id}:{len(windows)}", start, end, phase))
         i = j + 1
     return windows
+
+
+def oracle_select_window(windows, energy, harvest, profile, params, base_stress, capacity_j,
+                         dif_ref, w_dif, w_energy, now, slot_s, min_attempt_s):
+    """(chosen window, drop reason value, chosen estimate) of one MAC decision.
+
+    Everything but `windows` is read by attribute only.  Every candidate is
+    evaluated first, with its own DIF, and the choice is made afterwards:
+    the feasible window of least (objective, start, window_id), else the
+    reason of the earliest (start, window_id) failure, else "no_window".
+    Floats are computed in the simulator's order of operations.
+    """
+    sun_harvest = min(harvest.e_g_sun_j_per_slot * 1.0, harvest.charge_rate_limit_j_per_slot)
+
+    def aging(dod):
+        arr = math.exp(-params.ea_j_per_mol / (GAS_CONSTANT * base_stress.temperature_k))
+        return params.k2 * dod**params.d * base_stress.c_rate**params.c * arr * 1.0
+
+    def dif(phase):
+        slot_harvest = sun_harvest if phase == "sun" else 0.0
+        marginal = (max(0.0, profile.e_cons_tx_j - slot_harvest)
+                    - max(0.0, profile.e_sleep_j - slot_harvest))
+        dod_tx = min(1.0, base_stress.dod + marginal / capacity_j)
+        extra = aging(dod_tx) - aging(base_stress.dod)
+        return min(max(extra / dif_ref, 0.0), 1.0)
+
+    psi = energy.phi_j - energy.reserved_j
+    evaluations = []  # (window, feasible, estimate, objective, fail reason)
+    for w in windows:
+        if max(w.start, now) + min_attempt_s > w.end:
+            continue
+        n_slots = int((w.end - w.start) // slot_s)
+        if w.phase == "sun":
+            estimate = psi + n_slots * sun_harvest - n_slots * profile.e_sleep_j
+        else:
+            estimate = psi - n_slots * profile.e_sleep_j
+        estimate = min(estimate, energy.phi_max_j)
+        if w.phase == "sun":
+            feasible = estimate >= energy.phi_min_j + energy.e_critical_j
+            fail = "insufficient_energy_sun"
+        else:
+            feasible = psi > energy.phi_min_j
+            fail = "below_reserve_eclipse"
+        objective = None
+        if feasible:
+            objective = w_dif * dif(w.phase) + w_energy * estimate / energy.phi_max_j
+        evaluations.append((w, feasible, estimate, objective, fail))
+
+    feasible = [e for e in evaluations if e[1]]
+    if feasible:
+        best = min(feasible, key=lambda e: (e[3], e[0].start, e[0].window_id))
+        return best[0], None, best[2]
+    ordered = sorted(evaluations, key=lambda e: (e[0].start, e[0].window_id))
+    return None, ordered[0][4] if ordered else "no_window", None

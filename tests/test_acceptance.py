@@ -251,7 +251,7 @@ def test_criterion_07_airtime_oracle_and_sequence_duration(default_scenario):
     rng = np.random.default_rng(707)
     durations = []
     for _ in range(10_000):
-        starts = run_transmission_sequence(TxDecision.transmit(window), radio, mac, rng)
+        starts = run_transmission_sequence(window.start, window.end, toa, mac, rng)
         durations.append(starts[-1] + toa - window.start)
     mean = float(np.mean(durations))
     seq_ok = 36.0 <= mean <= 44.0

@@ -1,4 +1,4 @@
-"""Degradation math: frozen oracle values, edge cases, and properties."""
+"""Degradation math: frozen oracle values, edge cases, properties, and the orbit step."""
 
 import math
 
@@ -16,9 +16,13 @@ from leolora.battery import (
     cycle_aging,
     degradation_impact_factor,
     linear_degradation,
+    run_degradation_curve,
     sei_capacity_fade,
+    step_battery_per_orbit,
 )
 from leolora.exceptions import ConfigError
+
+from oracles import oracle_calendar, oracle_cycle, oracle_sei
 
 # Reference pack constants used throughout: 35 kJ/mol activation energy,
 # 303 K sunlit / 263 K eclipse, DoD 40%, exponents b=1.3, c=1.3, d=1.2.
@@ -243,3 +247,65 @@ class TestTypes:
             CycleStress(dod=1.5, c_rate=1.0, temperature_k=263.0)
         with pytest.raises(ValueError):
             CycleStress(dod=0.4, c_rate=-1.0, temperature_k=263.0)
+
+
+class TestOrbitStepping:
+    THERMAL = ThermalProfile(t_sun_k=303.0, t_eclipse_k=263.0)
+
+    def fresh_state(self):
+        return BatteryState(capacity_rated_ah=25.0, voltage_nominal_v=28.0)
+
+    def test_zero_discharge_advances_calendar_only(self, default_scenario):
+        state = self.fresh_state()
+        step_battery_per_orbit(state, default_scenario.battery.params, self.THERMAL,
+                               5400.0, 0.0, dod_reference=0.4, c_rate_reference=12.5,
+                               soc_reference=0.825)
+        assert state.cycles_completed == 0.0
+        assert state.calendar_days == pytest.approx(5400.0 / 86400.0)
+        assert state.dc_cycle_total == 0.0
+        assert state.dc_cal_total > 0.0
+
+    def test_reference_orbit_is_exactly_one_cycle(self, default_scenario):
+        state = self.fresh_state()
+        dod = step_battery_per_orbit(state, default_scenario.battery.params, self.THERMAL,
+                                     5400.0, 0.4 * state.capacity_rated_j,
+                                     dod_reference=0.4, c_rate_reference=12.5,
+                                     soc_reference=0.825)
+        assert state.cycles_completed == pytest.approx(1.0, rel=1e-12)
+        assert dod == pytest.approx(0.4, rel=1e-12)
+
+    def test_one_year_composes_the_reference_values(self, default_scenario):
+        # 5840 reference orbits = the frozen one-year calendar + cycle values
+        sc = default_scenario
+        rows, state = run_degradation_curve(
+            sc.battery, sc.orbit, sc.energy.profile, sc.sim.slot_s,
+            days=365.0, resolution_days=365.0,
+        )
+        params = sc.battery.params
+        cal = oracle_calendar(params.k1, params.ea_j_per_mol, 303.0, 0.825, params.b, 365.0)
+        cyc = oracle_cycle(params.k2, 0.4, params.d, 12.5, params.c,
+                           params.ea_j_per_mol, 263.0, 5840.0)
+        day, d_linear, fade = rows[-1]
+        assert day == pytest.approx(365.0)
+        assert state.cycles_completed == pytest.approx(5840.0, abs=1e-6)
+        assert d_linear == pytest.approx(cal + cyc, rel=1e-9)
+        assert fade == pytest.approx(
+            oracle_sei(params.alpha_sei, params.k_sei, cal + cyc), rel=1e-9
+        )
+
+    def test_degradation_curve_monotone(self, default_scenario):
+        sc = default_scenario
+        rows, _ = run_degradation_curve(
+            sc.battery, sc.orbit, sc.energy.profile, sc.sim.slot_s,
+            days=30.0, resolution_days=1.0,
+        )
+        fades = [f for _, _, f in rows]
+        assert fades == sorted(fades)
+
+    def test_zero_days_no_rows(self, default_scenario):
+        sc = default_scenario
+        rows, _ = run_degradation_curve(
+            sc.battery, sc.orbit, sc.energy.profile, sc.sim.slot_s,
+            days=0.0, resolution_days=1.0,
+        )
+        assert rows == []

@@ -1,5 +1,7 @@
 """Scenario validation and the command-line surface."""
 
+import csv
+import io
 import json
 import warnings
 
@@ -237,6 +239,17 @@ class TestCliAirtime:
         assert main(["airtime", "--sf", "7", "--format", "json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["time_on_air_s"] == pytest.approx(0.041216, rel=1e-9)
+
+    def test_csv_rows_match_json(self, capsys):
+        assert main(["airtime", "--sf", "10"]) == 0
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+        assert main(["airtime", "--sf", "10", "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert rows[0] == ["key", "value"]
+        assert all(len(row) == 2 for row in rows)
+        assert [key for key, _ in rows[1:]] == list(doc)
+        for key, value in rows[1:]:
+            assert type(doc[key])(value) == doc[key]
 
     def test_invalid_payload_exits_with_diagnostic(self, tmp_path, scenario_dict, capsys):
         scenario_dict["radio"]["payload_bytes"] = 0

@@ -1,175 +1,16 @@
-"""Collision law, gateway accounting, orbit stepping, and full engine runs."""
+"""Full engine runs: accounting, collisions, fades and determinism."""
 
 import json
 
-import numpy as np
 import pytest
 
 from leolora import engine
-from leolora.battery import (
-    BatteryState,
-    ThermalProfile,
-    run_degradation_curve,
-    step_battery_per_orbit,
-)
 from leolora.engine import Simulator, run
-from leolora.mac import TxAttempt, resolve_collisions
+from leolora.mac import resolve_collisions
 from leolora.orbit import sun_seconds
-from leolora.report import NodeBatteryReport, gateway_compute_fleet_degradation
 
 from conftest import make_scenario
-from oracles import oracle_calendar, oracle_cycle, oracle_sei
-
-
-def attempt(start, airtime=1.0, channel=0, sf=10, receiver="gw"):
-    return TxAttempt(start=start, airtime=airtime, channel=channel, sf=sf, receiver=receiver)
-
-
-class TestResolveCollisions:
-    def test_single_attempt_succeeds(self):
-        assert resolve_collisions([attempt(0.0)]) == [True]
-
-    def test_full_overlap_kills_both(self):
-        assert resolve_collisions([attempt(0.0), attempt(0.5)]) == [False, False]
-
-    def test_touching_intervals_do_not_collide(self):
-        assert resolve_collisions([attempt(0.0), attempt(1.0)]) == [True, True]
-
-    def test_different_sf_never_interact(self):
-        got = resolve_collisions([attempt(0.0, sf=10), attempt(0.5, sf=11)])
-        assert got == [True, True]
-
-    def test_different_receivers_never_interact(self):
-        got = resolve_collisions([attempt(0.0, receiver="a"), attempt(0.5, receiver="b")])
-        assert got == [True, True]
-
-    def test_chain_of_overlaps(self):
-        # a-b overlap, b-c overlap, a-c do not: only b collides with both
-        got = resolve_collisions([attempt(0.0), attempt(0.9), attempt(1.8)])
-        assert got == [False, False, False]
-        got = resolve_collisions([attempt(0.0), attempt(2.0), attempt(4.0)])
-        assert got == [True, True, True]
-
-    def test_matches_quadratic_reference(self):
-        rng = np.random.default_rng(3)
-        starts = rng.uniform(0.0, 200.0, size=300)
-        attempts = [attempt(float(s)) for s in starts]
-        got = resolve_collisions(attempts)
-        for i, a in enumerate(attempts):
-            expected = not any(
-                j != i and a.start < b.start + b.airtime and b.start < a.start + a.airtime
-                for j, b in enumerate(attempts)
-            )
-            assert got[i] == expected
-
-
-class TestGateway:
-    def report(self, node=0, start=0.0, end=43200.0, dods=(0.4,) * 8):
-        return NodeBatteryReport(
-            node_id=node, period_start=start, period_end=end, n_slots=1080,
-            n_transmissions=5, energy_consumed_j=2e7, dod_observations=tuple(dods),
-            mean_temperature_sun_k=303.0, mean_temperature_eclipse_k=263.0,
-        )
-
-    def test_empty_reports_empty_assessment(self, default_scenario):
-        got = gateway_compute_fleet_degradation(
-            [], default_scenario.battery.params, soc_reference=0.825, c_rate_reference=12.5
-        )
-        assert got == {}
-
-    def test_zero_cycles_is_calendar_only(self, default_scenario):
-        params = default_scenario.battery.params
-        got = gateway_compute_fleet_degradation(
-            [self.report(dods=())], params, soc_reference=0.825, c_rate_reference=12.5
-        )
-        expected = oracle_calendar(params.k1, params.ea_j_per_mol, 303.0, 0.825, params.b, 0.5)
-        assert got[0].dc_cycle == 0.0
-        assert got[0].dc_cal == pytest.approx(expected, rel=1e-12)
-
-    def test_matches_straight_line_oracle(self, default_scenario):
-        params = default_scenario.battery.params
-        reports = [self.report(node=1), self.report(node=1, start=43200.0, end=86400.0)]
-        got = gateway_compute_fleet_degradation(
-            reports, params, soc_reference=0.825, c_rate_reference=12.5
-        )[1]
-        cal = 2 * oracle_calendar(params.k1, params.ea_j_per_mol, 303.0, 0.825, params.b, 0.5)
-        cyc = 16 * oracle_cycle(params.k2, 0.4, params.d, 12.5, params.c,
-                                params.ea_j_per_mol, 263.0, 1.0)
-        assert got.dc_cal == pytest.approx(cal, rel=1e-12)
-        assert got.dc_cycle == pytest.approx(cyc, rel=1e-12)
-        assert got.fade_fraction == pytest.approx(
-            oracle_sei(params.alpha_sei, params.k_sei, cal + cyc), rel=1e-12
-        )
-
-    def test_overlapping_periods_rejected(self, default_scenario):
-        reports = [self.report(), self.report(start=40000.0, end=90000.0)]
-        with pytest.raises(ValueError, match="overlaps"):
-            gateway_compute_fleet_degradation(
-                reports, default_scenario.battery.params,
-                soc_reference=0.825, c_rate_reference=12.5,
-            )
-
-
-class TestOrbitStepping:
-    THERMAL = ThermalProfile(t_sun_k=303.0, t_eclipse_k=263.0)
-
-    def fresh_state(self):
-        return BatteryState(capacity_rated_ah=25.0, voltage_nominal_v=28.0)
-
-    def test_zero_discharge_advances_calendar_only(self, default_scenario):
-        state = self.fresh_state()
-        step_battery_per_orbit(state, default_scenario.battery.params, self.THERMAL,
-                               5400.0, 0.0, dod_reference=0.4, c_rate_reference=12.5,
-                               soc_reference=0.825)
-        assert state.cycles_completed == 0.0
-        assert state.calendar_days == pytest.approx(5400.0 / 86400.0)
-        assert state.dc_cycle_total == 0.0
-        assert state.dc_cal_total > 0.0
-
-    def test_reference_orbit_is_exactly_one_cycle(self, default_scenario):
-        state = self.fresh_state()
-        dod = step_battery_per_orbit(state, default_scenario.battery.params, self.THERMAL,
-                                     5400.0, 0.4 * state.capacity_rated_j,
-                                     dod_reference=0.4, c_rate_reference=12.5,
-                                     soc_reference=0.825)
-        assert state.cycles_completed == pytest.approx(1.0, rel=1e-12)
-        assert dod == pytest.approx(0.4, rel=1e-12)
-
-    def test_one_year_composes_the_reference_values(self, default_scenario):
-        # 5840 reference orbits = the frozen one-year calendar + cycle values
-        sc = default_scenario
-        rows, state = run_degradation_curve(
-            sc.battery, sc.orbit, sc.energy.profile, sc.sim.slot_s,
-            days=365.0, resolution_days=365.0,
-        )
-        params = sc.battery.params
-        cal = oracle_calendar(params.k1, params.ea_j_per_mol, 303.0, 0.825, params.b, 365.0)
-        cyc = oracle_cycle(params.k2, 0.4, params.d, 12.5, params.c,
-                           params.ea_j_per_mol, 263.0, 5840.0)
-        day, d_linear, fade = rows[-1]
-        assert day == pytest.approx(365.0)
-        assert state.cycles_completed == pytest.approx(5840.0, abs=1e-6)
-        assert d_linear == pytest.approx(cal + cyc, rel=1e-9)
-        assert fade == pytest.approx(
-            oracle_sei(params.alpha_sei, params.k_sei, cal + cyc), rel=1e-9
-        )
-
-    def test_degradation_curve_monotone(self, default_scenario):
-        sc = default_scenario
-        rows, _ = run_degradation_curve(
-            sc.battery, sc.orbit, sc.energy.profile, sc.sim.slot_s,
-            days=30.0, resolution_days=1.0,
-        )
-        fades = [f for _, _, f in rows]
-        assert fades == sorted(fades)
-
-    def test_zero_days_no_rows(self, default_scenario):
-        sc = default_scenario
-        rows, _ = run_degradation_curve(
-            sc.battery, sc.orbit, sc.energy.profile, sc.sim.slot_s,
-            days=0.0, resolution_days=1.0,
-        )
-        assert rows == []
+from oracles import oracle_calendar, oracle_sei
 
 
 class TestFullRuns:

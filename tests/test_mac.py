@@ -1,27 +1,32 @@
-"""Forecast-window selection, retransmission sequences, and reporting."""
+"""Forecast-window selection, retransmission sequences, and the collision law."""
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from leolora import mac as mac_module
 from leolora.airtime import RadioConfig, time_on_air
 from leolora.battery import CycleStress, DegradationParams, cycle_aging
 from leolora.energy import HarvestModel, NodeEnergyState, PowerProfile
-from leolora.exceptions import ConfigError, ContractError
+from leolora.engine import Simulator
+from leolora.exceptions import ConfigError
 from leolora.mac import (
     DropReason,
     MacConfig,
+    TxAttempt,
     TxDecision,
-    WindowEvaluation,
-    choose_window,
-    marginal_tx_discharge,
     nominal_backoff_base,
+    phase_dif,
+    resolve_collisions,
     run_transmission_sequence,
     select_forecast_window,
-    window_dif,
+    transmit_stress,
 )
 from leolora.orbit import ECLIPSE, SUN, ForecastWindow
+
+from conftest import make_scenario
+from oracles import oracle_select_window
 
 PARAMS = DegradationParams(k1=5.5e-3, k2=2.0, ea_j_per_mol=35_000.0,
                            b=1.3, c=1.3, d=1.2, alpha_sei=0.0575, k_sei=121.0)
@@ -30,6 +35,7 @@ CAPACITY_J = 1000.0
 PROFILE = PowerProfile(e_cons_tx_j=10.0, e_sleep_j=1.0)
 HARVEST = HarvestModel(e_g_sun_j_per_slot=20.0, charge_rate_limit_j_per_slot=100.0)
 RADIO = RadioConfig(spreading_factor=10, payload_bytes=10, tx_power_w=0.4)
+TOA = time_on_air(RADIO)
 
 # normalizes the eclipse-transmit marginal to DIF exactly 1
 _ECLIPSE_MARGINAL = PROFILE.e_cons_tx_j - PROFILE.e_sleep_j
@@ -37,12 +43,12 @@ DIF_REF = cycle_aging(
     PARAMS, CycleStress(dod=0.4 + _ECLIPSE_MARGINAL / CAPACITY_J, c_rate=12.5,
                         temperature_k=263.0), 1.0
 ) - cycle_aging(PARAMS, BASE_STRESS, 1.0)
+DIF = phase_dif(HARVEST, PROFILE, PARAMS, BASE_STRESS, CAPACITY_J, DIF_REF)
 
 
 def mac(w_dif=1.0, w_energy=0.0, **kw):
     defaults = dict(beta=0.3, w_dif=w_dif, w_energy=w_energy, dif_ref=DIF_REF,
-                    max_attempts=8, slot_budget_s=40.0, backoff_base_s=2.0,
-                    deadline_s=10800.0)
+                    max_attempts=8, backoff_base_s=2.0, deadline_s=10800.0)
     defaults.update(kw)
     return MacConfig(**defaults)
 
@@ -52,69 +58,151 @@ def state(phi=500.0, phi_min=50.0, e_critical=100.0):
                            e_critical_j=e_critical, ewma_estimate_j=10.0)
 
 
-def select(windows, energy, m=None, **kw):
-    return select_forecast_window(
-        windows, energy, HARVEST, PROFILE, m or mac(), PARAMS,
-        BASE_STRESS, CAPACITY_J, slot_s=40.0, **kw,
-    )
+def select(windows, energy, m=None, now=0.0, **kw):
+    return select_forecast_window(windows, energy, HARVEST, PROFILE, m or mac(), DIF,
+                                  now, 40.0, **kw)
 
 
 class TestWindowDif:
     def test_sun_window_with_covering_harvest_has_zero_impact(self):
-        w = ForecastWindow("w", 0.0, 400.0, SUN, "gs")
-        assert window_dif(w, HARVEST, PROFILE, PARAMS, BASE_STRESS, CAPACITY_J, DIF_REF) == 0.0
+        assert DIF[SUN] == 0.0
 
     def test_eclipse_window_hits_the_envelope(self):
-        w = ForecastWindow("w", 0.0, 400.0, ECLIPSE, "gs")
-        assert window_dif(w, HARVEST, PROFILE, PARAMS, BASE_STRESS, CAPACITY_J, DIF_REF) == 1.0
+        assert DIF[ECLIPSE] == 1.0
 
     def test_marginal_discharge(self):
-        assert marginal_tx_discharge(SUN, HARVEST, PROFILE) == 0.0
-        assert marginal_tx_discharge(ECLIPSE, HARVEST, PROFILE) == pytest.approx(9.0)
+        def extra_dod(slot_harvest_j, profile=PROFILE):
+            stress = transmit_stress(BASE_STRESS, CAPACITY_J, profile, slot_harvest_j)
+            assert (stress.c_rate, stress.temperature_k) == (12.5, 263.0)
+            return (stress.dod - BASE_STRESS.dod) * CAPACITY_J
+
+        assert extra_dod(HARVEST.slot_harvest(1.0)) == 0.0
+        assert extra_dod(0.0) == pytest.approx(9.0)
         # shortfall case: harvest covers sleep but not the transmit slot
-        lean = HarvestModel(e_g_sun_j_per_slot=5.0, charge_rate_limit_j_per_slot=100.0)
-        assert marginal_tx_discharge(SUN, lean, PROFILE) == pytest.approx(5.0)
+        assert extra_dod(5.0) == pytest.approx(5.0)
+        # the stress never exceeds a full discharge
+        heavy = PowerProfile(e_cons_tx_j=5000.0, e_sleep_j=1.0)
+        assert transmit_stress(BASE_STRESS, CAPACITY_J, heavy, 0.0).dod == 1.0
+
+    def test_dif_is_computed_once_per_phase_per_run(self, default_dict, monkeypatch):
+        calls = []
+        real = mac_module.degradation_impact_factor
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(mac_module, "degradation_impact_factor", counting)
+        sc = make_scenario(default_dict, **{"sim.duration_days": 0.5})
+        result = Simulator(sc, seed=4).run()
+        assert result.summary["packets"]["delivered"] > 0
+        assert len(calls) == 2
 
 
 class TestChooseWindow:
-    @staticmethod
-    def _eval(window, objective, feasible=True, reason=None):
-        return WindowEvaluation(window=window, feasible=feasible, estimate_j=500.0,
-                                psi_j=500.0, threshold_j=150.0, dif=None,
-                                objective=objective, fail_reason=reason)
-
     def test_lower_dif_wins_at_equal_energy(self):
         # w_dif=1, w_energy=0: objectives are the DIF values themselves
-        late_good = ForecastWindow("good", 300.0, 600.0, SUN, "gs")
+        late_good = ForecastWindow("good", 300.0, 600.0, ECLIPSE, "gs")
         early_bad = ForecastWindow("bad", 0.0, 200.0, SUN, "gs")
-        decision = choose_window([self._eval(early_bad, 0.6), self._eval(late_good, 0.2)])
-        assert decision.window is late_good
+        result = select_forecast_window([early_bad, late_good], state(), HARVEST, PROFILE,
+                                        mac(), {SUN: 0.6, ECLIPSE: 0.2}, 0.0, 40.0)
+        assert result.decision.window is late_good
 
     def test_tie_breaks_by_earliest_start(self):
         w1 = ForecastWindow("w1", 100.0, 400.0, SUN, "gs")
         w2 = ForecastWindow("w2", 500.0, 800.0, SUN, "gs")
-        decision = choose_window([self._eval(w2, 0.3), self._eval(w1, 0.3)])
-        assert decision.window is w1
+        result = select([w2, w1], state(), m=mac(w_dif=1.0, w_energy=1.0))
+        assert result.decision.window is w1
+        # same objective and start: the window id decides
+        w0 = ForecastWindow("w0", 100.0, 400.0, SUN, "gs")
+        assert select([w1, w0], state()).decision.window is w0
 
     def test_no_candidates_is_no_window(self):
-        assert choose_window([]).reason is DropReason.NO_WINDOW
+        result = select([], state())
+        assert result.decision.reason is DropReason.NO_WINDOW
+        assert result.estimate_j is None
 
     def test_no_feasible_reports_earliest_failure(self):
+        # phi 40 is below the reserve; the sun estimate 40 + 2 * (20 - 1) = 78 < 150
         w1 = ForecastWindow("w1", 0.0, 100.0, ECLIPSE, "gs")
         w2 = ForecastWindow("w2", 200.0, 300.0, SUN, "gs")
-        e1 = self._eval(w1, None, feasible=False, reason=DropReason.BELOW_RESERVE_ECLIPSE)
-        e2 = self._eval(w2, None, feasible=False, reason=DropReason.INSUFFICIENT_ENERGY_SUN)
-        assert choose_window([e2, e1]).reason is DropReason.BELOW_RESERVE_ECLIPSE
+        result = select([w2, w1], state(phi=40.0))
+        assert result.decision.reason is DropReason.BELOW_RESERVE_ECLIPSE
+        assert result.estimate_j is None
 
     @given(st.permutations(range(6)))
     def test_permutation_invariance(self, order):
-        windows = [ForecastWindow(f"w{i}", 100.0 * i, 100.0 * i + 50.0, SUN, "gs")
-                   for i in range(6)]
-        objectives = [0.5, 0.2, 0.9, 0.2, 0.7, 0.4]
-        evals = [self._eval(w, j) for w, j in zip(windows, objectives)]
-        baseline = choose_window(evals)
-        shuffled = choose_window([evals[i] for i in order])
-        assert shuffled.window is baseline.window
+        # w_energy only: the two one-slot windows tie on the least objective
+        durations = [80.0, 50.0, 400.0, 50.0, 300.0, 120.0]
+        windows = [ForecastWindow(f"w{i}", 1000.0 * i, 1000.0 * i + d, SUN, "gs")
+                   for i, d in enumerate(durations)]
+        m = mac(w_dif=0.0, w_energy=1.0)
+        baseline = select(windows, state(), m=m)
+        shuffled = select([windows[i] for i in order], state(), m=m)
+        assert baseline.decision.window is windows[1]
+        assert shuffled.decision.window is baseline.decision.window
+        assert shuffled.estimate_j == baseline.estimate_j == 500.0 + 19.0
+
+
+@st.composite
+def selection_cases(draw):
+    """A random decision: windows of both phases with tied starts, equal
+    objectives and slivers, in shuffled order, over a random energy state,
+    harvest, profile, pack and weights."""
+    n = draw(st.integers(0, 7))
+    ids = draw(st.permutations([f"w{i}" for i in range(n)]))
+    windows = []
+    for window_id in ids:
+        start = draw(st.one_of(st.sampled_from([0.0, 40.0, 100.0, 400.0]),
+                               st.floats(0.0, 3000.0)))
+        duration = draw(st.one_of(st.sampled_from([0.1, 0.2, 40.0, 80.0, 400.0]),
+                                  st.floats(0.01, 1800.0)))
+        phase = draw(st.sampled_from([SUN, ECLIPSE]))
+        windows.append(ForecastWindow(window_id, start, start + duration, phase, "gs"))
+    phi_max = 1000.0
+    energy = NodeEnergyState(
+        phi_j=draw(st.floats(0.0, phi_max)),
+        phi_max_j=phi_max,
+        phi_min_j=draw(st.floats(0.0, 600.0)),
+        e_critical_j=draw(st.floats(0.0, 600.0)),
+        reserved_j=draw(st.sampled_from([0.0, 10.0]) | st.floats(0.0, 300.0)),
+    )
+    e_sleep = draw(st.floats(0.0, 5.0))
+    profile = PowerProfile(e_cons_tx_j=e_sleep + draw(st.floats(0.5, 50.0)), e_sleep_j=e_sleep)
+    harvest = HarvestModel(e_g_sun_j_per_slot=draw(st.sampled_from([0.0, 3.0, 20.0]) |
+                                                   st.floats(0.0, 100.0)),
+                           charge_rate_limit_j_per_slot=draw(st.floats(1.0, 100.0)))
+    base = CycleStress(dod=draw(st.floats(0.0, 0.9)), c_rate=draw(st.floats(0.1, 20.0)),
+                       temperature_k=draw(st.floats(250.0, 320.0)))
+    capacity_j = draw(st.floats(100.0, 1e5))
+    dif_ref = draw(st.sampled_from([DIF_REF, 1e-30]) | st.floats(1e-9, 1.0))
+    weights = st.sampled_from([0.0, 0.25, 1.0]) | st.floats(0.0, 4.0)
+    w_dif, w_energy = draw(weights), draw(weights)
+    if w_dif + w_energy <= 0:
+        w_dif = 1.0
+    m = mac(w_dif=w_dif, w_energy=w_energy, dif_ref=dif_ref)
+    now = draw(st.sampled_from([0.0, 40.0]) | st.floats(0.0, 3000.0))
+    min_attempt_s = draw(st.sampled_from([0.0, 0.3, 50.0]))
+    order = draw(st.permutations(range(n)))
+    return windows, order, energy, harvest, profile, base, capacity_j, m, now, min_attempt_s
+
+
+class TestOnePassSelection:
+    @given(selection_cases())
+    def test_matches_evaluate_all_then_choose(self, case):
+        windows, order, energy, harvest, profile, base, capacity_j, m, now, min_attempt_s = case
+        dif = phase_dif(harvest, profile, PARAMS, base, capacity_j, m.dif_ref)
+        got = select_forecast_window([windows[i] for i in order], energy, harvest, profile,
+                                     m, dif, now, 40.0, min_attempt_s)
+        window, reason, estimate = oracle_select_window(
+            windows, energy, harvest, profile, PARAMS, base, capacity_j, m.dif_ref,
+            m.w_dif, m.w_energy, now, 40.0, min_attempt_s,
+        )
+        if window is not None:
+            assert got.decision.window is window
+        else:
+            assert got.decision.reason.value == reason
+        assert got.estimate_j == estimate
 
 
 class TestSelectForecastWindow:
@@ -167,7 +255,7 @@ class TestSelectForecastWindow:
         sliver = ForecastWindow("s", 0.0, 0.1, SUN, "gs")
         result = select([sliver], state(), min_attempt_s=0.3)
         assert result.decision.reason is DropReason.NO_WINDOW
-        assert result.evaluations == ()
+        assert result.estimate_j is None
 
     def test_no_transmit_violates_safety_thresholds(self):
         # randomized probe: whatever is selected satisfies its phase rule
@@ -186,63 +274,41 @@ class TestSelectForecastWindow:
                         e_critical=float(rng.uniform(0, 400)))
             result = select(windows, st_)
             if result.decision.is_transmit:
-                ev = next(e for e in result.evaluations
-                          if e.window is result.decision.window)
-                if ev.window.phase == ECLIPSE:
-                    assert ev.psi_j > st_.phi_min_j
+                if result.decision.window.phase == ECLIPSE:
+                    assert st_.phi_j - st_.reserved_j > st_.phi_min_j
                 else:
-                    assert ev.estimate_j >= st_.phi_min_j + st_.e_critical_j
+                    assert result.estimate_j >= st_.phi_min_j + st_.e_critical_j
 
 
 class TestTransmissionSequence:
     WINDOW = ForecastWindow("w", 100.0, 1900.0, SUN, "gs")
 
+    def draw(self, m, seed, start=None, end=None):
+        start = self.WINDOW.start if start is None else start
+        end = self.WINDOW.end if end is None else end
+        return run_transmission_sequence(start, end, TOA, m, np.random.default_rng(seed))
+
     def test_single_attempt_zero_backoff_at_window_start(self):
-        m = mac(max_attempts=1, backoff_base_s=0.0)
-        starts = run_transmission_sequence(
-            TxDecision.transmit(self.WINDOW), RADIO, m, np.random.default_rng(0)
-        )
-        assert starts == [100.0]
+        assert self.draw(mac(max_attempts=1, backoff_base_s=0.0), 0) == [100.0]
 
     def test_identical_seeds_identical_schedules(self):
         m = mac()
-        a = run_transmission_sequence(TxDecision.transmit(self.WINDOW), RADIO, m,
-                                      np.random.default_rng(42))
-        b = run_transmission_sequence(TxDecision.transmit(self.WINDOW), RADIO, m,
-                                      np.random.default_rng(42))
-        assert a == b
+        assert self.draw(m, 42) == self.draw(m, 42)
 
     def test_attempts_fit_inside_window(self):
         m = mac()
-        toa = time_on_air(RADIO)
         for seed in range(50):
-            starts = run_transmission_sequence(
-                TxDecision.transmit(self.WINDOW), RADIO, m, np.random.default_rng(seed)
-            )
+            starts = self.draw(m, seed)
             assert len(starts) <= m.max_attempts
             for s in starts:
-                assert self.WINDOW.start <= s and s + toa <= self.WINDOW.end
+                assert self.WINDOW.start <= s and s + TOA <= self.WINDOW.end
 
     def test_short_window_truncates_sequence(self):
-        window = ForecastWindow("w", 0.0, 1.0, SUN, "gs")
-        m = mac(backoff_base_s=2.0)
-        starts = run_transmission_sequence(TxDecision.transmit(window), RADIO, m,
-                                           np.random.default_rng(1))
+        starts = self.draw(mac(backoff_base_s=2.0), 1, start=0.0, end=1.0)
         assert len(starts) <= 2
 
     def test_not_before_shifts_start(self):
-        m = mac(max_attempts=1, backoff_base_s=0.0)
-        starts = run_transmission_sequence(
-            TxDecision.transmit(self.WINDOW), RADIO, m,
-            np.random.default_rng(0), not_before=500.0,
-        )
-        assert starts == [500.0]
-
-    def test_drop_decision_rejected(self):
-        with pytest.raises(ContractError):
-            run_transmission_sequence(
-                TxDecision.drop(DropReason.NO_WINDOW), RADIO, mac(), np.random.default_rng(0)
-            )
+        assert self.draw(mac(max_attempts=1, backoff_base_s=0.0), 0, start=500.0) == [500.0]
 
     def test_nominal_backoff_base_spans_the_slot_budget(self):
         b0 = nominal_backoff_base(RADIO, 40.0, 8)
@@ -267,3 +333,45 @@ class TestDecisionAndConfig:
     def test_beta_range_enforced(self):
         with pytest.raises(ConfigError):
             mac(beta=1.2)
+
+
+def attempt(start, airtime=1.0, channel=0, sf=10, receiver="gw"):
+    return TxAttempt(start=start, airtime=airtime, channel=channel, sf=sf, receiver=receiver)
+
+
+class TestResolveCollisions:
+    def test_single_attempt_succeeds(self):
+        assert resolve_collisions([attempt(0.0)]) == [True]
+
+    def test_full_overlap_kills_both(self):
+        assert resolve_collisions([attempt(0.0), attempt(0.5)]) == [False, False]
+
+    def test_touching_intervals_do_not_collide(self):
+        assert resolve_collisions([attempt(0.0), attempt(1.0)]) == [True, True]
+
+    def test_different_sf_never_interact(self):
+        got = resolve_collisions([attempt(0.0, sf=10), attempt(0.5, sf=11)])
+        assert got == [True, True]
+
+    def test_different_receivers_never_interact(self):
+        got = resolve_collisions([attempt(0.0, receiver="a"), attempt(0.5, receiver="b")])
+        assert got == [True, True]
+
+    def test_chain_of_overlaps(self):
+        # a-b overlap, b-c overlap, a-c do not: only b collides with both
+        got = resolve_collisions([attempt(0.0), attempt(0.9), attempt(1.8)])
+        assert got == [False, False, False]
+        got = resolve_collisions([attempt(0.0), attempt(2.0), attempt(4.0)])
+        assert got == [True, True, True]
+
+    def test_matches_quadratic_reference(self):
+        rng = np.random.default_rng(3)
+        starts = rng.uniform(0.0, 200.0, size=300)
+        attempts = [attempt(float(s)) for s in starts]
+        got = resolve_collisions(attempts)
+        for i, a in enumerate(attempts):
+            expected = not any(
+                j != i and a.start < b.start + b.airtime and b.start < a.start + a.airtime
+                for j, b in enumerate(attempts)
+            )
+            assert got[i] == expected

@@ -1,4 +1,4 @@
-"""Uplink encoding of battery-usage summaries."""
+"""Uplink encoding of battery-usage summaries and the gateway's assessment."""
 
 import pytest
 
@@ -9,7 +9,10 @@ from leolora.report import (
     NodeBatteryReport,
     decode_report,
     encode_report,
+    gateway_compute_fleet_degradation,
 )
+
+from oracles import oracle_calendar, oracle_cycle, oracle_sei
 
 
 def make_report(n_dod=8, **kw):
@@ -80,3 +83,50 @@ class TestValidation:
     def test_dod_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             make_report(n_dod=1, dod_observations=(1.5,))
+
+
+class TestGateway:
+    def report(self, node=0, start=0.0, end=43200.0, dods=(0.4,) * 8):
+        return NodeBatteryReport(
+            node_id=node, period_start=start, period_end=end, n_slots=1080,
+            n_transmissions=5, energy_consumed_j=2e7, dod_observations=tuple(dods),
+            mean_temperature_sun_k=303.0, mean_temperature_eclipse_k=263.0,
+        )
+
+    def test_empty_reports_empty_assessment(self, default_scenario):
+        got = gateway_compute_fleet_degradation(
+            [], default_scenario.battery.params, soc_reference=0.825, c_rate_reference=12.5
+        )
+        assert got == {}
+
+    def test_zero_cycles_is_calendar_only(self, default_scenario):
+        params = default_scenario.battery.params
+        got = gateway_compute_fleet_degradation(
+            [self.report(dods=())], params, soc_reference=0.825, c_rate_reference=12.5
+        )
+        expected = oracle_calendar(params.k1, params.ea_j_per_mol, 303.0, 0.825, params.b, 0.5)
+        assert got[0].dc_cycle == 0.0
+        assert got[0].dc_cal == pytest.approx(expected, rel=1e-12)
+
+    def test_matches_straight_line_oracle(self, default_scenario):
+        params = default_scenario.battery.params
+        reports = [self.report(node=1), self.report(node=1, start=43200.0, end=86400.0)]
+        got = gateway_compute_fleet_degradation(
+            reports, params, soc_reference=0.825, c_rate_reference=12.5
+        )[1]
+        cal = 2 * oracle_calendar(params.k1, params.ea_j_per_mol, 303.0, 0.825, params.b, 0.5)
+        cyc = 16 * oracle_cycle(params.k2, 0.4, params.d, 12.5, params.c,
+                                params.ea_j_per_mol, 263.0, 1.0)
+        assert got.dc_cal == pytest.approx(cal, rel=1e-12)
+        assert got.dc_cycle == pytest.approx(cyc, rel=1e-12)
+        assert got.fade_fraction == pytest.approx(
+            oracle_sei(params.alpha_sei, params.k_sei, cal + cyc), rel=1e-12
+        )
+
+    def test_overlapping_periods_rejected(self, default_scenario):
+        reports = [self.report(), self.report(start=40000.0, end=90000.0)]
+        with pytest.raises(ValueError, match="overlaps"):
+            gateway_compute_fleet_degradation(
+                reports, default_scenario.battery.params,
+                soc_reference=0.825, c_rate_reference=12.5,
+            )
