@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 import warnings
 from pathlib import Path
@@ -52,6 +53,9 @@ def _write_or_print(text: str, out: str | None):
 def cmd_simulate(args: argparse.Namespace) -> int:
     if args.sweep < 1:
         print("error: sweep must be >= 1", file=sys.stderr)
+        return EXIT_VALIDATION
+    if args.seed is not None and args.seed < 0:
+        print("error: seed must be >= 0", file=sys.stderr)
         return EXIT_VALIDATION
     scenario = _load_config(args.config)
     seeds = [args.seed if args.seed is not None else scenario.sim.seed]
@@ -145,13 +149,12 @@ def cmd_airtime(args: argparse.Namespace) -> int:
 
 def cmd_schedule(args: argparse.Namespace) -> int:
     scenario = _load_config(args.config)
-    horizon = args.horizon_s
-    if horizon is None:
-        horizon = scenario.sim.duration_s
-    if horizon <= 0:
-        print("error: horizon_s must be > 0", file=sys.stderr)
-        return EXIT_VALIDATION
-    step = args.step_s or scenario.sim.schedule_step_s
+    horizon = scenario.sim.duration_s if args.horizon_s is None else args.horizon_s
+    step = scenario.sim.schedule_step_s if args.step_s is None else args.step_s
+    for name, value in (("horizon_s", horizon), ("step_s", step)):
+        if not 0.0 < value < math.inf:   # NaN fails too
+            print(f"error: {name} must be finite and > 0", file=sys.stderr)
+            return EXIT_VALIDATION
 
     windows = []
     for u in range(max(scenario.sim.node_count, 1)):

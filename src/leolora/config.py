@@ -406,7 +406,7 @@ def parse_scenario(data: dict) -> ScenarioConfig:
         node_count=sim_r.integer("node_count", required=True, minimum=0),
         traffic_model=sim_r.string("traffic_model", default="poisson", choices=TRAFFIC_MODELS),
         traffic_rate_per_s=sim_r.number("traffic_rate_per_s", default=0.0, minimum=0.0),
-        seed=sim_r.integer("seed", default=0),
+        seed=sim_r.integer("seed", default=0, minimum=0),
         protocol=sim_r.string("protocol", default="battery_aware", choices=PROTOCOLS),
         report_interval_s=sim_r.number("report_interval_s", default=43200.0,
                                        exclusive_minimum=0.0),

@@ -1,22 +1,26 @@
 """Per-node stored-energy balance, solar harvest, and the EWMA estimator.
 
-`energy_step` is the one owner of the slot law.  From what the node did in
-the slot (transmitted in a sun or eclipse window, or slept) and the slot's
-sunlit seconds it derives the decision variables x, y and the harvest E_g,
-and settles
+The slot law has two owners, one per part.  From what the node did in the
+slot (transmitted in a sun or eclipse window, or slept) and the slot's
+sunlit seconds, `_slot_terms` derives the decision variables x, y and the
+harvest E_g, and gives the terms phi does not enter: y*E_g, the draw
+x*E_cons + (1 - x)*E_sleep and the slot's battery discharge for the orbit
+ledger.  `_phi_step` then settles
 
     phi[t] = phi[t-1] + y[t]*E_g[t] - x[t]*E_cons - (1 - x[t])*E_sleep
 
 with phi clamped to [0, phi_max].  A clamp at zero is a brownout; every
 clamp is reported so the run-level ledger can still be audited exactly.
-The same call gives the slot's battery discharge for the orbit ledger.
+`energy_step` settles one slot through both, and `SlotTotals.add` alone
+updates the running sums.
 
 `settle_slots` settles a run of slots in one call, bit for bit as a loop of
 `energy_step` would, running sums included.  It is for runs that cannot
 brown out: a node's phi drops by at most E_cons per slot, so the first
-floor(phi / E_cons) slots after a settled one are safe.  The engine settles
-such runs lazily and steps a slot through `energy_step` wherever a
-brownout could happen.
+floor(phi / E_cons) slots after a settled one are safe.  A slot's terms
+depend only on (tx_phase, sun_s) and the run's constants, so a run keeps
+them in a memo it passes in.  The engine settles such runs lazily and
+steps a slot through `energy_step` wherever a brownout could happen.
 """
 
 from __future__ import annotations
@@ -108,14 +112,20 @@ class SlotEnergy(NamedTuple):
     brownout: bool
 
 
-def _slot_law(phi, phi_max, tx_phase, sun_s, slot_s, harvest, profile):
-    """(phi after the slot, harvested, consumed, discharge, raw phi before clamping)."""
+def _slot_terms(tx_phase, sun_s, slot_s, harvest, profile) -> tuple[float, float, float]:
+    """(harvested, consumed, discharge) of a slot: the part of the slot law phi does not enter.
+
+    x and y follow from tx_phase and sun_s, E_g from the slot's sunlit
+    share.  The battery discharges wherever the bus draw beats harvest: the
+    sleep draw through the slot's eclipse seconds, the shortfall below it
+    in sunlight, and a transmit's extra draw in an eclipse window.  A sun
+    window's transmit is taken as covered by harvest.
+    """
     x = 0 if tx_phase is None else 1
     y = 1 if sun_s > 0.0 else 0
     e_g = harvest.slot_harvest(min(max(sun_s / slot_s, 0.0), 1.0)) if y else 0.0
     harvested = y * e_g
     consumed = x * profile.e_cons_tx_j + (1 - x) * profile.e_sleep_j
-    raw = phi + (harvested - consumed)   # this order: outputs are pinned bit for bit
 
     bus_rate = profile.e_sleep_j / slot_s
     discharge = bus_rate * (slot_s - sun_s)
@@ -125,7 +135,13 @@ def _slot_law(phi, phi_max, tx_phase, sun_s, slot_s, harvest, profile):
             discharge += (bus_rate - harvest_rate) * sun_s
     if tx_phase == ECLIPSE:
         discharge += profile.e_cons_tx_j - profile.e_sleep_j
-    return min(max(raw, 0.0), phi_max), harvested, consumed, discharge, raw
+    return harvested, consumed, discharge
+
+
+def _phi_step(phi: float, phi_max: float, delta: float) -> tuple[float, float]:
+    """(phi after the slot, raw phi before clamping) for a slot adding harvested - consumed."""
+    raw = phi + delta   # phi + (harvested - consumed): outputs are pinned bit for bit
+    return min(max(raw, 0.0), phi_max), raw
 
 
 def energy_step(
@@ -142,16 +158,11 @@ def energy_step(
     or None if it slept (x = 0); sun_s is the slot's sunlit time, which
     sets y and E_g.  A brownout (clamp at zero) is reported to the caller,
     which must force the node to sleep for the following slot.
-
-    The battery discharges wherever the bus draw beats harvest: the sleep
-    draw through the slot's eclipse seconds, the shortfall below it in
-    sunlight, and a transmit's extra draw in an eclipse window.  A sun
-    window's transmit is taken as covered by harvest.
     """
     if tx_phase not in (None, SUN, ECLIPSE):
         raise ValueError(f"transmit phase must be None, {SUN} or {ECLIPSE}, got {tx_phase!r}")
-    phi, harvested, consumed, discharge, raw = _slot_law(
-        state.phi_j, state.phi_max_j, tx_phase, sun_s, slot_s, harvest, profile)
+    harvested, consumed, discharge = _slot_terms(tx_phase, sun_s, slot_s, harvest, profile)
+    phi, raw = _phi_step(state.phi_j, state.phi_max_j, harvested - consumed)
     state.phi_j = phi
     return SlotEnergy(harvested, consumed, discharge, phi - raw, raw < 0.0)
 
@@ -174,17 +185,18 @@ class SlotTotals:
     clamp_count: int = 0
     clamp_total_j: float = 0.0
 
-    def add(self, slot: SlotEnergy, slot_s: float) -> None:
-        """Add one slot that `energy_step` settled."""
-        self.consumed_j += slot.consumed_j
-        self.harvested_j += slot.harvested_j
-        self.period_consumed_j += slot.consumed_j
+    def add(self, harvested_j: float, consumed_j: float, discharge_j: float, clamp_j: float,
+            slot_s: float) -> None:
+        """Add one settled slot: its `SlotEnergy` figures and its length."""
+        self.consumed_j += consumed_j
+        self.harvested_j += harvested_j
+        self.period_consumed_j += consumed_j
         self.period_slots += 1
         self.orbit_s += slot_s
-        self.orbit_discharge_j += slot.discharge_j
-        if slot.clamp_j:
+        self.orbit_discharge_j += discharge_j
+        if clamp_j:
             self.clamp_count += 1
-            self.clamp_total_j += slot.clamp_j
+            self.clamp_total_j += clamp_j
 
 
 def settle_slots(
@@ -195,6 +207,7 @@ def settle_slots(
     slot_s: float,
     harvest: HarvestModel,
     profile: PowerProfile,
+    memo: dict[tuple, tuple[float, float, float, float]],
 ) -> None:
     """Settle a run of slots that cannot brown out, as `energy_step` and `SlotTotals.add` would.
 
@@ -204,14 +217,25 @@ def settle_slots(
     included, and `SlotTotals.add` takes it, in slot order.  A brownout
     belongs to `energy_step`'s caller, which must react to it, so reaching
     one here is a broken contract.
+
+    memo maps (tx_phase, sun_s) to the slot's `_slot_terms` and their
+    harvested - consumed, and fills as slots miss it.  The terms also depend
+    on slot_s, harvest and profile, so a memo must only ever see one set of
+    those: a run keeps its own.  Keys 0.0 and -0.0 are one key, and give
+    the same terms.
     """
     phi, phi_max = state.phi_j, state.phi_max_j
-    for tx_phase, s in zip(tx_phases, sun_s, strict=True):
-        phi, harvested, consumed, discharge, raw = _slot_law(
-            phi, phi_max, tx_phase, s, slot_s, harvest, profile)
+    add = totals.add
+    for key in zip(tx_phases, sun_s, strict=True):
+        terms = memo.get(key)
+        if terms is None:
+            harvested, consumed, discharge = _slot_terms(*key, slot_s, harvest, profile)
+            terms = memo[key] = (harvested, consumed, discharge, harvested - consumed)
+        harvested, consumed, discharge, delta = terms
+        phi, raw = _phi_step(phi, phi_max, delta)
         if raw < 0.0:
             raise ContractError(f"a batch-settled slot browns out (raw phi {raw})")
-        totals.add(SlotEnergy(harvested, consumed, discharge, phi - raw, False), slot_s)
+        add(harvested, consumed, discharge, phi - raw, slot_s)
     state.phi_j = phi
 
 

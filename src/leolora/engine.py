@@ -217,6 +217,8 @@ class Simulator:
         battery = scenario.battery
         self.dif = phase_dif(self.harvest, self.profile, battery.params, battery.base_stress,
                              battery.capacity_rated_j, scenario.mac.dif_ref)
+        # `settle_slots` terms by (tx_phase, sun_s); they hold for this run's constants only
+        self._slot_terms: dict = {}
 
         self._heap: list[tuple[float, tuple, EventKind, tuple]] = []
         self._seq = itertools.count()
@@ -530,7 +532,8 @@ class Simulator:
         slot = energy_step(node.energy, tx_phase,
                            sun_seconds(node.orbit, node.slot_time(idx), t_end),
                            self.slot_s, self.harvest, self.profile)
-        node.totals.add(slot, self.slot_s)
+        node.totals.add(slot.harvested_j, slot.consumed_j, slot.discharge_j, slot.clamp_j,
+                        self.slot_s)
         node.settled = k
 
         if slot.brownout:
@@ -597,10 +600,13 @@ class Simulator:
         first = node.settled
         if upto <= first:
             return
-        phases = [node.tx_slot_info.pop(i, None) for i in range(first, upto)]
-        edges = [node.slot_time(k) for k in range(first, upto + 1)]
-        settle_slots(node.energy, node.totals, phases, sun_seconds_per_slot(node.orbit, edges),
-                     self.slot_s, self.harvest, self.profile)
+        phases = [None] * (upto - first)
+        tx = node.tx_slot_info
+        for i in [i for i in tx if first <= i < upto]:
+            phases[i - first] = tx.pop(i)
+        settle_slots(node.energy, node.totals, phases,
+                     sun_seconds_per_slot(node.orbit, node.slot_offset, self.slot_s, first, upto),
+                     self.slot_s, self.harvest, self.profile, self._slot_terms)
         node.settled = upto
 
     def _settle_before_now(self, node: _Node):

@@ -147,13 +147,16 @@ def sun_seconds(config: OrbitConfig, t0: float, t1: float) -> float:
     return _sunlit_below(config, t1 + off) - _sunlit_below(config, t0 + off)
 
 
-def sun_seconds_per_slot(config: OrbitConfig, edges: list[float]) -> list[float]:
-    """Sunlit time of each [edges[i], edges[i + 1]), bit for bit what `sun_seconds` gives.
+def sun_seconds_per_slot(config: OrbitConfig, offset: float, slot_s: float,
+                         first: int, upto: int) -> list[float]:
+    """Sunlit time of slots first .. upto - 1 on the grid T_k = offset + k * slot_s.
 
-    Each edge is evaluated once, so a run of n slots costs n + 1 evaluations.
+    Slot k spans [T_k, T_{k+1}); each value is bit for bit what `sun_seconds`
+    gives for it.  Each edge is evaluated once, so n slots cost n + 1
+    evaluations.
     """
     off = config.phase_time_offset_s
-    below = [_sunlit_below(config, t + off) for t in edges]
+    below = [_sunlit_below(config, offset + k * slot_s + off) for k in range(first, upto + 1)]
     return [b - a for a, b in zip(below, below[1:])]
 
 

@@ -62,14 +62,15 @@ def energy_spy(monkeypatch):
         rows_of(state).append((tx_phase, sun_s, slot_s, out))
         return out
 
-    def settle(state, totals, tx_phases, sun_s, slot_s, harvest, profile):
+    def settle(state, totals, tx_phases, sun_s, slot_s, harvest, profile, memo):
         replay, replay_totals = copy.copy(state), copy.copy(totals)
         rows = []
         for tx_phase, s in zip(tx_phases, sun_s):
             out = real_step(replay, tx_phase, s, slot_s, harvest, profile)
-            replay_totals.add(out, slot_s)
+            replay_totals.add(out.harvested_j, out.consumed_j, out.discharge_j, out.clamp_j,
+                              slot_s)
             rows.append((tx_phase, s, slot_s, out))
-        real_settle(state, totals, tx_phases, sun_s, slot_s, harvest, profile)
+        real_settle(state, totals, tx_phases, sun_s, slot_s, harvest, profile, memo)
         assert (replay, replay_totals) == (state, totals)
         rows_of(state).extend(rows)
 

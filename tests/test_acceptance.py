@@ -26,7 +26,7 @@ from leolora.battery import (
 )
 from leolora.config import parse_scenario
 from leolora.energy import ewma_update
-from leolora.mac import TxDecision, run_transmission_sequence
+from leolora.mac import run_transmission_sequence
 from leolora.orbit import ECLIPSE, SUN, ForecastWindow, build_schedule, sun_seconds
 from leolora.report import NodeBatteryReport
 

@@ -91,6 +91,11 @@ class TestValidation:
         with pytest.raises(ValidationError, match="node_count"):
             parse_scenario(scenario_dict)
 
+    def test_negative_seed_rejected(self, scenario_dict):
+        scenario_dict["sim"]["seed"] = -1
+        with pytest.raises(ValidationError, match="seed"):
+            parse_scenario(scenario_dict)
+
     def test_not_json_reports_cleanly(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{nope")
@@ -197,6 +202,14 @@ class TestCliSimulate:
         assert "error: sweep must be >= 1" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("sweep", ["1", "3"])
+    def test_negative_seed_exits_2(self, tmp_path, sweep, capsys):
+        code = main(["simulate", "--seed", "-3", "--sweep", sweep,
+                     "--out", str(tmp_path / "m.csv"), "--summary", str(tmp_path / "s.json")])
+        assert code == 2
+        assert "error: seed must be >= 0" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestCliDegradation:
     def test_zero_years_header_only(self, tmp_path):
@@ -290,6 +303,17 @@ class TestCliSchedule:
 
     def test_bad_horizon_exits_2(self):
         assert main(["schedule", "--horizon-s", "-5"]) == 2
+
+    @pytest.mark.parametrize("option", ["--horizon-s", "--step-s"])
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+    def test_horizon_or_step_not_finite_and_positive_exits_2(self, tmp_path, option, value,
+                                                             capsys):
+        out = tmp_path / "windows.json"
+        argv = ["schedule", "--horizon-s", "5400", option, value, "--out", str(out)]
+        assert main(argv) == 2
+        name = option[2:].replace("-", "_")
+        assert f"error: {name} must be finite and > 0" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestCliOptions:

@@ -125,7 +125,6 @@ def slot_runs(draw):
     offset = draw(st.floats(0.0, slot_s, exclude_max=True))
     first = draw(st.integers(0, 5000))
     n = draw(st.integers(0, 40))
-    edges = [offset + k * slot_s for k in range(first, first + n + 1)]
     e_sleep = draw(st.floats(0.0, 5.0))
     profile = PowerProfile(e_cons_tx_j=e_sleep + draw(st.floats(0.01, 20.0)), e_sleep_j=e_sleep)
     # up to ten times the transmit draw: sunlit runs clamp at phi_max
@@ -137,32 +136,43 @@ def slot_runs(draw):
                         *(draw(st.floats(0.0, 1e6)) for _ in range(2)), draw(st.integers(0, 99)),
                         -draw(st.floats(0.0, 1e4)))
     phases = draw(st.lists(st.sampled_from([None, None, SUN, ECLIPSE]), min_size=n, max_size=n))
-    return state, totals, phases, sun_seconds_per_slot(orbit, edges), slot_s, harvest, profile
+    sun_s = sun_seconds_per_slot(orbit, offset, slot_s, first, first + n)
+    return state, totals, phases, sun_s, slot_s, harvest, profile
 
 
 class TestSettleSlots:
     """`settle_slots` is a loop of `energy_step` and `SlotTotals.add`, bit for bit."""
 
-    @given(slot_runs())
-    def test_batch_equals_slot_by_slot(self, run):
+    @given(slot_runs(), st.data())
+    def test_batch_equals_slot_by_slot(self, run, data):
+        """Two consecutive batches that share one memo, split anywhere, are one slot loop."""
         state, totals, phases, sun_s, slot_s, harvest, profile = run
         ref_state, ref_totals = copy.copy(state), copy.copy(totals)
         brownout = False
         for tx_phase, s in zip(phases, sun_s):
             slot = energy_step(ref_state, tx_phase, s, slot_s, harvest, profile)
             brownout |= slot.brownout
-            ref_totals.add(slot, slot_s)
+            ref_totals.add(slot.harvested_j, slot.consumed_j, slot.discharge_j, slot.clamp_j,
+                           slot_s)
+        split = data.draw(st.integers(0, len(phases)))
+        memo = {}
+
+        def settle_both():
+            for part in (slice(None, split), slice(split, None)):
+                settle_slots(state, totals, phases[part], sun_s[part], slot_s, harvest, profile,
+                             memo)
+
         if brownout:
             with pytest.raises(ContractError):
-                settle_slots(state, totals, phases, sun_s, slot_s, harvest, profile)
+                settle_both()
             return
-        settle_slots(state, totals, phases, sun_s, slot_s, harvest, profile)
+        settle_both()
         assert _bits(state) == _bits(ref_state)
         assert _bits(totals) == _bits(ref_totals)
 
     def test_clamps_at_capacity_are_counted(self):
         state, totals = fresh_state(phi=195.0), SlotTotals()
-        settle_slots(state, totals, [None] * 3, [SLOT_S] * 3, SLOT_S, HARVEST, PROFILE)
+        settle_slots(state, totals, [None] * 3, [SLOT_S] * 3, SLOT_S, HARVEST, PROFILE, {})
         assert state.phi_j == 200.0
         assert (totals.clamp_count, totals.clamp_total_j) == (3, -(4.0 + 9.0 + 9.0))
         assert (totals.period_slots, totals.orbit_s) == (3, 3 * SLOT_S)
@@ -170,7 +180,7 @@ class TestSettleSlots:
     def test_a_brownout_is_a_broken_contract(self):
         with pytest.raises(ContractError):
             settle_slots(fresh_state(phi=6.0), SlotTotals(), [ECLIPSE, ECLIPSE], [0.0, 0.0],
-                         SLOT_S, HARVEST, PROFILE)
+                         SLOT_S, HARVEST, PROFILE, {})
 
 
 class TestDischarge:

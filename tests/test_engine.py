@@ -52,6 +52,21 @@ class TestFullRuns:
         assert node.battery.cycles_completed == 0.0
         assert node.battery.fade_fraction == pytest.approx(expected, rel=1e-9)
 
+    def test_a_run_takes_no_slot_terms_from_an_earlier_one(self, default_dict, energy_spy):
+        # a quiet slot adds nothing, a default one harvests and draws: the
+        # two runs share their (tx_phase, sun_s) keys but not the terms, and
+        # the spy replays every batch through `energy_step`
+        quiet = make_scenario(default_dict, **{"sim.traffic_model": "none",
+                                               "sim.duration_days": 0.5,
+                                               "sim.node_count": 1,
+                                               "energy.e_sleep_j": 0.0,
+                                               "energy.e_g_sun_j_per_slot": 0.0})
+        alone = run(quiet)
+        run(make_scenario(default_dict, **{"sim.duration_days": 0.25, "sim.node_count": 1}))
+        after = run(quiet)
+        assert after.metrics == alone.metrics
+        assert after.summary == alone.summary
+
     def test_fade_and_counters_monotone_across_metrics(self, default_dict):
         sc = make_scenario(default_dict, **{"sim.duration_days": 1.0})
         result = run(sc)

@@ -69,7 +69,7 @@ class TestPhase:
                             altitude_m=550e3, inclination_rad=0.9, phase_offset_rad=phase)
         offset = offset_share * slot_s
         edges = [offset + k * slot_s for k in range(first, first + n + 1)]
-        got = sun_seconds_per_slot(orbit, edges)
+        got = sun_seconds_per_slot(orbit, offset, slot_s, first, first + n)
         want = [sun_seconds(orbit, a, b) for a, b in zip(edges, edges[1:])]
         assert [x.hex() for x in got] == [x.hex() for x in want]
 
