@@ -1,11 +1,12 @@
 """The discrete-event loop: packets, slot ticks and orbit flushes, node by node.
 
-Metrics are a pure function of (scenario, seed).  Events are processed in
-strictly increasing (time, rank, sequence) order; sequence numbers are
-assigned at scheduling time, so simultaneous events resolve
-first-scheduled-first.  A packet's attempt ends take theirs when the
-packet is launched, even though each is pushed only once the attempt
-before it has failed.
+Metrics are a pure function of (scenario, seed).  Heap entries are flat
+tuples (time, tick-first flag, sequence, kind, payload), popped in that
+order.  One rule breaks an exact time tie: a slot tick (flag 0) runs
+before any other event (flag 1).  Otherwise sequence numbers, assigned at
+scheduling time, resolve simultaneous events first-scheduled-first.  A
+packet's attempt ends take theirs when the packet is launched, even
+though each is pushed only once the attempt before it has failed.
 
 Accounting is retrospective: slot k of a node spans [T_k, T_{k+1}) on its
 (randomly offset, unsynchronized) grid T_k = slot_offset + k * slot, and
@@ -26,13 +27,9 @@ flush that clamps phi to a faded capacity may bring the guard, and so the
 pending tick, forward.
 
 Whatever reads or resets the energy state (window open, orbit flush,
-report, end of run) first settles the node up to now.  The rank keeps
-the order that one pushed tick per slot gave.  Tick k would have been
-pushed by tick k-1, last in its handler, so a node's event at exactly T_k
-runs before tick k iff it was pushed before T_{k-1}, or at T_{k-1} by
-tick k-1 or by an event that itself ran before tick k-1.  Such an event
-ranks before the tick and sees slot k-1 unsettled; any other event at T_k
-ranks after it and sees slot k-1 settled.
+report, end of run) first settles the node up to now: every slot whose
+tick is at or before now.  So an event at exactly T_k sees slot k-1
+settled, whether tick k is a real event (it ran first) or not.
 """
 
 from __future__ import annotations
@@ -72,7 +69,6 @@ from .orbit import (
     load_schedule_override,
     next_phase_boundary,
     phase_at,
-    sun_seconds,
     sun_seconds_per_slot,
 )
 from .report import NodeBatteryReport, gateway_compute_fleet_degradation
@@ -80,12 +76,9 @@ from .report import NodeBatteryReport, gateway_compute_fleet_degradation
 # A naive sender keeps retrying over at most this span before giving up.
 MAX_NAIVE_SPAN_S = 1800.0
 
-# How an event sorts against its node's slot tick at the same instant.
-_BEFORE_TICK, _TICK, _AFTER_TICK = 0, 1, 2
-
 
 class EventKind(enum.Enum):
-    """What a heap entry (time, (rank, sequence), kind, payload) asks the loop to do."""
+    """What a heap entry (time, tick-first flag, sequence, kind, payload) asks the loop to do."""
 
     PHASE_CHANGE = "phase_change"
     WINDOW_OPEN = "window_open"
@@ -141,9 +134,9 @@ class _Packet:
     tx_phase: str | None = None
     tx_slot_idx: int | None = None
     reserved_j: float = 0.0
-    # the drawn sequence, (start, receiver, end-event order) per attempt; a
-    # receiver of None means nobody can hear that attempt
-    attempts: list[tuple[float, str | None, tuple[int, int]]] = field(default_factory=list)
+    # the drawn sequence, (start, receiver, end-event sequence number) per
+    # attempt; a receiver of None means nobody can hear that attempt
+    attempts: list[tuple[float, str | None, int]] = field(default_factory=list)
 
 
 @dataclass
@@ -220,10 +213,9 @@ class Simulator:
         # `settle_slots` terms by (tx_phase, sun_s); they hold for this run's constants only
         self._slot_terms: dict = {}
 
-        self._heap: list[tuple[float, tuple, EventKind, tuple]] = []
+        self._heap: list[tuple[float, int, int, EventKind, tuple]] = []
         self._seq = itertools.count()
         self.now = 0.0
-        self._rank = _AFTER_TICK   # the rank of the event being handled
         self.metrics: list[MetricsRecord] = []
         self.reports: list[NodeBatteryReport] = []
         # announced attempts that may still overlap one to come, with their packets
@@ -271,33 +263,15 @@ class Simulator:
 
             self._schedule_wake(node)
             if scenario.sim.report_interval_s < self.t_end:
-                self._push(node, scenario.sim.report_interval_s, EventKind.REPORT_DUE, (u,))
+                self._push(scenario.sim.report_interval_s, EventKind.REPORT_DUE, (u,))
             self._schedule_next_sunrise(node, 0.0)
 
     # ── plumbing ─────────────────────────────────────────────────────────
 
-    def _push(self, node: _Node, time: float, kind: EventKind, payload: tuple):
+    def _push(self, time: float, kind: EventKind, payload: tuple):
         if time < self.now - 1e-9:
             raise ContractError(f"event {kind} scheduled at {time} before now {self.now}")
-        heapq.heappush(self._heap, (time, self._order(node, time), kind, payload))
-
-    def _order(self, node: _Node, t: float) -> tuple[int, int]:
-        """(rank, sequence) of a node's event pushed now for time t.
-
-        The rank places the event against the node's tick at t, if t is a
-        tick time T_k.  Tick k would have been pushed by tick k - 1 at the
-        end of its handler, so the event runs before it iff it is pushed
-        before T_{k-1}, or at T_{k-1} by tick k - 1 or by an event that
-        itself ran before tick k - 1.  Tick 1 is pushed at set-up, before
-        any other event of its node, so nothing runs before it.
-        """
-        rank = _AFTER_TICK
-        k = round((t - node.slot_offset) / self.slot_s)
-        if k >= 2 and node.slot_time(k) == t:
-            prev = node.slot_time(k - 1)
-            if self.now < prev or (self.now == prev and self._rank <= _TICK):
-                rank = _BEFORE_TICK
-        return rank, next(self._seq)
+        heapq.heappush(self._heap, (time, 1, next(self._seq), kind, payload))
 
     def _generate_arrivals(self, rng: np.random.Generator, horizon: float) -> list[float]:
         model = self.sc.sim.traffic_model
@@ -326,7 +300,7 @@ class Simulator:
         if phase != SUN:
             next_t, _ = next_phase_boundary(node.orbit, next_t + 1e-9)
         if next_t <= self.t_end:
-            self._push(node, next_t, EventKind.PHASE_CHANGE, (node.node_id,))
+            self._push(next_t, EventKind.PHASE_CHANGE, (node.node_id,))
 
     # ── main loop ────────────────────────────────────────────────────────
 
@@ -339,11 +313,10 @@ class Simulator:
             EventKind.REPORT_DUE: self._on_report_due,
         }
         while self._heap:
-            time, order, kind, payload = heapq.heappop(self._heap)
+            time, _, _, kind, payload = heapq.heappop(self._heap)
             if time > self.t_end + 1e-9:
                 continue
             self.now = time
-            self._rank = order[0]
             handlers[kind](time, payload)
         self.now = self.t_end
         self._finalize()
@@ -394,7 +367,7 @@ class Simulator:
         packet.tx_phase = window.phase
         packet.reserved_j = node.energy.ewma_estimate_j
         node.energy.reserved_j += packet.reserved_j
-        self._push(node, max(window.start, now), EventKind.WINDOW_OPEN, (node.node_id, packet))
+        self._push(max(window.start, now), EventKind.WINDOW_OPEN, (node.node_id, packet))
 
     def _decide_naive(self, node: _Node, packet: _Packet, now: float):
         """Immediate-ALOHA baseline: transmit as generated, no energy checks."""
@@ -421,10 +394,9 @@ class Simulator:
     def _launch(self, node: _Node, packet: _Packet, attempts: list[tuple[float, str | None]]):
         """Put a packet on air; its drawn attempts go out one at a time."""
         packet.state = PacketState.IN_FLIGHT
-        # each attempt's end takes its place in the order now, so it orders
+        # each attempt's end takes its sequence number now, so it orders
         # among simultaneous events as if it had been scheduled at launch
-        packet.attempts = [(t, receiver, self._order(node, t + self.toa))
-                           for t, receiver in attempts]
+        packet.attempts = [(t, receiver, next(self._seq)) for t, receiver in attempts]
         node.in_flight = packet
         packet.tx_slot_idx = node.slot_index(attempts[0][0])
         node.tx_slot_info[packet.tx_slot_idx] = packet.tx_phase
@@ -437,13 +409,13 @@ class Simulator:
         Listing an attempt before it starts is safe: nothing that settles
         before it starts can overlap it.
         """
-        start, receiver, order = packet.attempts[k]
+        start, receiver, seq = packet.attempts[k]
         attempt = None
         if receiver is not None:
             attempt = TxAttempt(start=start, airtime=self.toa, channel=0,
                                 sf=self.sc.radio.spreading_factor, receiver=receiver)
             self._on_air.append((attempt, packet))
-        heapq.heappush(self._heap, (start + self.toa, order, EventKind.TX_ATTEMPT_END,
+        heapq.heappush(self._heap, (start + self.toa, 1, seq, EventKind.TX_ATTEMPT_END,
                                     (node.node_id, packet, k, attempt)))
 
     # ── event handlers ───────────────────────────────────────────────────
@@ -524,14 +496,14 @@ class Simulator:
         node = self.nodes[node_id]
         t_end = node.slot_time(k)
         idx = k - 1
-        self._settle(node, idx)
+        # one walk gives the sunlit seconds of the gap and of this tick's own slot
+        *gap, sun_s = self._sun_seconds(node, k)
+        self._settle(node, gap)
 
         tx_phase = node.tx_slot_info.pop(idx, None)
         if idx == node.sleep_slot:
             tx_phase = None
-        slot = energy_step(node.energy, tx_phase,
-                           sun_seconds(node.orbit, node.slot_time(idx), t_end),
-                           self.slot_s, self.harvest, self.profile)
+        slot = energy_step(node.energy, tx_phase, sun_s, self.slot_s, self.harvest, self.profile)
         node.totals.add(slot.harvested_j, slot.consumed_j, slot.discharge_j, slot.clamp_j,
                         self.slot_s)
         node.settled = k
@@ -588,43 +560,45 @@ class Simulator:
 
     def _push_wake(self, node: _Node, k: int):
         node.wake = k
-        heapq.heappush(self._heap, (node.slot_time(k), (_TICK, next(self._seq)),
+        heapq.heappush(self._heap, (node.slot_time(k), 0, next(self._seq),
                                     EventKind.SLOT_TICK, (node.node_id, k)))
 
-    def _settle(self, node: _Node, upto: int):
-        """Settle slots settled .. upto - 1 in one batch.
+    def _sun_seconds(self, node: _Node, upto: int) -> list[float]:
+        """Sunlit seconds of slots settled .. upto - 1."""
+        return sun_seconds_per_slot(node.orbit, node.slot_offset, self.slot_s, node.settled, upto)
+
+    def _settle(self, node: _Node, sun_s: list[float]):
+        """Settle the len(sun_s) slots from `node.settled` on in one batch.
 
         The guard keeps a brownout out of these slots, and so also the slot
         after a brownout: that one always has its own tick.
         """
-        first = node.settled
-        if upto <= first:
+        if not sun_s:
             return
-        phases = [None] * (upto - first)
+        first = node.settled
+        upto = first + len(sun_s)
+        phases = [None] * len(sun_s)
         tx = node.tx_slot_info
         for i in [i for i in tx if first <= i < upto]:
             phases[i - first] = tx.pop(i)
-        settle_slots(node.energy, node.totals, phases,
-                     sun_seconds_per_slot(node.orbit, node.slot_offset, self.slot_s, first, upto),
-                     self.slot_s, self.harvest, self.profile, self._slot_terms)
+        settle_slots(node.energy, node.totals, phases, sun_s, self.slot_s, self.harvest,
+                     self.profile, self._slot_terms)
         node.settled = upto
 
     def _settle_before_now(self, node: _Node):
-        """Settle every slot whose tick comes before the event being handled.
+        """Settle every slot whose tick is at or before now, below the pending tick.
 
-        Tick m comes first if slot_time(m) < now, or if slot_time(m) == now
-        and the event ranks after the tick (`_order`).  The node's pending
-        tick never comes first, or it would be the event being handled.
+        A tick at now has already run, since ticks run first at a tie, so
+        the pending tick is later than now; the cap only keeps the walk
+        down from starting past it.
         """
         now = self.now
         m = int((now - node.slot_offset) // self.slot_s) + 2
         m = min(m, node.wake - 1 if node.wake else node.settled)
-        while m > node.settled:
-            t = node.slot_time(m)
-            if t < now or (t == now and self._rank == _AFTER_TICK):
-                break
+        while m > node.settled and node.slot_time(m) > now:
             m -= 1
-        self._settle(node, m)
+        if m > node.settled:
+            self._settle(node, self._sun_seconds(node, m))
 
     def _on_phase_change(self, now: float, payload: tuple):
         (node_id,) = payload
@@ -655,8 +629,8 @@ class Simulator:
             # less stored energy can bring the guard before the pending tick
             guard = self._guard(node)
             if node.wake and guard < node.wake:
-                self._heap[:] = [e for e in self._heap if e[2] is not EventKind.SLOT_TICK
-                                 or e[3][0] != node.node_id]
+                self._heap[:] = [e for e in self._heap if e[3] is not EventKind.SLOT_TICK
+                                 or e[4][0] != node.node_id]
                 heapq.heapify(self._heap)
                 self._push_wake(node, guard)
         node.energy.phi_max_j = new_phi_max
@@ -673,7 +647,7 @@ class Simulator:
         self._emit_report(node, now)
         nxt = now + self.sc.sim.report_interval_s
         if nxt < self.t_end:
-            self._push(node, nxt, EventKind.REPORT_DUE, (node_id,))
+            self._push(nxt, EventKind.REPORT_DUE, (node_id,))
 
     def _emit_report(self, node: _Node, t: float):
         if t <= node.period_start:
@@ -712,7 +686,7 @@ class Simulator:
 
     def _finalize(self):
         for node in self.nodes:
-            self._settle(node, node.n_slots)
+            self._settle(node, self._sun_seconds(node, node.n_slots))
             self._flush_orbit(node)
             self._drain_arrivals(node, self.t_end)
             for packet in node.queue:

@@ -1,6 +1,8 @@
 """Full engine runs: accounting, collisions, fades and determinism."""
 
+import bisect
 import json
+import math
 
 import pytest
 
@@ -11,6 +13,7 @@ from leolora.orbit import sun_seconds
 
 from conftest import make_scenario
 from oracles import oracle_calendar, oracle_sei
+from test_golden import TIE_CASE, _tick_aligned_windows
 
 
 class TestFullRuns:
@@ -296,3 +299,100 @@ class TestFullRuns:
         for node in result.nodes:
             gw = result.summary["gateway_assessment"][str(node.node_id)]
             assert gw["dc_cycle"] == pytest.approx(node.battery.dc_cycle_total, rel=1e-12)
+
+
+@pytest.fixture
+def settle_log(monkeypatch):
+    """Record (now, node, settled slots, pending tick) after every `_settle_before_now` call."""
+    log = []
+    real = Simulator._settle_before_now
+
+    def watched(sim, node):
+        real(sim, node)
+        log.append((sim.now, node, node.settled, node.wake))
+
+    monkeypatch.setattr(Simulator, "_settle_before_now", watched)
+    return log
+
+
+class TestTickTies:
+    """At an exact time tie a slot tick runs first, so an event at T_k sees slot k-1 settled."""
+
+    K = 30   # the tick the event lands on
+
+    @pytest.mark.parametrize("event", ["window_open", "report_due"])
+    def test_an_event_at_a_tick_time_sees_the_slot_before_it_settled(
+            self, event, tmp_path, default_dict, energy_spy, monkeypatch):
+        # one node, one packet per 1000 s, so the first packet is decided at
+        # a tick well before T_{k-1}; its only window opens exactly at T_k.
+        # The report case puts the first report exactly at T_k instead.
+        overrides = {"sim.node_count": 1, "sim.duration_days": 0.03,
+                     "sim.traffic_model": "periodic", "sim.traffic_rate_per_s": 1.0 / 1000.0,
+                     "energy.e_critical_j": 0.0}
+        t_k = Simulator(make_scenario(default_dict, **overrides), schedules={}).nodes[0] \
+            .slot_time(self.K)
+        if event == "window_open":
+            path = tmp_path / "override.json"
+            path.write_text(json.dumps([{"node": 0, "target": "gw", "start_s": t_k,
+                                         "end_s": t_k + 600.0, "phase": "sun"}]))
+            overrides["sim.schedule_override_path"] = str(path)
+        else:
+            overrides["sim.report_interval_s"] = t_k
+        seen = []
+        real = Simulator._settle_before_now
+
+        def watched(sim, node):
+            real(sim, node)
+            if sim.now == t_k:
+                seen.append((node.settled, len(energy_spy(node))))
+
+        monkeypatch.setattr(Simulator, "_settle_before_now", watched)
+        sim = Simulator(make_scenario(default_dict, **overrides))
+        node = sim.run().nodes[0]
+        assert node.slot_time(self.K) == t_k
+        assert node.arrivals[0] < node.slot_time(self.K - 2)
+        assert seen and all(s == (self.K, self.K) for s in seen)
+        if event == "report_due":
+            assert sim.reports[0].period_end == t_k
+            assert sim.reports[0].n_slots == self.K
+
+    @staticmethod
+    def _check(log):
+        ticks = {}
+        for now, node, settled, wake in log:
+            if id(node) not in ticks:
+                ticks[id(node)] = [node.slot_time(m) for m in range(1, node.n_slots + 1)]
+            due = bisect.bisect_right(ticks[id(node)], now)
+            assert settled == (min(due, wake - 1) if wake else due), (now, node.node_id)
+
+    @pytest.mark.parametrize("slot_s", [40.0, 33.3])
+    @pytest.mark.parametrize("side", [-math.inf, None, math.inf])
+    def test_settle_before_now_on_tick_aligned_windows(self, slot_s, side, tmp_path,
+                                                       default_dict, settle_log):
+        # the golden tie case at seeds 1-3, with every window moved one ulp
+        # off its tick to either side, or left on it.  On a 33.3 s grid,
+        # (T_k - slot_offset) / slot_s often rounds below k.
+        case = {**TIE_CASE, "sim.slot_s": slot_s}
+        for seed in (1, 2, 3):
+            path = tmp_path / f"ticks{seed}.json"
+            _tick_aligned_windows(path, make_scenario(default_dict, **case), seed)
+            if side is not None:
+                windows = json.loads(path.read_text())
+                for w in windows:
+                    w["start_s"] = math.nextafter(w["start_s"], side)
+                path.write_text(json.dumps(windows))
+            run(make_scenario(default_dict, **case,
+                              **{"sim.schedule_override_path": str(path)}), seed=seed)
+        assert len(settle_log) > 3000
+        self._check(settle_log)
+
+    def test_settle_before_now_on_steady_runs(self, default_dict, settle_log):
+        # reports every orbit and window opens from real visibility: events
+        # fall anywhere between ticks, next to real and lazy ones
+        sc = make_scenario(default_dict, **{"sim.node_count": 8, "sim.duration_days": 1.0,
+                                            "sim.traffic_rate_per_s": 1.0 / 600.0,
+                                            "sim.report_interval_s": 5400.0})
+        for seed in (4, 5):
+            run(sc, seed=seed)
+        assert len(settle_log) > 1000
+        self._check(settle_log)

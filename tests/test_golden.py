@@ -115,9 +115,9 @@ DECISIONS = {
 TIE_CASE = {"sim.protocol": "battery_aware", "sim.node_count": 4, "sim.duration_days": 0.25,
             "sim.traffic_rate_per_s": 1.0 / 120.0, "energy.e_critical_j": 0.0}
 TIE_DECISIONS = {
-    1: "897e745598976ddbdebc1d2bf6dbdda45ec5076cf79e5443cb794a9548634a33",
-    2: "79d14da246dacdf56f827fff8e223f2061d0dcb2665c8c4c64c23bf0fc07596e",
-    3: "9d44ba731aaffec123d951e2997e511ac980df95866867d2ee90989f2f609f39",
+    1: "4db13868e0928242adf9d877c0cbb5b1be75b0f16ca5ebc4fc1227c96fa84878",
+    2: "0502ea1ed06f4c6e6d2553d6db032c4ea81579d6e2a03e1810a44fba763609c7",
+    3: "819bd8114facbd6ba73638f68cf6769724af5a9942ab411b638e703b1921e435",
 }
 
 
