@@ -31,8 +31,6 @@ from typing import NamedTuple
 from .exceptions import ConfigError, ContractError
 from .orbit import ECLIPSE, SUN, ForecastWindow
 
-DEFAULT_SLOT_S = 40.0
-
 
 @dataclass
 class NodeEnergyState:
@@ -253,7 +251,7 @@ def estimate_available_energy(
     window: ForecastWindow,
     harvest: HarvestModel,
     profile: PowerProfile,
-    slot_s: float = DEFAULT_SLOT_S,
+    slot_s: float,
 ) -> float:
     """Projected energy on hand across the window, capped at phi_max.
 

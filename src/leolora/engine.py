@@ -1,9 +1,9 @@
 """The discrete-event loop: packets, slot ticks and orbit flushes, node by node.
 
 Metrics are a pure function of (scenario, seed).  Heap entries are flat
-tuples (time, tick-first flag, sequence, kind, payload), popped in that
-order.  One rule breaks an exact time tie: a slot tick (flag 0) runs
-before any other event (flag 1).  Otherwise sequence numbers, assigned at
+tuples (time, rank, sequence, kind, payload), popped in that order.  The
+rank breaks an exact time tie: slot ticks (0) run first, then sunrises (1),
+then every other event (2).  Within a rank, sequence numbers, assigned at
 scheduling time, resolve simultaneous events first-scheduled-first.  A
 packet's attempt ends take theirs when the packet is launched, even
 though each is pushed only once the attempt before it has failed.
@@ -11,29 +11,33 @@ though each is pushed only once the attempt before it has failed.
 Accounting is retrospective: slot k of a node spans [T_k, T_{k+1}) on its
 (randomly offset, unsynchronized) grid T_k = slot_offset + k * slot, and
 tick k+1 at T_{k+1} settles it, by which point every transmission attempt
-inside it has already happened.  Packets queue until the next tick, where
-the MAC decides them.
+inside it has already happened.  `_Node.last_tick` is the one query that
+places a time on the grid, by exact comparisons with `slot_time`.  A
+packet arriving in a slot is created at the next tick, where the MAC
+decides it.
 
 Ticks are lazy.  A tick is a real event only where the node has work: it
 drains the node's next arrival, it is the node's last, or it is the
 brownout guard, the first slot where a transmit in every slot could empty
 the battery (phi drops by at most E_cons a slot).  After a brownout phi
-is 0, so the guard is the very next tick, where queued packets are
-decided.  The slots between real ticks cannot brown out and settle in one
-`energy.settle_slots` batch, bit for bit as one tick each would have
-settled them.  A real tick settles that gap, then its own
-slot through `energy.energy_step`, and pushes the next real tick; an orbit
-flush that clamps phi to a faded capacity may bring the guard, and so the
-pending tick, forward.
+is 0, so the guard is the very next tick; the arrivals a brownout tick
+leaves undrained are created and decided there.  The slots between real
+ticks cannot brown out and settle in one `energy.settle_slots` batch, bit
+for bit as one tick each would have settled them.  A real tick settles
+that gap, then its own slot through `energy.energy_step`, and pushes the
+next real tick; an orbit flush that clamps phi to a faded capacity may
+bring the guard, and so the pending tick, forward.
 
 Whatever reads or resets the energy state (window open, orbit flush,
 report, end of run) first settles the node up to now: every slot whose
 tick is at or before now.  So an event at exactly T_k sees slot k-1
-settled, whether tick k is a real event (it ran first) or not.
+settled, whether tick k is a real event (it ran first) or not, and a
+report at a sunrise sees the orbit that sunrise closed.
 """
 
 from __future__ import annotations
 
+import bisect
 import enum
 import heapq
 import itertools
@@ -78,7 +82,7 @@ MAX_NAIVE_SPAN_S = 1800.0
 
 
 class EventKind(enum.Enum):
-    """What a heap entry (time, tick-first flag, sequence, kind, payload) asks the loop to do."""
+    """What a heap entry (time, rank, sequence, kind, payload) asks the loop to do."""
 
     PHASE_CHANGE = "phase_change"
     WINDOW_OPEN = "window_open"
@@ -88,7 +92,11 @@ class EventKind(enum.Enum):
 
 
 class PacketState(enum.Enum):
-    """Lifecycle of one packet; delivered and dropped are terminal."""
+    """Lifecycle of one packet; delivered and dropped are terminal.
+
+    `queued` means created, at the tick that drains the arrival, and not
+    yet decided.
+    """
 
     QUEUED = "queued"
     WAITING = "waiting"
@@ -100,6 +108,9 @@ class PacketState(enum.Enum):
 # A node's packet counts, keyed as in the summary.
 DROP_OUTCOMES = ("dropped_energy", "dropped_collision_exhausted", "dropped_no_window")
 PACKET_OUTCOMES = ("generated", "delivered") + DROP_OUTCOMES
+
+# heap ranks: at an exact time tie slot ticks run first, then sunrises, then the rest
+_TICK, _SUNRISE, _OTHER = 0, 1, 2
 
 _DROP_OUTCOME = {
     DropReason.INSUFFICIENT_ENERGY_SUN: "dropped_energy",
@@ -130,9 +141,6 @@ METRICS_COLUMNS = MetricsRecord._fields
 class _Packet:
     created: float
     state: PacketState = PacketState.QUEUED
-    window: ForecastWindow | None = None
-    tx_phase: str | None = None
-    tx_slot_idx: int | None = None
     reserved_j: float = 0.0
     # the drawn sequence, (start, receiver, end-event sequence number) per
     # attempt; a receiver of None means nobody can hear that attempt
@@ -152,7 +160,6 @@ class _Node:
     backoff_rng: np.random.Generator
     arrivals: list[float]
     arrival_ptr: int = 0
-    queue: list[_Packet] = field(default_factory=list)
     busy_until: float = 0.0
     tx_slot_info: dict[int, str] = field(default_factory=dict)
     sleep_slot: int = -1     # the slot after the latest brownout: no transmit counts there
@@ -167,11 +174,21 @@ class _Node:
     period_dods: list[float] = field(default_factory=list)
     packets: Counter[str] = field(default_factory=Counter)  # PACKET_OUTCOMES
 
-    def slot_index(self, t: float) -> int:
-        return int(math.floor((t - self.slot_offset) / self.slot_s + 1e-9))
-
     def slot_time(self, k: int) -> float:
         return self.slot_offset + k * self.slot_s
+
+    def last_tick(self, t: float) -> int:
+        """The largest m with slot_time(m) <= t: t lies in slot m.
+
+        The floor of the rounded quotient is a guess that exact comparisons
+        with `slot_time` correct; it is off by at most one in practice.
+        """
+        m = math.floor((t - self.slot_offset) / self.slot_s)
+        while self.slot_time(m) > t:
+            m -= 1
+        while self.slot_time(m + 1) <= t:
+            m += 1
+        return m
 
     @property
     def account_end(self) -> float:
@@ -234,7 +251,6 @@ class Simulator:
             orbit = scenario.node_orbit(u)
             schedule = schedules.get(u, Schedule())
             slot_offset = float(offset_rng.uniform(0.0, self.slot_s))
-            n_slots = max(int(math.floor((self.t_end - slot_offset) / self.slot_s)), 0)
             traffic_rng = np.random.default_rng(children[2 * u])
             phi0 = scenario.steady_state_phi_j(orbit)
             node = _Node(
@@ -254,10 +270,11 @@ class Simulator:
                     voltage_nominal_v=scenario.battery.voltage_nominal_v,
                 ),
                 slot_offset=slot_offset,
-                n_slots=n_slots,
+                n_slots=0,
                 backoff_rng=np.random.default_rng(children[2 * u + 1]),
                 arrivals=[],
             )
+            node.n_slots = max(node.last_tick(self.t_end), 0)
             node.arrivals = self._generate_arrivals(traffic_rng, node.account_end)
             self.nodes.append(node)
 
@@ -269,9 +286,11 @@ class Simulator:
     # ── plumbing ─────────────────────────────────────────────────────────
 
     def _push(self, time: float, kind: EventKind, payload: tuple):
+        """Push any event but a slot tick (`_push_wake`) or an attempt end (`_announce`)."""
         if time < self.now - 1e-9:
             raise ContractError(f"event {kind} scheduled at {time} before now {self.now}")
-        heapq.heappush(self._heap, (time, 1, next(self._seq), kind, payload))
+        rank = _SUNRISE if kind is EventKind.PHASE_CHANGE else _OTHER
+        heapq.heappush(self._heap, (time, rank, next(self._seq), kind, payload))
 
     def _generate_arrivals(self, rng: np.random.Generator, horizon: float) -> list[float]:
         model = self.sc.sim.traffic_model
@@ -324,21 +343,12 @@ class Simulator:
 
     # ── traffic and MAC decisions ────────────────────────────────────────
 
-    def _drain_arrivals(self, node: _Node, until: float):
-        while node.arrival_ptr < len(node.arrivals) and node.arrivals[node.arrival_ptr] <= until:
-            created = node.arrivals[node.arrival_ptr]
-            node.arrival_ptr += 1
-            node.packets["generated"] += 1
-            node.queue.append(_Packet(created=created))
-
-    def _decide_queue(self, node: _Node, now: float):
-        pending = node.queue
-        node.queue = []
-        for packet in pending:
-            if self.naive:
-                self._decide_naive(node, packet, now)
-            else:
-                self._decide_aware(node, packet, max(now, node.busy_until))
+    def _drain_arrivals(self, node: _Node, until: float) -> list[_Packet]:
+        """Create a packet for every arrival not yet drained, up to `until`."""
+        first = node.arrival_ptr
+        node.arrival_ptr = bisect.bisect_right(node.arrivals, until, lo=first)
+        node.packets["generated"] += node.arrival_ptr - first
+        return [_Packet(created=t) for t in node.arrivals[first:node.arrival_ptr]]
 
     def _candidates(self, node: _Node, now: float, created: float) -> list[ForecastWindow]:
         deadline = created + self.sc.mac.deadline_s
@@ -363,11 +373,9 @@ class Simulator:
             return
         window = decision.window
         packet.state = PacketState.WAITING
-        packet.window = window
-        packet.tx_phase = window.phase
         packet.reserved_j = node.energy.ewma_estimate_j
         node.energy.reserved_j += packet.reserved_j
-        self._push(max(window.start, now), EventKind.WINDOW_OPEN, (node.node_id, packet))
+        self._push(max(window.start, now), EventKind.WINDOW_OPEN, (node.node_id, packet, window))
 
     def _decide_naive(self, node: _Node, packet: _Packet, now: float):
         """Immediate-ALOHA baseline: transmit as generated, no energy checks."""
@@ -380,8 +388,8 @@ class Simulator:
         if not starts:
             self._drop(node, packet, "dropped_no_window")
             return
-        packet.tx_phase = phase_at(node.orbit, starts[0])
-        self._launch(node, packet, [(t, self._visible_target(node, t)) for t in starts])
+        self._launch(node, packet, phase_at(node.orbit, starts[0]),
+                     [(t, self._visible_target(node, t)) for t in starts])
 
     def _visible_target(self, node: _Node, t: float) -> str | None:
         """Target of the latest-starting window covering the whole attempt, if any."""
@@ -391,15 +399,18 @@ class Simulator:
                 target = w.target
         return target
 
-    def _launch(self, node: _Node, packet: _Packet, attempts: list[tuple[float, str | None]]):
-        """Put a packet on air; its drawn attempts go out one at a time."""
+    def _launch(self, node: _Node, packet: _Packet, tx_phase: str,
+                attempts: list[tuple[float, str | None]]):
+        """Put a packet on air; its drawn attempts go out one at a time.
+
+        The slot of the first attempt is booked as a transmit in `tx_phase`.
+        """
         packet.state = PacketState.IN_FLIGHT
         # each attempt's end takes its sequence number now, so it orders
         # among simultaneous events as if it had been scheduled at launch
         packet.attempts = [(t, receiver, next(self._seq)) for t, receiver in attempts]
         node.in_flight = packet
-        packet.tx_slot_idx = node.slot_index(attempts[0][0])
-        node.tx_slot_info[packet.tx_slot_idx] = packet.tx_phase
+        node.tx_slot_info[node.last_tick(attempts[0][0])] = tx_phase
         node.busy_until = attempts[-1][0] + self.toa
         self._announce(node, packet, 0)
 
@@ -415,18 +426,17 @@ class Simulator:
             attempt = TxAttempt(start=start, airtime=self.toa, channel=0,
                                 sf=self.sc.radio.spreading_factor, receiver=receiver)
             self._on_air.append((attempt, packet))
-        heapq.heappush(self._heap, (start + self.toa, 1, seq, EventKind.TX_ATTEMPT_END,
+        heapq.heappush(self._heap, (start + self.toa, _OTHER, seq, EventKind.TX_ATTEMPT_END,
                                     (node.node_id, packet, k, attempt)))
 
     # ── event handlers ───────────────────────────────────────────────────
 
     def _on_window_open(self, now: float, payload: tuple):
-        node_id, packet = payload
+        node_id, packet, window = payload
         node = self.nodes[node_id]
         if packet.state is not PacketState.WAITING:
             return
         self._settle_before_now(node)
-        window = packet.window
         start = max(window.start, now, node.busy_until)
 
         # The hard reserve is re-checked when the window actually opens;
@@ -442,7 +452,7 @@ class Simulator:
             self._release(node, packet)
             self._decide_aware(node, packet, max(now, node.busy_until))
             return
-        self._launch(node, packet, [(t, window.target) for t in starts])
+        self._launch(node, packet, window.phase, [(t, window.target) for t in starts])
 
     def _on_attempt_end(self, now: float, payload: tuple):
         """Settle one attempt: delivered, retried with the next one, or dropped.
@@ -513,8 +523,9 @@ class Simulator:
             node.sleep_slot = k
             if node.in_flight is not None:
                 victim = node.in_flight
-                if victim.tx_slot_idx > idx:
-                    node.tx_slot_info.pop(victim.tx_slot_idx, None)
+                tx_idx = node.last_tick(victim.attempts[0][0])
+                if tx_idx > idx:
+                    node.tx_slot_info.pop(tx_idx, None)
                 # an attempt already on air still collides; one yet to start never happens
                 self._on_air = [(a, p) for a, p in self._on_air
                                 if p is not victim or a.start <= now]
@@ -522,9 +533,13 @@ class Simulator:
                 node.in_flight = None
                 node.busy_until = t_end
 
-        self._drain_arrivals(node, t_end)
+        # a brownout tick leaves its arrivals to the guard tick right after it
         if not slot.brownout:
-            self._decide_queue(node, t_end)
+            for packet in self._drain_arrivals(node, t_end):
+                if self.naive:
+                    self._decide_naive(node, packet, t_end)
+                else:
+                    self._decide_aware(node, packet, max(t_end, node.busy_until))
         self._schedule_wake(node)
 
     def _schedule_wake(self, node: _Node):
@@ -533,9 +548,9 @@ class Simulator:
         A slot needs its own tick if its end drains the next arrival, if it
         is the node's last, or if the worst-case draw (a transmit every
         slot) could brown the node out in it (the guard).  A brownout leaves
-        phi at 0, so the guard also gives the tick right after it, where the
-        packets it left queued are decided.  Every slot before the tick
-        settles in one batch.
+        phi at 0, so the guard also gives the tick right after it, which
+        drains the arrivals the brownout tick left.  Every slot before the
+        tick settles in one batch.
         """
         if node.settled >= node.n_slots:
             node.wake = 0
@@ -551,16 +566,14 @@ class Simulator:
 
     def _tick_draining(self, node: _Node, arrival: float) -> int:
         """The first tick k with slot_time(k) >= arrival, after the settled slots."""
-        k = max(node.settled + 1, math.ceil((arrival - node.slot_offset) / self.slot_s))
-        while node.slot_time(k) < arrival:
+        k = node.last_tick(arrival)
+        if node.slot_time(k) < arrival:
             k += 1
-        while k - 1 > node.settled and node.slot_time(k - 1) >= arrival:
-            k -= 1
-        return k
+        return max(node.settled + 1, k)
 
     def _push_wake(self, node: _Node, k: int):
         node.wake = k
-        heapq.heappush(self._heap, (node.slot_time(k), 0, next(self._seq),
+        heapq.heappush(self._heap, (node.slot_time(k), _TICK, next(self._seq),
                                     EventKind.SLOT_TICK, (node.node_id, k)))
 
     def _sun_seconds(self, node: _Node, upto: int) -> list[float]:
@@ -586,17 +599,12 @@ class Simulator:
         node.settled = upto
 
     def _settle_before_now(self, node: _Node):
-        """Settle every slot whose tick is at or before now, below the pending tick.
+        """Settle every slot whose tick is at or before now.
 
-        A tick at now has already run, since ticks run first at a tie, so
-        the pending tick is later than now; the cap only keeps the walk
-        down from starting past it.
+        Only other events call this, and ticks run first at a tie, so the
+        pending tick is later than now and every such slot lies below it.
         """
-        now = self.now
-        m = int((now - node.slot_offset) // self.slot_s) + 2
-        m = min(m, node.wake - 1 if node.wake else node.settled)
-        while m > node.settled and node.slot_time(m) > now:
-            m -= 1
+        m = node.last_tick(self.now)
         if m > node.settled:
             self._settle(node, self._sun_seconds(node, m))
 
@@ -638,12 +646,8 @@ class Simulator:
     def _on_report_due(self, now: float, payload: tuple):
         (node_id,) = payload
         node = self.nodes[node_id]
+        # a sunrise at this instant ran first, so its orbit rides this report
         self._settle_before_now(node)
-        # a phase boundary landing exactly on the report boundary settles
-        # its orbit first, so the observation rides this period's report
-        off = node.orbit.phase_time_offset_s
-        if node.totals.orbit_s > 0.0 and (now + off) % node.orbit.period_s < 1e-6:
-            self._flush_orbit(node)
         self._emit_report(node, now)
         nxt = now + self.sc.sim.report_interval_s
         if nxt < self.t_end:
@@ -688,10 +692,8 @@ class Simulator:
         for node in self.nodes:
             self._settle(node, self._sun_seconds(node, node.n_slots))
             self._flush_orbit(node)
-            self._drain_arrivals(node, self.t_end)
-            for packet in node.queue:
+            for packet in self._drain_arrivals(node, self.t_end):
                 self._drop(node, packet, "dropped_no_window")
-            node.queue = []
             if node.in_flight is not None and node.in_flight.state is PacketState.IN_FLIGHT:
                 self._drop(node, node.in_flight, "dropped_collision_exhausted")
                 node.in_flight = None

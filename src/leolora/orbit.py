@@ -306,23 +306,17 @@ class Schedule:
     windows: tuple[ForecastWindow, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
-        object.__setattr__(self, "windows", tuple(self.windows))
+        windows = tuple(sorted(self.windows, key=lambda w: (w.start, w.window_id)))
         by_target: dict[str, float] = {}
-        prev_start = -math.inf
-        for w in sorted(self.windows, key=lambda w: w.start):
-            if w.start < prev_start:
-                raise ValueError("schedule windows must be sortable by start")
-            prev_start = w.start
+        for w in windows:
             last_end = by_target.get(w.target)
             if last_end is not None and w.start < last_end:
                 raise ValueError(
                     f"windows for target {w.target!r} overlap at t={w.start}"
                 )
             by_target[w.target] = w.end
-        object.__setattr__(
-            self, "windows", tuple(sorted(self.windows, key=lambda w: (w.start, w.window_id)))
-        )
-        object.__setattr__(self, "_starts", [w.start for w in self.windows])
+        object.__setattr__(self, "windows", windows)
+        object.__setattr__(self, "_starts", [w.start for w in windows])
 
     def candidates(self, now: float, deadline: float) -> list[ForecastWindow]:
         """Windows still usable at `now` that begin before `deadline`.

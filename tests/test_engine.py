@@ -1,10 +1,13 @@
 """Full engine runs: accounting, collisions, fades and determinism."""
 
 import bisect
+import dataclasses
 import json
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from leolora import engine
 from leolora.engine import Simulator, run
@@ -301,6 +304,40 @@ class TestFullRuns:
             assert gw["dc_cycle"] == pytest.approx(node.battery.dc_cycle_total, rel=1e-12)
 
 
+@pytest.fixture(scope="module")
+def grid_sims(default_dict):
+    """One single-node simulator per slot length, for queries on its node's grid."""
+    return {slot_s: Simulator(make_scenario(default_dict, **{"sim.node_count": 1,
+                                                              "sim.slot_s": slot_s,
+                                                              "sim.duration_days": 0.01}),
+                              schedules={})
+            for slot_s in (40.0, 33.3, 7.3)}
+
+
+class TestSlotGrid:
+    """`_Node.last_tick` places a time on the node's slot grid by exact comparisons."""
+
+    @given(slot_s=st.sampled_from([40.0, 33.3, 7.3]),
+           offset=st.floats(0.0, 1.0, exclude_max=True),
+           k0=st.integers(1, 200_000),
+           frac=st.floats(0.0, 1.0, exclude_max=True))
+    def test_last_tick_brackets_the_time(self, grid_sims, slot_s, offset, k0, frac):
+        # times on a tick, one ulp either side of one, and inside the slot
+        # after it, for a run of ticks: the rounded quotient misplaces a few
+        # percent of tick-adjacent times on the 33.3 and 7.3 s grids
+        sim = grid_sims[slot_s]
+        node = dataclasses.replace(sim.nodes[0], slot_offset=offset * slot_s, settled=0)
+        for k in range(k0, k0 + 256):
+            t_k = node.slot_time(k)
+            for t in (math.nextafter(t_k, -math.inf), t_k, math.nextafter(t_k, math.inf),
+                      t_k + frac * slot_s):
+                m = node.last_tick(t)
+                assert node.slot_time(m) <= t < node.slot_time(m + 1)
+                # the tick draining an arrival at t is the first at or after it
+                first = sim._tick_draining(node, t)
+                assert node.slot_time(first - 1) < t <= node.slot_time(first)
+
+
 @pytest.fixture
 def settle_log(monkeypatch):
     """Record (now, node, settled slots, pending tick) after every `_settle_before_now` call."""
@@ -355,6 +392,20 @@ class TestTickTies:
         if event == "report_due":
             assert sim.reports[0].period_end == t_k
             assert sim.reports[0].n_slots == self.K
+
+    def test_a_report_on_a_sunrise_carries_the_orbit_it_closes(self, default_dict):
+        # node 0's orbit starts at a sunrise, so with one report per orbit
+        # each report falls on the sunrise that closes its orbit; sunrises
+        # run before other events at a tie
+        sc = make_scenario(default_dict, **{"sim.duration_days": 0.5,
+                                            "sim.report_interval_s": 5400.0})
+        assert sc.node_orbit(0).phase_time_offset_s == 0.0
+        assert sc.node_orbit(0).period_s == 5400.0
+        sim = Simulator(sc)
+        sim.run()
+        reports = [r for r in sim.reports if r.node_id == 0]
+        assert len(reports) == 8
+        assert all(len(r.dod_observations) == 1 for r in reports)
 
     @staticmethod
     def _check(log):
