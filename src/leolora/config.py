@@ -168,7 +168,13 @@ class _Reader:
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             self.problems.append(f"{self._at(key)}: expected a number, got {value!r}")
             return None
-        value = float(value)
+        try:
+            value = float(value)
+        except OverflowError:  # an int beyond the float range
+            value = math.inf
+        if not math.isfinite(value):
+            self.problems.append(f"{self._at(key)}: must be a finite number, got {value}")
+            return None
         if minimum is not None and value < minimum:
             self.problems.append(f"{self._at(key)}: must be >= {minimum}, got {value}")
             return None

@@ -6,7 +6,8 @@ rank breaks an exact time tie: slot ticks (0) run first, then sunrises (1),
 then every other event (2).  Within a rank, sequence numbers, assigned at
 scheduling time, resolve simultaneous events first-scheduled-first.  A
 packet's attempt ends take theirs when the packet is launched, even
-though each is pushed only once the attempt before it has failed.
+though each is pushed only once the attempt before it has failed, and an
+attempt nobody can hear is never pushed (`_announce` skips it).
 
 Accounting is retrospective: slot k of a node spans [T_k, T_{k+1}) on its
 (randomly offset, unsynchronized) grid T_k = slot_offset + k * slot, and
@@ -56,6 +57,7 @@ from .config import ScenarioConfig
 from .energy import NodeEnergyState, SlotTotals, energy_step, ewma_update, settle_slots
 from .exceptions import ContractError
 from .mac import (
+    Backoff,
     DropReason,
     TxAttempt,
     collides,
@@ -79,6 +81,9 @@ from .report import NodeBatteryReport, gateway_compute_fleet_degradation
 
 # A naive sender keeps retrying over at most this span before giving up.
 MAX_NAIVE_SPAN_S = 1800.0
+
+# Poisson inter-arrival gaps fetched per `Generator.exponential` call.
+_GAPS_PER_DRAW = 64
 
 
 class EventKind(enum.Enum):
@@ -157,7 +162,7 @@ class _Node:
     battery: BatteryState
     slot_offset: float
     n_slots: int             # slots 0 .. n_slots - 1; slot k ends at tick k + 1
-    backoff_rng: np.random.Generator
+    backoff: Backoff
     arrivals: list[float]
     arrival_ptr: int = 0
     busy_until: float = 0.0
@@ -271,7 +276,7 @@ class Simulator:
                 ),
                 slot_offset=slot_offset,
                 n_slots=0,
-                backoff_rng=np.random.default_rng(children[2 * u + 1]),
+                backoff=Backoff(np.random.default_rng(children[2 * u + 1])),
                 arrivals=[],
             )
             node.n_slots = max(node.last_tick(self.t_end), 0)
@@ -293,6 +298,11 @@ class Simulator:
         heapq.heappush(self._heap, (time, rank, next(self._seq), kind, payload))
 
     def _generate_arrivals(self, rng: np.random.Generator, horizon: float) -> list[float]:
+        """Arrival times before `horizon`, from the node's own traffic stream.
+
+        Poisson gaps come `_GAPS_PER_DRAW` at a time, the floats of as many
+        scalar draws; nothing reads the stream's draws past the horizon.
+        """
         model = self.sc.sim.traffic_model
         rate = self.sc.sim.traffic_rate_per_s
         if model == "none" or rate <= 0.0 or horizon <= 0.0:
@@ -300,11 +310,12 @@ class Simulator:
         out: list[float] = []
         if model == "poisson":
             t = 0.0
-            while True:
-                t += rng.exponential(1.0 / rate)
-                if t >= horizon:
-                    break
-                out.append(t)
+            while t < horizon:
+                for gap in rng.exponential(1.0 / rate, _GAPS_PER_DRAW).tolist():
+                    t += gap
+                    if t >= horizon:
+                        break
+                    out.append(t)
         else:  # periodic
             step = 1.0 / rate
             t = float(rng.uniform(0.0, step))
@@ -384,20 +395,33 @@ class Simulator:
         if end - start < self.toa:
             self._drop(node, packet, "dropped_no_window")
             return
-        starts = run_transmission_sequence(start, end, self.toa, self.sc.mac, node.backoff_rng)
+        starts = run_transmission_sequence(start, end, self.toa, self.sc.mac, node.backoff)
         if not starts:
             self._drop(node, packet, "dropped_no_window")
             return
         self._launch(node, packet, phase_at(node.orbit, starts[0]),
-                     [(t, self._visible_target(node, t)) for t in starts])
+                     self._visible_targets(node, starts))
 
-    def _visible_target(self, node: _Node, t: float) -> str | None:
-        """Target of the latest-starting window covering the whole attempt, if any."""
-        target = None
-        for w in node.schedule.candidates(t, math.nextafter(t, math.inf)):
-            if t + self.toa <= w.end:
-                target = w.target
-        return target
+    def _visible_targets(self, node: _Node,
+                         starts: list[float]) -> list[tuple[float, str | None]]:
+        """Each attempt with the target of the latest-starting window covering it whole.
+
+        One scan covers the packet: a window starting more than MAX_WINDOW_S
+        before an attempt is too long to cover it, so the candidates of the
+        first attempt through the last hold every window that covers one.
+        """
+        toa = self.toa
+        windows = node.schedule.candidates(starts[0], math.nextafter(starts[-1], math.inf))
+        out = []
+        for t in starts:
+            target = None
+            for w in windows:
+                if w.start > t:
+                    break
+                if t + toa <= w.end:
+                    target = w.target
+            out.append((t, target))
+        return out
 
     def _launch(self, node: _Node, packet: _Packet, tx_phase: str,
                 attempts: list[tuple[float, str | None]]):
@@ -415,12 +439,19 @@ class Simulator:
         self._announce(node, packet, 0)
 
     def _announce(self, node: _Node, packet: _Packet, k: int):
-        """List attempt k at its receiver and push the event that settles it.
+        """List attempt k, or the first heard one after it, and push its end.
 
-        Listing an attempt before it starts is safe: nothing that settles
-        before it starts can overlap it.
+        An attempt nobody can hear is skipped: its end would only announce
+        the next, so the first heard attempt from k on, or else the packet's
+        last, is announced in its place, with its own end time and launch
+        sequence number.  Listing an attempt before it starts is safe:
+        nothing that settles before it starts can overlap it.
         """
-        start, receiver, seq = packet.attempts[k]
+        attempts = packet.attempts
+        last = len(attempts) - 1
+        while k < last and attempts[k][1] is None:
+            k += 1
+        start, receiver, seq = attempts[k]
         attempt = None
         if receiver is not None:
             attempt = TxAttempt(start=start, airtime=self.toa, channel=0,
@@ -447,7 +478,7 @@ class Simulator:
         starts: list[float] = []
         if ok and start + self.toa <= window.end:
             starts = run_transmission_sequence(start, window.end, self.toa, self.sc.mac,
-                                               node.backoff_rng)
+                                               node.backoff)
         if not starts:
             self._release(node, packet)
             self._decide_aware(node, packet, max(now, node.busy_until))
@@ -457,11 +488,12 @@ class Simulator:
     def _on_attempt_end(self, now: float, payload: tuple):
         """Settle one attempt: delivered, retried with the next one, or dropped.
 
-        An attempt nobody can hear (`attempt` None) never gets through; one
-        that can gets through iff it `collides` with no listed attempt of
-        another packet.  Every attempt that could overlap this one started
-        before now and is listed; entries that ended an airtime before the
-        earliest start still pending overlap nothing to come.
+        An attempt nobody can hear (`attempt` None, only ever a packet's
+        last) never gets through; one that can gets through iff it
+        `collides` with no listed attempt of another packet.  Every attempt
+        that could overlap this one started before now and is listed;
+        entries that ended an airtime before the earliest start still
+        pending overlap nothing to come.
         """
         node_id, packet, k, attempt = payload
         if packet.state is not PacketState.IN_FLIGHT:

@@ -15,7 +15,8 @@ is dropped with a single reason.
 DIF depends only on the window's phase and on run constants, so a run
 computes it once per phase (`phase_dif`), and selection is one pass over
 the candidates that keeps the best window and the earliest failure.  A
-transmit then draws its attempts between plain start and end times.
+transmit then draws its attempts between plain start and end times, from
+the node's `Backoff` stream.
 
 The collision law lives here too: `collides` is the one overlap test, used
 by the engine for every attempt it settles and by `resolve_collisions`.
@@ -24,6 +25,7 @@ by the engine for every attempt it settles and by `resolve_collisions`.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -194,14 +196,40 @@ def select_forecast_window(
     return SelectionResult(TxDecision.drop(failed[1] if failed else DropReason.NO_WINDOW), None)
 
 
+class Backoff:
+    """A node's backoff stream: `Generator.uniform(low, high)`, drawn in blocks.
+
+    numpy computes a scalar uniform as `low + (high - low) * u` from the
+    stream's next double u, so doubles fetched `BLOCK` at a time with
+    `rng.random` give the same floats in the same order.  A span numpy
+    rejects (negative, infinite or NaN) raises `ValueError` here too.
+    """
+
+    BLOCK = 64
+
+    def __init__(self, rng: np.random.Generator):
+        self._rng = rng
+        self._doubles: list[float] = []   # the block's doubles not yet used, last one next
+
+    def uniform(self, low: float, high: float) -> float:
+        span = high - low
+        if not 0.0 <= span < math.inf:
+            raise ValueError(f"backoff range [{low}, {high}] is not a finite, "
+                             f"non-negative span")
+        if not self._doubles:
+            self._doubles = self._rng.random(self.BLOCK).tolist()[::-1]
+        return low + span * self._doubles.pop()
+
+
 def run_transmission_sequence(
-    start: float, end: float, toa: float, mac: MacConfig, rng: np.random.Generator
+    start: float, end: float, toa: float, mac: MacConfig, rng: Backoff | np.random.Generator
 ) -> list[float]:
     """Attempt start times for one packet sent from `start` until `end`.
 
     Attempt k starts after a uniform backoff on [0, k*b0] following the
-    previous attempt; attempts that would not finish by `end` are cut,
-    truncating the sequence.
+    previous attempt, drawn from `rng` (a node's `Backoff`, or a plain
+    `Generator`: the same floats); attempts that would not finish by `end`
+    are cut, truncating the sequence.
     """
     t = start
     starts: list[float] = []

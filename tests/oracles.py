@@ -145,3 +145,29 @@ def oracle_select_window(windows, energy, harvest, profile, params, base_stress,
         return best[0], None, best[2]
     ordered = sorted(evaluations, key=lambda e: (e[0].start, e[0].window_id))
     return None, ordered[0][4] if ordered else "no_window", None
+
+
+def oracle_visible_target(windows, t, toa):
+    """Target of the window that receives an attempt on [t, t + toa], or None.
+
+    The per-attempt rule, one attempt at a time: of the windows (read by
+    attribute) ordered by (start, window_id) that start in
+    (t - 30 min - 1e-9, t] and end after t, the last that ends at or after
+    t + toa.
+    """
+    target = None
+    for w in sorted(windows, key=lambda w: (w.start, w.window_id)):
+        if t - ORACLE_MAX_WINDOW_S - 1e-9 < w.start <= t and w.end > t and t + toa <= w.end:
+            target = w.target
+    return target
+
+
+def oracle_poisson_arrivals(rng, rate, horizon):
+    """Poisson arrival times before `horizon`, one scalar exponential draw per gap."""
+    out = []
+    t = 0.0
+    while True:
+        t += rng.exponential(1.0 / rate)
+        if t >= horizon:
+            return out
+        out.append(t)

@@ -3,8 +3,10 @@
 import csv
 import io
 import json
+import math
 import warnings
 
+import numpy as np
 import pytest
 
 from leolora.cli import main
@@ -201,6 +203,47 @@ class TestCliSimulate:
         assert code == 2
         assert "error: sweep must be >= 1" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_number_exits_2(self, tmp_path, scenario_dict, value, capsys):
+        # json reads Infinity and NaN, and NaN passes every bound comparison
+        scenario_dict["mac"]["backoff_base_s"] = value
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(scenario_dict))
+        assert "Infinity" in cfg.read_text() or "NaN" in cfg.read_text()
+        code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "m.csv"),
+                     "--summary", str(tmp_path / "s.json")])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: mac.backoff_base_s: must be a finite number, got {value}"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json"]
+
+    def test_int_beyond_float_range_is_a_problem_line(self, scenario_dict):
+        scenario_dict["sim"]["duration_days"] = 10**400
+        with pytest.raises(ValidationError) as exc:
+            parse_scenario(scenario_dict)
+        assert exc.value.problems == ["sim.duration_days: must be a finite number, got inf"]
+
+    def test_backoff_span_overflow_exits_3(self, tmp_path, scenario_dict, monkeypatch, capsys):
+        # 1e308 validates, but k * b0 overflows at the second attempt; with
+        # every draw 0.0 each packet's first attempt fits and gets there
+        from leolora import engine
+        from leolora.mac import Backoff
+
+        class Zeros:
+            def random(self, n):
+                return np.zeros(n)
+
+        monkeypatch.setattr(engine, "Backoff", lambda rng: Backoff(Zeros()))
+        scenario_dict["mac"]["backoff_base_s"] = 1e308
+        scenario_dict["sim"].update(protocol="naive_aloha", duration_days=0.05)
+        cfg = tmp_path / "huge.json"
+        cfg.write_text(json.dumps(scenario_dict))
+        code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "m.csv"),
+                     "--summary", str(tmp_path / "s.json")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: backoff range [0.0, inf]")
 
     @pytest.mark.parametrize("sweep", ["1", "3"])
     def test_negative_seed_exits_2(self, tmp_path, sweep, capsys):

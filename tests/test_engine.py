@@ -2,20 +2,28 @@
 
 import bisect
 import dataclasses
+import itertools
 import json
 import math
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from leolora import engine
 from leolora.engine import Simulator, run
 from leolora.mac import resolve_collisions
-from leolora.orbit import sun_seconds
+from leolora.orbit import MAX_WINDOW_S, SUN, ForecastWindow, Schedule, sun_seconds
 
 from conftest import make_scenario
-from oracles import oracle_calendar, oracle_sei
+from oracles import (
+    oracle_calendar,
+    oracle_poisson_arrivals,
+    oracle_sei,
+    oracle_visible_target,
+)
 from test_golden import TIE_CASE, _tick_aligned_windows
 
 
@@ -447,3 +455,78 @@ class TestTickTies:
             run(sc, seed=seed)
         assert len(settle_log) > 1000
         self._check(settle_log)
+
+
+@st.composite
+def coverage_cases(draw):
+    """(toa, windows, attempt starts): up to three targets' windows and one packet's attempts.
+
+    Windows run exactly MAX_WINDOW_S, exactly one airtime or anything in
+    between, and may touch the next.  Attempts fall anywhere, on a window
+    edge or one ulp off it.
+    """
+    toa = draw(st.sampled_from([0.0566, 0.37, 2.8]))
+    windows = []
+    for target in ("gw-a", "gw-b", "gw-c")[:draw(st.integers(1, 3))]:
+        t = draw(st.floats(0.0, 4000.0))
+        for i in range(draw(st.integers(0, 4))):
+            duration = draw(st.sampled_from([MAX_WINDOW_S, toa])
+                            | st.floats(toa / 2, MAX_WINDOW_S))
+            windows.append(ForecastWindow(f"{target}:{i}", t, t + duration, SUN, target))
+            t += duration + draw(st.just(0.0) | st.floats(0.0, 2500.0))
+    edges = [x for w in windows for x in (w.start, w.end - toa, w.end, w.start + MAX_WINDOW_S)]
+    point = st.floats(0.0, 15000.0)
+    if edges:
+        one_ulp_off = st.builds(math.nextafter, st.sampled_from(edges),
+                                st.sampled_from([-math.inf, math.inf]))
+        point = point | one_ulp_off | st.sampled_from(edges)
+    starts = sorted(draw(st.lists(point, min_size=1, max_size=8)))
+    return toa, windows, starts
+
+
+class TestNaivePerPacketPaths:
+    @given(coverage_cases())
+    @example((0.37, [ForecastWindow("a:0", 0.0, MAX_WINDOW_S, SUN, "gw-a"),
+                     ForecastWindow("b:0", 10.0, MAX_WINDOW_S, SUN, "gw-b"),
+                     ForecastWindow("a:1", MAX_WINDOW_S, 2 * MAX_WINDOW_S, SUN, "gw-a")],
+              [0.0, 10.0, MAX_WINDOW_S - 0.37, MAX_WINDOW_S, 2 * MAX_WINDOW_S - 0.37]))
+    def test_one_scan_per_packet_matches_the_per_attempt_rule(self, case):
+        toa, windows, starts = case
+        node = SimpleNamespace(schedule=Schedule(tuple(windows)))
+        targets = Simulator._visible_targets(SimpleNamespace(toa=toa), node, starts)
+        assert targets == [(t, oracle_visible_target(windows, t, toa)) for t in starts]
+
+    def test_only_heard_or_last_attempts_get_an_end_event(self, default_dict, monkeypatch):
+        handled = []  # (heard, last attempt, an unheard attempt before it)
+        real = Simulator._on_attempt_end
+
+        def spy(sim, now, payload):
+            _, packet, k, attempt = payload
+            handled.append((attempt is not None, k == len(packet.attempts) - 1,
+                            any(r is None for _, r, _ in packet.attempts[:k])))
+            real(sim, now, payload)
+
+        monkeypatch.setattr(Simulator, "_on_attempt_end", spy)
+        run(make_scenario(default_dict, **{"sim.protocol": "naive_aloha",
+                                           "sim.duration_days": 0.5}), seed=3)
+        assert all(heard or last for heard, last, _ in handled)
+        # some packets went unheard, and some were heard after skipped attempts
+        assert any(not heard for heard, _, _ in handled)
+        assert any(heard and skipped for heard, _, skipped in handled)
+
+    def test_block_arrivals_match_scalar_draws(self, default_dict):
+        sim = Simulator(make_scenario(default_dict, **{"sim.node_count": 1,
+                                                       "sim.duration_days": 0.05}))
+        rate = sim.sc.sim.traffic_rate_per_s
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            draws = list(itertools.accumulate(rng.exponential(1.0 / rate) for _ in range(130)))
+            # the horizon is met by the 64th draw, the last of the first
+            # block, or just missed by it, or met in later blocks
+            horizons = [draws[63], math.nextafter(draws[63], math.inf), draws[0], draws[127],
+                        draws[129], 86400.0]
+            for horizon in horizons:
+                got = sim._generate_arrivals(np.random.default_rng(seed), horizon)
+                assert got == oracle_poisson_arrivals(np.random.default_rng(seed), rate, horizon)
+            assert len(sim._generate_arrivals(np.random.default_rng(seed), draws[63])) == 63
+            assert len(sim._generate_arrivals(np.random.default_rng(seed), horizons[1])) == 64

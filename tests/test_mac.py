@@ -1,5 +1,7 @@
 """Forecast-window selection, retransmission sequences, and the collision law."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -12,6 +14,7 @@ from leolora.energy import HarvestModel, NodeEnergyState, PowerProfile
 from leolora.engine import Simulator
 from leolora.exceptions import ConfigError
 from leolora.mac import (
+    Backoff,
     DropReason,
     MacConfig,
     TxAttempt,
@@ -316,6 +319,44 @@ class TestTransmissionSequence:
         toa = time_on_air(RADIO)
         expected_mean = b0 * 8 * 9 / 4.0 + 8 * toa
         assert expected_mean == pytest.approx(40.0, rel=1e-12)
+
+
+B0 = nominal_backoff_base(RADIO, 40.0, 8)
+
+
+class TestBackoff:
+    # every backoff span the engine draws, 0 included, and spans off zero
+    RANGES = [(0.0, k * B0) for k in range(9)] + [(3.5, 3.5), (-2.0, 7.25), (1e6, 1e6 + 0.5)]
+
+    def test_block_draws_give_generator_uniform_floats(self):
+        # 3 streams x 4,000 draws cross 62 block boundaries each
+        for seed in (0, 1, 2):
+            backoff, scalar = Backoff(np.random.default_rng(seed)), np.random.default_rng(seed)
+            ranges = [self.RANGES[i % len(self.RANGES)] for i in range(4000)]
+            assert ([backoff.uniform(lo, hi).hex() for lo, hi in ranges]
+                    == [scalar.uniform(lo, hi).hex() for lo, hi in ranges])
+
+    def test_sequences_match_a_plain_generator(self):
+        m = mac(backoff_base_s=B0)
+        backoff, scalar = Backoff(np.random.default_rng(9)), np.random.default_rng(9)
+        for start in range(0, 300_000, 1000):
+            end = start + 40.0 + start % 7000 / 100.0
+            assert (run_transmission_sequence(start, end, TOA, m, backoff)
+                    == run_transmission_sequence(start, end, TOA, m, scalar))
+
+    @pytest.mark.parametrize("low, high", [(0.0, math.inf), (0.0, math.nan), (math.nan, 1.0),
+                                           (-math.inf, 0.0), (-1e308, 1e308), (1.0, 0.0)])
+    def test_a_range_numpy_rejects_is_a_value_error(self, low, high):
+        with pytest.raises((OverflowError, ValueError)):
+            np.random.default_rng(0).uniform(low, high)
+        with pytest.raises(ValueError, match="backoff range"):
+            Backoff(np.random.default_rng(0)).uniform(low, high)
+
+    def test_a_finite_base_that_overflows_at_k_b0_is_a_value_error(self):
+        # the first attempt fits; the second attempt's span 2 * 1e308 is inf
+        with pytest.raises(ValueError, match="backoff range"):
+            run_transmission_sequence(0.0, math.inf, TOA, mac(backoff_base_s=1e308),
+                                      Backoff(np.random.default_rng(0)))
 
 
 class TestDecisionAndConfig:
