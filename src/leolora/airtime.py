@@ -49,8 +49,8 @@ class RadioConfig:
             raise ConfigError(f"preamble symbols must be >= 1, got {self.preamble_symbols}")
         if self.payload_bytes < 1:
             raise ConfigError(f"payload must be >= 1 byte, got {self.payload_bytes}")
-        if self.tx_power_w <= 0:
-            raise ConfigError(f"tx power must be > 0 W, got {self.tx_power_w}")
+        if not 0 < self.tx_power_w < math.inf:   # NaN fails too
+            raise ConfigError(f"tx power must be finite and > 0 W, got {self.tx_power_w}")
         if self.low_data_rate_optimize is None:
             auto = self.spreading_factor >= 11 and self.bandwidth_hz == 125_000
             object.__setattr__(self, "low_data_rate_optimize", auto)

@@ -262,8 +262,8 @@ def run_degradation_curve(
     Returns (day, d_linear, fade_fraction) rows at the requested
     resolution, plus the final battery state.
     """
-    if days < 0 or resolution_days <= 0:
-        raise ValueError("days must be >= 0 and resolution > 0")
+    if not (0 <= days < math.inf and 0 < resolution_days < math.inf):   # NaN fails too
+        raise ValueError("days must be finite and >= 0, and resolution finite and > 0")
     state = BatteryState(
         capacity_rated_ah=battery.capacity_rated_ah,
         voltage_nominal_v=battery.voltage_nominal_v,

@@ -2,12 +2,12 @@
 
 Metrics are a pure function of (scenario, seed).  Heap entries are flat
 tuples (time, rank, sequence, kind, payload), popped in that order.  The
-rank breaks an exact time tie: slot ticks (0) run first, then sunrises (1),
-then every other event (2).  Within a rank, sequence numbers, assigned at
-scheduling time, resolve simultaneous events first-scheduled-first.  A
-packet's attempt ends take theirs when the packet is launched, even
-though each is pushed only once the attempt before it has failed, and an
-attempt nobody can hear is never pushed (`_announce` skips it).
+rank breaks an exact time tie: slot ticks (0) run first, then every other
+event (1).  Within a rank, sequence numbers, assigned at scheduling time,
+resolve simultaneous events first-scheduled-first.  A packet's attempt
+ends take theirs when the packet is launched, even though each is pushed
+only once the attempt before it has failed, and an attempt nobody can
+hear is never pushed (`_announce` skips it).
 
 Accounting is retrospective: slot k of a node spans [T_k, T_{k+1}) on its
 (randomly offset, unsynchronized) grid T_k = slot_offset + k * slot, and
@@ -18,22 +18,26 @@ packet arriving in a slot is created at the next tick, where the MAC
 decides it.
 
 Ticks are lazy.  A tick is a real event only where the node has work: it
-drains the node's next arrival, it is the node's last, or it is the
-brownout guard, the first slot where a transmit in every slot could empty
-the battery (phi drops by at most E_cons a slot).  After a brownout phi
-is 0, so the guard is the very next tick; the arrivals a brownout tick
-leaves undrained are created and decided there.  The slots between real
-ticks cannot brown out and settle in one `energy.settle_slots` batch, bit
-for bit as one tick each would have settled them.  A real tick settles
-that gap, then its own slot through `energy.energy_step`, and pushes the
-next real tick; an orbit flush that clamps phi to a faded capacity may
-bring the guard, and so the pending tick, forward.
+drains the node's next arrival, it is the first at or after the node's
+next sunrise, it is the node's last, or it is the brownout guard, the
+first slot where a transmit in every slot could empty the battery (phi
+drops by at most E_cons a slot).  After a brownout phi is 0, so the guard
+is the very next tick; the arrivals a brownout tick leaves undrained are
+created and decided there.  The slots between real ticks cannot brown out
+and settle in one `energy.settle_slots` batch, bit for bit as one tick
+each would have settled them.  A real tick closes the orbits whose sunrise
+lies before it, settles the rest of that gap, then its own slot through
+`energy.energy_step`, and pushes the next real tick.
 
-Whatever reads or resets the energy state (window open, orbit flush,
-report, end of run) first settles the node up to now: every slot whose
-tick is at or before now.  So an event at exactly T_k sees slot k-1
-settled, whether tick k is a real event (it ran first) or not, and a
-report at a sunrise sees the orbit that sunrise closed.
+Whatever reads or resets the energy state (window open, report, end of
+run) first settles the node up to now: it closes every orbit whose
+sunrise is at or before now, then settles every slot whose tick is.  So
+an event at exactly T_k sees slot k-1 settled, whether tick k is a real
+event (it ran first) or not, and a report at a sunrise sees the orbit
+that sunrise closed.  Closing an orbit settles exactly the slots whose
+tick is at or before its sunrise, then ages the pack by that orbit.  A
+fade clamp there lowers the guard, but not below the pending tick, which
+is at most the sunrise's.
 """
 
 from __future__ import annotations
@@ -89,7 +93,6 @@ _GAPS_PER_DRAW = 64
 class EventKind(enum.Enum):
     """What a heap entry (time, rank, sequence, kind, payload) asks the loop to do."""
 
-    PHASE_CHANGE = "phase_change"
     WINDOW_OPEN = "window_open"
     TX_ATTEMPT_END = "tx_attempt_end"
     SLOT_TICK = "slot_tick"
@@ -114,8 +117,8 @@ class PacketState(enum.Enum):
 DROP_OUTCOMES = ("dropped_energy", "dropped_collision_exhausted", "dropped_no_window")
 PACKET_OUTCOMES = ("generated", "delivered") + DROP_OUTCOMES
 
-# heap ranks: at an exact time tie slot ticks run first, then sunrises, then the rest
-_TICK, _SUNRISE, _OTHER = 0, 1, 2
+# heap ranks: at an exact time tie slot ticks run first, then the rest
+_TICK, _OTHER = 0, 1
 
 _DROP_OUTCOME = {
     DropReason.INSUFFICIENT_ENERGY_SUN: "dropped_energy",
@@ -171,7 +174,7 @@ class _Node:
     in_flight: _Packet | None = None
     totals: SlotTotals = field(default_factory=SlotTotals)
     settled: int = 0         # slots 0 .. settled - 1 are settled
-    wake: int = 0            # index of the pending slot tick; 0 once the last one has run
+    sunrise: float = math.inf  # the next sunrise, where an orbit closes; inf past the run
     brownout_count: int = 0
     # per reporting period
     period_start: float = 0.0
@@ -280,22 +283,21 @@ class Simulator:
                 arrivals=[],
             )
             node.n_slots = max(node.last_tick(self.t_end), 0)
+            node.sunrise = self._next_sunrise(orbit, 0.0)
             node.arrivals = self._generate_arrivals(traffic_rng, node.account_end)
             self.nodes.append(node)
 
             self._schedule_wake(node)
             if scenario.sim.report_interval_s < self.t_end:
                 self._push(scenario.sim.report_interval_s, EventKind.REPORT_DUE, (u,))
-            self._schedule_next_sunrise(node, 0.0)
 
     # ── plumbing ─────────────────────────────────────────────────────────
 
     def _push(self, time: float, kind: EventKind, payload: tuple):
-        """Push any event but a slot tick (`_push_wake`) or an attempt end (`_announce`)."""
+        """Push any event but a slot tick (`_schedule_wake`) or an attempt end (`_announce`)."""
         if time < self.now - 1e-9:
             raise ContractError(f"event {kind} scheduled at {time} before now {self.now}")
-        rank = _SUNRISE if kind is EventKind.PHASE_CHANGE else _OTHER
-        heapq.heappush(self._heap, (time, rank, next(self._seq), kind, payload))
+        heapq.heappush(self._heap, (time, _OTHER, next(self._seq), kind, payload))
 
     def _generate_arrivals(self, rng: np.random.Generator, horizon: float) -> list[float]:
         """Arrival times before `horizon`, from the node's own traffic stream.
@@ -324,20 +326,18 @@ class Simulator:
                 t += step
         return out
 
-    def _schedule_next_sunrise(self, node: _Node, after: float):
-        """Queue the next sunrise of this node's orbit profile, where its orbit closes."""
-        next_t, phase = next_phase_boundary(node.orbit, after)
+    def _next_sunrise(self, orbit: OrbitConfig, after: float) -> float:
+        """The first sunrise of this orbit profile after `after`, or inf past the run."""
+        next_t, phase = next_phase_boundary(orbit, after)
         if phase != SUN:
-            next_t, _ = next_phase_boundary(node.orbit, next_t + 1e-9)
-        if next_t <= self.t_end:
-            self._push(next_t, EventKind.PHASE_CHANGE, (node.node_id,))
+            next_t, _ = next_phase_boundary(orbit, next_t + 1e-9)
+        return next_t if next_t <= self.t_end else math.inf
 
     # ── main loop ────────────────────────────────────────────────────────
 
     def run(self) -> RunResult:
         handlers = {
             EventKind.SLOT_TICK: self._on_slot_tick,
-            EventKind.PHASE_CHANGE: self._on_phase_change,
             EventKind.WINDOW_OPEN: self._on_window_open,
             EventKind.TX_ATTEMPT_END: self._on_attempt_end,
             EventKind.REPORT_DUE: self._on_report_due,
@@ -536,6 +536,9 @@ class Simulator:
     def _on_slot_tick(self, now: float, payload: tuple):
         node_id, k = payload
         node = self.nodes[node_id]
+        # a sunrise at exactly this tick closes after the tick's decisions
+        while node.sunrise < now:
+            self._close_orbit(node)
         t_end = node.slot_time(k)
         idx = k - 1
         # one walk gives the sunlit seconds of the gap and of this tick's own slot
@@ -578,35 +581,32 @@ class Simulator:
         """Push the node's next slot tick: the first slot that needs one.
 
         A slot needs its own tick if its end drains the next arrival, if it
-        is the node's last, or if the worst-case draw (a transmit every
-        slot) could brown the node out in it (the guard).  A brownout leaves
-        phi at 0, so the guard also gives the tick right after it, which
-        drains the arrivals the brownout tick left.  Every slot before the
-        tick settles in one batch.
+        is the first at or after the next sunrise, if it is the node's last,
+        or if the worst-case draw (a transmit every slot) could brown the
+        node out in it (the guard).  A brownout leaves phi at 0, so the guard
+        also gives the tick right after it, which drains the arrivals the
+        brownout tick left.  Every slot before the tick settles in one batch.
         """
         if node.settled >= node.n_slots:
-            node.wake = 0
             return
         k = min(node.n_slots, self._guard(node))
         if node.arrival_ptr < len(node.arrivals):
-            k = min(k, self._tick_draining(node, node.arrivals[node.arrival_ptr]))
-        self._push_wake(node, k)
+            k = min(k, self._first_tick(node, node.arrivals[node.arrival_ptr]))
+        if node.slot_time(k) >= node.sunrise:   # else the sunrise's tick comes after k
+            k = self._first_tick(node, node.sunrise)
+        heapq.heappush(self._heap, (node.slot_time(k), _TICK, next(self._seq),
+                                    EventKind.SLOT_TICK, (node.node_id, k)))
 
     def _guard(self, node: _Node) -> int:
         """The first tick whose slot a transmit in every slot from now could brown out."""
         return node.settled + max(1, int(node.energy.phi_j // self.profile.e_cons_tx_j))
 
-    def _tick_draining(self, node: _Node, arrival: float) -> int:
-        """The first tick k with slot_time(k) >= arrival, after the settled slots."""
-        k = node.last_tick(arrival)
-        if node.slot_time(k) < arrival:
+    def _first_tick(self, node: _Node, t: float) -> int:
+        """The first tick k with slot_time(k) >= t, after the settled slots."""
+        k = node.last_tick(t)
+        if node.slot_time(k) < t:
             k += 1
         return max(node.settled + 1, k)
-
-    def _push_wake(self, node: _Node, k: int):
-        node.wake = k
-        heapq.heappush(self._heap, (node.slot_time(k), _TICK, next(self._seq),
-                                    EventKind.SLOT_TICK, (node.node_id, k)))
 
     def _sun_seconds(self, node: _Node, upto: int) -> list[float]:
         """Sunlit seconds of slots settled .. upto - 1."""
@@ -630,22 +630,27 @@ class Simulator:
                      self.profile, self._slot_terms)
         node.settled = upto
 
-    def _settle_before_now(self, node: _Node):
-        """Settle every slot whose tick is at or before now.
-
-        Only other events call this, and ticks run first at a tie, so the
-        pending tick is later than now and every such slot lies below it.
-        """
-        m = node.last_tick(self.now)
+    def _settle_upto(self, node: _Node, m: int):
+        """Settle every slot whose tick is at or before tick m."""
         if m > node.settled:
             self._settle(node, self._sun_seconds(node, m))
 
-    def _on_phase_change(self, now: float, payload: tuple):
-        (node_id,) = payload
-        node = self.nodes[node_id]
-        self._settle_before_now(node)
+    def _settle_before_now(self, node: _Node):
+        """Close the orbits whose sunrise is at or before now; settle the slots whose tick is.
+
+        Only other events and the end of the run call this, and ticks run
+        first at a tie, so the pending tick is later than now and every
+        such slot lies below it.
+        """
+        while node.sunrise <= self.now:
+            self._close_orbit(node)
+        self._settle_upto(node, node.last_tick(self.now))
+
+    def _close_orbit(self, node: _Node):
+        """Close the orbit ending at the next sunrise, on the slots with a tick at or before it."""
+        self._settle_upto(node, node.last_tick(node.sunrise))
         self._flush_orbit(node)
-        self._schedule_next_sunrise(node, now + 1e-9)
+        node.sunrise = self._next_sunrise(node.orbit, node.sunrise + 1e-9)
 
     def _flush_orbit(self, node: _Node):
         totals = node.totals
@@ -666,19 +671,12 @@ class Simulator:
             totals.clamp_count += 1
             totals.clamp_total_j += new_phi_max - node.energy.phi_j
             node.energy.phi_j = new_phi_max
-            # less stored energy can bring the guard before the pending tick
-            guard = self._guard(node)
-            if node.wake and guard < node.wake:
-                self._heap[:] = [e for e in self._heap if e[3] is not EventKind.SLOT_TICK
-                                 or e[4][0] != node.node_id]
-                heapq.heapify(self._heap)
-                self._push_wake(node, guard)
         node.energy.phi_max_j = new_phi_max
 
     def _on_report_due(self, now: float, payload: tuple):
         (node_id,) = payload
         node = self.nodes[node_id]
-        # a sunrise at this instant ran first, so its orbit rides this report
+        # settling closes a sunrise at this instant, so its orbit rides this report
         self._settle_before_now(node)
         self._emit_report(node, now)
         nxt = now + self.sc.sim.report_interval_s
@@ -722,7 +720,7 @@ class Simulator:
 
     def _finalize(self):
         for node in self.nodes:
-            self._settle(node, self._sun_seconds(node, node.n_slots))
+            self._settle_before_now(node)
             self._flush_orbit(node)
             for packet in self._drain_arrivals(node, self.t_end):
                 self._drop(node, packet, "dropped_no_window")

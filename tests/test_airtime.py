@@ -113,3 +113,8 @@ class TestValidation:
     def test_nonpositive_power(self):
         with pytest.raises(ConfigError):
             RadioConfig(spreading_factor=10, tx_power_w=0.0)
+
+    @pytest.mark.parametrize("power", [float("inf"), float("nan")])
+    def test_non_finite_power(self, power):
+        with pytest.raises(ConfigError, match="finite"):
+            RadioConfig(spreading_factor=10, tx_power_w=power)

@@ -309,3 +309,14 @@ class TestOrbitStepping:
             days=0.0, resolution_days=1.0,
         )
         assert rows == []
+
+    @pytest.mark.parametrize("days, resolution_days", [
+        (math.inf, 1.0), (math.nan, 1.0), (-1.0, 1.0),
+        (1.0, math.nan), (1.0, math.inf), (1.0, 0.0),
+    ])
+    def test_span_or_resolution_not_finite_rejected(self, default_scenario, days,
+                                                    resolution_days):
+        sc = default_scenario
+        with pytest.raises(ValueError, match="finite"):
+            run_degradation_curve(sc.battery, sc.orbit, sc.energy.profile, sc.sim.slot_s,
+                                  days=days, resolution_days=resolution_days)

@@ -284,6 +284,15 @@ class TestCliDegradation:
         assert d_linear == pytest.approx(cal + cyc, rel=1e-9)
         assert fade == pytest.approx(oracle_sei(p.alpha_sei, p.k_sei, cal + cyc), rel=1e-9)
 
+    @pytest.mark.parametrize("option", ["--years=inf", "--years=nan", "--years=-1",
+                                        "--resolution=nan", "--resolution=inf"])
+    def test_span_or_resolution_not_finite_exits_3(self, tmp_path, option, capsys):
+        out = tmp_path / "curve.csv"
+        assert main(["degradation", option, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error:") and "finite" in err
+        assert not out.exists()
+
 
 class TestCliAirtime:
     def test_sf10_reference(self, capsys):
@@ -314,6 +323,13 @@ class TestCliAirtime:
         code = main(["airtime", "--config", str(cfg)])
         assert code == 2
         assert "payload" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("power", ["nan", "inf", "-1", "0"])
+    def test_tx_power_not_finite_and_positive_exits_3(self, power, capsys):
+        assert main(["airtime", "--tx-power-w", power]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "tx power must be finite" in captured.err
 
 
 class TestCliSchedule:

@@ -24,7 +24,7 @@ from oracles import (
     oracle_sei,
     oracle_visible_target,
 )
-from test_golden import TIE_CASE, _tick_aligned_windows
+from test_golden import CASES as GOLDEN_CASES, TIE_CASE, _tick_aligned_windows
 
 
 class TestFullRuns:
@@ -169,12 +169,14 @@ class TestFullRuns:
         assert all(node.settled == node.n_slots for node in result.nodes)
         assert 0 < len(ticks) <= 0.15 * node_slots
 
-    def test_fade_clamp_brings_the_pending_tick_forward(self, default_dict, monkeypatch,
-                                                        energy_spy):
+    def test_a_fade_clamp_never_leaves_the_pending_tick_past_the_guard(
+            self, default_dict, monkeypatch, energy_spy):
         # A full pack with no traffic: each sunrise's flush clamps phi to the
         # faded capacity.  With E_cons between phi / 2 after and before one
         # of those clamps, the clamp drops floor(phi / E_cons) from 2 to 1,
-        # which can move the brownout guard before the pending tick.
+        # which moves the brownout guard to the tick right after the
+        # settled slots.  A report on every sunrise closes the orbit while
+        # the node's next tick is pending, so the flush sees it on the heap.
         overrides = {
             "battery.capacity_rated_ah": 0.5,
             "energy.e_sleep_j": 1e-9,
@@ -185,30 +187,37 @@ class TestFullRuns:
             "sim.duration_days": 0.5,
             "sim.node_count": 1,
             "sim.traffic_model": "none",
+            "sim.report_interval_s": 5400.0,
         }
-        flushes = []   # (phi, pending tick) before the flush, then after it
+        flushes = []   # (phi before, phi after, pending tick or None, guard after)
         real = Simulator._flush_orbit
 
         def watched(sim, node):
-            before = (node.energy.phi_j, node.wake)
+            before = node.energy.phi_j
             real(sim, node)
-            flushes.append((*before, node.energy.phi_j, node.wake))
+            flushes.append((before, node.energy.phi_j, pending_tick(sim, node),
+                            sim._guard(node)))
 
         monkeypatch.setattr(Simulator, "_flush_orbit", watched)
         # without traffic, phi does not depend on E_cons
         run(make_scenario(default_dict, **overrides, **{"energy.e_cons_tx_j": 1000.0}))
-        clamps = [(a, b) for a, _, b, _ in flushes if b < a][:4]
-        moved = 0
+        clamps = [(a, b) for a, b, _, _ in flushes if b < a][:4]
+        assert clamps
+        lowered = 0
         for a, b in clamps:
             flushes.clear()
-            sc = make_scenario(default_dict, **overrides, **{"energy.e_cons_tx_j": (a + b) / 4})
+            e_cons = (a + b) / 4
+            sc = make_scenario(default_dict, **overrides, **{"energy.e_cons_tx_j": e_cons})
             node = run(sc).nodes[-1]
-            moved += sum(1 for _, wake, _, new_wake in flushes if 0 < new_wake < wake)
+            for phi, new_phi, pending, guard in flushes:
+                if pending is not None:
+                    assert pending <= guard
+                    lowered += new_phi // e_cons < phi // e_cons
             slots = energy_spy(node)
             assert len(slots) == node.n_slots
             for k, (_, sun_s, _, _) in enumerate(slots):
                 assert sun_s == sun_seconds(node.orbit, node.slot_time(k), node.slot_time(k + 1))
-        assert moved
+        assert lowered
 
     @staticmethod
     def shared_override_scenario(tmp_path, default_dict):
@@ -342,8 +351,16 @@ class TestSlotGrid:
                 m = node.last_tick(t)
                 assert node.slot_time(m) <= t < node.slot_time(m + 1)
                 # the tick draining an arrival at t is the first at or after it
-                first = sim._tick_draining(node, t)
+                first = sim._first_tick(node, t)
                 assert node.slot_time(first - 1) < t <= node.slot_time(first)
+
+
+def pending_tick(sim, node):
+    """The index of the node's one slot tick on the heap, or None if it has none."""
+    ticks = [payload[1] for *_, kind, payload in sim._heap
+             if kind is engine.EventKind.SLOT_TICK and payload[0] == node.node_id]
+    assert len(ticks) <= 1
+    return ticks[0] if ticks else None
 
 
 @pytest.fixture
@@ -354,7 +371,7 @@ def settle_log(monkeypatch):
 
     def watched(sim, node):
         real(sim, node)
-        log.append((sim.now, node, node.settled, node.wake))
+        log.append((sim.now, node, node.settled, pending_tick(sim, node)))
 
     monkeypatch.setattr(Simulator, "_settle_before_now", watched)
     return log
@@ -403,8 +420,8 @@ class TestTickTies:
 
     def test_a_report_on_a_sunrise_carries_the_orbit_it_closes(self, default_dict):
         # node 0's orbit starts at a sunrise, so with one report per orbit
-        # each report falls on the sunrise that closes its orbit; sunrises
-        # run before other events at a tie
+        # each report falls on the sunrise that closes its orbit; the report
+        # closes that orbit before it reads
         sc = make_scenario(default_dict, **{"sim.duration_days": 0.5,
                                             "sim.report_interval_s": 5400.0})
         assert sc.node_orbit(0).phase_time_offset_s == 0.0
@@ -418,11 +435,12 @@ class TestTickTies:
     @staticmethod
     def _check(log):
         ticks = {}
-        for now, node, settled, wake in log:
+        for now, node, settled, pending in log:
             if id(node) not in ticks:
                 ticks[id(node)] = [node.slot_time(m) for m in range(1, node.n_slots + 1)]
             due = bisect.bisect_right(ticks[id(node)], now)
-            assert settled == (min(due, wake - 1) if wake else due), (now, node.node_id)
+            assert settled == (due if pending is None else min(due, pending - 1)), \
+                (now, node.node_id)
 
     @pytest.mark.parametrize("slot_s", [40.0, 33.3])
     @pytest.mark.parametrize("side", [-math.inf, None, math.inf])
@@ -455,6 +473,84 @@ class TestTickTies:
             run(sc, seed=seed)
         assert len(settle_log) > 1000
         self._check(settle_log)
+
+
+class TestOrbitClosing:
+    """Each sunrise up to the horizon closes one orbit, in order, on exactly the slots before it."""
+
+    CASES = {
+        "reports_every_orbit": {"sim.duration_days": 0.5, "sim.report_interval_s": 5400.0},
+        "aware_brownout": GOLDEN_CASES["aware_brownout"],
+        "tick_aligned": TIE_CASE,
+        # up to two sunrises in one 40 s slot
+        "short_orbit": {"sim.duration_days": 0.05, "sim.report_interval_s": 240.0,
+                        "orbit.period_s": 30.0, "orbit.sun_duration_s": 20.0},
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_flushes_close_each_sunrise_once_in_order(self, case, tmp_path, default_dict,
+                                                      monkeypatch):
+        overrides = dict(self.CASES[case])
+        if case == "tick_aligned":
+            overrides["sim.schedule_override_path"] = _tick_aligned_windows(
+                tmp_path / "ticks.json", make_scenario(default_dict, **overrides), 1)
+        flushes = []   # (node, its next sunrise, settled slots) at each flush
+        real = Simulator._flush_orbit
+
+        def watched(sim, node):
+            flushes.append((node, node.sunrise, node.settled))
+            real(sim, node)
+
+        monkeypatch.setattr(Simulator, "_flush_orbit", watched)
+        sim = Simulator(make_scenario(default_dict, **overrides), seed=1)
+        sim.run()
+        for node in sim.nodes:
+            seen = [(s, settled) for n, s, settled in flushes if n is node]
+            # the last flush is the one at the end of the run, past every sunrise
+            *closed, (final, settled) = seen
+            assert final == math.inf and settled == node.n_slots
+            period, offset = node.orbit.period_s, node.orbit.phase_time_offset_s
+            expected = [m * period - offset
+                        for m in range(1, math.floor((sim.t_end + offset) / period) + 1)]
+            assert [s for s, _ in closed] == pytest.approx(expected, rel=0, abs=1e-6)
+            for s, settled in closed:
+                assert settled == max(node.last_tick(s), 0), (node.node_id, s)
+        if case == "reports_every_orbit":
+            reports = [r for r in sim.reports if r.node_id == 0]
+            assert len(reports) == 8
+            assert all(len(r.dod_observations) == 1 for r in reports)
+
+    def test_a_tick_on_a_sunrise_runs_before_that_orbit_closes(self, default_dict, monkeypatch):
+        # node 0's first sunrise is at about 5400 s; a slot length within a
+        # few ulps of 5400 / (k + u), with u its offset in slots, puts its
+        # tick k exactly on that sunrise
+        base = {"sim.node_count": 1, "sim.duration_days": 0.25}
+        u = Simulator(make_scenario(default_dict, **base), schedules={}).nodes[0].slot_offset / 40.0
+        slot_s = math.nextafter(5400.0 / (135 + u), -math.inf)
+        for _ in range(64):
+            slot_s = math.nextafter(slot_s, math.inf)
+            sc = make_scenario(default_dict, **base, **{"sim.slot_s": slot_s})
+            node = Simulator(sc, schedules={}).nodes[0]
+            if node.slot_time(node.last_tick(node.sunrise)) == node.sunrise:
+                break
+        else:
+            pytest.fail("no slot length puts a tick on the sunrise")
+        sunrise = node.sunrise
+        log = []
+        real_tick, real_flush = Simulator._on_slot_tick, Simulator._flush_orbit
+
+        def tick(sim, now, payload):
+            real_tick(sim, now, payload)
+            log.append(("tick", now))
+
+        def flush(sim, node):
+            log.append(("flush", node.sunrise))
+            real_flush(sim, node)
+
+        monkeypatch.setattr(Simulator, "_on_slot_tick", tick)
+        monkeypatch.setattr(Simulator, "_flush_orbit", flush)
+        run(sc)
+        assert log.index(("tick", sunrise)) < log.index(("flush", sunrise))
 
 
 @st.composite
