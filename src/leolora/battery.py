@@ -34,6 +34,12 @@ R_GAS = 8.314
 OPERABLE_TEMP_MIN_K = 253.0
 OPERABLE_TEMP_MAX_K = 313.0
 
+# `run_degradation_curve` steps each orbit in Python and walks every row
+# mark, so it refuses spans past these: 1e6 orbits is about 171 years of a
+# 5,400 s orbit, and each bound keeps a curve to seconds.
+MAX_CURVE_ORBITS = 1_000_000
+MAX_CURVE_MARKS = 10_000_000
+
 
 @dataclass(frozen=True)
 class DegradationParams:
@@ -260,17 +266,25 @@ def run_degradation_curve(
 
     Each orbit discharges the platform sleep draw across the eclipse span.
     Returns (day, d_linear, fade_fraction) rows at the requested
-    resolution, plus the final battery state.
+    resolution, plus the final battery state.  A span of more than
+    MAX_CURVE_ORBITS orbits, or of more than MAX_CURVE_MARKS row marks
+    (days / resolution_days), is refused before any step.
     """
     if not (0 <= days < math.inf and 0 < resolution_days < math.inf):   # NaN fails too
         raise ValueError("days must be finite and >= 0, and resolution finite and > 0")
+    n_orbits = int(math.floor(days * 86400.0 / orbit.period_s))
+    if n_orbits > MAX_CURVE_ORBITS:
+        raise ValueError(f"a fade curve of {n_orbits:,} orbits exceeds the limit of "
+                         f"{MAX_CURVE_ORBITS:,}")
+    if days / resolution_days > MAX_CURVE_MARKS:
+        raise ValueError(f"a fade curve of {days / resolution_days:.3g} row marks exceeds the "
+                         f"limit of {MAX_CURVE_MARKS:,}")
     state = BatteryState(
         capacity_rated_ah=battery.capacity_rated_ah,
         voltage_nominal_v=battery.voltage_nominal_v,
     )
     eclipse_s = orbit.period_s - orbit.sun_duration_s
     discharge_j = profile.e_sleep_j / slot_s * eclipse_s
-    n_orbits = int(math.floor(days * 86400.0 / orbit.period_s))
     rows: list[tuple[float, float, float]] = []
     next_mark = resolution_days
     for k in range(1, n_orbits + 1):

@@ -11,16 +11,23 @@ ledger.  `_phi_step` then settles
 
 with phi clamped to [0, phi_max].  A clamp at zero is a brownout; every
 clamp is reported so the run-level ledger can still be audited exactly.
-`energy_step` settles one slot through both, and `SlotTotals.add` alone
-updates the running sums.
+`energy_step` settles one slot through both, and `SlotTotals.add` adds it
+to the running sums.
 
 `settle_slots` settles a run of slots in one call, bit for bit as a loop of
-`energy_step` would, running sums included.  It is for runs that cannot
+`energy_step` and `SlotTotals.add` would.  It is for runs that cannot
 brown out: a node's phi drops by at most E_cons per slot, so the first
 floor(phi / E_cons) slots after a settled one are safe.  A slot's terms
 depend only on (tx_phase, sun_s) and the run's constants, so a run keeps
 them in a memo it passes in.  The engine settles such runs lazily and
 steps a slot through `energy_step` wherever a brownout could happen.
+
+Most slots of a run settle in a batch, so `settle_slots` spells the phi
+step and the running sums out on local variables instead of calling
+`_phi_step` and `SlotTotals.add` per slot.  It is the second spelling of
+both, and the two must agree float for float: `TestSettleSlots` and the
+`energy_spy` fixture, which replays every batch of the suite's runs
+through `energy_step` and `SlotTotals.add`, pin them together.
 """
 
 from __future__ import annotations
@@ -185,7 +192,11 @@ class SlotTotals:
 
     def add(self, harvested_j: float, consumed_j: float, discharge_j: float, clamp_j: float,
             slot_s: float) -> None:
-        """Add one settled slot: its `SlotEnergy` figures and its length."""
+        """Add one settled slot: its `SlotEnergy` figures and its length.
+
+        `settle_slots` spells this out inline for its batch slots; a change
+        here must be made there too (the tests pin the two together).
+        """
         self.consumed_j += consumed_j
         self.harvested_j += harvested_j
         self.period_consumed_j += consumed_j
@@ -212,9 +223,16 @@ def settle_slots(
     Slot i of the run has transmit phase tx_phases[i] and sunlit time
     sun_s[i].  The result is bit for bit that of settling the slots one at
     a time: each slot goes through the same slot law, clamps at phi_max
-    included, and `SlotTotals.add` takes it, in slot order.  A brownout
+    included, and each running sum takes it, in slot order.  A brownout
     belongs to `energy_step`'s caller, which must react to it, so reaching
     one here is a broken contract.
+
+    The loop holds phi and the running sums in locals and writes them back
+    once, after the last slot.  Per slot it is `_phi_step` and
+    `SlotTotals.add` spelled out, the same float operations in the same
+    order, and the two must agree; the tests pin them together.  The clamp
+    is spelled as the comparisons `max` and `min` make, which pick the same
+    float (-0.0 and NaN included) without their call cost.
 
     memo maps (tx_phase, sun_s) to the slot's `_slot_terms` and their
     harvested - consumed, and fills as slots miss it.  The terms also depend
@@ -223,18 +241,39 @@ def settle_slots(
     the same terms.
     """
     phi, phi_max = state.phi_j, state.phi_max_j
-    add = totals.add
+    harvested_j, consumed_j = totals.harvested_j, totals.consumed_j
+    period_consumed_j, orbit_s = totals.period_consumed_j, totals.orbit_s
+    orbit_discharge_j = totals.orbit_discharge_j
+    clamp_count, clamp_total_j = totals.clamp_count, totals.clamp_total_j
+    get = memo.get
     for key in zip(tx_phases, sun_s, strict=True):
-        terms = memo.get(key)
+        terms = get(key)
         if terms is None:
             harvested, consumed, discharge = _slot_terms(*key, slot_s, harvest, profile)
             terms = memo[key] = (harvested, consumed, discharge, harvested - consumed)
         harvested, consumed, discharge, delta = terms
-        phi, raw = _phi_step(phi, phi_max, delta)
-        if raw < 0.0:
-            raise ContractError(f"a batch-settled slot browns out (raw phi {raw})")
-        add(harvested, consumed, discharge, phi - raw, slot_s)
+        raw = phi + delta
+        # min(max(raw, 0.0), phi_max), by the comparisons max and min make
+        phi = 0.0 if raw < 0.0 else raw
+        if phi_max < phi:
+            phi = phi_max
+        harvested_j += harvested
+        consumed_j += consumed
+        period_consumed_j += consumed
+        orbit_s += slot_s
+        orbit_discharge_j += discharge
+        clamp = phi - raw
+        if clamp:   # a brownout (raw < 0) always clamps
+            if raw < 0.0:
+                raise ContractError(f"a batch-settled slot browns out (raw phi {raw})")
+            clamp_count += 1
+            clamp_total_j += clamp
     state.phi_j = phi
+    totals.harvested_j, totals.consumed_j = harvested_j, consumed_j
+    totals.period_consumed_j, totals.orbit_s = period_consumed_j, orbit_s
+    totals.orbit_discharge_j = orbit_discharge_j
+    totals.clamp_count, totals.clamp_total_j = clamp_count, clamp_total_j
+    totals.period_slots += len(sun_s)
 
 
 def ewma_update(beta: float, e_cons_prev_j: float, ewma_prev_j: float) -> float:

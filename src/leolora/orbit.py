@@ -133,10 +133,23 @@ def next_phase_boundary(config: OrbitConfig, t: float) -> tuple[float, str]:
     return t + (config.period_s - t_orbit), SUN
 
 
-def _sunlit_below(config: OrbitConfig, u: float) -> float:
-    """Sunlit measure of [0, u) in orbit time (simulation time plus the phase offset)."""
-    full, rem = divmod(u, config.period_s)
-    return full * config.sun_duration_s + min(rem, config.sun_duration_s)
+def _sunlit_between(config: OrbitConfig, edges: list[float]) -> list[float]:
+    """Sunlit measure between each two consecutive orbit-time edges.
+
+    Orbit time is simulation time plus the phase offset.  The sunlit measure
+    of [0, u) is full * sun + min(rem, sun), with (full, rem) = divmod(u,
+    period); each edge takes it once, in one loop with no call per edge,
+    and the result is the differences of consecutive edges.  This is the
+    one formula for sunlit time: `sun_seconds` is its two-edge case.
+    """
+    period, sun = config.period_s, config.sun_duration_s
+    seconds, last = [], 0.0
+    for u in edges:
+        full, rem = divmod(u, period)
+        below = full * sun + (sun if sun < rem else rem)   # min(rem, sun), bit for bit
+        seconds.append(below - last)
+        last = below
+    return seconds[1:]   # seconds[0] is the first edge's own measure
 
 
 def sun_seconds(config: OrbitConfig, t0: float, t1: float) -> float:
@@ -144,7 +157,7 @@ def sun_seconds(config: OrbitConfig, t0: float, t1: float) -> float:
     if t1 < t0:
         raise ValueError(f"need t0 <= t1, got [{t0}, {t1})")
     off = config.phase_time_offset_s
-    return _sunlit_below(config, t1 + off) - _sunlit_below(config, t0 + off)
+    return _sunlit_between(config, [t0 + off, t1 + off])[0]
 
 
 def sun_seconds_per_slot(config: OrbitConfig, offset: float, slot_s: float,
@@ -152,12 +165,11 @@ def sun_seconds_per_slot(config: OrbitConfig, offset: float, slot_s: float,
     """Sunlit time of slots first .. upto - 1 on the grid T_k = offset + k * slot_s.
 
     Slot k spans [T_k, T_{k+1}); each value is bit for bit what `sun_seconds`
-    gives for it.  Each edge is evaluated once, so n slots cost n + 1
-    evaluations.
+    gives for it.  The n + 1 edges of n slots go through one
+    `_sunlit_between` walk.
     """
     off = config.phase_time_offset_s
-    below = [_sunlit_below(config, offset + k * slot_s + off) for k in range(first, upto + 1)]
-    return [b - a for a, b in zip(below, below[1:])]
+    return _sunlit_between(config, [offset + k * slot_s + off for k in range(first, upto + 1)])
 
 
 def subsatellite_point(config: OrbitConfig, t: float) -> tuple[float, float]:

@@ -171,3 +171,20 @@ def oracle_poisson_arrivals(rng, rate, horizon):
         if t >= horizon:
             return out
         out.append(t)
+
+
+def oracle_sun_seconds(orbit, t0, t1):
+    """Sunlit time in [t0, t1), as the difference of the sunlit measure of [0, u).
+
+    `orbit` is read by attribute only.  u is orbit time, simulation time
+    plus the phase offset; the measure of [0, u) counts the sunlit span of
+    each whole period below u and the sunlit part of the last one.
+    """
+    period, sun = orbit.period_s, orbit.sun_duration_s
+    off = (orbit.phase_offset_rad / (2.0 * math.pi)) * period % period
+
+    def sunlit_below(u):
+        full, rem = divmod(u, period)
+        return full * sun + min(rem, sun)
+
+    return sunlit_below(t1 + off) - sunlit_below(t0 + off)

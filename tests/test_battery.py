@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from leolora import battery
 from leolora.battery import (
     BatteryState,
     CycleStress,
@@ -320,3 +321,31 @@ class TestOrbitStepping:
         with pytest.raises(ValueError, match="finite"):
             run_degradation_curve(sc.battery, sc.orbit, sc.energy.profile, sc.sim.slot_s,
                                   days=days, resolution_days=resolution_days)
+
+    @pytest.mark.parametrize("days, resolution_days, what", [
+        (3.65, 1e-300, "row marks"),          # the mark loop would run ~1e300 times
+        (365_000.0, 1.0, "orbits"),           # 1000 years: 5.84 M orbits
+    ])
+    def test_span_past_the_limits_rejected_before_stepping(self, default_scenario, days,
+                                                           resolution_days, what):
+        sc = default_scenario
+        with pytest.raises(ValueError, match=f"{what} exceeds the limit"):
+            run_degradation_curve(sc.battery, sc.orbit, sc.energy.profile, sc.sim.slot_s,
+                                  days=days, resolution_days=resolution_days)
+
+    def test_limits_are_inclusive(self, default_scenario, monkeypatch):
+        sc = default_scenario
+        orbit_days = sc.orbit.period_s / 86400.0
+        monkeypatch.setattr(battery, "MAX_CURVE_ORBITS", 10)
+        monkeypatch.setattr(battery, "MAX_CURVE_MARKS", 40)
+        rows, state = run_degradation_curve(sc.battery, sc.orbit, sc.energy.profile,
+                                            sc.sim.slot_s, days=10 * orbit_days,
+                                            resolution_days=10 * orbit_days / 40)
+        assert state.cycles_completed == pytest.approx(10.0, abs=1e-9)
+        assert len(rows) == 10
+        with pytest.raises(ValueError, match="11 orbits"):
+            run_degradation_curve(sc.battery, sc.orbit, sc.energy.profile, sc.sim.slot_s,
+                                  days=11 * orbit_days, resolution_days=1.0)
+        with pytest.raises(ValueError, match="row marks"):
+            run_degradation_curve(sc.battery, sc.orbit, sc.energy.profile, sc.sim.slot_s,
+                                  days=10 * orbit_days, resolution_days=10 * orbit_days / 41)

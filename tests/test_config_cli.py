@@ -293,6 +293,15 @@ class TestCliDegradation:
         assert err.count("\n") == 1 and err.startswith("error:") and "finite" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("options", [["--years", "0.01", "--resolution", "1e-300"],
+                                         ["--years", "1000"]])
+    def test_span_past_the_limits_exits_3_at_once(self, tmp_path, options, capsys):
+        out = tmp_path / "curve.csv"
+        assert main(["degradation", *options, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error:") and "exceeds the limit" in err
+        assert not out.exists()
+
 
 class TestCliAirtime:
     def test_sf10_reference(self, capsys):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import oracle_visibility_windows
+from oracles import oracle_sun_seconds, oracle_visibility_windows
 
 from leolora.orbit import (
     ECLIPSE,
@@ -67,11 +67,35 @@ class TestPhase:
     ):
         orbit = OrbitConfig(period_s=period, sun_duration_s=sun_share * period,
                             altitude_m=550e3, inclination_rad=0.9, phase_offset_rad=phase)
-        offset = offset_share * slot_s
+        self._check_against_oracle(orbit, offset_share * slot_s, slot_s, first, n)
+
+    @pytest.mark.parametrize("phase, offset, slot_s, first, n", [
+        # no phase offset: edges on sunsets (3300 + 5400 j) and on the
+        # sunrises at whole periods
+        (0.0, 0.0, 60.0, 0, 200),
+        (0.0, 0.0, 300.0, 17, 40),
+        # half a period of phase offset (2700 s, exact): a sunset at t = 600,
+        # sunrises at t = 2700 + 5400 j, and whole periods of t mid-eclipse
+        (math.pi, 0.0, 300.0, 0, 60),
+        (math.pi, 0.0, 100.0, 100, 120),
+    ])
+    def test_per_slot_sunlit_time_on_phase_edges(self, phase, offset, slot_s, first, n):
+        orbit = OrbitConfig(period_s=5400.0, sun_duration_s=3300.0, altitude_m=550e3,
+                            inclination_rad=0.9, phase_offset_rad=phase)
+        off = orbit.phase_time_offset_s
+        edges = [offset + k * slot_s + off for k in range(first, first + n + 1)]
+        assert any((u - 3300.0) % 5400.0 == 0.0 for u in edges)   # a sunset
+        assert any(u % 5400.0 == 0.0 and u > 0.0 for u in edges)   # a sunrise, a whole period
+        self._check_against_oracle(orbit, offset, slot_s, first, n)
+
+    @staticmethod
+    def _check_against_oracle(orbit, offset, slot_s, first, n):
+        """Both sunlit-time paths equal the oracle's difference, bit for bit."""
         edges = [offset + k * slot_s for k in range(first, first + n + 1)]
+        want = [oracle_sun_seconds(orbit, a, b).hex() for a, b in zip(edges, edges[1:])]
         got = sun_seconds_per_slot(orbit, offset, slot_s, first, first + n)
-        want = [sun_seconds(orbit, a, b) for a, b in zip(edges, edges[1:])]
-        assert [x.hex() for x in got] == [x.hex() for x in want]
+        assert [x.hex() for x in got] == want
+        assert [sun_seconds(orbit, a, b).hex() for a, b in zip(edges, edges[1:])] == want
 
     @given(t=st.floats(0.0, 1e6), k=st.integers(1, 20))
     def test_sun_fraction_from_arbitrary_start(self, t, k):
