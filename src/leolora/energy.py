@@ -1,39 +1,22 @@
 """Per-node stored-energy balance, solar harvest, and the EWMA estimator.
 
-The slot law has two owners, one per part.  From what the node did in the
-slot (transmitted in a sun or eclipse window, or slept) and the slot's
-sunlit seconds, `_slot_terms` derives the decision variables x, y and the
-harvest E_g, and gives the terms phi does not enter: y*E_g, the draw
-x*E_cons + (1 - x)*E_sleep and the slot's battery discharge for the orbit
-ledger.  `_phi_step` then settles
+`settle_slots` owns the slot law
 
     phi[t] = phi[t-1] + y[t]*E_g[t] - x[t]*E_cons - (1 - x[t])*E_sleep
 
-with phi clamped to [0, phi_max].  A clamp at zero is a brownout; every
-clamp is reported so the run-level ledger can still be audited exactly.
-`energy_step` settles one slot through both, and `SlotTotals.add` adds it
-to the running sums.
-
-`settle_slots` settles a run of slots in one call, bit for bit as a loop of
-`energy_step` and `SlotTotals.add` would.  It is for runs that cannot
-brown out: a node's phi drops by at most E_cons per slot, so the first
-floor(phi / E_cons) slots after a settled one are safe.  A slot's terms
-depend only on (tx_phase, sun_s) and the run's constants, so a run keeps
-them in a memo it passes in.  The engine settles such runs lazily and
-steps a slot through `energy_step` wherever a brownout could happen.
-
-Most slots of a run settle in a batch, so `settle_slots` spells the phi
-step and the running sums out on local variables instead of calling
-`_phi_step` and `SlotTotals.add` per slot.  It is the second spelling of
-both, and the two must agree float for float: `TestSettleSlots` and the
-`energy_spy` fixture, which replays every batch of the suite's runs
-through `energy_step` and `SlotTotals.add`, pin them together.
+with phi clamped to [0, phi_max]: it settles a run of slots in order and
+adds each to the node's running `SlotTotals`.  `_slot_terms` gives the
+terms phi does not enter (x, y, E_g and the slot's battery discharge for
+the orbit ledger).  They depend only on (tx_phase, sun_s) and the run's
+constants, so a run keeps them in a memo.  A clamp at zero is a brownout;
+every clamp is counted so the run-level ledger can be audited exactly.
+The engine settles the slots that cannot brown out in runs, and each
+other slot through `energy_step`, a run of one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .exceptions import ConfigError, ContractError
 from .orbit import ECLIPSE, SUN, ForecastWindow
@@ -107,16 +90,6 @@ class PowerProfile:
             )
 
 
-class SlotEnergy(NamedTuple):
-    """What one settled slot adds to a node's ledgers."""
-
-    harvested_j: float
-    consumed_j: float
-    discharge_j: float   # battery discharge, for the orbit ledger
-    clamp_j: float       # phi_after - (phi_before + harvested - consumed)
-    brownout: bool
-
-
 def _slot_terms(tx_phase, sun_s, slot_s, harvest, profile) -> tuple[float, float, float]:
     """(harvested, consumed, discharge) of a slot: the part of the slot law phi does not enter.
 
@@ -126,6 +99,8 @@ def _slot_terms(tx_phase, sun_s, slot_s, harvest, profile) -> tuple[float, float
     in sunlight, and a transmit's extra draw in an eclipse window.  A sun
     window's transmit is taken as covered by harvest.
     """
+    if tx_phase not in (None, SUN, ECLIPSE):
+        raise ValueError(f"transmit phase must be None, {SUN} or {ECLIPSE}, got {tx_phase!r}")
     x = 0 if tx_phase is None else 1
     y = 1 if sun_s > 0.0 else 0
     e_g = harvest.slot_harvest(min(max(sun_s / slot_s, 0.0), 1.0)) if y else 0.0
@@ -143,38 +118,9 @@ def _slot_terms(tx_phase, sun_s, slot_s, harvest, profile) -> tuple[float, float
     return harvested, consumed, discharge
 
 
-def _phi_step(phi: float, phi_max: float, delta: float) -> tuple[float, float]:
-    """(phi after the slot, raw phi before clamping) for a slot adding harvested - consumed."""
-    raw = phi + delta   # phi + (harvested - consumed): outputs are pinned bit for bit
-    return min(max(raw, 0.0), phi_max), raw
-
-
-def energy_step(
-    state: NodeEnergyState,
-    tx_phase: str | None,
-    sun_s: float,
-    slot_s: float,
-    harvest: HarvestModel,
-    profile: PowerProfile,
-) -> SlotEnergy:
-    """Settle one slot: advance phi and measure the battery discharge.
-
-    tx_phase is the phase of the window the node transmitted in (x = 1),
-    or None if it slept (x = 0); sun_s is the slot's sunlit time, which
-    sets y and E_g.  A brownout (clamp at zero) is reported to the caller,
-    which must force the node to sleep for the following slot.
-    """
-    if tx_phase not in (None, SUN, ECLIPSE):
-        raise ValueError(f"transmit phase must be None, {SUN} or {ECLIPSE}, got {tx_phase!r}")
-    harvested, consumed, discharge = _slot_terms(tx_phase, sun_s, slot_s, harvest, profile)
-    phi, raw = _phi_step(state.phi_j, state.phi_max_j, harvested - consumed)
-    state.phi_j = phi
-    return SlotEnergy(harvested, consumed, discharge, phi - raw, raw < 0.0)
-
-
 @dataclass
 class SlotTotals:
-    """Running sums over a node's settled slots, each added to one slot at a time.
+    """Running sums over a node's settled slots, which `settle_slots` adds to in slot order.
 
     harvested_j and consumed_j cover the run; the period sums restart at
     each report and the orbit sums at each orbit flush.  The clamp figures
@@ -190,23 +136,6 @@ class SlotTotals:
     clamp_count: int = 0
     clamp_total_j: float = 0.0
 
-    def add(self, harvested_j: float, consumed_j: float, discharge_j: float, clamp_j: float,
-            slot_s: float) -> None:
-        """Add one settled slot: its `SlotEnergy` figures and its length.
-
-        `settle_slots` spells this out inline for its batch slots; a change
-        here must be made there too (the tests pin the two together).
-        """
-        self.consumed_j += consumed_j
-        self.harvested_j += harvested_j
-        self.period_consumed_j += consumed_j
-        self.period_slots += 1
-        self.orbit_s += slot_s
-        self.orbit_discharge_j += discharge_j
-        if clamp_j:
-            self.clamp_count += 1
-            self.clamp_total_j += clamp_j
-
 
 def settle_slots(
     state: NodeEnergyState,
@@ -217,34 +146,31 @@ def settle_slots(
     harvest: HarvestModel,
     profile: PowerProfile,
     memo: dict[tuple, tuple[float, float, float, float]],
-) -> None:
-    """Settle a run of slots that cannot brown out, as `energy_step` and `SlotTotals.add` would.
+) -> bool:
+    """Settle a run of slots in slot order; return whether the last one browned out.
 
-    Slot i of the run has transmit phase tx_phases[i] and sunlit time
-    sun_s[i].  The result is bit for bit that of settling the slots one at
-    a time: each slot goes through the same slot law, clamps at phi_max
-    included, and each running sum takes it, in slot order.  A brownout
-    belongs to `energy_step`'s caller, which must react to it, so reaching
-    one here is a broken contract.
+    Slot i has transmit phase tx_phases[i] (None: the node slept) and
+    sunlit time sun_s[i]; it advances phi by the slot law and adds its
+    figures to the running sums.  A brownout must be acted on (the node
+    sleeps through the next slot), so one before the last slot is a broken
+    contract: it raises before state or totals change.
 
-    The loop holds phi and the running sums in locals and writes them back
-    once, after the last slot.  Per slot it is `_phi_step` and
-    `SlotTotals.add` spelled out, the same float operations in the same
-    order, and the two must agree; the tests pin them together.  The clamp
-    is spelled as the comparisons `max` and `min` make, which pick the same
-    float (-0.0 and NaN included) without their call cost.
+    The loop holds phi and the sums in locals and writes them back once.
+    The clamp is spelled as the comparisons `max` and `min` make, which
+    pick the same float (-0.0 and NaN included) without their call cost.
 
     memo maps (tx_phase, sun_s) to the slot's `_slot_terms` and their
-    harvested - consumed, and fills as slots miss it.  The terms also depend
-    on slot_s, harvest and profile, so a memo must only ever see one set of
-    those: a run keeps its own.  Keys 0.0 and -0.0 are one key, and give
-    the same terms.
+    harvested - consumed, and fills as slots miss it.  The terms also
+    depend on slot_s, harvest and profile, so a run keeps its own memo.
+    Keys 0.0 and -0.0 are one key, and give the same terms.
     """
     phi, phi_max = state.phi_j, state.phi_max_j
     harvested_j, consumed_j = totals.harvested_j, totals.consumed_j
     period_consumed_j, orbit_s = totals.period_consumed_j, totals.orbit_s
     orbit_discharge_j = totals.orbit_discharge_j
     clamp_count, clamp_total_j = totals.clamp_count, totals.clamp_total_j
+    brownouts = 0
+    raw = phi
     get = memo.get
     for key in zip(tx_phases, sun_s, strict=True):
         terms = get(key)
@@ -265,15 +191,33 @@ def settle_slots(
         clamp = phi - raw
         if clamp:   # a brownout (raw < 0) always clamps
             if raw < 0.0:
-                raise ContractError(f"a batch-settled slot browns out (raw phi {raw})")
+                brownouts += 1
             clamp_count += 1
             clamp_total_j += clamp
+    brownout = raw < 0.0
+    if brownouts > brownout:
+        raise ContractError(f"a slot before the last of a run of {len(sun_s)} browns out")
     state.phi_j = phi
     totals.harvested_j, totals.consumed_j = harvested_j, consumed_j
     totals.period_consumed_j, totals.orbit_s = period_consumed_j, orbit_s
     totals.orbit_discharge_j = orbit_discharge_j
     totals.clamp_count, totals.clamp_total_j = clamp_count, clamp_total_j
     totals.period_slots += len(sun_s)
+    return brownout
+
+
+def energy_step(
+    state: NodeEnergyState,
+    totals: SlotTotals,
+    tx_phase: str | None,
+    sun_s: float,
+    slot_s: float,
+    harvest: HarvestModel,
+    profile: PowerProfile,
+    memo: dict[tuple, tuple[float, float, float, float]],
+) -> bool:
+    """Settle one slot as a run of one; return whether it browned out, for the caller to act on."""
+    return settle_slots(state, totals, [tx_phase], [sun_s], slot_s, harvest, profile, memo)
 
 
 def ewma_update(beta: float, e_cons_prev_j: float, ewma_prev_j: float) -> float:

@@ -24,10 +24,11 @@ first slot where a transmit in every slot could empty the battery (phi
 drops by at most E_cons a slot).  After a brownout phi is 0, so the guard
 is the very next tick; the arrivals a brownout tick leaves undrained are
 created and decided there.  The slots between real ticks cannot brown out
-and settle in one `energy.settle_slots` batch, bit for bit as one tick
-each would have settled them.  A real tick closes the orbits whose sunrise
+and settle in one `energy.settle_slots` batch, which raises
+`ContractError` if one does.  A real tick closes the orbits whose sunrise
 lies before it, settles the rest of that gap, then its own slot through
-`energy.energy_step`, and pushes the next real tick.
+`energy.energy_step` (a batch of one, whose brownout it acts on), and
+pushes the next real tick.
 
 Whatever reads or resets the energy state (window open, report, end of
 run) first settles the node up to now: it closes every orbit whose
@@ -548,12 +549,11 @@ class Simulator:
         tx_phase = node.tx_slot_info.pop(idx, None)
         if idx == node.sleep_slot:
             tx_phase = None
-        slot = energy_step(node.energy, tx_phase, sun_s, self.slot_s, self.harvest, self.profile)
-        node.totals.add(slot.harvested_j, slot.consumed_j, slot.discharge_j, slot.clamp_j,
-                        self.slot_s)
+        brownout = energy_step(node.energy, node.totals, tx_phase, sun_s, self.slot_s,
+                               self.harvest, self.profile, self._slot_terms)
         node.settled = k
 
-        if slot.brownout:
+        if brownout:
             node.brownout_count += 1
             node.sleep_slot = k
             if node.in_flight is not None:
@@ -569,7 +569,7 @@ class Simulator:
                 node.busy_until = t_end
 
         # a brownout tick leaves its arrivals to the guard tick right after it
-        if not slot.brownout:
+        if not brownout:
             for packet in self._drain_arrivals(node, t_end):
                 if self.naive:
                     self._decide_naive(node, packet, t_end)
@@ -626,8 +626,9 @@ class Simulator:
         tx = node.tx_slot_info
         for i in [i for i in tx if first <= i < upto]:
             phases[i - first] = tx.pop(i)
-        settle_slots(node.energy, node.totals, phases, sun_s, self.slot_s, self.harvest,
-                     self.profile, self._slot_terms)
+        if settle_slots(node.energy, node.totals, phases, sun_s, self.slot_s, self.harvest,
+                        self.profile, self._slot_terms):
+            raise ContractError(f"node {node.node_id} browns out in batch-settled slot {upto - 1}")
         node.settled = upto
 
     def _settle_upto(self, node: _Node, m: int):

@@ -23,6 +23,7 @@ from __future__ import annotations
 import bisect
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -361,8 +362,10 @@ def build_schedule(
 def load_schedule_override(source: str | Path | list) -> dict[int, Schedule]:
     """Parse a schedule-override file: a JSON array of window records.
 
-    Records are {node, target, start_s, end_s, phase}; each node's windows
-    must satisfy the usual window invariants.
+    Records are {node, target, start_s, end_s, phase} objects, node a whole
+    number and start_s, end_s finite numbers; each node's windows must
+    satisfy the usual window invariants.  A malformed record raises
+    ValueError naming its index.
     """
     if isinstance(source, (str, Path)):
         records = json.loads(Path(source).read_text())
@@ -375,13 +378,24 @@ def load_schedule_override(source: str | Path | list) -> dict[int, Schedule]:
 
     per_node: dict[int, list[ForecastWindow]] = {}
     for i, rec in enumerate(records):
+        if not isinstance(rec, dict):
+            raise ValueError(f"override record {i} is not an object: {rec!r}")
         missing = {"node", "target", "start_s", "end_s", "phase"} - set(rec)
         if missing:
             raise ValueError(f"override record {i} missing fields: {sorted(missing)}")
+        for key in ("node", "start_s", "end_s"):
+            value = rec[key]
+            # abs(value) <= max also rules out NaN, infinities and ints past float range
+            if (isinstance(value, bool) or not isinstance(value, (int, float))
+                    or not abs(value) <= sys.float_info.max):
+                raise ValueError(f"override record {i}: {key} must be a finite number, "
+                                 f"got {value!r}")
         node = int(rec["node"])
+        if node != rec["node"]:
+            raise ValueError(f"override record {i}: node {rec['node']!r} is not a whole number")
         per_node.setdefault(node, []).append(
             ForecastWindow(
-                window_id=rec.get("window_id", f"{rec['target']}:override:{i}"),
+                window_id=str(rec.get("window_id", f"{rec['target']}:override:{i}")),
                 start=float(rec["start_s"]),
                 end=float(rec["end_s"]),
                 phase=str(rec["phase"]),

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import sys
 from pathlib import Path
 from typing import NamedTuple
@@ -11,6 +12,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 from leolora.config import default_scenario_dict, parse_scenario
 from leolora.mac import DropReason
 from leolora.orbit import SUN
+from oracles import oracle_slot
 
 settings.register_profile(
     "suite",
@@ -36,46 +38,45 @@ def default_scenario():
     return parse_scenario(default_scenario_dict())
 
 
+def bits(obj) -> tuple:
+    """A dataclass's fields, floats by their exact bits (so 0.0 and -0.0 differ)."""
+    return tuple(v.hex() if isinstance(v, float) else v
+                 for v in dataclasses.astuple(obj))
+
+
 @pytest.fixture
 def energy_spy(monkeypatch):
     """Record every slot the engine settles, per node, in slot order.
 
-    A slot settled through `energy_step` is recorded as it is.  A run of
-    slots settled through `settle_slots` is replayed slot by slot through
-    `energy_step` and `SlotTotals.add` on copies of the node's state and
-    totals, which must end exactly where the batch did.
+    Every call to `energy_step` (one slot) and `settle_slots` (a run) is
+    replayed slot by slot through `oracles.oracle_slot` on copies of the
+    node's state and totals, which must end bit for bit where the engine's
+    call did, with the same brownout reported.
 
-    Returns `slots(node)`: the node's (tx_phase, sun_s, slot_s, SlotEnergy)
+    Returns `slots(node)`: the node's (tx_phase, sun_s, slot_s, OracleSlot)
     per settled slot.  Runs keep no per-slot history of their own.
     """
     from leolora import engine
 
-    real_step, real_settle = engine.energy_step, engine.settle_slots
     # id(state) -> (state, rows); holding the state keeps its id from being reused
     calls: dict[int, tuple] = {}
 
-    def rows_of(state):
-        return calls.setdefault(id(state), (state, []))[1]
+    def spied(real, one_slot):
+        def settle(state, totals, tx_phases, sun_s, slot_s, harvest, profile, memo):
+            phases, suns = ([tx_phases], [sun_s]) if one_slot else (tx_phases, sun_s)
+            replay, replay_totals = copy.copy(state), copy.copy(totals)
+            rows = [(tx_phase, s, slot_s,
+                     oracle_slot(replay, replay_totals, tx_phase, s, slot_s, harvest, profile))
+                    for tx_phase, s in zip(phases, suns)]
+            brownout = real(state, totals, tx_phases, sun_s, slot_s, harvest, profile, memo)
+            assert (bits(state), bits(totals)) == (bits(replay), bits(replay_totals))
+            assert brownout == (bool(rows) and rows[-1][3].brownout)
+            calls.setdefault(id(state), (state, []))[1].extend(rows)
+            return brownout
+        return settle
 
-    def step(state, tx_phase, sun_s, slot_s, harvest, profile):
-        out = real_step(state, tx_phase, sun_s, slot_s, harvest, profile)
-        rows_of(state).append((tx_phase, sun_s, slot_s, out))
-        return out
-
-    def settle(state, totals, tx_phases, sun_s, slot_s, harvest, profile, memo):
-        replay, replay_totals = copy.copy(state), copy.copy(totals)
-        rows = []
-        for tx_phase, s in zip(tx_phases, sun_s):
-            out = real_step(replay, tx_phase, s, slot_s, harvest, profile)
-            replay_totals.add(out.harvested_j, out.consumed_j, out.discharge_j, out.clamp_j,
-                              slot_s)
-            rows.append((tx_phase, s, slot_s, out))
-        real_settle(state, totals, tx_phases, sun_s, slot_s, harvest, profile, memo)
-        assert (replay, replay_totals) == (state, totals)
-        rows_of(state).extend(rows)
-
-    monkeypatch.setattr(engine, "energy_step", step)
-    monkeypatch.setattr(engine, "settle_slots", settle)
+    monkeypatch.setattr(engine, "energy_step", spied(engine.energy_step, one_slot=True))
+    monkeypatch.setattr(engine, "settle_slots", spied(engine.settle_slots, one_slot=False))
     return lambda node: calls.get(id(node.energy), (None, []))[1]
 
 

@@ -5,6 +5,7 @@ each formula is transcribed directly so the two sides can disagree.
 """
 
 import math
+from typing import NamedTuple
 
 GAS_CONSTANT = 8.314
 
@@ -188,3 +189,58 @@ def oracle_sun_seconds(orbit, t0, t1):
         return full * sun + min(rem, sun)
 
     return sunlit_below(t1 + off) - sunlit_below(t0 + off)
+
+
+class OracleSlot(NamedTuple):
+    """What one settled slot adds to a node's ledgers."""
+
+    harvested_j: float
+    consumed_j: float
+    discharge_j: float   # battery discharge, for the orbit ledger
+    clamp_j: float       # phi_after - (phi_before + harvested - consumed)
+    brownout: bool
+
+
+def oracle_slot(state, totals, tx_phase, sun_s, slot_s, harvest, profile):
+    """Settle one slot of the stored-energy law on `state` and `totals`; return its `OracleSlot`.
+
+    Every input is read by attribute only, and `state` and `totals` are
+    written the same way.  The slot law
+
+        phi[t] = phi[t-1] + y*E_g - x*E_cons - (1 - x)*E_sleep
+
+    with x = 1 for a transmit, y = 1 for a slot with sunlit time, E_g the
+    sunlit share of the slot's harvest (capped at the charge rate) and phi
+    clamped to [0, phi_max]; the discharge counts the bus draw beyond
+    harvest and an eclipse transmit's extra draw.  Floats are computed in
+    the simulator's order of operations, and every running sum takes the
+    slot once.
+    """
+    x = 0 if tx_phase is None else 1
+    y = 1 if sun_s > 0.0 else 0
+    e_g = 0.0
+    if y:
+        share = min(max(sun_s / slot_s, 0.0), 1.0)
+        e_g = min(harvest.e_g_sun_j_per_slot * share, harvest.charge_rate_limit_j_per_slot)
+    harvested = y * e_g
+    consumed = x * profile.e_cons_tx_j + (1 - x) * profile.e_sleep_j
+    bus_rate = profile.e_sleep_j / slot_s
+    discharge = bus_rate * (slot_s - sun_s)
+    if y and bus_rate > e_g / sun_s:
+        discharge += (bus_rate - e_g / sun_s) * sun_s
+    if tx_phase == "eclipse":
+        discharge += profile.e_cons_tx_j - profile.e_sleep_j
+
+    raw = state.phi_j + (harvested - consumed)
+    state.phi_j = min(max(raw, 0.0), state.phi_max_j)
+    clamp = state.phi_j - raw
+    totals.harvested_j += harvested
+    totals.consumed_j += consumed
+    totals.period_consumed_j += consumed
+    totals.period_slots += 1
+    totals.orbit_s += slot_s
+    totals.orbit_discharge_j += discharge
+    if clamp:
+        totals.clamp_count += 1
+        totals.clamp_total_j += clamp
+    return OracleSlot(harvested, consumed, discharge, clamp, raw < 0.0)

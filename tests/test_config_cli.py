@@ -245,6 +245,22 @@ class TestCliSimulate:
         err = capsys.readouterr().err
         assert err.startswith("error: backoff range [0.0, inf]")
 
+    @pytest.mark.parametrize("records", [
+        [1, 2],
+        [{"node": None, "target": "gw", "start_s": 0.0, "end_s": 600.0, "phase": "sun"}],
+    ])
+    def test_malformed_override_record_exits_3(self, tmp_path, scenario_dict, records, capsys):
+        override = tmp_path / "override.json"
+        override.write_text(json.dumps(records))
+        scenario_dict["sim"]["schedule_override_path"] = str(override)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(scenario_dict))
+        code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "m.csv"),
+                     "--summary", str(tmp_path / "s.json")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: override record 0") and err.count("\n") == 1
+
     @pytest.mark.parametrize("sweep", ["1", "3"])
     def test_negative_seed_exits_2(self, tmp_path, sweep, capsys):
         code = main(["simulate", "--seed", "-3", "--sweep", sweep,

@@ -1,7 +1,6 @@
 """Stored-energy balance, EWMA estimator, and availability projections."""
 
 import copy
-import dataclasses
 
 import pytest
 from hypothesis import given
@@ -20,6 +19,9 @@ from leolora.energy import (
 from leolora.exceptions import ConfigError, ContractError
 from leolora.orbit import ECLIPSE, SUN, ForecastWindow, OrbitConfig, sun_seconds_per_slot
 
+from conftest import bits
+from oracles import OracleSlot, oracle_slot
+
 PROFILE = PowerProfile(e_cons_tx_j=5.0, e_sleep_j=1.0)
 HARVEST = HarvestModel(e_g_sun_j_per_slot=10.0, charge_rate_limit_j_per_slot=100.0)
 SLOT_S = 40.0
@@ -31,7 +33,11 @@ def fresh_state(phi=100.0, phi_max=200.0, phi_min=10.0, e_critical=20.0):
 
 
 def step(state, tx_phase=None, sun_s=0.0, harvest=HARVEST, profile=PROFILE):
-    return energy_step(state, tx_phase, sun_s, SLOT_S, harvest, profile)
+    """Settle one slot on fresh totals and memo; its figures are what the totals took."""
+    totals = SlotTotals()
+    brownout = energy_step(state, totals, tx_phase, sun_s, SLOT_S, harvest, profile, {})
+    return OracleSlot(totals.harvested_j, totals.consumed_j, totals.orbit_discharge_j,
+                      totals.clamp_total_j, brownout)
 
 
 class TestEnergyStep:
@@ -81,6 +87,9 @@ class TestEnergyStep:
     def test_bad_decision_variables_rejected(self):
         with pytest.raises(ValueError):
             step(fresh_state(), "dusk")
+        with pytest.raises(ValueError):
+            settle_slots(fresh_state(), SlotTotals(), ["dusk"], [0.0], SLOT_S, HARVEST, PROFILE,
+                         {})
 
     @given(
         phi=st.floats(0.0, 200.0),
@@ -101,12 +110,6 @@ class TestEnergyStep:
         if sun_s == 0.0:
             assert slot.harvested_j == 0.0
         assert slot.discharge_j >= 0.0
-
-
-def _bits(obj) -> tuple:
-    """A dataclass's fields, floats by their exact bits (so 0.0 and -0.0 differ)."""
-    return tuple(v.hex() if isinstance(v, float) else v
-                 for v in dataclasses.astuple(obj))
 
 
 @st.composite
@@ -141,46 +144,59 @@ def slot_runs(draw):
 
 
 class TestSettleSlots:
-    """`settle_slots` is a loop of `energy_step` and `SlotTotals.add`, bit for bit."""
+    """`settle_slots` is `oracle_slot` slot by slot, bit for bit, up to a brownout."""
 
     @given(slot_runs(), st.data())
     def test_batch_equals_slot_by_slot(self, run, data):
-        """Two consecutive batches that share one memo, split anywhere, are one slot loop."""
+        """Two consecutive batches that share one memo, split anywhere, are one slot loop.
+
+        A batch returns its last slot's brownout; a brownout before that
+        raises and leaves state and totals as they were.
+        """
         state, totals, phases, sun_s, slot_s, harvest, profile = run
-        ref_state, ref_totals = copy.copy(state), copy.copy(totals)
-        brownout = False
-        for tx_phase, s in zip(phases, sun_s):
-            slot = energy_step(ref_state, tx_phase, s, slot_s, harvest, profile)
-            brownout |= slot.brownout
-            ref_totals.add(slot.harvested_j, slot.consumed_j, slot.discharge_j, slot.clamp_j,
-                           slot_s)
         split = data.draw(st.integers(0, len(phases)))
         memo = {}
-
-        def settle_both():
-            for part in (slice(None, split), slice(split, None)):
-                settle_slots(state, totals, phases[part], sun_s[part], slot_s, harvest, profile,
-                             memo)
-
-        if brownout:
-            with pytest.raises(ContractError):
-                settle_both()
-            return
-        settle_both()
-        assert _bits(state) == _bits(ref_state)
-        assert _bits(totals) == _bits(ref_totals)
+        for part in (slice(None, split), slice(split, None)):
+            ref_state, ref_totals = copy.copy(state), copy.copy(totals)
+            slots = [oracle_slot(ref_state, ref_totals, tx_phase, s, slot_s, harvest, profile)
+                     for tx_phase, s in zip(phases[part], sun_s[part])]
+            if any(slot.brownout for slot in slots[:-1]):
+                before = bits(state), bits(totals)
+                with pytest.raises(ContractError):
+                    settle_slots(state, totals, phases[part], sun_s[part], slot_s, harvest,
+                                 profile, memo)
+                assert (bits(state), bits(totals)) == before
+                return
+            brownout = settle_slots(state, totals, phases[part], sun_s[part], slot_s, harvest,
+                                    profile, memo)
+            assert brownout == (bool(slots) and slots[-1].brownout)
+            assert bits(state) == bits(ref_state)
+            assert bits(totals) == bits(ref_totals)
 
     def test_clamps_at_capacity_are_counted(self):
         state, totals = fresh_state(phi=195.0), SlotTotals()
-        settle_slots(state, totals, [None] * 3, [SLOT_S] * 3, SLOT_S, HARVEST, PROFILE, {})
+        assert not settle_slots(state, totals, [None] * 3, [SLOT_S] * 3, SLOT_S, HARVEST,
+                                PROFILE, {})
         assert state.phi_j == 200.0
         assert (totals.clamp_count, totals.clamp_total_j) == (3, -(4.0 + 9.0 + 9.0))
         assert (totals.period_slots, totals.orbit_s) == (3, 3 * SLOT_S)
 
-    def test_a_brownout_is_a_broken_contract(self):
+    def test_a_brownout_in_the_last_slot_is_returned(self):
+        # 6 J less 5 J leaves 1 J, and the second transmit overdraws it by 4 J
+        state, totals = fresh_state(phi=6.0), SlotTotals()
+        assert settle_slots(state, totals, [ECLIPSE, ECLIPSE], [0.0, 0.0], SLOT_S, HARVEST,
+                            PROFILE, {})
+        assert state.phi_j == 0.0
+        assert (totals.clamp_count, totals.clamp_total_j) == (1, 4.0)
+        assert totals.period_slots == 2
+
+    def test_a_brownout_before_the_last_slot_is_a_broken_contract(self):
+        state, totals = fresh_state(phi=6.0), SlotTotals(harvested_j=3.0, period_slots=7)
+        before = bits(state), bits(totals)
         with pytest.raises(ContractError):
-            settle_slots(fresh_state(phi=6.0), SlotTotals(), [ECLIPSE, ECLIPSE], [0.0, 0.0],
-                         SLOT_S, HARVEST, PROFILE, {})
+            settle_slots(state, totals, [ECLIPSE, ECLIPSE, None], [0.0, 0.0, 0.0], SLOT_S,
+                         HARVEST, PROFILE, {})
+        assert (bits(state), bits(totals)) == before
 
 
 class TestDischarge:

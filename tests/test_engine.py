@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from leolora import engine
 from leolora.engine import Simulator, run
+from leolora.exceptions import ContractError
 from leolora.mac import resolve_collisions
 from leolora.orbit import MAX_WINDOW_S, SUN, ForecastWindow, Schedule, sun_seconds
 
@@ -69,7 +70,7 @@ class TestFullRuns:
     def test_a_run_takes_no_slot_terms_from_an_earlier_one(self, default_dict, energy_spy):
         # a quiet slot adds nothing, a default one harvests and draws: the
         # two runs share their (tx_phase, sun_s) keys but not the terms, and
-        # the spy replays every batch through `energy_step`
+        # the spy checks every settled slot against the slot-law oracle
         quiet = make_scenario(default_dict, **{"sim.traffic_model": "none",
                                                "sim.duration_days": 0.5,
                                                "sim.node_count": 1,
@@ -128,6 +129,16 @@ class TestFullRuns:
         assert node.totals.clamp_count >= 1
         assert node.totals.clamp_total_j > 0.0
         assert node.energy.phi_j == 0.0
+
+    def test_a_batch_that_browns_out_is_a_broken_contract(self, default_dict):
+        # the guard keeps brownouts out of batches; a batch that reports one anyway raises
+        sim = Simulator(make_scenario(default_dict, **{"sim.node_count": 1,
+                                                       "sim.duration_days": 0.01}),
+                        schedules={})
+        node = sim.nodes[0]
+        node.energy.phi_j = 0.0
+        with pytest.raises(ContractError, match="browns out"):
+            sim._settle(node, [0.0])
 
     def test_capacity_fade_clamp_is_counted(self, default_dict, energy_spy):
         # a pack that stays full through eclipse: each orbit's fade lowers

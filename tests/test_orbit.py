@@ -313,6 +313,19 @@ class TestScheduleOverride:
         bad = [{"node": 0, "target": "gs", "start_s": 10.0, "end_s": 5.0, "phase": "sun"}]
         with pytest.raises(ValueError):
             load_schedule_override(bad)
+        # a record that is not an object, or whose node or times are not
+        # finite numbers (node a whole one), is named by its index
+        good = self.RECORDS[0]
+        for record in ([1, 2], None, "0", {**good, "node": None}, {**good, "node": "0"},
+                       {**good, "node": True}, {**good, "node": 1.5},
+                       {**good, "node": float("inf")}, {**good, "start_s": None},
+                       {**good, "start_s": "0"}, {**good, "end_s": float("nan")},
+                       {**good, "end_s": 10**400}):
+            with pytest.raises(ValueError, match="override record 1"):
+                load_schedule_override([good, record])
+        # ids are strings, so windows sharing a start still sort by id
+        per_node = load_schedule_override([{**good, "window_id": 1}, {**good, "target": "b"}])
+        assert [w.window_id for w in per_node[0].windows] == ["1", "b:override:1"]
 
     def test_missing_fields_reported(self):
         with pytest.raises(ValueError, match="missing fields"):
