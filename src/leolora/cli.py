@@ -171,12 +171,11 @@ def cmd_schedule(args: argparse.Namespace) -> int:
             })
 
     timeline = []
-    t = 0.0
+    t, phase = 0.0, phase_at(scenario.orbit, 0.0)
     while t < horizon:
-        seg_end, _ = next_phase_boundary(scenario.orbit, t)
-        timeline.append({"start_s": t, "end_s": min(seg_end, horizon),
-                         "phase": phase_at(scenario.orbit, t)})
-        t = seg_end
+        seg_end, next_phase = next_phase_boundary(scenario.orbit, t)
+        timeline.append({"start_s": t, "end_s": min(seg_end, horizon), "phase": phase})
+        t, phase = seg_end, next_phase
 
     doc = {
         "horizon_s": horizon,

@@ -12,10 +12,10 @@ hear is never pushed (`_announce` skips it).
 Accounting is retrospective: slot k of a node spans [T_k, T_{k+1}) on its
 (randomly offset, unsynchronized) grid T_k = slot_offset + k * slot, and
 tick k+1 at T_{k+1} settles it, by which point every transmission attempt
-inside it has already happened.  `_Node.last_tick` is the one query that
-places a time on the grid, by exact comparisons with `slot_time`.  A
-packet arriving in a slot is created at the next tick, where the MAC
-decides it.
+inside it has already happened.  `orbit.grid_floor` places a time on
+this grid (`_Node.last_tick`) and on the grid of sunrises alike, by exact
+comparisons.  A packet arriving in a slot is created at the next tick,
+where the MAC decides it; no event is pushed before now or past the end.
 
 Ticks are lazy.  A tick is a real event only where the node has work: it
 drains the node's next arrival, it is the first at or after the node's
@@ -72,14 +72,14 @@ from .mac import (
 )
 from .orbit import (
     ECLIPSE,
-    SUN,
     ForecastWindow,
     OrbitConfig,
     Schedule,
     build_schedule,
+    grid_floor,
     load_schedule_override,
-    next_phase_boundary,
     phase_at,
+    phase_edges,
     sun_seconds_per_slot,
 )
 from .report import NodeBatteryReport, gateway_compute_fleet_degradation
@@ -187,17 +187,8 @@ class _Node:
         return self.slot_offset + k * self.slot_s
 
     def last_tick(self, t: float) -> int:
-        """The largest m with slot_time(m) <= t: t lies in slot m.
-
-        The floor of the rounded quotient is a guess that exact comparisons
-        with `slot_time` correct; it is off by at most one in practice.
-        """
-        m = math.floor((t - self.slot_offset) / self.slot_s)
-        while self.slot_time(m) > t:
-            m -= 1
-        while self.slot_time(m + 1) <= t:
-            m += 1
-        return m
+        """The largest m with slot_time(m) <= t: t lies in slot m."""
+        return grid_floor(self.slot_offset, self.slot_s, t)
 
     @property
     def account_end(self) -> float:
@@ -296,7 +287,7 @@ class Simulator:
 
     def _push(self, time: float, kind: EventKind, payload: tuple):
         """Push any event but a slot tick (`_schedule_wake`) or an attempt end (`_announce`)."""
-        if time < self.now - 1e-9:
+        if time < self.now:
             raise ContractError(f"event {kind} scheduled at {time} before now {self.now}")
         heapq.heappush(self._heap, (time, _OTHER, next(self._seq), kind, payload))
 
@@ -329,10 +320,8 @@ class Simulator:
 
     def _next_sunrise(self, orbit: OrbitConfig, after: float) -> float:
         """The first sunrise of this orbit profile after `after`, or inf past the run."""
-        next_t, phase = next_phase_boundary(orbit, after)
-        if phase != SUN:
-            next_t, _ = next_phase_boundary(orbit, next_t + 1e-9)
-        return next_t if next_t <= self.t_end else math.inf
+        sunrise = phase_edges(orbit, after)[1]
+        return sunrise if sunrise <= self.t_end else math.inf
 
     # ── main loop ────────────────────────────────────────────────────────
 
@@ -345,8 +334,6 @@ class Simulator:
         }
         while self._heap:
             time, _, _, kind, payload = heapq.heappop(self._heap)
-            if time > self.t_end + 1e-9:
-                continue
             self.now = time
             handlers[kind](time, payload)
         self.now = self.t_end
@@ -651,7 +638,7 @@ class Simulator:
         """Close the orbit ending at the next sunrise, on the slots with a tick at or before it."""
         self._settle_upto(node, node.last_tick(node.sunrise))
         self._flush_orbit(node)
-        node.sunrise = self._next_sunrise(node.orbit, node.sunrise + 1e-9)
+        node.sunrise = self._next_sunrise(node.orbit, node.sunrise)
 
     def _flush_orbit(self, node: _Node):
         totals = node.totals

@@ -1,9 +1,9 @@
 """Sun/eclipse phase timeline and satellite-ground visibility windows.
 
-The phase timeline is profile-driven: a fixed sunlit span per orbital
-period, anchored by the orbit's phase offset.  Visibility uses a spherical
-Earth, a circular-orbit ground track, and a sampled central-angle
-threshold; no perturbations or TLE propagation.
+The phase timeline is profile-driven: sunrises on the exact grid
+-offset + m * period (placed by `grid_floor`), each starting a fixed sunlit
+span.  Visibility uses a spherical Earth, a circular-orbit ground track,
+and a sampled central-angle threshold; no perturbations or TLE propagation.
 
 Visibility is decided on the sample grid t0 + step * i, found in two passes
 (bracketing and refinement of rise and set times).  The coarse pass samples
@@ -118,20 +118,36 @@ class ForecastWindow:
         return self.end - self.start
 
 
+def grid_floor(offset: float, step: float, t: float) -> int:
+    """The largest m with offset + m * step <= t: a rounded guess, then exact comparisons."""
+    m = math.floor((t - offset) / step)
+    while offset + m * step > t:
+        m -= 1
+    while offset + (m + 1) * step <= t:
+        m += 1
+    return m
+
+
+def phase_edges(config: OrbitConfig, t: float) -> tuple[float, float]:
+    """(sunset of the last sunrise at or before t, first sunrise after t); an orbit
+    sunlit throughout has no sunset and gives that sunrise for both."""
+    first, period, sun = -config.phase_time_offset_s, config.period_s, config.sun_duration_s
+    m = grid_floor(first, period, t)
+    sunrise = first + (m + 1) * period
+    return (first + m * period + sun if sun < period else sunrise), sunrise
+
+
 def phase_at(config: OrbitConfig, t: float) -> str:
-    """Phase of the orbit at simulation time t, periodic with the period."""
+    """Phase of the orbit at time t: sunlit from each sunrise up to its sunset."""
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
-    t_orbit = (t + config.phase_time_offset_s) % config.period_s
-    return SUN if t_orbit < config.sun_duration_s else ECLIPSE
+    return SUN if t < phase_edges(config, t)[0] else ECLIPSE
 
 
 def next_phase_boundary(config: OrbitConfig, t: float) -> tuple[float, str]:
-    """First phase boundary after t, and the phase that begins there."""
-    t_orbit = (t + config.phase_time_offset_s) % config.period_s
-    if t_orbit < config.sun_duration_s:
-        return t + (config.sun_duration_s - t_orbit), ECLIPSE
-    return t + (config.period_s - t_orbit), SUN
+    """First phase edge after t, and the phase that begins there (`phase_at` there)."""
+    sunset, sunrise = phase_edges(config, t)
+    return (sunset, ECLIPSE) if t < sunset < sunrise else (sunrise, SUN)
 
 
 def _sunlit_between(config: OrbitConfig, edges: list[float]) -> list[float]:
@@ -363,9 +379,9 @@ def load_schedule_override(source: str | Path | list) -> dict[int, Schedule]:
     """Parse a schedule-override file: a JSON array of window records.
 
     Records are {node, target, start_s, end_s, phase} objects, node a whole
-    number and start_s, end_s finite numbers; each node's windows must
-    satisfy the usual window invariants.  A malformed record raises
-    ValueError naming its index.
+    number, target a non-empty string and start_s, end_s finite numbers;
+    each node's windows must satisfy the usual window invariants.  A
+    malformed record raises ValueError naming its index.
     """
     if isinstance(source, (str, Path)):
         records = json.loads(Path(source).read_text())
@@ -390,16 +406,13 @@ def load_schedule_override(source: str | Path | list) -> dict[int, Schedule]:
                     or not abs(value) <= sys.float_info.max):
                 raise ValueError(f"override record {i}: {key} must be a finite number, "
                                  f"got {value!r}")
-        node = int(rec["node"])
+        node, target = int(rec["node"]), rec["target"]
         if node != rec["node"]:
             raise ValueError(f"override record {i}: node {rec['node']!r} is not a whole number")
-        per_node.setdefault(node, []).append(
-            ForecastWindow(
-                window_id=str(rec.get("window_id", f"{rec['target']}:override:{i}")),
-                start=float(rec["start_s"]),
-                end=float(rec["end_s"]),
-                phase=str(rec["phase"]),
-                target=str(rec["target"]),
-            )
-        )
+        if not isinstance(target, str) or not target:
+            raise ValueError(f"override record {i}: target must be a non-empty string, "
+                             f"got {target!r}")
+        per_node.setdefault(node, []).append(ForecastWindow(
+            str(rec.get("window_id", f"{target}:override:{i}")), float(rec["start_s"]),
+            float(rec["end_s"]), str(rec["phase"]), target))
     return {node: Schedule(windows=tuple(ws)) for node, ws in per_node.items()}

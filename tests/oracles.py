@@ -46,6 +46,18 @@ ORACLE_EARTH_ROTATION_RAD_S = 7.2921159e-5
 ORACLE_MAX_WINDOW_S = 1800.0
 
 
+def oracle_phase_at(orbit, t):
+    """"sun" or "eclipse" at time t, by the modulo rule.
+
+    `orbit` is read by attribute only.  Orbit time, t plus the phase offset,
+    taken modulo the period, is sunlit below the sun duration.  The rounding
+    of t + offset can move an edge by an ulp of t.
+    """
+    period = orbit.period_s
+    offset = (orbit.phase_offset_rad / (2.0 * math.pi)) * period % period
+    return "sun" if (t + offset) % period < orbit.sun_duration_s else "eclipse"
+
+
 def oracle_visibility_windows(orbit, station, t0, t1, step):
     """(window_id, start, end, phase) of every pass, from a scan of every sample.
 
@@ -74,7 +86,6 @@ def oracle_visibility_windows(orbit, station, t0, t1, step):
              * np.cos(lon - station.longitude_rad))
     visible = cos_c >= math.cos(lam_max)
 
-    offset = (orbit.phase_offset_rad / two_pi) * orbit.period_s % orbit.period_s
     windows = []
     i = 0
     while i < n:
@@ -87,8 +98,7 @@ def oracle_visibility_windows(orbit, station, t0, t1, step):
         if j > i:
             start = float(t[i])
             end = min(min(float(t[j]) + step, t1), start + ORACLE_MAX_WINDOW_S)
-            mid = (0.5 * (start + end) + offset) % orbit.period_s
-            phase = "sun" if mid < orbit.sun_duration_s else "eclipse"
+            phase = oracle_phase_at(orbit, 0.5 * (start + end))
             windows.append((f"{station.id}:{len(windows)}", start, end, phase))
         i = j + 1
     return windows

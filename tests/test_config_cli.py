@@ -4,11 +4,16 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from leolora import cli
 from leolora.cli import main
 from leolora.config import load_scenario, parse_scenario
 from leolora.exceptions import ValidationError
@@ -248,6 +253,8 @@ class TestCliSimulate:
     @pytest.mark.parametrize("records", [
         [1, 2],
         [{"node": None, "target": "gw", "start_s": 0.0, "end_s": 600.0, "phase": "sun"}],
+        # a null target is not a station named "None"
+        [{"node": 0, "target": None, "start_s": 0.0, "end_s": 600.0, "phase": "sun"}],
     ])
     def test_malformed_override_record_exits_3(self, tmp_path, scenario_dict, records, capsys):
         override = tmp_path / "override.json"
@@ -384,6 +391,25 @@ class TestCliSchedule:
         ]
         key = lambda r: (r["node"], r["start_s"], r["window_id"])
         assert sorted(emitted, key=key) == sorted(round_tripped, key=key)
+
+    # an orbit whose modulo edge stepping stalled after three segments, and
+    # a phase offset whose timeline held segments of about 1e-12 s
+    @pytest.mark.parametrize("orbit", [{"period_s": 5677.3, "sun_duration_s": 3411.1},
+                                       {"phase_offset_rad": 2 * math.pi / 7}])
+    def test_phase_timeline_alternates_on_whole_segments(self, tmp_path, scenario_dict, orbit):
+        scenario_dict["orbit"].update(orbit)
+        cfg, out = tmp_path / "orbit.json", tmp_path / "schedule.json"
+        cfg.write_text(json.dumps(scenario_dict))
+        # a fresh process under a timeout, so a stalled walk fails rather than hangs
+        src = str(Path(cli.__file__).resolve().parents[1])
+        subprocess.run([sys.executable, "-m", "leolora.cli", "schedule", "--config", str(cfg),
+                        "--horizon-s", "172800", "--out", str(out)],
+                       check=True, timeout=60, env={**os.environ, "PYTHONPATH": src})
+        timeline = json.loads(out.read_text())["phase_timeline"]
+        assert timeline[0]["start_s"] == 0.0 and timeline[-1]["end_s"] == 172800.0
+        for a, b in zip(timeline, timeline[1:]):
+            assert a["end_s"] == b["start_s"] and a["phase"] != b["phase"]
+        assert min(seg["end_s"] - seg["start_s"] for seg in timeline) >= 1.0
 
     def test_bad_horizon_exits_2(self):
         assert main(["schedule", "--horizon-s", "-5"]) == 2

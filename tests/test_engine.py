@@ -2,6 +2,7 @@
 
 import bisect
 import dataclasses
+import heapq
 import itertools
 import json
 import math
@@ -25,7 +26,7 @@ from oracles import (
     oracle_sei,
     oracle_visible_target,
 )
-from test_golden import CASES as GOLDEN_CASES, TIE_CASE, _tick_aligned_windows
+from test_golden import CASES as GOLDEN_CASES, TIE_CASE, _shared_windows, _tick_aligned_windows
 
 
 class TestFullRuns:
@@ -81,6 +82,28 @@ class TestFullRuns:
         after = run(quiet)
         assert after.metrics == alone.metrics
         assert after.summary == alone.summary
+
+    @pytest.mark.parametrize("case", list(GOLDEN_CASES))
+    def test_no_event_is_popped_past_the_end(self, case, tmp_path, default_dict, monkeypatch):
+        overrides = dict(GOLDEN_CASES[case])
+        if case in ("aware_shared_windows", "aware_brownout_shared"):
+            overrides["sim.schedule_override_path"] = _shared_windows(
+                tmp_path / "override.json", overrides["sim.node_count"],
+                overrides["sim.duration_days"])
+        popped = []
+
+        def heappop(heap):
+            popped.append(heap[0][0])
+            return heapq.heappop(heap)
+
+        monkeypatch.setattr(engine, "heapq",
+                            SimpleNamespace(heappush=heapq.heappush, heappop=heappop))
+        sc = make_scenario(default_dict, **overrides)
+        for seed in (1, 2, 3):
+            popped.clear()
+            sim = Simulator(sc, seed=seed)
+            sim.run()
+            assert popped and max(popped) <= sim.t_end
 
     def test_fade_and_counters_monotone_across_metrics(self, default_dict):
         sc = make_scenario(default_dict, **{"sim.duration_days": 1.0})
@@ -496,7 +519,38 @@ class TestOrbitClosing:
         # up to two sunrises in one 40 s slot
         "short_orbit": {"sim.duration_days": 0.05, "sim.report_interval_s": 240.0,
                         "orbit.period_s": 30.0, "orbit.sun_duration_s": 20.0},
+        # no sunset, so every edge is a sunrise
+        "always_sunlit": {"sim.duration_days": 0.5, "orbit.sun_duration_s": 5400.0},
     }
+
+    @staticmethod
+    def _run_closing_each_sunrise(sim, monkeypatch):
+        """Run `sim`; each node's flushes close its sunrises on the exact grid, then the end."""
+        def sunrises(node):
+            first, period = -node.orbit.phase_time_offset_s, node.orbit.period_s
+            return list(itertools.takewhile(lambda s: s <= sim.t_end,
+                                            (first + m * period for m in itertools.count(1))))
+
+        expected = {node.node_id: sunrises(node) for node in sim.nodes}
+        limit = sum(len(v) + 1 for v in expected.values())
+        flushes = []   # (node, its next sunrise, settled slots) at each flush
+        real = Simulator._flush_orbit
+
+        def watched(sim, node):
+            flushes.append((node, node.sunrise, node.settled))
+            assert len(flushes) <= limit, "a sunrise closed twice: the chain stopped advancing"
+            real(sim, node)
+
+        monkeypatch.setattr(Simulator, "_flush_orbit", watched)
+        sim.run()
+        for node in sim.nodes:
+            seen = [(s, settled) for n, s, settled in flushes if n is node]
+            # the last flush is the one at the end of the run, past every sunrise
+            *closed, (final, settled) = seen
+            assert final == math.inf and settled == node.n_slots
+            assert [s for s, _ in closed] == expected[node.node_id]
+            for s, settled in closed:
+                assert settled == max(node.last_tick(s), 0), (node.node_id, s)
 
     @pytest.mark.parametrize("case", list(CASES))
     def test_flushes_close_each_sunrise_once_in_order(self, case, tmp_path, default_dict,
@@ -505,31 +559,22 @@ class TestOrbitClosing:
         if case == "tick_aligned":
             overrides["sim.schedule_override_path"] = _tick_aligned_windows(
                 tmp_path / "ticks.json", make_scenario(default_dict, **overrides), 1)
-        flushes = []   # (node, its next sunrise, settled slots) at each flush
-        real = Simulator._flush_orbit
-
-        def watched(sim, node):
-            flushes.append((node, node.sunrise, node.settled))
-            real(sim, node)
-
-        monkeypatch.setattr(Simulator, "_flush_orbit", watched)
         sim = Simulator(make_scenario(default_dict, **overrides), seed=1)
-        sim.run()
-        for node in sim.nodes:
-            seen = [(s, settled) for n, s, settled in flushes if n is node]
-            # the last flush is the one at the end of the run, past every sunrise
-            *closed, (final, settled) = seen
-            assert final == math.inf and settled == node.n_slots
-            period, offset = node.orbit.period_s, node.orbit.phase_time_offset_s
-            expected = [m * period - offset
-                        for m in range(1, math.floor((sim.t_end + offset) / period) + 1)]
-            assert [s for s, _ in closed] == pytest.approx(expected, rel=0, abs=1e-6)
-            for s, settled in closed:
-                assert settled == max(node.last_tick(s), 0), (node.node_id, s)
+        self._run_closing_each_sunrise(sim, monkeypatch)
         if case == "reports_every_orbit":
             reports = [r for r in sim.reports if r.node_id == 0]
             assert len(reports) == 8
             assert all(len(r.dod_observations) == 1 for r in reports)
+
+    def test_a_200_day_run_closes_every_orbit_on_its_sunrise(self, default_dict, monkeypatch):
+        # past about 2**24 s a nudge of 1e-9 s to step off a sunrise is lost
+        # below one ulp; on the grid the next sunrise needs none
+        sc = make_scenario(default_dict, **{
+            "sim.node_count": 1, "sim.duration_days": 200.0, "sim.traffic_model": "none",
+            "orbit.period_s": 5677.3, "orbit.sun_duration_s": 3411.1})
+        sim = Simulator(sc, schedules={})
+        self._run_closing_each_sunrise(sim, monkeypatch)
+        assert sim.nodes[0].battery.calendar_days > 199.0
 
     def test_a_tick_on_a_sunrise_runs_before_that_orbit_closes(self, default_dict, monkeypatch):
         # node 0's first sunrise is at about 5400 s; a slot length within a

@@ -4,9 +4,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from oracles import oracle_sun_seconds, oracle_visibility_windows
+from oracles import oracle_phase_at, oracle_sun_seconds, oracle_visibility_windows
 
 from leolora.orbit import (
     ECLIPSE,
@@ -18,6 +18,7 @@ from leolora.orbit import (
     build_schedule,
     load_schedule_override,
     max_central_angle,
+    next_phase_boundary,
     phase_at,
     subsatellite_point,
     sun_seconds,
@@ -46,6 +47,48 @@ class TestPhase:
         # half a period in: what was sun at t=0 is now 2700 s along
         assert phase_at(shifted, 0.0) == SUN       # 2700 < 3300
         assert phase_at(shifted, 601.0) == ECLIPSE  # 3301 >= 3300
+
+    @given(period=st.floats(60.0, 7000.0), sun_share=st.floats(0.01, 1.0),
+           phase=st.floats(0.0, 6.28), t=st.floats(0.0, 1e8))
+    def test_phase_at_agrees_with_the_modulo_rule_away_from_edges(self, period, sun_share,
+                                                                  phase, t):
+        orbit = OrbitConfig(period_s=period, sun_duration_s=sun_share * period,
+                            altitude_m=550e3, inclination_rad=0.9, phase_offset_rad=phase)
+        u = (t + orbit.phase_time_offset_s) % period
+        assume(min(u, abs(u - orbit.sun_duration_s), period - u) > 1e-6)
+        assert phase_at(orbit, t) == oracle_phase_at(orbit, t)
+
+    # orbits whose modulo stepping stalled: an edge step that returned its
+    # own input, or a sunrise chain whose 1e-9 s nudge fell below one ulp
+    @pytest.mark.parametrize("period, sun", [(5677.3, 3411.1), (5736.6, 3500.0),
+                                             (5554.2, 3350.5)])
+    @pytest.mark.parametrize("phase", [0.0, 1.0])
+    def test_three_years_of_edges_lie_on_the_sunrise_grid(self, period, sun, phase):
+        orbit = OrbitConfig(period_s=period, sun_duration_s=sun, altitude_m=550e3,
+                            inclination_rad=0.9, phase_offset_rad=phase)
+        horizon = 3 * 365 * 86400.0
+        first, n = -orbit.phase_time_offset_s, int(horizon // period) + 3
+        # sunrise m at -offset + m * period, its sunset sun_duration_s later
+        grid = sorted([(first + m * period, SUN) for m in range(1, n)]
+                      + [(first + m * period + sun, ECLIPSE) for m in range(n)])
+        grid = [e for e in grid if e[0] > 0.0]
+        edges, t, phase_now = [], 0.0, phase_at(orbit, 0.0)
+        while t < horizon:
+            edge = next_phase_boundary(orbit, t)
+            assert edge[0] > t and edge[1] != phase_now and phase_at(orbit, edge[0]) == edge[1]
+            edges.append(edge)
+            t, phase_now = edge
+        assert edges == grid[:len(edges)]
+
+    def test_an_orbit_sunlit_throughout_has_sunrises_only(self):
+        orbit = OrbitConfig(period_s=5400.0, sun_duration_s=5400.0, altitude_m=550e3,
+                            inclination_rad=0.9, phase_offset_rad=1.0)
+        first = -orbit.phase_time_offset_s
+        t = 0.0
+        for m in range(1, 1000):
+            t, begins = next_phase_boundary(orbit, t)
+            assert (t, begins) == (first + m * 5400.0, SUN)
+            assert phase_at(orbit, math.nextafter(t, 0.0)) == SUN
 
     @given(k=st.integers(1, 10_000))
     def test_sun_fraction_exact_over_whole_orbits(self, k):
@@ -313,14 +356,16 @@ class TestScheduleOverride:
         bad = [{"node": 0, "target": "gs", "start_s": 10.0, "end_s": 5.0, "phase": "sun"}]
         with pytest.raises(ValueError):
             load_schedule_override(bad)
-        # a record that is not an object, or whose node or times are not
-        # finite numbers (node a whole one), is named by its index
+        # a record that is not an object, whose node or times are not
+        # finite numbers (node a whole one), or whose target is not a
+        # non-empty string, is named by its index
         good = self.RECORDS[0]
         for record in ([1, 2], None, "0", {**good, "node": None}, {**good, "node": "0"},
                        {**good, "node": True}, {**good, "node": 1.5},
                        {**good, "node": float("inf")}, {**good, "start_s": None},
                        {**good, "start_s": "0"}, {**good, "end_s": float("nan")},
-                       {**good, "end_s": 10**400}):
+                       {**good, "end_s": 10**400}, {**good, "target": None},
+                       {**good, "target": ""}):
             with pytest.raises(ValueError, match="override record 1"):
                 load_schedule_override([good, record])
         # ids are strings, so windows sharing a start still sort by id
