@@ -24,7 +24,7 @@ from .airtime import payload_symbols, symbol_duration, time_on_air, tx_energy
 from .battery import run_degradation_curve
 from .config import ScenarioConfig, default_scenario_dict, load_scenario, parse_scenario
 from .exceptions import ValidationError
-from .orbit import build_schedule, next_phase_boundary, phase_at, sun_seconds
+from .orbit import next_phase_boundary, phase_at, sun_seconds
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -156,19 +156,13 @@ def cmd_schedule(args: argparse.Namespace) -> int:
             print(f"error: {name} must be finite and > 0", file=sys.stderr)
             return EXIT_VALIDATION
 
-    windows = []
-    for u in range(max(scenario.sim.node_count, 1)):
-        orbit = scenario.node_orbit(u)
-        sched = build_schedule(orbit, list(scenario.stations), horizon, step)
-        for w in sched.windows:
-            windows.append({
-                "node": u,
-                "target": w.target,
-                "start_s": w.start,
-                "end_s": w.end,
-                "phase": w.phase,
-                "window_id": w.window_id,
-            })
+    # the windows `simulate` would use: the override file's, if one is named
+    windows = [
+        {"node": u, "target": w.target, "start_s": w.start, "end_s": w.end,
+         "phase": w.phase, "window_id": w.window_id}
+        for u, sched in engine.build_schedules(scenario, horizon, step).items()
+        for w in sched.windows
+    ]
 
     timeline = []
     t, phase = 0.0, phase_at(scenario.orbit, 0.0)

@@ -394,9 +394,9 @@ class Simulator:
                          starts: list[float]) -> list[tuple[float, str | None]]:
         """Each attempt with the target of the latest-starting window covering it whole.
 
-        One scan covers the packet: a window starting more than MAX_WINDOW_S
-        before an attempt is too long to cover it, so the candidates of the
-        first attempt through the last hold every window that covers one.
+        One scan covers the packet: a window that covers an attempt is still
+        open at the first one, so the candidates of the first attempt through
+        the last hold every window that covers one.
         """
         toa = self.toa
         windows = node.schedule.candidates(starts[0], math.nextafter(starts[-1], math.inf))
@@ -764,11 +764,14 @@ class Simulator:
         }
 
 
-def build_schedules(scenario: ScenarioConfig) -> dict[int, Schedule]:
+def build_schedules(scenario: ScenarioConfig, horizon: float | None = None,
+                    step: float | None = None) -> dict[int, Schedule]:
     """Every node's forecast windows, keyed by node id; they do not depend on the seed.
 
     The schedule-override file's windows if the scenario names one, else
-    the windows built from the ground stations, else none.
+    the windows built from the ground stations over [0, horizon] on the
+    `step` grid (by default the run's duration and `schedule_step_s`), else
+    none.
     """
     nodes = range(scenario.sim.node_count)
     if scenario.sim.schedule_override_path:
@@ -778,7 +781,8 @@ def build_schedules(scenario: ScenarioConfig) -> dict[int, Schedule]:
         return {u: Schedule() for u in nodes}
     return {
         u: build_schedule(scenario.node_orbit(u), list(scenario.stations),
-                          horizon=scenario.sim.duration_s, step=scenario.sim.schedule_step_s)
+                          horizon=scenario.sim.duration_s if horizon is None else horizon,
+                          step=scenario.sim.schedule_step_s if step is None else step)
         for u in nodes
     }
 

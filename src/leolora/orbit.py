@@ -5,17 +5,28 @@ The phase timeline is profile-driven: sunrises on the exact grid
 span.  Visibility uses a spherical Earth, a circular-orbit ground track,
 and a sampled central-angle threshold; no perturbations or TLE propagation.
 
-Visibility is decided on the sample grid t0 + step * i, found in two passes
-(bracketing and refinement of rise and set times).  The coarse pass samples
-the central angle c every COARSE_STEP_S seconds, last sample included.  The
-ground track moves no faster than the mean motion plus the Earth's rotation,
-so c changes no faster than rate = 2 pi / period + omega_earth, and over a
-coarse interval of length h with end values c_a and c_b it stays at or above
-(c_a + c_b - rate * h) / 2.  Only intervals where that floor is within the
-cone, widened by a margin for rounding in the computed angle, are refined:
-the fine pass evaluates their grid samples with the same times and the same
-cos-threshold test as a scan of every sample.  Every sample it skips lies
-outside the cone, so the windows are those of the full scan, bit for bit.
+Visibility is decided on the sample grid t0 + step * i.  A node's ground
+track (sin lat, cos lat, lon) is computed once on the coarse grid, every
+COARSE_STEP_S seconds with the last sample included, and every station reads
+it for its central angle c.  The ground track moves no faster than the mean
+motion plus the Earth's rotation, so c changes no faster than
+rate = 2 pi / period + omega_earth, and over a coarse interval of length h
+with end values c_a and c_b it stays within (c_a + c_b -+ rate * h) / 2.
+Each interval falls in one of three classes:
+
+- outside, when the floor (c_a + c_b - rate * h) / 2 exceeds lam_max plus a
+  margin: no sample in it is visible, and none is evaluated;
+- inside, when the ceiling (c_a + c_b + rate * h) / 2 is below lam_max minus
+  the margin: every sample in it is visible, and none is evaluated;
+- straddling otherwise: every sample in it is evaluated with the same times
+  and the same cos-threshold test as a scan of every sample.
+
+The margin of 1e-6 rad covers rounding in the computed angle, which can put
+a sample's computed cosine on the other side of cos(lam_max) from its true
+angle; it must hold on both sides, since an inside sample the full scan
+would round to invisible must be evaluated too.  So every sample that is
+not evaluated has the verdict the full scan gives it, and the windows (the
+merged runs of visible samples) are those of the full scan, bit for bit.
 """
 
 from __future__ import annotations
@@ -35,11 +46,11 @@ TWO_PI = 2.0 * math.pi
 
 # A pass is never usable for more than 30 minutes; longer passes truncate.
 MAX_WINDOW_S = 1800.0
+# The longest duration a window may have: MAX_WINDOW_S plus slack for rounding.
+_LONGEST_WINDOW_S = MAX_WINDOW_S + 1e-6
 
 SUN = "sun"
 ECLIPSE = "eclipse"
-
-_SAMPLE_CHUNK = 1_000_000
 
 # Spacing of the coarse visibility pass, and the slack its bound allows for
 # rounding in the computed central angle.
@@ -106,7 +117,7 @@ class ForecastWindow:
     def __post_init__(self):
         if not self.start < self.end:
             raise ValueError(f"window start must precede end: [{self.start}, {self.end})")
-        if self.end - self.start > MAX_WINDOW_S + 1e-6:
+        if self.end - self.start > _LONGEST_WINDOW_S:
             raise ValueError(
                 f"window duration {self.end - self.start} exceeds {MAX_WINDOW_S} s"
             )
@@ -221,56 +232,94 @@ def max_central_angle(altitude_m: float, min_elevation_rad: float) -> float:
     return math.acos(ratio * math.cos(min_elevation_rad)) - min_elevation_rad
 
 
-def _cos_central_angle(
-    config: OrbitConfig, station: GroundStation, times: np.ndarray
-) -> np.ndarray:
-    """Cosine of the Earth-central angle from station to ground track per sample time.
+def _ground_track(config: OrbitConfig, times: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(sin lat, cos lat, lon) of the ground track at each sample time; lon unwrapped."""
+    u = TWO_PI * times / config.period_s + config.phase_offset_rad
+    sin_u = np.sin(u)
+    sin_lat = math.sin(config.inclination_rad) * sin_u
+    lon = (config.raan_rad + np.arctan2(math.cos(config.inclination_rad) * sin_u, np.cos(u))
+           - EARTH_ROTATION_RAD_S * times)
+    return sin_lat, np.cos(np.arcsin(sin_lat)), lon
 
-    Chunked to bound the memory of the temporaries.
+
+def _cos_central_angle(station: GroundStation, track: tuple[np.ndarray, ...]) -> np.ndarray:
+    """Cosine of the Earth-central angle from station to each point of a ground track."""
+    sin_lat, cos_lat, lon = track
+    return (math.sin(station.latitude_rad) * sin_lat
+            + math.cos(station.latitude_rad) * cos_lat * np.cos(lon - station.longitude_rad))
+
+
+def _runs(flags: np.ndarray, coarse: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First and last sample index of each maximal run of flagged coarse intervals."""
+    edges = np.diff(np.concatenate(([0], flags.view(np.int8), [0])))
+    return coarse[np.flatnonzero(edges == 1)], coarse[np.flatnonzero(edges == -1)]
+
+
+def _passes(
+    config: OrbitConfig, stations: list[GroundStation], t0: float, t1: float, step: float
+) -> list[ForecastWindow]:
+    """Every station's passes within [t0, t1], found from one coarse ground track.
+
+    A window covers a maximal run of sample times t0 + step * i with central
+    angle within the visibility cone.  Runs shorter than two samples are
+    dropped as numerical slivers; runs longer than MAX_WINDOW_S keep only
+    their first MAX_WINDOW_S seconds.  Only samples in coarse intervals that
+    straddle the cone edge are evaluated (see the module docstring).
     """
-    sin_lat_s = math.sin(station.latitude_rad)
-    cos_lat_s = math.cos(station.latitude_rad)
-    sin_i = math.sin(config.inclination_rad)
-    cos_i = math.cos(config.inclination_rad)
+    if t1 <= t0:
+        raise ValueError(f"need t0 < t1, got [{t0}, {t1}]")
+    if step <= 0:
+        raise ValueError(f"step must be > 0, got {step}")
+    if not stations:
+        return []
 
-    out = np.empty(times.shape[0], dtype=np.float64)
-    for lo in range(0, times.shape[0], _SAMPLE_CHUNK):
-        t = times[lo : lo + _SAMPLE_CHUNK]
-        u = TWO_PI * t / config.period_s + config.phase_offset_rad
-        sin_u = np.sin(u)
-        sin_lat = sin_i * sin_u
-        lat = np.arcsin(sin_lat)
-        lon = config.raan_rad + np.arctan2(cos_i * sin_u, np.cos(u)) - EARTH_ROTATION_RAD_S * t
-        out[lo : lo + _SAMPLE_CHUNK] = (
-            sin_lat_s * sin_lat + cos_lat_s * np.cos(lat) * np.cos(lon - station.longitude_rad)
-        )
-    return out
-
-
-def _candidate_indices(
-    config: OrbitConfig, station: GroundStation, t0: float, step: float, n: int, lam_max: float
-) -> np.ndarray:
-    """Sorted sample indices in [0, n) that the coarse pass cannot rule out.
-
-    Every index left out has central angle beyond lam_max, so it is not
-    visible.
-    """
+    n = int(math.floor((t1 - t0) / step)) + 1
     stride = max(1, int(COARSE_STEP_S // step))
     coarse = np.arange(0, n, stride)
     if coarse[-1] != n - 1:
         coarse = np.append(coarse, n - 1)
-    c = np.arccos(np.clip(_cos_central_angle(config, station, t0 + step * coarse), -1.0, 1.0))
-    # least central angle any time between two coarse samples can reach
-    rate = TWO_PI / config.period_s + EARTH_ROTATION_RAD_S
-    floor = 0.5 * (c[:-1] + c[1:] - rate * (stride * step))
-    flagged = (floor <= lam_max + _ANGLE_MARGIN_RAD).view(np.int8)
-    # merge runs of flagged intervals into closed index ranges
-    edges = np.diff(np.concatenate(([0], flagged, [0])))
-    first = coarse[np.flatnonzero(edges == 1)]
-    last = coarse[np.flatnonzero(edges == -1)]
-    if first.size == 0:
-        return np.empty(0, dtype=np.int64)
-    return np.concatenate([np.arange(a, b + 1) for a, b in zip(first, last)])
+    track = _ground_track(config, t0 + step * coarse)
+    # the central angle moves by at most rate * h over a coarse interval
+    slack = (TWO_PI / config.period_s + EARTH_ROTATION_RAD_S) * (stride * step)
+
+    windows = []
+    for station in stations:
+        lam_max = max_central_angle(config.altitude_m, station.min_elevation_rad)
+        c = np.arccos(np.clip(_cos_central_angle(station, track), -1.0, 1.0))
+        ends = c[:-1] + c[1:]
+        inside = 0.5 * (ends + slack) < lam_max - _ANGLE_MARGIN_RAD
+        straddle = (0.5 * (ends - slack) <= lam_max + _ANGLE_MARGIN_RAD) & ~inside
+
+        # every sample of a straddling interval is evaluated as a full scan would
+        first, last = _runs(straddle, coarse)
+        lengths = last - first + 1
+        offsets = np.cumsum(lengths) - lengths
+        idx = np.arange(lengths.sum()) + np.repeat(first - offsets, lengths)
+        fine = _ground_track(config, t0 + step * idx)
+        idx = idx[_cos_central_angle(station, fine) >= math.cos(lam_max)]
+
+        # visible ranges: runs of evaluated visible samples, and inside intervals whole
+        breaks = np.flatnonzero(np.diff(idx) != 1)
+        in_first, in_last = _runs(inside, coarse)
+        lo = np.concatenate((idx[:1], idx[breaks + 1], in_first))
+        if lo.size == 0:
+            continue
+        hi = np.concatenate((idx[breaks], idx[-1:], in_last))
+        order = np.argsort(lo)
+        lo, hi = lo[order], np.maximum.accumulate(hi[order])
+        # ranges that touch or overlap join into one run
+        gap = lo[1:] > hi[:-1] + 1
+        lo, hi = lo[np.append(True, gap)], hi[np.append(gap, True)]
+        long_enough = hi > lo
+        starts = t0 + step * lo[long_enough]
+        lasts = t0 + step * hi[long_enough]
+
+        for k, (start, last_t) in enumerate(zip(starts.tolist(), lasts.tolist())):
+            end = min(min(last_t + step, t1), start + MAX_WINDOW_S)
+            windows.append(ForecastWindow(
+                window_id=f"{station.id}:{k}", start=start, end=end,
+                phase=phase_at(config, 0.5 * (start + end)), target=station.id))
+    return windows
 
 
 def visibility_windows(
@@ -280,52 +329,9 @@ def visibility_windows(
     t1: float,
     step: float = 1.0,
 ) -> list[ForecastWindow]:
-    """Passes of the satellite over one station within [t0, t1].
-
-    A window covers a maximal run of sample times t0 + step * i with central
-    angle within the visibility cone.  Runs shorter than two samples are
-    dropped as numerical slivers; runs longer than MAX_WINDOW_S keep only
-    their first MAX_WINDOW_S seconds.  Only the samples the coarse pass
-    cannot rule out are evaluated (see the module docstring).
-    """
-    if t1 <= t0:
-        raise ValueError(f"need t0 < t1, got [{t0}, {t1}]")
-    if step <= 0:
-        raise ValueError(f"step must be > 0, got {step}")
-
-    n = int(math.floor((t1 - t0) / step)) + 1
-    lam_max = max_central_angle(config.altitude_m, station.min_elevation_rad)
-    idx = _candidate_indices(config, station, t0, step, n, lam_max)
-    times = t0 + step * idx
-    visible = _cos_central_angle(config, station, times) >= math.cos(lam_max)
-    idx, times = idx[visible], times[visible]
-    if idx.size == 0:
-        return []
-
-    # indices left out are not visible, so runs break wherever indices skip
-    breaks = np.flatnonzero(np.diff(idx) != 1)
-    run_starts = np.concatenate(([0], breaks + 1))
-    run_ends = np.concatenate((breaks, [idx.size - 1]))
-
-    windows = []
-    k = 0
-    for j0, j1 in zip(run_starts, run_ends):
-        if j1 - j0 + 1 < 2:
-            continue
-        start = float(times[j0])
-        end = min(float(times[j1]) + step, t1)
-        end = min(end, start + MAX_WINDOW_S)
-        windows.append(
-            ForecastWindow(
-                window_id=f"{station.id}:{k}",
-                start=start,
-                end=end,
-                phase=phase_at(config, 0.5 * (start + end)),
-                target=station.id,
-            )
-        )
-        k += 1
-    return windows
+    """Passes of the satellite over one station within [t0, t1]: the one-station
+    case of the search `build_schedule` runs."""
+    return _passes(config, [station], t0, t1, step)
 
 
 @dataclass(frozen=True)
@@ -350,11 +356,11 @@ class Schedule:
     def candidates(self, now: float, deadline: float) -> list[ForecastWindow]:
         """Windows still usable at `now` that begin before `deadline`.
 
-        Window durations are bounded by MAX_WINDOW_S, so only starts in
-        (now - MAX_WINDOW_S, deadline) need scanning.
+        No window lasts longer than _LONGEST_WINDOW_S, so only starts in
+        (now - _LONGEST_WINDOW_S, deadline) need scanning.
         """
         starts = self._starts
-        lo = bisect.bisect_right(starts, now - MAX_WINDOW_S - 1e-9)
+        lo = bisect.bisect_right(starts, now - _LONGEST_WINDOW_S)
         hi = bisect.bisect_left(starts, deadline, lo=lo)
         return [w for w in self.windows[lo:hi] if w.end > now]
 
@@ -369,10 +375,7 @@ def build_schedule(
     """Full forecast-window set for one node over [t0, t0 + horizon]."""
     if horizon <= 0:
         raise ValueError(f"horizon must be > 0, got {horizon}")
-    windows: list[ForecastWindow] = []
-    for station in stations:
-        windows.extend(visibility_windows(config, station, t0, t0 + horizon, step))
-    return Schedule(windows=tuple(windows))
+    return Schedule(windows=tuple(_passes(config, stations, t0, t0 + horizon, step)))
 
 
 def load_schedule_override(source: str | Path | list) -> dict[int, Schedule]:

@@ -378,6 +378,26 @@ class TestCliSchedule:
         doc = json.loads(capsys.readouterr().out)
         assert doc["windows"] == []
 
+    def test_prints_the_override_windows_simulate_uses(self, tmp_path, scenario_dict, capsys):
+        override = tmp_path / "override.json"
+        override.write_text(json.dumps([{"node": 0, "target": "gs-x", "start_s": 100.0,
+                                         "end_s": 700.0, "phase": "sun"}]))
+        scenario_dict["sim"]["schedule_override_path"] = str(override)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(scenario_dict))
+        assert main(["schedule", "--config", str(cfg), "--horizon-s", "5400"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["windows"] == [{"node": 0, "target": "gs-x", "start_s": 100.0, "end_s": 700.0,
+                                   "phase": "sun", "window_id": "gs-x:override:0"}]
+        assert (doc["t_sun"], doc["t_eclipse"]) == (["gs-x:override:0"], [])
+
+    def test_no_nodes_no_windows(self, tmp_path, scenario_dict, capsys):
+        scenario_dict["sim"]["node_count"] = 0
+        cfg = tmp_path / "nonodes.json"
+        cfg.write_text(json.dumps(scenario_dict))
+        assert main(["schedule", "--config", str(cfg), "--horizon-s", "5400"]) == 0
+        assert json.loads(capsys.readouterr().out)["windows"] == []
+
     def test_emitted_schedule_reingests_identically(self, tmp_path):
         out = tmp_path / "schedule.json"
         assert main(["schedule", "--horizon-s", "43200", "--out", str(out)]) == 0

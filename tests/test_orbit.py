@@ -1,5 +1,6 @@
 """Phase timeline, ground track, and visibility-window geometry."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,6 +9,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from oracles import oracle_phase_at, oracle_sun_seconds, oracle_visibility_windows
 
+from leolora import engine, orbit
+from leolora.config import default_scenario_dict, parse_scenario
 from leolora.orbit import (
     ECLIPSE,
     SUN,
@@ -248,6 +251,61 @@ class TestVisibility:
         assert [(w.window_id, w.start, w.end, w.phase) for w in got] == \
             oracle_visibility_windows(orbit, station, t0, t1, step)
 
+    @settings(max_examples=100)
+    @given(data=st.data())
+    def test_schedule_from_one_track_equals_dense_scan_per_station(self, data):
+        orbit = data.draw(_orbits, label="orbit")
+        step = data.draw(st.one_of(st.floats(0.5, 60.0), st.floats(60.0, 400.0)), label="step")
+        t0 = data.draw(st.one_of(st.just(0.0), st.floats(0.0, 1e6)), label="t0")
+        # at most ~10k samples; a horizon under one step leaves a single sample
+        horizon = step * data.draw(st.floats(1e-3, 1e4), label="horizon / step")
+        drawn = data.draw(st.lists(_stations(orbit, t0, t0 + horizon), min_size=1, max_size=4),
+                          label="stations")
+        stations = [dataclasses.replace(s, id=f"gs{k}") for k, s in enumerate(drawn)]
+        sched = build_schedule(orbit, stations, horizon, step, t0)
+        for s in stations:
+            got = [(w.window_id, w.start, w.end, w.phase)
+                   for w in sched.windows if w.target == s.id]
+            assert got == oracle_visibility_windows(orbit, s, t0, t0 + horizon, step)
+
+    def test_overhead_pass_evaluates_fewer_samples_than_it_holds(self, monkeypatch):
+        # a high orbit seen down to the horizon: its cone spans about 19 coarse
+        # intervals, and those well inside it are visible without evaluation
+        high = OrbitConfig(period_s=5400.0, sun_duration_s=3300.0, altitude_m=2000e3,
+                           inclination_rad=0.9, phase_offset_rad=0.3, raan_rad=0.2)
+        lat, lon = subsatellite_point(high, 2000.0)
+        overhead = GroundStation(id="gs", latitude_rad=lat, longitude_rad=lon)
+        evaluated = []
+        track = orbit._ground_track
+        monkeypatch.setattr(orbit, "_ground_track",
+                            lambda config, times: evaluated.append(times.size) or
+                            track(config, times))
+        windows = visibility_windows(high, overhead, 0.0, 5400.0, 1.0)
+        assert [(w.window_id, w.start, w.end, w.phase) for w in windows] == \
+            oracle_visibility_windows(high, overhead, 0.0, 5400.0, 1.0)
+        assert len(windows) == 1 and windows[0].duration > 1000.0
+        assert evaluated[0] == 91   # the coarse track
+        assert sum(evaluated) < windows[0].duration / 3
+
+    def test_steady_build_evaluates_few_samples(self, monkeypatch):
+        # 8 nodes x 4 days on a 1 s grid over 4 stations: a scan of every
+        # sample takes 11,059,200, the coarse track alone 46,088
+        d = default_scenario_dict()
+        d["sim"].update(duration_days=4.0, node_count=8, protocol="battery_aware",
+                        traffic_rate_per_s=1.0 / 600.0)
+        scenario = parse_scenario(d)
+        assert len(scenario.stations) == 4 and scenario.sim.schedule_step_s == 1.0
+        evaluated = [0]
+        track = orbit._ground_track
+
+        def counting(config, times):
+            evaluated[0] += times.size
+            return track(config, times)
+
+        monkeypatch.setattr(orbit, "_ground_track", counting)
+        engine.build_schedules(scenario)
+        assert evaluated[0] <= 250_000
+
 
 _angles = st.floats(-math.pi, math.pi)
 _orbits = st.builds(
@@ -333,6 +391,13 @@ class TestSchedule:
         sched = Schedule(windows=(w1, w2))
         assert sched.candidates(now=150.0, deadline=1000.0) == [w2]
         assert sched.candidates(now=0.0, deadline=150.0) == [w1]
+
+    def test_candidates_keep_a_window_of_the_longest_duration_open(self):
+        # a duration just over MAX_WINDOW_S is within the rounding slack
+        w = ForecastWindow("a", 1000.0, 2800.0 + 9e-7, SUN, "gs")
+        sched = Schedule(windows=(w,))
+        assert sched.candidates(now=2800.0 + 5e-7, deadline=2900.0) == [w]
+        assert sched.candidates(now=w.end, deadline=2900.0) == []
 
 
 class TestScheduleOverride:
