@@ -8,9 +8,11 @@ The fade pipeline is
     fade     = 1 - alpha_sei*exp(-k_sei*D_L) - (1-alpha_sei)*exp(-D_L)
 
 All dC values are fractions of rated capacity, so D_L is dimensionless and
-fade is bounded in [0, 1).  The aging functions are pure;
-`step_battery_per_orbit` advances a `BatteryState` by one orbit, and
-`run_degradation_curve` steps a quiet pack through many.
+fade is bounded in [0, 1).  The aging functions are pure.  The pack is
+described once, by the scenario's `BatteryScenario` (rated energy, thermal
+profile, reference DoD, C-rate and SoC); a `BatteryState` holds only what
+aging changes.  `step_battery_per_orbit` advances a state against its pack
+by one orbit, and `run_degradation_curve` steps a quiet pack through many.
 """
 
 from __future__ import annotations
@@ -112,13 +114,13 @@ class CycleStress:
 class BatteryState:
     """Mutable per-pack bookkeeping the simulation advances orbit by orbit.
 
-    fade_fraction is the nonlinear (SEI) total fade; d_linear the
-    accumulated linear degradation feeding it.  Both are non-decreasing
-    over a run, so effective capacity is non-increasing.
+    Only what aging changes lives here; the pack itself (rated energy and
+    reference stress) is the scenario's `BatteryScenario`.  fade_fraction
+    is the nonlinear (SEI) total fade; d_linear the accumulated linear
+    degradation feeding it.  Both are non-decreasing over a run, so
+    effective capacity is non-increasing.
     """
 
-    capacity_rated_ah: float
-    voltage_nominal_v: float
     fade_fraction: float = 0.0
     d_linear: float = 0.0
     cycles_completed: float = 0.0
@@ -127,16 +129,10 @@ class BatteryState:
     dc_cycle_total: float = 0.0
 
     def __post_init__(self):
-        if self.capacity_rated_ah <= 0 or self.voltage_nominal_v <= 0:
-            raise ValueError("rated capacity and nominal voltage must be > 0")
         if not 0.0 <= self.fade_fraction <= 1.0:
             raise ValueError(f"fade_fraction must be in [0, 1], got {self.fade_fraction}")
         if self.d_linear < 0 or self.cycles_completed < 0 or self.calendar_days < 0:
             raise ValueError("d_linear, cycles_completed, calendar_days must be >= 0")
-
-    @property
-    def capacity_rated_j(self) -> float:
-        return self.capacity_rated_ah * self.voltage_nominal_v * 3600.0
 
 
 def arrhenius_factor(ea_j_per_mol: float, temperature_k: float) -> float:
@@ -215,14 +211,7 @@ def degradation_impact_factor(
 
 
 def step_battery_per_orbit(
-    state: BatteryState,
-    params: DegradationParams,
-    thermal: ThermalProfile,
-    duration_s: float,
-    discharge_j: float,
-    dod_reference: float,
-    c_rate_reference: float,
-    soc_reference: float,
+    state: BatteryState, battery: BatteryScenario, duration_s: float, discharge_j: float
 ) -> float:
     """Advance the pack's degradation by one completed orbit.
 
@@ -232,16 +221,17 @@ def step_battery_per_orbit(
     by the orbit duration at the sunlit-phase temperature and reference
     SoC.  Returns the orbit's observed depth of discharge.
     """
+    params, thermal = battery.params, battery.thermal
+    capacity_j = battery.capacity_rated_j
     days = duration_s / 86400.0
-    cycle_energy_j = dod_reference * state.capacity_rated_j
-    cycles_inc = discharge_j / cycle_energy_j
-    dod_observed = min(discharge_j / state.capacity_rated_j, 1.0)
+    cycles_inc = discharge_j / (battery.dod_reference * capacity_j)
+    dod_observed = min(discharge_j / capacity_j, 1.0)
 
-    dc_cal_inc = calendar_aging(params, thermal.t_sun_k, soc_reference, days)
+    dc_cal_inc = calendar_aging(params, thermal.t_sun_k, battery.soc_reference, days)
     dc_cycle_inc = 0.0
     if cycles_inc > 0.0:
         stress = CycleStress(
-            dod=dod_observed, c_rate=c_rate_reference, temperature_k=thermal.t_eclipse_k
+            dod=dod_observed, c_rate=battery.c_rate_reference, temperature_k=thermal.t_eclipse_k
         )
         dc_cycle_inc = cycle_aging(params, stress, cycles_inc)
 
@@ -279,21 +269,13 @@ def run_degradation_curve(
     if days / resolution_days > MAX_CURVE_MARKS:
         raise ValueError(f"a fade curve of {days / resolution_days:.3g} row marks exceeds the "
                          f"limit of {MAX_CURVE_MARKS:,}")
-    state = BatteryState(
-        capacity_rated_ah=battery.capacity_rated_ah,
-        voltage_nominal_v=battery.voltage_nominal_v,
-    )
+    state = BatteryState()
     eclipse_s = orbit.period_s - orbit.sun_duration_s
     discharge_j = profile.e_sleep_j / slot_s * eclipse_s
     rows: list[tuple[float, float, float]] = []
     next_mark = resolution_days
     for k in range(1, n_orbits + 1):
-        step_battery_per_orbit(
-            state, battery.params, battery.thermal, orbit.period_s, discharge_j,
-            dod_reference=battery.dod_reference,
-            c_rate_reference=battery.c_rate_reference,
-            soc_reference=battery.soc_reference,
-        )
+        step_battery_per_orbit(state, battery, orbit.period_s, discharge_j)
         day = k * orbit.period_s / 86400.0
         if day >= next_mark or k == n_orbits:
             rows.append((day, state.d_linear, state.fade_fraction))

@@ -22,11 +22,16 @@ from .battery import CycleStress, DegradationParams, ThermalProfile, cycle_aging
 from .energy import HarvestModel, PowerProfile
 from .exceptions import ValidationError
 from .mac import MacConfig, nominal_backoff_base, transmit_stress
-from .orbit import GroundStation, OrbitConfig, TWO_PI
+from .orbit import MAX_SCHEDULE_SAMPLES, GroundStation, OrbitConfig, TWO_PI
 from .report import MAX_DOD_OBSERVATIONS, MAX_NODE_ID
 
 TRAFFIC_MODELS = ("poisson", "periodic", "none")
 PROTOCOLS = ("battery_aware", "naive_aloha")
+
+# A run keeps every report and metrics row (about 360 B a row, so 3.6 GB at
+# the limit); the bound also keeps a report interval far above the clock's
+# resolution, so each report comes strictly after the one before.
+MAX_REPORT_ROWS = 10_000_000
 
 _IGNORED_KEYS = ("presets",)
 
@@ -436,6 +441,20 @@ def parse_scenario(data: dict) -> ScenarioConfig:
                 f"sim.report_interval_s: must be <= {max_report_s} so a report's "
                 f"DoD observations fit the uplink's {MAX_DOD_OBSERVATIONS}, "
                 f"got {sim.report_interval_s}"
+            )
+    if sim is not None:
+        rows = sim.node_count * sim.duration_s / sim.report_interval_s
+        if rows > MAX_REPORT_ROWS:
+            problems.append(
+                f"sim.report_interval_s: {sim.node_count} nodes over {sim.duration_s} s "
+                f"would report {rows:.3g} rows, over the limit of {MAX_REPORT_ROWS:,}; "
+                f"got {sim.report_interval_s}"
+            )
+        if sim.duration_s / sim.schedule_step_s > MAX_SCHEDULE_SAMPLES:
+            problems.append(
+                f"sim.schedule_step_s: a schedule over {sim.duration_s} s would take "
+                f"{sim.duration_s / sim.schedule_step_s:.3g} samples, over the limit of "
+                f"{MAX_SCHEDULE_SAMPLES:,}; got {sim.schedule_step_s}"
             )
     if sim is not None and sim.node_count > MAX_NODE_ID:
         problems.append(

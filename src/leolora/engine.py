@@ -265,10 +265,7 @@ class Simulator:
                     e_critical_j=scenario.energy.e_critical_j,
                     ewma_estimate_j=scenario.energy.ewma_initial_j,
                 ),
-                battery=BatteryState(
-                    capacity_rated_ah=scenario.battery.capacity_rated_ah,
-                    voltage_nominal_v=scenario.battery.voltage_nominal_v,
-                ),
+                battery=BatteryState(),
                 slot_offset=slot_offset,
                 n_slots=0,
                 backoff=Backoff(np.random.default_rng(children[2 * u + 1])),
@@ -453,8 +450,6 @@ class Simulator:
     def _on_window_open(self, now: float, payload: tuple):
         node_id, packet, window = payload
         node = self.nodes[node_id]
-        if packet.state is not PacketState.WAITING:
-            return
         self._settle_before_now(node)
         start = max(window.start, now, node.busy_until)
 
@@ -484,7 +479,7 @@ class Simulator:
         pending overlap nothing to come.
         """
         node_id, packet, k, attempt = payload
-        if packet.state is not PacketState.IN_FLIGHT:
+        if packet.state is not PacketState.IN_FLIGHT:   # a brownout dropped it in flight
             return
         node = self.nodes[node_id]
         got_through = False
@@ -644,13 +639,8 @@ class Simulator:
         totals = node.totals
         if totals.orbit_s <= 0.0:
             return
-        dod = step_battery_per_orbit(
-            node.battery, self.sc.battery.params, self.sc.battery.thermal,
-            totals.orbit_s, totals.orbit_discharge_j,
-            dod_reference=self.sc.battery.dod_reference,
-            c_rate_reference=self.sc.battery.c_rate_reference,
-            soc_reference=self.sc.battery.soc_reference,
-        )
+        dod = step_battery_per_orbit(node.battery, self.sc.battery, totals.orbit_s,
+                                     totals.orbit_discharge_j)
         if totals.orbit_discharge_j > 0.0:
             node.period_dods.append(dod)
         totals.orbit_s = totals.orbit_discharge_j = 0.0
@@ -672,8 +662,6 @@ class Simulator:
             self._push(nxt, EventKind.REPORT_DUE, (node_id,))
 
     def _emit_report(self, node: _Node, t: float):
-        if t <= node.period_start:
-            return
         thermal = self.sc.battery.thermal
         totals = node.totals
         self.reports.append(NodeBatteryReport(
@@ -712,9 +700,6 @@ class Simulator:
             self._flush_orbit(node)
             for packet in self._drain_arrivals(node, self.t_end):
                 self._drop(node, packet, "dropped_no_window")
-            if node.in_flight is not None and node.in_flight.state is PacketState.IN_FLIGHT:
-                self._drop(node, node.in_flight, "dropped_collision_exhausted")
-                node.in_flight = None
             self._emit_report(node, self.t_end)
 
     def _summary(self) -> dict:

@@ -57,6 +57,11 @@ ECLIPSE = "eclipse"
 COARSE_STEP_S = 60.0
 _ANGLE_MARGIN_RAD = 1e-6
 
+# A build evaluates its passes whole, so its memory grows with the grid's
+# horizon / step samples (one node's 1e8 at a 1 s step peak at about 250 MB):
+# a grid of more is refused before any build.  4 years at 1 s is 1.26e8.
+MAX_SCHEDULE_SAMPLES = 500_000_000
+
 
 @dataclass(frozen=True)
 class OrbitConfig:

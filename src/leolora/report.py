@@ -145,7 +145,7 @@ def gateway_compute_fleet_degradation(
     params: DegradationParams,
     soc_reference: float,
     c_rate_reference: float,
-    dod_reference: float = 0.4,
+    dod_reference: float,
 ) -> dict[int, DegradationAssessment]:
     """Apply the fade pipeline to each node's reported usage summaries.
 

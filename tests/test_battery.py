@@ -238,10 +238,12 @@ class TestTypes:
         with pytest.raises(ValueError):
             ThermalProfile(t_sun_k=-1.0, t_eclipse_k=263.0)
 
-    def test_battery_state_effective_capacity(self):
-        state = BatteryState(capacity_rated_ah=25.0, voltage_nominal_v=28.0,
-                             fade_fraction=0.1)
-        assert state.capacity_rated_j == pytest.approx(25.0 * 28.0 * 3600.0)
+    def test_battery_state_effective_capacity(self, default_scenario):
+        # the pack's rated energy lives on the scenario; the state holds only the fade
+        state = BatteryState(fade_fraction=0.1)
+        assert default_scenario.battery.capacity_rated_j == pytest.approx(25.0 * 28.0 * 3600.0)
+        assert default_scenario.phi_max_j(state.fade_fraction) == pytest.approx(
+            0.9 * 25.0 * 28.0 * 3600.0)
 
     def test_cycle_stress_validation(self):
         with pytest.raises(ValueError):
@@ -251,27 +253,19 @@ class TestTypes:
 
 
 class TestOrbitStepping:
-    THERMAL = ThermalProfile(t_sun_k=303.0, t_eclipse_k=263.0)
-
-    def fresh_state(self):
-        return BatteryState(capacity_rated_ah=25.0, voltage_nominal_v=28.0)
-
     def test_zero_discharge_advances_calendar_only(self, default_scenario):
-        state = self.fresh_state()
-        step_battery_per_orbit(state, default_scenario.battery.params, self.THERMAL,
-                               5400.0, 0.0, dod_reference=0.4, c_rate_reference=12.5,
-                               soc_reference=0.825)
+        state = BatteryState()
+        step_battery_per_orbit(state, default_scenario.battery, 5400.0, 0.0)
         assert state.cycles_completed == 0.0
         assert state.calendar_days == pytest.approx(5400.0 / 86400.0)
         assert state.dc_cycle_total == 0.0
         assert state.dc_cal_total > 0.0
 
     def test_reference_orbit_is_exactly_one_cycle(self, default_scenario):
-        state = self.fresh_state()
-        dod = step_battery_per_orbit(state, default_scenario.battery.params, self.THERMAL,
-                                     5400.0, 0.4 * state.capacity_rated_j,
-                                     dod_reference=0.4, c_rate_reference=12.5,
-                                     soc_reference=0.825)
+        battery = default_scenario.battery
+        state = BatteryState()
+        dod = step_battery_per_orbit(state, battery, 5400.0,
+                                     battery.dod_reference * battery.capacity_rated_j)
         assert state.cycles_completed == pytest.approx(1.0, rel=1e-12)
         assert dod == pytest.approx(0.4, rel=1e-12)
 

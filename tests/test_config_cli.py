@@ -15,9 +15,9 @@ import pytest
 
 from leolora import cli
 from leolora.cli import main
-from leolora.config import load_scenario, parse_scenario
+from leolora.config import MAX_REPORT_ROWS, load_scenario, parse_scenario
 from leolora.exceptions import ValidationError
-from leolora.orbit import load_schedule_override
+from leolora.orbit import MAX_SCHEDULE_SAMPLES, load_schedule_override
 
 
 class TestValidation:
@@ -97,6 +97,30 @@ class TestValidation:
         scenario_dict["sim"]["node_count"] = 65536
         with pytest.raises(ValidationError, match="node_count"):
             parse_scenario(scenario_dict)
+
+    def test_report_interval_too_short_to_finish_rejected(self, scenario_dict):
+        # about 10^14 reports per node: the run would never finish
+        scenario_dict["sim"].update(duration_days=0.001, report_interval_s=1e-12)
+        with pytest.raises(ValidationError, match="report_interval_s") as exc:
+            parse_scenario(scenario_dict)
+        assert len(exc.value.problems) == 1
+
+    def test_report_rows_at_the_limit_accepted(self, scenario_dict):
+        sim = scenario_dict["sim"]
+        sim["report_interval_s"] = (sim["node_count"] * sim["duration_days"] * 86400.0
+                                    / MAX_REPORT_ROWS)
+        parse_scenario(scenario_dict)
+
+    def test_schedule_step_too_fine_to_build_rejected(self, scenario_dict):
+        scenario_dict["sim"].update(duration_days=0.1, schedule_step_s=1e-9)
+        with pytest.raises(ValidationError, match="schedule_step_s") as exc:
+            parse_scenario(scenario_dict)
+        assert len(exc.value.problems) == 1
+
+    def test_four_years_at_the_default_step_accepted(self, scenario_dict):
+        scenario_dict["sim"]["duration_days"] = 4 * 365.25
+        sim = parse_scenario(scenario_dict).sim
+        assert sim.duration_s / sim.schedule_step_s < MAX_SCHEDULE_SAMPLES
 
     def test_negative_seed_rejected(self, scenario_dict):
         scenario_dict["sim"]["seed"] = -1
@@ -433,6 +457,13 @@ class TestCliSchedule:
 
     def test_bad_horizon_exits_2(self):
         assert main(["schedule", "--horizon-s", "-5"]) == 2
+
+    def test_grid_too_fine_to_build_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "windows.json"
+        assert main(["schedule", "--step-s", "1e-9", "--horizon-s", "43200",
+                     "--out", str(out)]) == 2
+        assert "over the limit of" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("option", ["--horizon-s", "--step-s"])
     @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])

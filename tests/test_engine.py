@@ -14,7 +14,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from leolora import engine
-from leolora.engine import Simulator, run
+from leolora.engine import PacketState, Simulator, run
 from leolora.exceptions import ContractError
 from leolora.mac import resolve_collisions
 from leolora.orbit import MAX_WINDOW_S, SUN, ForecastWindow, Schedule, sun_seconds
@@ -353,6 +353,59 @@ class TestFullRuns:
         for node in result.nodes:
             gw = result.summary["gateway_assessment"][str(node.node_id)]
             assert gw["dc_cycle"] == pytest.approx(node.battery.dc_cycle_total, rel=1e-12)
+
+
+STEADY = {"sim.duration_days": 4.0, "sim.node_count": 8, "sim.protocol": "battery_aware",
+          "sim.traffic_rate_per_s": 1.0 / 600.0}
+
+
+class TestLifecycleInvariants:
+    """What the engine relies on without checking it, over the golden cases and `steady`.
+
+    Every window open finds its packet waiting, every launched packet ends
+    delivered or dropped before the run does (so `_finalize` has nothing in
+    flight to drop), and every report covers a non-empty period.
+    """
+
+    RUNS = {**{case: (overrides, (1, 2, 3)) for case, overrides in GOLDEN_CASES.items()},
+            "steady": (STEADY, (0, 1, 2, 3))}
+
+    @pytest.mark.parametrize("case", list(RUNS))
+    def test_invariants(self, case, tmp_path, default_dict, monkeypatch):
+        overrides, seeds = self.RUNS[case]
+        overrides = dict(overrides)
+        if case in ("aware_shared_windows", "aware_brownout_shared"):
+            overrides["sim.schedule_override_path"] = _shared_windows(
+                tmp_path / "override.json", overrides["sim.node_count"],
+                overrides["sim.duration_days"])
+        sc = make_scenario(default_dict, **overrides)
+
+        opens, launched = [], []
+        real_open, real_launch = Simulator._on_window_open, Simulator._launch
+
+        def on_window_open(sim, now, payload):
+            opens.append(payload[1].state)
+            real_open(sim, now, payload)
+
+        def launch(sim, node, packet, tx_phase, attempts):
+            launched.append(packet)
+            real_launch(sim, node, packet, tx_phase, attempts)
+
+        monkeypatch.setattr(Simulator, "_on_window_open", on_window_open)
+        monkeypatch.setattr(Simulator, "_launch", launch)
+        for seed in seeds:
+            result = run(sc, seed=seed)
+            for node in result.nodes:
+                assert node.in_flight is None or node.in_flight.state is not PacketState.IN_FLIGHT
+            rows = {}
+            for m in result.metrics:
+                rows.setdefault(m.node_id, []).append(m.time_s)
+            for times in rows.values():
+                assert 0.0 < times[0] and all(a < b for a, b in zip(times, times[1:]))
+        assert opens or "naive" in case
+        assert all(state is PacketState.WAITING for state in opens)
+        assert launched
+        assert {p.state for p in launched} <= {PacketState.DELIVERED, PacketState.DROPPED}
 
 
 @pytest.fixture(scope="module")

@@ -95,14 +95,16 @@ class TestGateway:
 
     def test_empty_reports_empty_assessment(self, default_scenario):
         got = gateway_compute_fleet_degradation(
-            [], default_scenario.battery.params, soc_reference=0.825, c_rate_reference=12.5
+            [], default_scenario.battery.params, soc_reference=0.825, c_rate_reference=12.5,
+            dod_reference=0.4,
         )
         assert got == {}
 
     def test_zero_cycles_is_calendar_only(self, default_scenario):
         params = default_scenario.battery.params
         got = gateway_compute_fleet_degradation(
-            [self.report(dods=())], params, soc_reference=0.825, c_rate_reference=12.5
+            [self.report(dods=())], params, soc_reference=0.825, c_rate_reference=12.5,
+            dod_reference=0.4,
         )
         expected = oracle_calendar(params.k1, params.ea_j_per_mol, 303.0, 0.825, params.b, 0.5)
         assert got[0].dc_cycle == 0.0
@@ -112,7 +114,8 @@ class TestGateway:
         params = default_scenario.battery.params
         reports = [self.report(node=1), self.report(node=1, start=43200.0, end=86400.0)]
         got = gateway_compute_fleet_degradation(
-            reports, params, soc_reference=0.825, c_rate_reference=12.5
+            reports, params, soc_reference=0.825, c_rate_reference=12.5,
+            dod_reference=0.4,
         )[1]
         cal = 2 * oracle_calendar(params.k1, params.ea_j_per_mol, 303.0, 0.825, params.b, 0.5)
         cyc = 16 * oracle_cycle(params.k2, 0.4, params.d, 12.5, params.c,
@@ -128,5 +131,5 @@ class TestGateway:
         with pytest.raises(ValueError, match="overlaps"):
             gateway_compute_fleet_degradation(
                 reports, default_scenario.battery.params,
-                soc_reference=0.825, c_rate_reference=12.5,
+                soc_reference=0.825, c_rate_reference=12.5, dod_reference=0.4,
             )
