@@ -43,9 +43,7 @@ from .orbit import (
     Schedule,
     build_schedule,
     phase_at,
-    subsatellite_point,
     sun_seconds,
-    visibility_windows,
 )
 from .report import (
     NodeBatteryReport,

@@ -11,12 +11,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .exceptions import ConfigError
+from .exceptions import ConfigError, bounded, check_bounds
 
 VALID_BANDWIDTHS_HZ = (125_000, 250_000, 500_000)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class RadioConfig:
     """One LoRa transmit configuration.
 
@@ -24,33 +24,18 @@ class RadioConfig:
     for SF11/SF12 at 125 kHz, disabled otherwise.
     """
 
-    spreading_factor: int
-    bandwidth_hz: int = 125_000
-    coding_rate_denominator: int = 5       # CR = 4/x
-    preamble_symbols: int = 8
-    explicit_header: bool = True
-    crc_on: bool = True
-    low_data_rate_optimize: bool | None = None
-    payload_bytes: int = 10
-    tx_power_w: float = 0.4
+    spreading_factor: int = bounded(ge=7, le=12)
+    bandwidth_hz: int = bounded(125_000, choices=VALID_BANDWIDTHS_HZ)
+    coding_rate_denominator: int = bounded(5, ge=5, le=8)       # CR = 4/x
+    preamble_symbols: int = bounded(8, ge=1)
+    explicit_header: bool = bounded(True)
+    crc_on: bool = bounded(True)
+    low_data_rate_optimize: bool | None = bounded(None)
+    payload_bytes: int = bounded(10, ge=1)
+    tx_power_w: float = bounded(gt=0.0)
 
     def __post_init__(self):
-        if not 7 <= self.spreading_factor <= 12:
-            raise ConfigError(f"spreading factor must be 7..12, got {self.spreading_factor}")
-        if self.bandwidth_hz not in VALID_BANDWIDTHS_HZ:
-            raise ConfigError(
-                f"bandwidth must be one of {VALID_BANDWIDTHS_HZ}, got {self.bandwidth_hz}"
-            )
-        if not 5 <= self.coding_rate_denominator <= 8:
-            raise ConfigError(
-                f"coding rate denominator must be 5..8, got {self.coding_rate_denominator}"
-            )
-        if self.preamble_symbols < 1:
-            raise ConfigError(f"preamble symbols must be >= 1, got {self.preamble_symbols}")
-        if self.payload_bytes < 1:
-            raise ConfigError(f"payload must be >= 1 byte, got {self.payload_bytes}")
-        if not 0 < self.tx_power_w < math.inf:   # NaN fails too
-            raise ConfigError(f"tx power must be finite and > 0 W, got {self.tx_power_w}")
+        check_bounds(self)
         if self.low_data_rate_optimize is None:
             auto = self.spreading_factor >= 11 and self.bandwidth_hz == 125_000
             object.__setattr__(self, "low_data_rate_optimize", auto)

@@ -22,7 +22,7 @@ import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .exceptions import ConfigError
+from .exceptions import ConfigError, bounded, check_bounds
 
 if TYPE_CHECKING:
     from .config import BatteryScenario
@@ -52,38 +52,28 @@ class DegradationParams:
     film formation, k_sei the film formation constant.
     """
 
-    k1: float
-    k2: float
-    ea_j_per_mol: float
-    b: float                    # SoC exponent
-    c: float                    # C-rate exponent
-    d: float                    # DoD exponent
-    alpha_sei: float
-    k_sei: float
+    k1: float = bounded(gt=0.0)
+    k2: float = bounded(gt=0.0)
+    ea_j_per_mol: float = bounded(gt=0.0)
+    b: float = bounded(ge=0.0)              # SoC exponent
+    c: float = bounded(ge=0.0)              # C-rate exponent
+    d: float = bounded(ge=0.0)              # DoD exponent
+    alpha_sei: float = bounded(ge=0.0, le=1.0)
+    k_sei: float = bounded(gt=0.0)
 
     def __post_init__(self):
-        if self.k1 <= 0 or self.k2 <= 0:
-            raise ValueError(f"k1 and k2 must be > 0, got k1={self.k1}, k2={self.k2}")
-        if self.ea_j_per_mol <= 0:
-            raise ValueError(f"activation energy must be > 0, got {self.ea_j_per_mol}")
-        if self.b < 0 or self.c < 0 or self.d < 0:
-            raise ValueError("exponents b, c, d must be >= 0")
-        if not 0.0 <= self.alpha_sei <= 1.0:
-            raise ValueError(f"alpha_sei must be in [0, 1], got {self.alpha_sei}")
-        if self.k_sei <= 0:
-            raise ValueError(f"k_sei must be > 0, got {self.k_sei}")
+        check_bounds(self)
 
 
 @dataclass(frozen=True)
 class ThermalProfile:
     """Internal pack temperature in each orbital phase (K)."""
 
-    t_sun_k: float
-    t_eclipse_k: float
+    t_sun_k: float = bounded(gt=0.0)
+    t_eclipse_k: float = bounded(gt=0.0)
 
     def __post_init__(self):
-        if self.t_sun_k <= 0 or self.t_eclipse_k <= 0:
-            raise ValueError("temperatures must be strictly positive kelvin")
+        check_bounds(self)
         for name, t in (("t_sun_k", self.t_sun_k), ("t_eclipse_k", self.t_eclipse_k)):
             if not OPERABLE_TEMP_MIN_K <= t <= OPERABLE_TEMP_MAX_K:
                 warnings.warn(

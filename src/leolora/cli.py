@@ -24,7 +24,7 @@ from .airtime import payload_symbols, symbol_duration, time_on_air, tx_energy
 from .battery import run_degradation_curve
 from .config import ScenarioConfig, default_scenario_dict, load_scenario, parse_scenario
 from .exceptions import ValidationError
-from .orbit import MAX_SCHEDULE_SAMPLES, next_phase_boundary, phase_at, sun_seconds
+from .orbit import grid_problem, next_phase_boundary, phase_at, sun_seconds
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -155,9 +155,9 @@ def cmd_schedule(args: argparse.Namespace) -> int:
         if not 0.0 < value < math.inf:   # NaN fails too
             print(f"error: {name} must be finite and > 0", file=sys.stderr)
             return EXIT_VALIDATION
-    if horizon / step > MAX_SCHEDULE_SAMPLES:
-        print(f"error: horizon_s / step_s is {horizon / step:.3g} samples, over the limit of "
-              f"{MAX_SCHEDULE_SAMPLES:,}", file=sys.stderr)
+    grid = grid_problem(horizon, step)
+    if grid is not None:
+        print(f"error: {grid}", file=sys.stderr)
         return EXIT_VALIDATION
 
     # the windows `simulate` would use: the override file's, if one is named

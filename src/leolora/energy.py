@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exceptions import ConfigError, ContractError
+from .exceptions import ConfigError, ContractError, bounded, check_bounds
 from .orbit import ECLIPSE, SUN, ForecastWindow
 
 
@@ -60,14 +60,11 @@ class NodeEnergyState:
 class HarvestModel:
     """Solar input per slot: nonzero in sunlight, exactly zero in eclipse."""
 
-    e_g_sun_j_per_slot: float
-    charge_rate_limit_j_per_slot: float
+    e_g_sun_j_per_slot: float = bounded(ge=0.0)
+    charge_rate_limit_j_per_slot: float = bounded(ge=0.0)
 
     def __post_init__(self):
-        if self.e_g_sun_j_per_slot < 0:
-            raise ValueError(f"harvest must be >= 0, got {self.e_g_sun_j_per_slot}")
-        if self.charge_rate_limit_j_per_slot < 0:
-            raise ValueError("charge rate limit must be >= 0")
+        check_bounds(self)
 
     def slot_harvest(self, sun_fraction: float) -> float:
         """Usable harvest for a slot with the given sunlit fraction."""
@@ -80,11 +77,12 @@ class HarvestModel:
 class PowerProfile:
     """Energy drawn per slot in each operating mode."""
 
-    e_cons_tx_j: float
-    e_sleep_j: float
+    e_cons_tx_j: float = bounded(gt=0.0)
+    e_sleep_j: float = bounded(ge=0.0)
 
     def __post_init__(self):
-        if not self.e_cons_tx_j > self.e_sleep_j >= 0:
+        check_bounds(self)
+        if not self.e_cons_tx_j > self.e_sleep_j:
             raise ValueError(
                 f"need e_cons_tx > e_sleep >= 0, got {self.e_cons_tx_j}, {self.e_sleep_j}"
             )

@@ -34,7 +34,7 @@ import numpy as np
 from .airtime import RadioConfig, time_on_air
 from .battery import CycleStress, DegradationParams, degradation_impact_factor
 from .energy import HarvestModel, NodeEnergyState, PowerProfile, estimate_available_energy
-from .exceptions import ConfigError
+from .exceptions import ConfigError, bounded, check_bounds
 from .orbit import ECLIPSE, SUN, ForecastWindow
 
 
@@ -72,30 +72,20 @@ class TxDecision:
 class MacConfig:
     """Weights, budgets, and normalizers of the selection algorithm."""
 
-    beta: float
-    w_dif: float
-    w_energy: float
-    dif_ref: float
-    max_attempts: int = 8
-    backoff_base_s: float = 0.0
-    deadline_s: float = 10800.0
+    beta: float = bounded(ge=0.0, le=1.0)
+    w_dif: float = bounded(ge=0.0)
+    w_energy: float = bounded(ge=0.0)
+    dif_ref: float = bounded(gt=0.0)
+    max_attempts: int = bounded(8, ge=1)
+    backoff_base_s: float = bounded(0.0, ge=0.0)
+    deadline_s: float = bounded(10800.0, gt=0.0)
 
     def __post_init__(self):
-        if not 0.0 <= self.beta <= 1.0:
-            raise ConfigError(f"beta must be in [0, 1], got {self.beta}")
-        if self.w_dif < 0 or self.w_energy < 0 or self.w_dif + self.w_energy <= 0:
+        check_bounds(self)
+        if not self.w_dif + self.w_energy > 0:
             raise ConfigError(
-                f"weights must be >= 0 with a positive sum, got "
-                f"w_dif={self.w_dif}, w_energy={self.w_energy}"
+                f"w_dif + w_energy must be > 0, got w_dif={self.w_dif}, w_energy={self.w_energy}"
             )
-        if self.dif_ref <= 0:
-            raise ConfigError(f"dif_ref must be > 0, got {self.dif_ref}")
-        if self.max_attempts < 1:
-            raise ConfigError(f"max_attempts must be >= 1, got {self.max_attempts}")
-        if self.deadline_s <= 0:
-            raise ConfigError(f"deadline must be > 0, got {self.deadline_s}")
-        if self.backoff_base_s < 0:
-            raise ConfigError(f"backoff base must be >= 0, got {self.backoff_base_s}")
 
 
 class SelectionResult(NamedTuple):

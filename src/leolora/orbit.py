@@ -40,6 +40,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .exceptions import bounded, check_bounds
+
 EARTH_RADIUS_M = 6.371e6
 EARTH_ROTATION_RAD_S = 7.2921159e-5
 TWO_PI = 2.0 * math.pi
@@ -57,33 +59,35 @@ ECLIPSE = "eclipse"
 COARSE_STEP_S = 60.0
 _ANGLE_MARGIN_RAD = 1e-6
 
-# A build evaluates its passes whole, so its memory grows with the grid's
-# horizon / step samples (one node's 1e8 at a 1 s step peak at about 250 MB):
-# a grid of more is refused before any build.  4 years at 1 s is 1.26e8.
+# A build evaluates its passes whole, so its memory grows with the grid: with
+# the grid's horizon / step samples (one node's 1e8 at a 1 s step peak at
+# about 250 MB), and faster with its coarse samples, where the ground track
+# and every station's arrays are evaluated (about 90 B each: one node's 1e6
+# at a 60 s step peak at about 120 MB).  `grid_problem` refuses a grid past
+# either limit before any build.  4 years at 1 s is 1.26e8 samples, and
+# 2.1e6 coarse ones at 1 s or at 60 s.
 MAX_SCHEDULE_SAMPLES = 500_000_000
+MAX_COARSE_SAMPLES = 10_000_000
 
 
 @dataclass(frozen=True)
 class OrbitConfig:
     """Circular-orbit parameters; angles in radians, times in seconds."""
 
-    period_s: float
-    sun_duration_s: float
-    altitude_m: float
-    inclination_rad: float
-    phase_offset_rad: float = 0.0
-    raan_rad: float = 0.0
+    period_s: float = bounded(gt=0.0)
+    sun_duration_s: float = bounded(gt=0.0)
+    altitude_m: float = bounded(gt=0.0)
+    inclination_rad: float = bounded(ge=0.0, le=math.pi)
+    phase_offset_rad: float = bounded(0.0)
+    raan_rad: float = bounded(0.0)
 
     def __post_init__(self):
-        if not 0.0 < self.sun_duration_s <= self.period_s:
+        check_bounds(self)
+        if not self.sun_duration_s <= self.period_s:
             raise ValueError(
                 f"sun duration must be in (0, period], got {self.sun_duration_s} "
                 f"for period {self.period_s}"
             )
-        if self.altitude_m <= 0:
-            raise ValueError(f"altitude must be > 0, got {self.altitude_m}")
-        if not 0.0 <= self.inclination_rad <= math.pi:
-            raise ValueError(f"inclination must be in [0, pi], got {self.inclination_rad}")
 
     @property
     def phase_time_offset_s(self) -> float:
@@ -95,18 +99,13 @@ class OrbitConfig:
 class GroundStation:
     """A gateway location on the spherical Earth."""
 
-    id: str
-    latitude_rad: float
-    longitude_rad: float
-    min_elevation_rad: float = 0.0
+    id: str = bounded()
+    latitude_rad: float = bounded(ge=-math.pi / 2, le=math.pi / 2)
+    longitude_rad: float = bounded()
+    min_elevation_rad: float = bounded(0.0, ge=0.0, le=math.pi / 2 - 1e-9)
 
     def __post_init__(self):
-        if abs(self.latitude_rad) > math.pi / 2:
-            raise ValueError(f"|latitude| must be <= pi/2, got {self.latitude_rad}")
-        if not 0.0 <= self.min_elevation_rad < math.pi / 2:
-            raise ValueError(
-                f"min_elevation must be in [0, pi/2), got {self.min_elevation_rad}"
-            )
+        check_bounds(self)
 
 
 @dataclass(frozen=True)
@@ -205,32 +204,6 @@ def sun_seconds_per_slot(config: OrbitConfig, offset: float, slot_s: float,
     return _sunlit_between(config, [offset + k * slot_s + off for k in range(first, upto + 1)])
 
 
-def subsatellite_point(config: OrbitConfig, t: float) -> tuple[float, float]:
-    """(latitude, longitude) of the ground track at time t, radians.
-
-    Longitude advances with orbital motion minus Earth rotation and is
-    normalized to (-pi, pi].
-    """
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
-    u = TWO_PI * t / config.period_s + config.phase_offset_rad
-    lat = math.asin(math.sin(config.inclination_rad) * math.sin(u))
-    lon = (
-        config.raan_rad
-        + math.atan2(math.cos(config.inclination_rad) * math.sin(u), math.cos(u))
-        - EARTH_ROTATION_RAD_S * t
-    )
-    return lat, _wrap_longitude(lon)
-
-
-def _wrap_longitude(lon: float) -> float:
-    """Wrap an angle to (-pi, pi]."""
-    lon = math.remainder(lon, TWO_PI)
-    if lon <= -math.pi:
-        lon += TWO_PI
-    return lon
-
-
 def max_central_angle(altitude_m: float, min_elevation_rad: float) -> float:
     """Largest Earth-central angle at which the satellite clears min elevation."""
     ratio = EARTH_RADIUS_M / (EARTH_RADIUS_M + altitude_m)
@@ -260,6 +233,24 @@ def _runs(flags: np.ndarray, coarse: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return coarse[np.flatnonzero(edges == 1)], coarse[np.flatnonzero(edges == -1)]
 
 
+def _stride(step: float) -> int:
+    """Samples per coarse interval of a grid of this step."""
+    return max(1, int(COARSE_STEP_S // step))
+
+
+def grid_problem(horizon: float, step: float) -> str | None:
+    """Why a build over a horizon on a grid of this step is refused, or None."""
+    samples = horizon / step
+    if samples > MAX_SCHEDULE_SAMPLES:
+        return (f"a schedule over {horizon} s would take {samples:.3g} samples, "
+                f"over the limit of {MAX_SCHEDULE_SAMPLES:,}")
+    coarse = samples / _stride(step)
+    if coarse > MAX_COARSE_SAMPLES:
+        return (f"a schedule over {horizon} s would take {coarse:.3g} coarse samples, "
+                f"over the limit of {MAX_COARSE_SAMPLES:,}")
+    return None
+
+
 def _passes(
     config: OrbitConfig, stations: list[GroundStation], t0: float, t1: float, step: float
 ) -> list[ForecastWindow]:
@@ -279,7 +270,7 @@ def _passes(
         return []
 
     n = int(math.floor((t1 - t0) / step)) + 1
-    stride = max(1, int(COARSE_STEP_S // step))
+    stride = _stride(step)
     coarse = np.arange(0, n, stride)
     if coarse[-1] != n - 1:
         coarse = np.append(coarse, n - 1)
@@ -325,18 +316,6 @@ def _passes(
                 window_id=f"{station.id}:{k}", start=start, end=end,
                 phase=phase_at(config, 0.5 * (start + end)), target=station.id))
     return windows
-
-
-def visibility_windows(
-    config: OrbitConfig,
-    station: GroundStation,
-    t0: float,
-    t1: float,
-    step: float = 1.0,
-) -> list[ForecastWindow]:
-    """Passes of the satellite over one station within [t0, t1]: the one-station
-    case of the search `build_schedule` runs."""
-    return _passes(config, [station], t0, t1, step)
 
 
 @dataclass(frozen=True)

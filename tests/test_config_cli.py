@@ -1,6 +1,7 @@
 """Scenario validation and the command-line surface."""
 
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -14,10 +15,26 @@ import numpy as np
 import pytest
 
 from leolora import cli
+from leolora.airtime import RadioConfig
+from leolora.battery import DegradationParams, ThermalProfile
 from leolora.cli import main
-from leolora.config import MAX_REPORT_ROWS, load_scenario, parse_scenario
-from leolora.exceptions import ValidationError
-from leolora.orbit import MAX_SCHEDULE_SAMPLES, load_schedule_override
+from leolora.config import (
+    MAX_REPORT_ROWS,
+    BatteryScenario,
+    EnergyScenario,
+    SimParams,
+    load_scenario,
+    parse_scenario,
+)
+from leolora.energy import HarvestModel, PowerProfile
+from leolora.exceptions import ConfigError, ValidationError
+from leolora.mac import MacConfig
+from leolora.orbit import (
+    MAX_SCHEDULE_SAMPLES,
+    GroundStation,
+    OrbitConfig,
+    load_schedule_override,
+)
 
 
 class TestValidation:
@@ -122,6 +139,20 @@ class TestValidation:
         sim = parse_scenario(scenario_dict).sim
         assert sim.duration_s / sim.schedule_step_s < MAX_SCHEDULE_SAMPLES
 
+    def test_four_years_at_a_coarse_step_accepted(self, scenario_dict):
+        # 2.1e6 samples at 60 s, each a coarse sample
+        scenario_dict["sim"].update(duration_days=4 * 365.25, schedule_step_s=60.0)
+        assert parse_scenario(scenario_dict).sim.schedule_step_s == 60.0
+
+    def test_coarse_grid_too_large_to_build_rejected(self, scenario_dict):
+        # 5.8e7 samples at 60 s, each a coarse sample: about 5 GB to build
+        scenario_dict["sim"].update(duration_days=40000.0, schedule_step_s=60.0)
+        with pytest.raises(ValidationError) as exc:
+            parse_scenario(scenario_dict)
+        assert len(exc.value.problems) == 1
+        assert exc.value.problems[0].startswith("sim.schedule_step_s: ")
+        assert "coarse samples" in exc.value.problems[0]
+
     def test_negative_seed_rejected(self, scenario_dict):
         scenario_dict["sim"]["seed"] = -1
         with pytest.raises(ValidationError, match="seed"):
@@ -142,6 +173,82 @@ class TestValidation:
         for u in range(4):
             phi = sc.steady_state_phi_j(sc.node_orbit(u))
             assert 0.0 <= phi <= sc.phi_max_j()
+
+
+# one value outside its declared bounds for every bounded key of a section
+_BROKEN = {
+    "orbit": {"period_s": 0.0, "sun_duration_s": -1.0, "altitude_m": 0.0,
+              "inclination_rad": 4.0, "phase_offset_rad": math.inf, "raan_rad": math.nan},
+    "stations[0]": {"latitude_rad": 2.0, "longitude_rad": -math.inf, "min_elevation_rad": -0.1},
+    "battery": {"k1": 0.0, "k2": -1.0, "ea_j_per_mol": 0.0, "b": -1.0, "c": -1.0, "d": -1.0,
+                "alpha_sei": 1.5, "k_sei": 0.0, "t_sun_k": 0.0, "t_eclipse_k": -5.0,
+                "capacity_rated_ah": 0.0, "voltage_nominal_v": 0.0, "soc_initial": 1.5,
+                "soc_reference": -0.1, "dod_reference": 0.0, "c_rate_reference": -1.0},
+    "radio": {"spreading_factor": 13, "bandwidth_hz": 1, "coding_rate_denominator": 9,
+              "preamble_symbols": 0, "payload_bytes": 0, "tx_power_w": 0.0},
+    "energy": {"e_g_sun_j_per_slot": -1.0, "charge_rate_limit_j_per_slot": -1.0,
+               "e_sleep_j": -1.0, "e_cons_tx_j": 0.0, "psi_min_j": -1.0, "e_critical_j": -1.0,
+               "ewma_initial_j": -1.0},
+    "mac": {"beta": 2.0, "w_dif": -1.0, "w_energy": -1.0, "max_attempts": 0,
+            "slot_budget_s": 0.0, "dif_ref": 0.0, "backoff_base_s": -1.0,
+            "deadline_orbits": 0.0},
+    "sim": {"duration_days": 0.0, "slot_s": 0.0, "node_count": -1, "traffic_model": "bursty",
+            "traffic_rate_per_s": -1.0, "seed": -1, "protocol": "csma",
+            "report_interval_s": 0.0, "schedule_step_s": 0.0},
+}
+
+# where the default scenario keeps an instance of each scenario dataclass
+_PARTS = {
+    OrbitConfig: lambda sc: sc.orbit,
+    GroundStation: lambda sc: sc.stations[0],
+    DegradationParams: lambda sc: sc.battery.params,
+    ThermalProfile: lambda sc: sc.battery.thermal,
+    HarvestModel: lambda sc: sc.energy.harvest,
+    PowerProfile: lambda sc: sc.energy.profile,
+    RadioConfig: lambda sc: sc.radio,
+    MacConfig: lambda sc: sc.mac,
+    BatteryScenario: lambda sc: sc.battery,
+    EnergyScenario: lambda sc: sc.energy,
+    SimParams: lambda sc: sc.sim,
+}
+_FLOAT_FIELDS = [(cls, f.name) for cls in _PARTS for f in dataclasses.fields(cls)
+                 if f.type == "float"]
+
+
+class TestDeclaredBounds:
+    @pytest.mark.parametrize("path", list(_BROKEN))
+    def test_every_broken_field_is_one_problem(self, scenario_dict, path):
+        section = scenario_dict["stations"][0] if path == "stations[0]" else scenario_dict[path]
+        section.update(_BROKEN[path])
+        with pytest.raises(ValidationError) as exc:
+            parse_scenario(scenario_dict)
+        problems = exc.value.problems
+        for key in _BROKEN[path]:
+            assert sum(p.startswith(f"{path}.{key}: ") for p in problems) == 1, (key, problems)
+        assert all(p.startswith(path) for p in problems), problems
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("cls, name", _FLOAT_FIELDS,
+                             ids=[f"{cls.__name__}.{name}" for cls, name in _FLOAT_FIELDS])
+    def test_constructors_reject_non_finite_floats(self, default_scenario, cls, name, value):
+        part = _PARTS[cls](default_scenario)
+        with pytest.raises(ConfigError, match=f"^{name}: must be a finite number, got"):
+            dataclasses.replace(part, **{name: value})
+
+    def test_infinite_derived_c_rate_exits_2(self, tmp_path, scenario_dict, capsys):
+        # 1e306 A from a 1 mAh pack: the C-rate is inf, and DIF's normalizer would be NaN
+        battery = scenario_dict["battery"]
+        del battery["c_rate_reference"]
+        battery.update(discharge_current_a=1e306, capacity_rated_ah=1e-3)
+        scenario_dict["energy"].update(psi_min_j=10.0, e_critical_j=0.0)
+        scenario_dict["sim"]["duration_days"] = 0.1
+        cfg = tmp_path / "inf_c_rate.json"
+        cfg.write_text(json.dumps(scenario_dict))
+        code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "m.csv"),
+                     "--summary", str(tmp_path / "s.json")])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: battery: c_rate_reference: must be a finite number, got inf"]
 
 
 class TestCliSimulate:
@@ -385,7 +492,8 @@ class TestCliAirtime:
         assert main(["airtime", "--tx-power-w", power]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.count("\n") == 1 and "tx power must be finite" in captured.err
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("error: tx_power_w: must be ")
 
 
 class TestCliSchedule:
@@ -463,6 +571,14 @@ class TestCliSchedule:
         assert main(["schedule", "--step-s", "1e-9", "--horizon-s", "43200",
                      "--out", str(out)]) == 2
         assert "over the limit of" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_coarse_grid_too_large_to_build_exits_2(self, tmp_path, capsys):
+        # 5e7 samples pass the sample limit, but at 60 s each is a coarse sample
+        out = tmp_path / "windows.json"
+        assert main(["schedule", "--horizon-s", "3e9", "--step-s", "60",
+                     "--out", str(out)]) == 2
+        assert "coarse samples, over the limit of" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("option", ["--horizon-s", "--step-s"])

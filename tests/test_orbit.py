@@ -23,10 +23,8 @@ from leolora.orbit import (
     max_central_angle,
     next_phase_boundary,
     phase_at,
-    subsatellite_point,
     sun_seconds,
     sun_seconds_per_slot,
-    visibility_windows,
 )
 
 ORBIT = OrbitConfig(period_s=5400.0, sun_duration_s=3300.0, altitude_m=550e3,
@@ -159,32 +157,37 @@ class TestPhase:
             assert sun_seconds(ORBIT, t0, t1) == pytest.approx(brute, abs=0.5)
 
 
+def _track_point(config, t):
+    """(latitude, unwrapped longitude) of the ground track at time t, as builds compute it."""
+    sin_lat, _, lon = orbit._ground_track(config, np.array([t]))
+    return float(np.arcsin(sin_lat[0])), float(lon[0])
+
+
 class TestGroundTrack:
     def test_equatorial_orbit_stays_on_equator(self):
         eq = OrbitConfig(period_s=5400.0, sun_duration_s=3300.0, altitude_m=550e3,
                          inclination_rad=0.0)
         for t in (0.0, 100.0, 2345.0, 5399.0):
-            lat, _ = subsatellite_point(eq, t)
+            lat, _ = _track_point(eq, t)
             assert lat == 0.0
 
     def test_polar_orbit_reaches_pole(self):
         polar = OrbitConfig(period_s=5400.0, sun_duration_s=3300.0, altitude_m=550e3,
                             inclination_rad=math.pi / 2)
         t_apex = 5400.0 / 4.0  # quarter orbit after ascending node
-        lat, _ = subsatellite_point(polar, t_apex)
+        lat, _ = _track_point(polar, t_apex)
         assert lat == pytest.approx(math.pi / 2, abs=1e-9)
 
     def test_half_period_latitude_antisymmetry(self):
         for t in (100.0, 700.0, 1300.0):
-            lat1, _ = subsatellite_point(ORBIT, t)
-            lat2, _ = subsatellite_point(ORBIT, t + 2700.0)
+            lat1, _ = _track_point(ORBIT, t)
+            lat2, _ = _track_point(ORBIT, t + 2700.0)
             assert lat1 == pytest.approx(-lat2, abs=1e-9)
 
     @given(t=st.floats(0.0, 1e6))
     def test_latitude_bounded_by_inclination(self, t):
-        lat, lon = subsatellite_point(ORBIT, t)
+        lat, _ = _track_point(ORBIT, t)
         assert abs(lat) <= ORBIT.inclination_rad + 1e-12
-        assert -math.pi < lon <= math.pi
 
 
 class TestVisibility:
@@ -196,7 +199,7 @@ class TestVisibility:
                          inclination_rad=0.0)
         pole = GroundStation(id="pole", latitude_rad=math.pi / 2, longitude_rad=0.0,
                              min_elevation_rad=math.radians(10))
-        assert visibility_windows(eq, pole, 0.0, 86400.0, 5.0) == []
+        assert build_schedule(eq, [pole], 86400.0, 5.0).windows == ()
 
     def test_lambda_max_shrinks_to_zero_at_ground_level(self):
         assert max_central_angle(1.0, 0.0) == pytest.approx(0.0, abs=1e-3)
@@ -205,38 +208,38 @@ class TestVisibility:
     def test_all_windows_capped_at_thirty_minutes(self):
         eq = OrbitConfig(period_s=5400.0, sun_duration_s=3300.0, altitude_m=550e3,
                          inclination_rad=0.0)
-        windows = visibility_windows(eq, self.STATION, 0.0, 86400.0, 1.0)
+        windows = build_schedule(eq, [self.STATION], 86400.0, 1.0).windows
         assert windows
         for w in windows:
             assert w.duration <= 1800.0 + 1e-9
 
     def test_windows_match_brute_force_sampling(self):
-        windows = visibility_windows(ORBIT, self.STATION, 0.0, 43200.0, 1.0)
+        windows = build_schedule(ORBIT, [self.STATION], 43200.0, 1.0).windows
         lam = max_central_angle(ORBIT.altitude_m, self.STATION.min_elevation_rad)
         for w in windows[:3]:
             mid = 0.5 * (w.start + w.end)
-            lat, lon = subsatellite_point(ORBIT, mid)
+            lat, lon = _track_point(ORBIT, mid)
             cos_c = (math.sin(lat) * math.sin(self.STATION.latitude_rad)
                      + math.cos(lat) * math.cos(self.STATION.latitude_rad)
                      * math.cos(lon - self.STATION.longitude_rad))
             assert math.acos(min(max(cos_c, -1.0), 1.0)) <= lam + 1e-9
 
     def test_step_refinement_moves_boundaries_by_at_most_one_coarse_step(self):
-        coarse = visibility_windows(ORBIT, self.STATION, 0.0, 21600.0, 4.0)
-        fine = visibility_windows(ORBIT, self.STATION, 0.0, 21600.0, 1.0)
+        coarse = build_schedule(ORBIT, [self.STATION], 21600.0, 4.0).windows
+        fine = build_schedule(ORBIT, [self.STATION], 21600.0, 1.0).windows
         assert len(coarse) == len(fine)
         for wc, wf in zip(coarse, fine):
             assert abs(wc.start - wf.start) <= 4.0 + 1e-9
             assert abs(wc.end - wf.end) <= 4.0 + 1e-9
 
     def test_phase_tag_matches_midpoint(self):
-        windows = visibility_windows(ORBIT, self.STATION, 0.0, 43200.0, 1.0)
+        windows = build_schedule(ORBIT, [self.STATION], 43200.0, 1.0).windows
         for w in windows:
             assert w.phase == phase_at(ORBIT, 0.5 * (w.start + w.end))
 
     def test_bad_interval_rejected(self):
         with pytest.raises(ValueError):
-            visibility_windows(ORBIT, self.STATION, 100.0, 100.0, 1.0)
+            build_schedule(ORBIT, [self.STATION], 0.0, 1.0, 100.0)
 
     @settings(max_examples=200)
     @given(data=st.data())
@@ -245,11 +248,11 @@ class TestVisibility:
         step = data.draw(st.one_of(st.floats(0.5, 60.0), st.floats(60.0, 400.0)), label="step")
         t0 = data.draw(st.one_of(st.just(0.0), st.floats(0.0, 1e6)), label="t0")
         # at most ~20k samples; a horizon under one step leaves a single sample
-        t1 = t0 + step * data.draw(st.floats(1e-3, 2e4), label="horizon / step")
-        station = data.draw(_stations(orbit, t0, t1), label="station")
-        got = visibility_windows(orbit, station, t0, t1, step)
+        horizon = step * data.draw(st.floats(1e-3, 2e4), label="horizon / step")
+        station = data.draw(_stations(orbit, t0, t0 + horizon), label="station")
+        got = build_schedule(orbit, [station], horizon, step, t0).windows
         assert [(w.window_id, w.start, w.end, w.phase) for w in got] == \
-            oracle_visibility_windows(orbit, station, t0, t1, step)
+            oracle_visibility_windows(orbit, station, t0, t0 + horizon, step)
 
     @settings(max_examples=100)
     @given(data=st.data())
@@ -273,14 +276,14 @@ class TestVisibility:
         # intervals, and those well inside it are visible without evaluation
         high = OrbitConfig(period_s=5400.0, sun_duration_s=3300.0, altitude_m=2000e3,
                            inclination_rad=0.9, phase_offset_rad=0.3, raan_rad=0.2)
-        lat, lon = subsatellite_point(high, 2000.0)
+        lat, lon = _track_point(high, 2000.0)
         overhead = GroundStation(id="gs", latitude_rad=lat, longitude_rad=lon)
         evaluated = []
         track = orbit._ground_track
         monkeypatch.setattr(orbit, "_ground_track",
                             lambda config, times: evaluated.append(times.size) or
                             track(config, times))
-        windows = visibility_windows(high, overhead, 0.0, 5400.0, 1.0)
+        windows = build_schedule(high, [overhead], 5400.0, 1.0).windows
         assert [(w.window_id, w.start, w.end, w.phase) for w in windows] == \
             oracle_visibility_windows(high, overhead, 0.0, 5400.0, 1.0)
         assert len(windows) == 1 and windows[0].duration > 1000.0
@@ -339,7 +342,7 @@ def _stations(orbit, t0, t1):
 
     @st.composite
     def near_track(draw, el):
-        lat, lon = subsatellite_point(orbit, draw(track_time))
+        lat, lon = _track_point(orbit, draw(track_time))
         d = draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))) * \
             max_central_angle(orbit.altitude_m, el)
         bearing = draw(_angles)
