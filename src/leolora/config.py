@@ -216,16 +216,29 @@ class _Reader:
             return int(value)
         return value
 
-    def field(self, cls, name: str, derived: bool = False):
+    def field(self, cls, name: str, derive: tuple | None = None):
         """The key named after a field of cls, read by its declaration.
 
-        A derived field has no scenario default: absent, it reads None, and
-        the caller derives it.
+        A derived field has no scenario default: absent, it reads
+        `guarded(name, *derive)`, from a function and the values it takes.
         """
         f = cls.__dataclass_fields__[name]
-        required = f.default is MISSING and not derived
-        default = None if derived or required else f.default
-        return self.value(name, _declared_type(f.type)[0], f.metadata["bounds"], default, required)
+        required = f.default is MISSING and derive is None
+        default = None if derive is not None or required else f.default
+        value = self.value(name, _declared_type(f.type)[0], f.metadata["bounds"], default, required)
+        if derive is not None and self.data.get(name) is None:
+            value = self.guarded(name, *derive)
+        return value
+
+    def guarded(self, key: str, compute, *inputs):
+        """compute(*inputs); None if an input failed, or with one problem of key if compute does."""
+        if None in inputs:
+            return None
+        try:
+            return compute(*inputs)
+        except (ArithmeticError, ValueError) as exc:
+            self.problems.append(f"{self._at(key)}: cannot derive its default: {exc}")
+            return None
 
     def build(self, cls, **given):
         """cls from the given fields and this section's reads of the others, or None.
@@ -271,8 +284,8 @@ def parse_scenario(data: dict) -> ScenarioConfig:
         raw_stations = []
     for i, raw in enumerate(raw_stations):
         st_r = _Reader(raw, f"stations[{i}]", problems, notes)
-        station_id = st_r.field(GroundStation, "id", derived=True)
-        station = st_r.build(GroundStation, id=f"gs-{i}" if station_id is None else station_id)
+        station_id = st_r.field(GroundStation, "id", derive=(lambda: f"gs-{i}",))
+        station = st_r.build(GroundStation, id=station_id)
         st_r.warn_unknown()
         if station is not None:
             stations.append(station)
@@ -281,15 +294,15 @@ def parse_scenario(data: dict) -> ScenarioConfig:
     deg = bat_r.build(DegradationParams)
     thermal = bat_r.build(ThermalProfile)
     capacity_ah = bat_r.field(BatteryScenario, "capacity_rated_ah")
-    c_rate_ref = bat_r.field(BatteryScenario, "c_rate_reference", derived=True)
     discharge_a = bat_r.value("discharge_current_a", bounds=Bounds(ge=0.0))
-    if c_rate_ref is not None and discharge_a is not None:
-        problems.append(
-            "battery: give either c_rate_reference or discharge_current_a, not both"
-        )
-    elif c_rate_ref is None and discharge_a is not None and capacity_ah:
-        c_rate_ref = discharge_a / capacity_ah
-    elif c_rate_ref is None and discharge_a is None:
+    c_rate_ref = bat_r.field(BatteryScenario, "c_rate_reference",
+                             derive=(lambda amps, ah: amps / ah, discharge_a, capacity_ah))
+    # both forms or neither: decided by the keys given, not by the values read
+    given = [key for key in ("c_rate_reference", "discharge_current_a")
+             if bat_r.data.get(key) is not None]
+    if len(given) == 2:
+        problems.append("battery: give either c_rate_reference or discharge_current_a, not both")
+    elif not given:
         problems.append("battery: one of c_rate_reference or discharge_current_a is required")
     battery = bat_r.build(BatteryScenario, params=deg, thermal=thermal,
                           capacity_rated_ah=capacity_ah, c_rate_reference=c_rate_ref)
@@ -303,25 +316,23 @@ def parse_scenario(data: dict) -> ScenarioConfig:
     e_sleep = en_r.field(PowerProfile, "e_sleep_j")
     mac_r = root.section("mac")
     max_attempts = mac_r.field(MacConfig, "max_attempts")
-    e_cons = en_r.field(PowerProfile, "e_cons_tx_j", derived=True)
-    if e_cons is None and None not in (e_sleep, radio, max_attempts):
-        e_cons = e_sleep + max_attempts * tx_energy(radio)
+    e_cons = en_r.field(PowerProfile, "e_cons_tx_j", derive=(
+        lambda sleep, n, radio: sleep + n * tx_energy(radio), e_sleep, max_attempts, radio))
     harvest = en_r.build(HarvestModel)
     profile = en_r.build(PowerProfile, e_cons_tx_j=e_cons, e_sleep_j=e_sleep)
-    ewma_initial = en_r.field(EnergyScenario, "ewma_initial_j", derived=True)
-    if ewma_initial is None and profile is not None:
-        ewma_initial = profile.e_cons_tx_j
+    ewma_initial = en_r.field(EnergyScenario, "ewma_initial_j",
+                              derive=(lambda profile: profile.e_cons_tx_j, profile))
     energy = en_r.build(EnergyScenario, harvest=harvest, profile=profile,
                         ewma_initial_j=ewma_initial)
     en_r.warn_unknown()
 
-    dif_ref = mac_r.field(MacConfig, "dif_ref", derived=True)
-    if dif_ref is None and None not in (battery, profile):
-        dif_ref = default_dif_ref(battery, profile)
-    backoff = mac_r.field(MacConfig, "backoff_base_s", derived=True)
+    dif_ref = mac_r.field(MacConfig, "dif_ref", derive=(default_dif_ref, battery, profile))
+    if dif_ref is not None and mac_r.data.get("dif_ref") is not None:
+        # given, its envelope must still compute: `phase_dif` evaluates no larger stress
+        mac_r.guarded("dif_ref", default_dif_ref, battery, profile)
     slot_budget = mac_r.value("slot_budget_s", bounds=Bounds(gt=0.0), default=40.0)
-    if backoff is None and None not in (radio, slot_budget, max_attempts):
-        backoff = nominal_backoff_base(radio, slot_budget, max_attempts)
+    backoff = mac_r.field(MacConfig, "backoff_base_s",
+                          derive=(nominal_backoff_base, radio, slot_budget, max_attempts))
     deadline_orbits = mac_r.value("deadline_orbits", bounds=Bounds(gt=0.0), default=2.0)
     deadline_s = None if None in (orbit, deadline_orbits) else deadline_orbits * orbit.period_s
     mac = mac_r.build(MacConfig, dif_ref=dif_ref, max_attempts=max_attempts,

@@ -120,9 +120,9 @@ def _slot_terms(tx_phase, sun_s, slot_s, harvest, profile) -> tuple[float, float
 class SlotTotals:
     """Running sums over a node's settled slots, which `settle_slots` adds to in slot order.
 
-    harvested_j and consumed_j cover the run; the period sums restart at
-    each report and the orbit sums at each orbit flush.  The clamp figures
-    also take the capacity-fade clamps an orbit flush makes.
+    harvested_j, consumed_j and brownouts cover the run; the period sums
+    restart at each report and the orbit sums at each orbit flush.  The
+    clamp figures also take the capacity-fade clamps an orbit flush makes.
     """
 
     harvested_j: float = 0.0
@@ -133,6 +133,7 @@ class SlotTotals:
     orbit_discharge_j: float = 0.0
     clamp_count: int = 0
     clamp_total_j: float = 0.0
+    brownouts: int = 0
 
 
 def settle_slots(
@@ -200,6 +201,7 @@ def settle_slots(
     totals.period_consumed_j, totals.orbit_s = period_consumed_j, orbit_s
     totals.orbit_discharge_j = orbit_discharge_j
     totals.clamp_count, totals.clamp_total_j = clamp_count, clamp_total_j
+    totals.brownouts += brownouts
     totals.period_slots += len(sun_s)
     return brownout
 

@@ -67,6 +67,7 @@ from .mac import (
     TxAttempt,
     collides,
     phase_dif,
+    reserve_holds,
     run_transmission_sequence,
     select_forecast_window,
 )
@@ -101,22 +102,18 @@ class EventKind(enum.Enum):
 
 
 class PacketState(enum.Enum):
-    """Lifecycle of one packet; delivered and dropped are terminal.
+    """Lifecycle of one packet; delivered and dropped are terminal, and `_finish` sets both."""
 
-    `queued` means created, at the tick that drains the arrival, and not
-    yet decided.
-    """
-
-    QUEUED = "queued"
     WAITING = "waiting"
     IN_FLIGHT = "in_flight"
     DELIVERED = "delivered"
     DROPPED = "dropped"
 
 
-# A node's packet counts, keyed as in the summary.
+# A node's packet counts, keyed as in the summary: how packets end, and how many began.
 DROP_OUTCOMES = ("dropped_energy", "dropped_collision_exhausted", "dropped_no_window")
-PACKET_OUTCOMES = ("generated", "delivered") + DROP_OUTCOMES
+END_OUTCOMES = ("delivered",) + DROP_OUTCOMES
+PACKET_OUTCOMES = ("generated",) + END_OUTCOMES
 
 # heap ranks: at an exact time tie slot ticks run first, then the rest
 _TICK, _OTHER = 0, 1
@@ -149,7 +146,7 @@ METRICS_COLUMNS = MetricsRecord._fields
 @dataclass
 class _Packet:
     created: float
-    state: PacketState = PacketState.QUEUED
+    state: PacketState = PacketState.WAITING
     reserved_j: float = 0.0
     # the drawn sequence, (start, receiver, end-event sequence number) per
     # attempt; a receiver of None means nobody can hear that attempt
@@ -176,7 +173,6 @@ class _Node:
     totals: SlotTotals = field(default_factory=SlotTotals)
     settled: int = 0         # slots 0 .. settled - 1 are settled
     sunrise: float = math.inf  # the next sunrise, where an orbit closes; inf past the run
-    brownout_count: int = 0
     # per reporting period
     period_start: float = 0.0
     period_txs: int = 0
@@ -351,7 +347,12 @@ class Simulator:
         account_end = node.account_end
         return [w for w in node.schedule.candidates(now, deadline) if w.end <= account_end]
 
-    def _decide_aware(self, node: _Node, packet: _Packet, now: float):
+    def _decide(self, node: _Node, packet: _Packet, now: float):
+        """Send a waiting packet through the node's MAC, at now or once its last sequence ends."""
+        now = max(now, node.busy_until)
+        if self.naive:
+            self._decide_naive(node, packet, now)
+            return
         result = select_forecast_window(
             self._candidates(node, now, packet.created),
             node.energy,
@@ -365,24 +366,21 @@ class Simulator:
         )
         decision = result.decision
         if not decision.is_transmit:
-            self._drop(node, packet, _DROP_OUTCOME[decision.reason])
+            self._finish(node, packet, _DROP_OUTCOME[decision.reason])
             return
         window = decision.window
-        packet.state = PacketState.WAITING
         packet.reserved_j = node.energy.ewma_estimate_j
         node.energy.reserved_j += packet.reserved_j
         self._push(max(window.start, now), EventKind.WINDOW_OPEN, (node.node_id, packet, window))
 
-    def _decide_naive(self, node: _Node, packet: _Packet, now: float):
-        """Immediate-ALOHA baseline: transmit as generated, no energy checks."""
-        start = max(now, node.busy_until)
+    def _decide_naive(self, node: _Node, packet: _Packet, start: float):
+        """Immediate-ALOHA baseline: send as generated, no energy checks, no draw if none fits."""
         end = min(start + MAX_NAIVE_SPAN_S, node.account_end)
-        if end - start < self.toa:
-            self._drop(node, packet, "dropped_no_window")
-            return
-        starts = run_transmission_sequence(start, end, self.toa, self.sc.mac, node.backoff)
+        starts: list[float] = []
+        if end - start >= self.toa:
+            starts = run_transmission_sequence(start, end, self.toa, self.sc.mac, node.backoff)
         if not starts:
-            self._drop(node, packet, "dropped_no_window")
+            self._finish(node, packet, "dropped_no_window")
             return
         self._launch(node, packet, phase_at(node.orbit, starts[0]),
                      self._visible_targets(node, starts))
@@ -453,10 +451,9 @@ class Simulator:
         self._settle_before_now(node)
         start = max(window.start, now, node.busy_until)
 
-        # The hard reserve is re-checked when the window actually opens;
-        # sun-window estimates were projections and stand as decided.
-        psi = node.energy.phi_j - node.energy.reserved_j + packet.reserved_j
-        ok = psi > node.energy.phi_min_j if window.phase == ECLIPSE else True
+        # The reserve is re-checked as the window opens, as a re-decision would
+        # see it; sun-window estimates were projections and stand as decided.
+        ok = window.phase != ECLIPSE or reserve_holds(node.energy, packet.reserved_j)
 
         starts: list[float] = []
         if ok and start + self.toa <= window.end:
@@ -464,7 +461,7 @@ class Simulator:
                                                node.backoff)
         if not starts:
             self._release(node, packet)
-            self._decide_aware(node, packet, max(now, node.busy_until))
+            self._decide(node, packet, now)
             return
         self._launch(node, packet, window.phase, [(t, window.target) for t in starts])
 
@@ -488,16 +485,12 @@ class Simulator:
             self._on_air = [e for e in self._on_air if e[0].start + toa > now - 2 * toa]
             got_through = not any(other is not packet and collides(attempt, a)
                                   for a, other in self._on_air)
-        if got_through:
-            self._release(node, packet)
-            packet.state = PacketState.DELIVERED
-            node.packets["delivered"] += 1
-        elif k + 1 < len(packet.attempts):
+        if not got_through and k + 1 < len(packet.attempts):
             self._announce(node, packet, k + 1)
             return
-        else:
-            heard = any(r is not None for _, r, _ in packet.attempts)
-            self._drop(node, packet, "dropped_collision_exhausted" if heard else "dropped_no_window")
+        heard = attempt is not None or any(r is not None for _, r, _ in packet.attempts)
+        self._finish(node, packet, "delivered" if got_through
+                     else "dropped_collision_exhausted" if heard else "dropped_no_window")
         node.period_txs += 1
         node.in_flight = None
         node.energy.ewma_estimate_j = ewma_update(
@@ -509,9 +502,10 @@ class Simulator:
             node.energy.reserved_j = max(0.0, node.energy.reserved_j - packet.reserved_j)
             packet.reserved_j = 0.0
 
-    def _drop(self, node: _Node, packet: _Packet, outcome: str):
+    def _finish(self, node: _Node, packet: _Packet, outcome: str):
+        """End a packet: release its reservation and count it under one of `END_OUTCOMES`."""
         self._release(node, packet)
-        packet.state = PacketState.DROPPED
+        packet.state = PacketState.DELIVERED if outcome == "delivered" else PacketState.DROPPED
         node.packets[outcome] += 1
 
     # ── slot ticks and lazy settling ─────────────────────────────────────
@@ -536,7 +530,6 @@ class Simulator:
         node.settled = k
 
         if brownout:
-            node.brownout_count += 1
             node.sleep_slot = k
             if node.in_flight is not None:
                 victim = node.in_flight
@@ -546,17 +539,14 @@ class Simulator:
                 # an attempt already on air still collides; one yet to start never happens
                 self._on_air = [(a, p) for a, p in self._on_air
                                 if p is not victim or a.start <= now]
-                self._drop(node, victim, "dropped_energy")
+                self._finish(node, victim, "dropped_energy")
                 node.in_flight = None
                 node.busy_until = t_end
 
         # a brownout tick leaves its arrivals to the guard tick right after it
         if not brownout:
             for packet in self._drain_arrivals(node, t_end):
-                if self.naive:
-                    self._decide_naive(node, packet, t_end)
-                else:
-                    self._decide_aware(node, packet, max(t_end, node.busy_until))
+                self._decide(node, packet, t_end)
         self._schedule_wake(node)
 
     def _schedule_wake(self, node: _Node):
@@ -681,10 +671,7 @@ class Simulator:
             soc=node.energy.soc,
             fade_fraction=node.battery.fade_fraction,
             d_linear=node.battery.d_linear,
-            packets_delivered=node.packets["delivered"],
-            packets_dropped_energy=node.packets["dropped_energy"],
-            packets_dropped_collision_exhausted=node.packets["dropped_collision_exhausted"],
-            packets_dropped_no_window=node.packets["dropped_no_window"],
+            **{f"packets_{key}": node.packets[key] for key in END_OUTCOMES},
             energy_harvested_j=totals.harvested_j,
             energy_consumed_j=totals.consumed_j,
         ))
@@ -699,7 +686,7 @@ class Simulator:
             self._settle_before_now(node)
             self._flush_orbit(node)
             for packet in self._drain_arrivals(node, self.t_end):
-                self._drop(node, packet, "dropped_no_window")
+                self._finish(node, packet, "dropped_no_window")
             self._emit_report(node, self.t_end)
 
     def _summary(self) -> dict:
@@ -714,10 +701,10 @@ class Simulator:
                 "dc_cycle": node.battery.dc_cycle_total,
                 "cycles_completed": node.battery.cycles_completed,
                 "calendar_days": node.battery.calendar_days,
-                **{key: node.packets[key] for key in ("delivered",) + DROP_OUTCOMES},
+                **{key: node.packets[key] for key in END_OUTCOMES},
                 "energy_harvested_j": node.totals.harvested_j,
                 "energy_consumed_j": node.totals.consumed_j,
-                "brownouts": node.brownout_count,
+                "brownouts": node.totals.brownouts,
                 "clamp_events": node.totals.clamp_count,
             }
         delivered = totals["delivered"]

@@ -3,9 +3,9 @@ with growing random backoff.
 
 A pending packet is matched against the node's forecast windows.  Sun
 windows are feasible when the projected energy clears the reserve plus the
-eclipse-operations budget; eclipse windows when current stored energy is
-above the reserve.  Among feasible windows the node picks the one
-minimizing
+eclipse-operations budget; eclipse windows when `reserve_holds`: stored
+energy less reserved energy is above the reserve.  Among feasible windows
+the node picks the one minimizing
 
     J(t) = w_dif * DIF(t) + w_energy * E_hat(t) / phi_max
 
@@ -138,6 +138,15 @@ def phase_dif(
     return {SUN: dif(harvest.slot_harvest(1.0)), ECLIPSE: dif(0.0)}
 
 
+def reserve_holds(energy: NodeEnergyState, released_j: float = 0.0) -> bool:
+    """The eclipse reserve rule: stored energy, less what stays reserved, is above the reserve.
+
+    Selection releases nothing; a window open releases its packet's own
+    reservation, as the re-decision after it does, so the two agree.
+    """
+    return energy.phi_j - max(0.0, energy.reserved_j - released_j) > energy.phi_min_j
+
+
 def select_forecast_window(
     windows: list[ForecastWindow],
     energy: NodeEnergyState,
@@ -159,9 +168,8 @@ def select_forecast_window(
     drop reason is the earliest candidate's failure; with no candidates at
     all it is NO_WINDOW.
     """
-    psi = energy.phi_j - energy.reserved_j
     sun_threshold = energy.phi_min_j + energy.e_critical_j
-    eclipse_ok = psi > energy.phi_min_j
+    eclipse_ok = reserve_holds(energy)
     best = None     # (objective, start, window_id), window, estimate
     failed = None   # (start, window_id), reason
     for window in windows:

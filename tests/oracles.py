@@ -224,7 +224,7 @@ def oracle_slot(state, totals, tx_phase, sun_s, slot_s, harvest, profile):
     clamped to [0, phi_max]; the discharge counts the bus draw beyond
     harvest and an eclipse transmit's extra draw.  Floats are computed in
     the simulator's order of operations, and every running sum takes the
-    slot once.
+    slot once; a slot whose phi falls below zero is one brownout.
     """
     x = 0 if tx_phase is None else 1
     y = 1 if sun_s > 0.0 else 0
@@ -253,4 +253,6 @@ def oracle_slot(state, totals, tx_phase, sun_s, slot_s, harvest, profile):
     if clamp:
         totals.clamp_count += 1
         totals.clamp_total_j += clamp
+    if raw < 0.0:
+        totals.brownouts += 1
     return OracleSlot(harvested, consumed, discharge, clamp, raw < 0.0)

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -226,6 +227,7 @@ class TestDeclaredBounds:
         for key in _BROKEN[path]:
             assert sum(p.startswith(f"{path}.{key}: ") for p in problems) == 1, (key, problems)
         assert all(p.startswith(path) for p in problems), problems
+        assert len(problems) == len(_BROKEN[path]), problems
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("cls, name", _FLOAT_FIELDS,
@@ -249,6 +251,32 @@ class TestDeclaredBounds:
         assert code == 2
         assert capsys.readouterr().err.splitlines() == [
             "error: battery: c_rate_reference: must be a finite number, got inf"]
+
+    @pytest.mark.parametrize("overrides", [
+        # the dif_ref envelope overflows in `cycle_aging`
+        {"battery.c": 1e6},
+        {"battery.c_rate_reference": 1e306},
+        # a given dif_ref leaves the envelope to `phase_dif`, which overflows alike
+        {"battery.c": 1e6, "mac.dif_ref": 1.0},
+        # the nominal backoff base overflows
+        {"mac.max_attempts": 1e306},
+        # a C-rate that fails its own check is not also a missing one
+        {"battery.c_rate_reference": "x"},
+        {"battery.c_rate_reference": -1.0},
+    ], ids=["c", "c_rate_reference", "c_with_dif_ref", "max_attempts", "c_rate_str",
+            "c_rate_negative"])
+    def test_a_derived_field_that_fails_is_one_problem_line(self, tmp_path, scenario_dict,
+                                                            overrides, capsys):
+        for dotted, value in overrides.items():
+            section, key = dotted.split(".")
+            scenario_dict[section][key] = value
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(scenario_dict))
+        code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "m.csv"),
+                     "--summary", str(tmp_path / "s.json")])
+        assert code == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and re.match(r"error: [a-z]+\.[a-z_]+: ", lines[0]), lines
 
 
 class TestCliSimulate:

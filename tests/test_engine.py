@@ -17,7 +17,7 @@ from leolora import engine
 from leolora.engine import PacketState, Simulator, run
 from leolora.exceptions import ContractError
 from leolora.mac import resolve_collisions
-from leolora.orbit import MAX_WINDOW_S, SUN, ForecastWindow, Schedule, sun_seconds
+from leolora.orbit import ECLIPSE, MAX_WINDOW_S, SUN, ForecastWindow, Schedule, sun_seconds
 
 from conftest import make_scenario
 from oracles import (
@@ -131,7 +131,7 @@ class TestFullRuns:
                 if slot.harvested_j > 0.0:
                     assert sunlit > 0.0
 
-    def test_brownout_forces_sleep_and_is_logged(self, default_dict):
+    def test_brownout_forces_sleep_and_is_logged(self, default_dict, energy_spy):
         sc = make_scenario(
             default_dict,
             **{
@@ -148,7 +148,8 @@ class TestFullRuns:
         )
         result = run(sc)
         node = result.nodes[0]
-        assert node.brownout_count >= 1
+        assert node.totals.brownouts >= 1
+        assert node.totals.brownouts == sum(slot.brownout for *_, slot in energy_spy(node))
         assert node.totals.clamp_count >= 1
         assert node.totals.clamp_total_j > 0.0
         assert node.energy.phi_j == 0.0
@@ -406,6 +407,33 @@ class TestLifecycleInvariants:
         assert all(state is PacketState.WAITING for state in opens)
         assert launched
         assert {p.state for p in launched} <= {PacketState.DELIVERED, PacketState.DROPPED}
+
+    def test_a_window_open_at_the_reserve_edge_agrees_with_the_re_decision(self, default_dict):
+        # With the packet's reservation given back, this state sits within an
+        # ulp of the reserve: phi - reserved + p rounds to exactly phi_min,
+        # while phi - max(0, reserved - p) rounds above it.  An open that
+        # tested the first after a selection that tested the second chose
+        # the same eclipse window forever, at the same instant, drawing nothing.
+        window = ForecastWindow("w0", 3400.0, 3900.0, ECLIPSE, "gs-0")
+        sim = Simulator(make_scenario(default_dict, **{"sim.node_count": 1}),
+                        schedules={0: Schedule((window,))})
+        node, p = sim.nodes[0], 8282.546067320636
+        node.energy.phi_j, node.energy.reserved_j = 227378.72777818277, 35661.27384550339
+        node.energy.ewma_estimate_j = p
+        phi, reserved = node.energy.phi_j, node.energy.reserved_j
+        assert phi - reserved + p == node.energy.phi_min_j < phi - max(0.0, reserved - p)
+        sim._heap.clear()
+        sim.now = window.start
+        node.settled = node.last_tick(window.start)   # nothing left to settle at the open
+        packet = engine._Packet(created=window.start, reserved_j=p)
+        sim._push(window.start, engine.EventKind.WINDOW_OPEN, (0, packet, window))
+        opens = 0
+        while sim._heap and sim._heap[0][3] is engine.EventKind.WINDOW_OPEN and opens < 100:
+            time, _, _, _, payload = heapq.heappop(sim._heap)
+            opens += 1
+            sim._on_window_open(time, payload)
+        assert opens <= 2
+        assert packet.state is PacketState.IN_FLIGHT
 
 
 @pytest.fixture(scope="module")
