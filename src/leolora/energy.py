@@ -53,7 +53,8 @@ class NodeEnergyState:
 
     @property
     def soc(self) -> float:
-        return self.phi_j / self.phi_max_j
+        """phi over phi_max; a pack faded to no capacity holds nothing, so 0.0."""
+        return self.phi_j / self.phi_max_j if self.phi_max_j else 0.0
 
 
 @dataclass(frozen=True)

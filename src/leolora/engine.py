@@ -143,7 +143,7 @@ class MetricsRecord(NamedTuple):
 METRICS_COLUMNS = MetricsRecord._fields
 
 
-@dataclass
+@dataclass(eq=False)   # one packet is equal only to itself: snapshots compare packets
 class _Packet:
     created: float
     state: PacketState = PacketState.WAITING
@@ -151,6 +151,9 @@ class _Packet:
     # the drawn sequence, (start, receiver, end-event sequence number) per
     # attempt; a receiver of None means nobody can hear that attempt
     attempts: list[tuple[float, str | None, int]] = field(default_factory=list)
+    # the snapshot of its latest window open, if that open's first draw missed
+    # (`Simulator._skip_repeated_rounds`)
+    missed: tuple | None = None
 
 
 @dataclass
@@ -456,14 +459,69 @@ class Simulator:
         ok = window.phase != ECLIPSE or reserve_holds(node.energy, packet.reserved_j)
 
         starts: list[float] = []
+        missed = None
         if ok and start + self.toa <= window.end:
             starts = run_transmission_sequence(start, window.end, self.toa, self.sc.mac,
                                                node.backoff)
+            if not starts:
+                missed = self._skip_repeated_rounds(node, packet, window, start)
         if not starts:
+            packet.missed = missed
             self._release(node, packet)
             self._decide(node, packet, now)
             return
         self._launch(node, packet, window.phase, [(t, window.target) for t in starts])
+
+    def _skip_repeated_rounds(self, node: _Node, packet: _Packet, window: ForecastWindow,
+                              start: float) -> tuple:
+        """Skip the rounds of missed first draws that must repeat; return the packet's snapshot.
+
+        A first draw that misses consumes one double, and the re-decision
+        after it releases and re-reserves the packet's energy and may push
+        the same window at the same instant.  The snapshot holds what that
+        depends on: now, the window, the attempt start, the packet's
+        reservation (released as taken, perhaps before the EWMA last moved),
+        the node's energy and `busy_until`, and, once those repeat, the
+        (packet, window, reservation) of every event waiting at now.  When it
+        equals the packet's snapshot at its previous miss and every waiting
+        event is a window open of this node whose packet missed at now on
+        that same window, the round (those packets in heap order, then this
+        one) starts from the state the last one did, so it runs the same
+        until a draw hits.  The whole rounds before that hit are consumed in
+        one scan, and at most P - 1 redo events follow.
+        """
+        now, energy = self.now, node.energy
+        state = (now, window, start, packet.reserved_j, energy.phi_j, energy.reserved_j,
+                 energy.ewma_estimate_j, energy.phi_max_j, node.busy_until)
+        previous = packet.missed
+        if previous is None or previous[0] != state:
+            return state, None
+        waiting = self._waiting_opens(node, now)
+        if waiting is not None and waiting == previous[1] and all(
+                q.missed is not None and q.missed[0][:2] == (now, w) for q, w, _ in waiting):
+            rounds = [(max(w.start, now, node.busy_until), w.end) for _, w, _ in waiting]
+            rounds.append((start, window.end))
+            node.backoff.skip_missed_rounds(rounds, self.toa, self.sc.mac.backoff_base_s)
+        return state, waiting
+
+    def _waiting_opens(self, node: _Node, now: float) -> tuple | None:
+        """(packet, window, reservation) of each event at now in pop order, or None.
+
+        None unless every event waiting at now is a window open of `node`.
+        """
+        heap = self._heap
+        found = []
+        stack = [0]
+        while stack:
+            i = stack.pop()
+            if i < len(heap) and heap[i][0] == now:
+                found.append(heap[i])
+                stack += (2 * i + 1, 2 * i + 2)
+        found.sort()
+        if any(kind is not EventKind.WINDOW_OPEN or payload[0] != node.node_id
+               for _, _, _, kind, payload in found):
+            return None
+        return tuple((q, w, q.reserved_j) for _, _, _, _, (_, q, w) in found)
 
     def _on_attempt_end(self, now: float, payload: tuple):
         """Settle one attempt: delivered, retried with the next one, or dropped.

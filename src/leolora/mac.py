@@ -185,7 +185,9 @@ def select_forecast_window(
             if failed is None or key < failed[0]:
                 failed = (key, fail)
             continue
-        objective = mac.w_dif * dif[window.phase] + mac.w_energy * estimate / energy.phi_max_j
+        # a pack faded to no capacity passes only at an estimate of 0.0: its share is 0.0
+        share = mac.w_energy * estimate / energy.phi_max_j if energy.phi_max_j else 0.0
+        objective = mac.w_dif * dif[window.phase] + share
         key = (objective, window.start, window.window_id)
         if best is None or key < best[0]:
             best = (key, window, estimate)
@@ -204,6 +206,8 @@ class Backoff:
     """
 
     BLOCK = 64
+    # the most doubles `skip_missed_rounds` draws in one block
+    SCAN_BLOCK = 1 << 14
 
     def __init__(self, rng: np.random.Generator):
         self._rng = rng
@@ -217,6 +221,46 @@ class Backoff:
         if not self._doubles:
             self._doubles = self._rng.random(self.BLOCK).tolist()[::-1]
         return low + span * self._doubles.pop()
+
+    def skip_missed_rounds(self, rounds: list[tuple[float, float]], toa: float,
+                           high: float) -> int:
+        """Consume every whole round of first draws that all miss; return how many doubles.
+
+        Double j from the stream's next one is the first backoff,
+        `uniform(0.0, high)`, of attempt range `rounds[j % P]`, a (start, end)
+        pair: it hits when `start + high * u + toa <= end`, the float test
+        `run_transmission_sequence` makes (0.0 + x is x for x >= 0).  With j
+        the first hit, the floor(j / P) * P doubles before its round are
+        consumed; the rest stay for `uniform`.  The buffered doubles are
+        scanned as floats, then blocks of at most `SCAN_BLOCK` doubles from
+        `Generator.random(n)`, the doubles repeated `random(BLOCK)` calls give.
+        At least one range must have room for a hit.
+        """
+        p = len(rounds)
+        doubles = self._doubles
+        n = len(doubles)
+        for i in range(n):
+            start, end = rounds[i % p]
+            if start + high * doubles[n - 1 - i] + toa <= end:
+                skip = i - i % p
+                del doubles[n - skip:]
+                return skip
+        # the round under way when the buffer runs out, in stream order
+        head = np.array(doubles[:n % p][::-1], dtype=float)
+        skipped = n - len(head)
+        starts, ends = np.array(rounds, dtype=float).T
+        rows = max(1, self.BLOCK // p)
+        while True:
+            block = np.concatenate((head, self._rng.random(rows * p - len(head))))
+            head = head[:0]
+            hits = (starts + high * block.reshape(rows, p)) + toa <= ends
+            k = int(hits.argmax())
+            if hits.flat[k]:
+                k -= k % p
+                self._doubles = block[k:].tolist()[::-1]
+                return skipped + k
+            skipped += len(block)
+            rows = min(2 * rows, max(1, self.SCAN_BLOCK // p))
 
 
 def run_transmission_sequence(

@@ -1,5 +1,7 @@
+import contextlib
 import copy
 import dataclasses
+import signal
 import sys
 from pathlib import Path
 from typing import NamedTuple
@@ -164,3 +166,18 @@ def make_scenario(base: dict, **overrides) -> "ScenarioConfig":
         section, key = dotted.split(".")
         d[section][key] = value
     return parse_scenario(d)
+
+
+@contextlib.contextmanager
+def time_limit(seconds: float):
+    """Raise TimeoutError in the block once it has run `seconds`, so a hang fails a test."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)

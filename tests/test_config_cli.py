@@ -291,6 +291,30 @@ class TestCliSimulate:
         assert doc["seed"] == 3
         assert doc["packets"]["generated"] > 0
 
+    # packs that fade to no capacity within the day, so phi_max reaches 0
+    @pytest.mark.parametrize("overrides", [
+        {"battery.k1": 1e308},
+        {"mac.max_attempts": 1e300, "mac.backoff_base_s": 1.0},
+        # with no reserve, a sun window stays feasible for the empty pack
+        {"battery.k1": 1e308, "energy.psi_min_j": 0.0, "energy.e_critical_j": 0.0},
+    ], ids=["k1", "max_attempts", "k1_no_reserve"])
+    def test_a_pack_that_fades_out_runs_to_the_end(self, tmp_path, scenario_dict, overrides):
+        scenario_dict["sim"]["duration_days"] = 1
+        for dotted, value in overrides.items():
+            section, key = dotted.split(".")
+            scenario_dict[section][key] = value
+        cfg, summary = tmp_path / "faded.json", tmp_path / "s.json"
+        cfg.write_text(json.dumps(scenario_dict))
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "m.csv"),
+                     "--summary", str(summary)]) == 0
+        doc = json.loads(summary.read_text())
+        assert all(node["fade_fraction"] == 1.0 and node["soc"] == 0.0
+                   for node in doc["per_node"].values())
+        packets = doc["packets"]
+        assert packets["generated"] == doc["packets_terminal"] == sum(
+            packets[key] for key in ("delivered", "dropped_energy",
+                                     "dropped_collision_exhausted", "dropped_no_window"))
+
     def test_missing_mandatory_field_exits_2(self, tmp_path, scenario_dict, capsys):
         del scenario_dict["battery"]["alpha_sei"]
         cfg = tmp_path / "bad.json"
@@ -634,3 +658,60 @@ class TestCliOptions:
             main(argv)
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def _tiny_reports(d, cwd):
+    d["sim"].update(duration_days=0.001, report_interval_s=1e-12)
+
+
+def _odd_orbit(d, cwd):
+    d["orbit"].update(period_s=5677.3, sun_duration_s=3411.1)
+
+
+def _bad_override(d, cwd):
+    (cwd / "bad_override.json").write_text("[1]")
+    d["sim"]["schedule_override_path"] = str(cwd / "bad_override.json")
+
+
+class TestConsoleScript:
+    """The command line's exit codes, each in a fresh process under a time limit.
+
+    Each row runs `python -m leolora.cli`, which calls `main` as the
+    `leolora` console script does, in its own working directory; a hang
+    fails at the limit.
+    """
+
+    # (arguments, the scenario file they read as (name, change to the default), exit code)
+    @pytest.mark.parametrize("argv, config, code", [
+        (["schedule", "--step-s", "0", "--out", "step0.json"], None, 2),
+        (["simulate", "--seed", "-1"], None, 2),
+        (["degradation", "--years", "inf", "--out", "inf.csv"], None, 3),
+        # spans past the curve's limits are refused at once
+        (["degradation", "--years", "0.01", "--resolution", "1e-300", "--out", "fine.csv"],
+         None, 3),
+        (["degradation", "--years", "1000", "--out", "long.csv"], None, 3),
+        # report intervals and sample grids too fine to finish or build are refused
+        (["schedule", "--step-s", "1e-9", "--horizon-s", "43200", "--out", "fine_grid.json"],
+         None, 2),
+        (["simulate", "--config", "tiny_reports.json"],
+         ("tiny_reports.json", _tiny_reports), 2),
+        (["schedule", "--horizon-s", "3e9", "--step-s", "60", "--out", "coarse_grid.json"],
+         None, 2),
+        # an orbit whose phase edges once stalled the timeline walk
+        (["schedule", "--config", "odd_orbit.json", "--horizon-s", "43200",
+          "--out", "odd_schedule.json"], ("odd_orbit.json", _odd_orbit), 0),
+        (["simulate", "--config", "bad_override_cfg.json"],
+         ("bad_override_cfg.json", _bad_override), 3),
+    ], ids=["step_zero", "negative_seed", "years_inf", "resolution_tiny", "years_1000",
+            "grid_too_fine", "tiny_reports", "coarse_grid_too_large", "odd_orbit",
+            "bad_override"])
+    def test_exit_code(self, tmp_path, scenario_dict, argv, config, code):
+        if config is not None:
+            name, change = config
+            change(scenario_dict, tmp_path)
+            (tmp_path / name).write_text(json.dumps(scenario_dict))
+        src = str(Path(cli.__file__).resolve().parents[1])
+        done = subprocess.run([sys.executable, "-m", "leolora.cli", *argv], cwd=tmp_path,
+                              capture_output=True, timeout=20,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert done.returncode == code, done.stderr.decode()

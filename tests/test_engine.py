@@ -19,14 +19,20 @@ from leolora.exceptions import ContractError
 from leolora.mac import resolve_collisions
 from leolora.orbit import ECLIPSE, MAX_WINDOW_S, SUN, ForecastWindow, Schedule, sun_seconds
 
-from conftest import make_scenario
+from conftest import make_scenario, time_limit
 from oracles import (
     oracle_calendar,
     oracle_poisson_arrivals,
     oracle_sei,
     oracle_visible_target,
 )
-from test_golden import CASES as GOLDEN_CASES, TIE_CASE, _shared_windows, _tick_aligned_windows
+from test_golden import (
+    CASES as GOLDEN_CASES,
+    STEADY_CASE as STEADY,
+    TIE_CASE,
+    _shared_windows,
+    _tick_aligned_windows,
+)
 
 
 class TestFullRuns:
@@ -356,10 +362,6 @@ class TestFullRuns:
             assert gw["dc_cycle"] == pytest.approx(node.battery.dc_cycle_total, rel=1e-12)
 
 
-STEADY = {"sim.duration_days": 4.0, "sim.node_count": 8, "sim.protocol": "battery_aware",
-          "sim.traffic_rate_per_s": 1.0 / 600.0}
-
-
 class TestLifecycleInvariants:
     """What the engine relies on without checking it, over the golden cases and `steady`.
 
@@ -434,6 +436,35 @@ class TestLifecycleInvariants:
             sim._on_window_open(time, payload)
         assert opens <= 2
         assert packet.state is PacketState.IN_FLIGHT
+
+
+class TestRedrawCollapse:
+    """Window opens whose first backoff misses, in rounds that repeat, are skipped whole.
+
+    On `steady`, seed 1633 once re-decided the same packets at one instant
+    without end, and seed 0 made 55 window opens a packet.
+    """
+
+    def test_a_seed_that_livelocked_runs_to_the_end(self, default_dict):
+        with time_limit(60):
+            summary = run(make_scenario(default_dict, **STEADY), seed=1633).summary
+        packets = summary["packets"]
+        assert packets["generated"] == summary["packets_terminal"] == sum(
+            packets[key] for key in engine.END_OUTCOMES) > 0
+
+    def test_window_opens_stay_near_one_a_packet(self, default_dict, monkeypatch):
+        opens = 0
+        real = Simulator._on_window_open
+
+        def on_window_open(sim, now, payload):
+            nonlocal opens
+            opens += 1
+            real(sim, now, payload)
+
+        monkeypatch.setattr(Simulator, "_on_window_open", on_window_open)
+        with time_limit(60):
+            summary = run(make_scenario(default_dict, **STEADY), seed=0).summary
+        assert 0 < opens <= 1.3 * summary["packets_terminal"]
 
 
 @pytest.fixture(scope="module")

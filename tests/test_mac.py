@@ -1,10 +1,11 @@
 """Forecast-window selection, retransmission sequences, and the collision law."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from leolora import mac as mac_module
@@ -357,6 +358,87 @@ class TestBackoff:
         with pytest.raises(ValueError, match="backoff range"):
             run_transmission_sequence(0.0, math.inf, TOA, mac(backoff_base_s=1e308),
                                       Backoff(np.random.default_rng(0)))
+
+
+@st.composite
+def missed_round_cases(draw):
+    """(seed, doubles used before, attempt ranges, toa, b0): P of 1-8 ranges, slack in [0, b0].
+
+    One range has room for a hit once in at most 3,000 draws, so the scan
+    ends; tiny slacks make it run past the buffer and across blocks.
+    """
+    b0 = draw(st.sampled_from([B0, 1.0, 60.0]))
+    p = draw(st.integers(1, 8))
+    share = st.floats(0.0, 1.0) | st.floats(0.0, 1e-3) | st.just(0.0)
+    shares = draw(st.lists(share, min_size=p, max_size=p))
+    i = draw(st.integers(0, p - 1))
+    shares[i] = max(shares[i], draw(st.floats(1 / 3000, 1.0) | st.floats(1 / 3000, 1 / 300)))
+    t0 = draw(st.floats(0.0, 4e5))
+    rounds = [(t0 + 10.0 * k, t0 + 10.0 * k + TOA + f * b0) for k, f in enumerate(shares)]
+    return draw(st.integers(0, 2**32 - 1)), draw(st.integers(0, 200)), rounds, TOA, b0
+
+
+def first_hit(case) -> int:
+    """The index of the first draw that hits, drawn round-robin one attempt at a time."""
+    seed, used, rounds, toa, b0 = case
+    rng, one_attempt = np.random.default_rng(seed), mac(max_attempts=1, backoff_base_s=b0)
+    for _ in range(used):
+        rng.uniform(0.0, b0)
+    for j in itertools.count():
+        start, end = rounds[j % len(rounds)]
+        if run_transmission_sequence(start, end, toa, one_attempt, rng):
+            return j
+
+
+def check_skip(case) -> tuple[int, int]:
+    """Skip rounds on a `Backoff` and match the scalar draws; return (first hit, buffered)."""
+    seed, used, rounds, toa, b0 = case
+    backoff = Backoff(np.random.default_rng(seed))
+    for _ in range(used):
+        backoff.uniform(0.0, b0)
+    buffered = len(backoff._doubles)
+    hit = first_hit(case)
+    assert backoff.skip_missed_rounds(rounds, toa, b0) == hit - hit % len(rounds)
+    scalar = np.random.default_rng(seed)
+    for _ in range(used + hit - hit % len(rounds)):
+        scalar.uniform(0.0, b0)
+    later = len(backoff._doubles) + 2 * Backoff.BLOCK
+    assert ([backoff.uniform(0.0, b0).hex() for _ in range(later)]
+            == [scalar.uniform(0.0, b0).hex() for _ in range(later)])
+    return hit, buffered
+
+
+# the hit in the buffer; the hit's round begun in the buffer and the hit in
+# the first block; the hit two blocks on
+SKIP_CASES = [(7, 10, [(100.0, 100.0 + TOA + 0.5 * B0)], TOA, B0),
+              (0, 62, [(0.0, TOA), (10.0, 10.0 + TOA), (20.0, 20.0 + TOA + 0.5 * B0)], TOA, B0),
+              (11, 0, [(5.0, 5.0 + TOA), (15.0, 15.0 + TOA + 1e-3)], TOA, 1.0)]
+
+
+def exact_fit(seed, used):
+    """A one-range case whose first draw after `used` lands its attempt exactly on the end."""
+    u = np.random.default_rng(seed).random(used + 1)[-1]
+    start = 1000.0
+    return seed, used, [(start, start + B0 * u + TOA)], TOA, B0
+
+
+class TestSkipMissedRounds:
+    @given(missed_round_cases())
+    @example(SKIP_CASES[0])
+    @example(SKIP_CASES[1])
+    @example(SKIP_CASES[2])
+    # an attempt that ends exactly on the range's end hits, in the buffer and in a block
+    @example(exact_fit(5, 3))
+    @example(exact_fit(5, 64))
+    def test_matches_round_robin_scalar_draws(self, case):
+        check_skip(case)
+
+    def test_the_pinned_cases_reach_the_buffer_and_block_edges(self):
+        (hit0, buffered0), (hit1, buffered1), (hit2, buffered2) = map(check_skip, SKIP_CASES)
+        assert hit0 < buffered0
+        p = len(SKIP_CASES[1][2])
+        assert hit1 - hit1 % p < buffered1 <= hit1 < buffered1 - buffered1 % p + 64 // p * p
+        assert hit2 > 2 * Backoff.BLOCK
 
 
 class TestDecisionAndConfig:
