@@ -4,18 +4,21 @@
 
     phi[t] = phi[t-1] + y[t]*E_g[t] - x[t]*E_cons - (1 - x[t])*E_sleep
 
-with phi clamped to [0, phi_max]: it settles a run of slots in order and
-adds each to the node's running `SlotTotals`.  `_slot_terms` gives the
-terms phi does not enter (x, y, E_g and the slot's battery discharge for
-the orbit ledger).  They depend only on (tx_phase, sun_s) and the run's
-constants, so a run keeps them in a memo.  A clamp at zero is a brownout;
-every clamp is counted so the run-level ledger can be audited exactly.
-The engine settles the slots that cannot brown out in runs, and each
-other slot through `energy_step`, a run of one.
+with phi clamped to [0, phi_max]: it settles a run of slots in one walk,
+taking each slot's sunlit seconds from an iterable as it goes and its
+transmit phase from the node's {slot: phase} map, and adds each slot to
+the node's running `SlotTotals`.  `_slot_terms` gives the terms phi does
+not enter (x, y, E_g and the slot's battery discharge for the orbit
+ledger).  They depend only on (tx_phase, sun_s) and the run's constants,
+so a run keeps them in a memo.  A clamp at zero is a brownout; every clamp
+is counted so the run-level ledger can be audited exactly.  A real slot
+tick settles its gap and its own slot through `energy_step`, one walk; a
+settle before a read walks through `settle_slots` itself.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .exceptions import ConfigError, ContractError, bounded, check_bounds
@@ -140,17 +143,20 @@ class SlotTotals:
 def settle_slots(
     state: NodeEnergyState,
     totals: SlotTotals,
-    tx_phases: list[str | None],
-    sun_s: list[float],
+    tx: dict[int, str | None],
+    first: int,
+    sun_s: Iterable[float],
     slot_s: float,
     harvest: HarvestModel,
     profile: PowerProfile,
     memo: dict[tuple, tuple[float, float, float, float]],
 ) -> bool:
-    """Settle a run of slots in slot order; return whether the last one browned out.
+    """Settle slots first, first + 1, ... in one walk; return whether the last one browned out.
 
-    Slot i has transmit phase tx_phases[i] (None: the node slept) and
-    sunlit time sun_s[i]; it advances phi by the slot law and adds its
+    The walk takes slot first + i's sunlit time as the i-th value of sun_s,
+    which may be a lazy iterator, and pops its transmit phase from the
+    node's {slot: phase} map tx (no key: the node slept); keys outside the
+    walked slots stay.  Each slot advances phi by the slot law and adds its
     figures to the running sums.  A brownout must be acted on (the node
     sleeps through the next slot), so one before the last slot is a broken
     contract: it raises before state or totals change.
@@ -171,8 +177,11 @@ def settle_slots(
     clamp_count, clamp_total_j = totals.clamp_count, totals.clamp_total_j
     brownouts = 0
     raw = phi
-    get = memo.get
-    for key in zip(tx_phases, sun_s, strict=True):
+    get, pop = memo.get, tx.pop
+    k = first
+    for s in sun_s:
+        key = (pop(k, None), s)
+        k += 1
         terms = get(key)
         if terms is None:
             harvested, consumed, discharge = _slot_terms(*key, slot_s, harvest, profile)
@@ -196,29 +205,34 @@ def settle_slots(
             clamp_total_j += clamp
     brownout = raw < 0.0
     if brownouts > brownout:
-        raise ContractError(f"a slot before the last of a run of {len(sun_s)} browns out")
+        raise ContractError(f"a slot before the last of the walk {first} .. {k - 1} browns out")
     state.phi_j = phi
     totals.harvested_j, totals.consumed_j = harvested_j, consumed_j
     totals.period_consumed_j, totals.orbit_s = period_consumed_j, orbit_s
     totals.orbit_discharge_j = orbit_discharge_j
     totals.clamp_count, totals.clamp_total_j = clamp_count, clamp_total_j
     totals.brownouts += brownouts
-    totals.period_slots += len(sun_s)
+    totals.period_slots += k - first
     return brownout
 
 
 def energy_step(
     state: NodeEnergyState,
     totals: SlotTotals,
-    tx_phase: str | None,
-    sun_s: float,
+    tx: dict[int, str | None],
+    first: int,
+    sun_s: Iterable[float],
     slot_s: float,
     harvest: HarvestModel,
     profile: PowerProfile,
     memo: dict[tuple, tuple[float, float, float, float]],
 ) -> bool:
-    """Settle one slot as a run of one; return whether it browned out, for the caller to act on."""
-    return settle_slots(state, totals, [tx_phase], [sun_s], slot_s, harvest, profile, memo)
+    """A real slot tick's one walk: its gap and its own slot; return the last one's brownout.
+
+    It is `settle_slots` by another name, so that the real ticks, which
+    alone call it, can be counted apart from batch settles.
+    """
+    return settle_slots(state, totals, tx, first, sun_s, slot_s, harvest, profile, memo)
 
 
 def ewma_update(beta: float, e_cons_prev_j: float, ewma_prev_j: float) -> float:

@@ -23,12 +23,12 @@ next sunrise, it is the node's last, or it is the brownout guard, the
 first slot where a transmit in every slot could empty the battery (phi
 drops by at most E_cons a slot).  After a brownout phi is 0, so the guard
 is the very next tick; the arrivals a brownout tick leaves undrained are
-created and decided there.  The slots between real ticks cannot brown out
-and settle in one `energy.settle_slots` batch, which raises
-`ContractError` if one does.  A real tick closes the orbits whose sunrise
-lies before it, settles the rest of that gap, then its own slot through
-`energy.energy_step` (a batch of one, whose brownout it acts on), and
-pushes the next real tick.
+created and decided there.  The slots between real ticks cannot brown out.
+A real tick closes the orbits whose sunrise lies before it, then settles
+the rest of that gap and its own slot in one `energy.energy_step` walk,
+which makes each slot's sunlit seconds as it reaches it, raises
+`ContractError` if a gap slot browns out and returns whether its own slot
+did, for the tick to act on; it then pushes the next real tick.
 
 Whatever reads or resets the energy state (window open, report, end of
 run) first settles the node up to now: it closes every orbit whose
@@ -576,15 +576,13 @@ class Simulator:
             self._close_orbit(node)
         t_end = node.slot_time(k)
         idx = k - 1
-        # one walk gives the sunlit seconds of the gap and of this tick's own slot
-        *gap, sun_s = self._sun_seconds(node, k)
-        self._settle(node, gap)
-
-        tx_phase = node.tx_slot_info.pop(idx, None)
-        if idx == node.sleep_slot:
-            tx_phase = None
-        brownout = energy_step(node.energy, node.totals, tx_phase, sun_s, self.slot_s,
-                               self.harvest, self.profile, self._slot_terms)
+        if idx == node.sleep_slot:   # no transmit counts in the slot after a brownout
+            node.tx_slot_info.pop(idx, None)
+        # one walk settles the gap and this tick's own slot, its sunlit seconds made as it goes
+        brownout = energy_step(node.energy, node.totals, node.tx_slot_info, node.settled,
+                               sun_seconds_per_slot(node.orbit, node.slot_offset, self.slot_s,
+                                                    node.settled, k),
+                               self.slot_s, self.harvest, self.profile, self._slot_terms)
         node.settled = k
 
         if brownout:
@@ -638,33 +636,19 @@ class Simulator:
             k += 1
         return max(node.settled + 1, k)
 
-    def _sun_seconds(self, node: _Node, upto: int) -> list[float]:
-        """Sunlit seconds of slots settled .. upto - 1."""
-        return sun_seconds_per_slot(node.orbit, node.slot_offset, self.slot_s, node.settled, upto)
-
-    def _settle(self, node: _Node, sun_s: list[float]):
-        """Settle the len(sun_s) slots from `node.settled` on in one batch.
+    def _settle_upto(self, node: _Node, m: int):
+        """Settle every slot whose tick is at or before tick m, in one walk.
 
         The guard keeps a brownout out of these slots, and so also the slot
         after a brownout: that one always has its own tick.
         """
-        if not sun_s:
-            return
-        first = node.settled
-        upto = first + len(sun_s)
-        phases = [None] * len(sun_s)
-        tx = node.tx_slot_info
-        for i in [i for i in tx if first <= i < upto]:
-            phases[i - first] = tx.pop(i)
-        if settle_slots(node.energy, node.totals, phases, sun_s, self.slot_s, self.harvest,
-                        self.profile, self._slot_terms):
-            raise ContractError(f"node {node.node_id} browns out in batch-settled slot {upto - 1}")
-        node.settled = upto
-
-    def _settle_upto(self, node: _Node, m: int):
-        """Settle every slot whose tick is at or before tick m."""
         if m > node.settled:
-            self._settle(node, self._sun_seconds(node, m))
+            if settle_slots(node.energy, node.totals, node.tx_slot_info, node.settled,
+                            sun_seconds_per_slot(node.orbit, node.slot_offset, self.slot_s,
+                                                 node.settled, m),
+                            self.slot_s, self.harvest, self.profile, self._slot_terms):
+                raise ContractError(f"node {node.node_id} browns out in batch-settled slot {m - 1}")
+            node.settled = m
 
     def _settle_before_now(self, node: _Node):
         """Close the orbits whose sunrise is at or before now; settle the slots whose tick is.

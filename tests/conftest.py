@@ -14,7 +14,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 from leolora.config import default_scenario_dict, parse_scenario
 from leolora.mac import DropReason
 from leolora.orbit import SUN
-from oracles import oracle_slot
+from oracles import oracle_slot, oracle_sun_seconds
 
 settings.register_profile(
     "suite",
@@ -50,36 +50,57 @@ def bits(obj) -> tuple:
 def energy_spy(monkeypatch):
     """Record every slot the engine settles, per node, in slot order.
 
-    Every call to `energy_step` (one slot) and `settle_slots` (a run) is
-    replayed slot by slot through `oracles.oracle_slot` on copies of the
-    node's state and totals, which must end bit for bit where the engine's
-    call did, with the same brownout reported.
+    Every walk, through `energy_step` (a real tick) or `settle_slots` (a
+    batch), has its sunlit iterator drawn out and the transmit phases of
+    its slots copied before the real call, and is replayed slot by slot
+    through `oracles.oracle_slot` on copies of the node's state and totals:
+    the real walk must end bit for bit where the replay did, with the same
+    brownout reported, having popped the phases of its own slots and no
+    other key.
 
     Returns `slots(node)`: the node's (tx_phase, sun_s, slot_s, OracleSlot)
-    per settled slot.  Runs keep no per-slot history of their own.
+    per settled slot, after checking that the walks covered slots 0, 1, ...
+    in order and that each slot's sunlit seconds are, bit for bit,
+    `oracles.oracle_sun_seconds` over that slot on the node's grid.  Runs
+    keep no per-slot history of their own.
     """
     from leolora import engine
 
-    # id(state) -> (state, rows); holding the state keeps its id from being reused
+    # id(state) -> (state, slot indices, rows); holding the state keeps its id from being reused
     calls: dict[int, tuple] = {}
 
-    def spied(real, one_slot):
-        def settle(state, totals, tx_phases, sun_s, slot_s, harvest, profile, memo):
-            phases, suns = ([tx_phases], [sun_s]) if one_slot else (tx_phases, sun_s)
+    def spied(real):
+        def walk(state, totals, tx, first, sun_s, slot_s, harvest, profile, memo):
+            suns = list(sun_s)
+            upto = first + len(suns)
+            phases = [tx.get(k) for k in range(first, upto)]
+            outside = {k: v for k, v in tx.items() if not first <= k < upto}
             replay, replay_totals = copy.copy(state), copy.copy(totals)
             rows = [(tx_phase, s, slot_s,
                      oracle_slot(replay, replay_totals, tx_phase, s, slot_s, harvest, profile))
                     for tx_phase, s in zip(phases, suns)]
-            brownout = real(state, totals, tx_phases, sun_s, slot_s, harvest, profile, memo)
+            brownout = real(state, totals, tx, first, iter(suns), slot_s, harvest, profile, memo)
             assert (bits(state), bits(totals)) == (bits(replay), bits(replay_totals))
             assert brownout == (bool(rows) and rows[-1][3].brownout)
-            calls.setdefault(id(state), (state, []))[1].extend(rows)
+            assert tx == outside
+            _, slots, log = calls.setdefault(id(state), (state, [], []))
+            slots.extend(range(first, upto))
+            log.extend(rows)
             return brownout
-        return settle
+        return walk
 
-    monkeypatch.setattr(engine, "energy_step", spied(engine.energy_step, one_slot=True))
-    monkeypatch.setattr(engine, "settle_slots", spied(engine.settle_slots, one_slot=False))
-    return lambda node: calls.get(id(node.energy), (None, []))[1]
+    monkeypatch.setattr(engine, "energy_step", spied(engine.energy_step))
+    monkeypatch.setattr(engine, "settle_slots", spied(engine.settle_slots))
+
+    def slots(node):
+        _, indices, rows = calls.get(id(node.energy), (None, [], []))
+        assert indices == list(range(len(indices)))
+        for k, (_, sun_s, _, _) in zip(indices, rows):
+            want = oracle_sun_seconds(node.orbit, node.slot_time(k), node.slot_time(k + 1))
+            assert sun_s.hex() == want.hex()
+        return rows
+
+    return slots
 
 
 class Decision(NamedTuple):

@@ -1,6 +1,7 @@
 """Stored-energy balance, EWMA estimator, and availability projections."""
 
 import copy
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given
@@ -17,7 +18,14 @@ from leolora.energy import (
     settle_slots,
 )
 from leolora.exceptions import ConfigError, ContractError
-from leolora.orbit import ECLIPSE, SUN, ForecastWindow, OrbitConfig, sun_seconds_per_slot
+from leolora.orbit import (
+    ECLIPSE,
+    SUN,
+    ForecastWindow,
+    OrbitConfig,
+    sun_seconds,
+    sun_seconds_per_slot,
+)
 
 from conftest import bits
 from oracles import OracleSlot, oracle_slot
@@ -35,7 +43,8 @@ def fresh_state(phi=100.0, phi_max=200.0, phi_min=10.0, e_critical=20.0):
 def step(state, tx_phase=None, sun_s=0.0, harvest=HARVEST, profile=PROFILE):
     """Settle one slot on fresh totals and memo; its figures are what the totals took."""
     totals = SlotTotals()
-    brownout = energy_step(state, totals, tx_phase, sun_s, SLOT_S, harvest, profile, {})
+    brownout = energy_step(state, totals, {0: tx_phase}, 0, [sun_s], SLOT_S, harvest, profile,
+                           {})
     return OracleSlot(totals.harvested_j, totals.consumed_j, totals.orbit_discharge_j,
                       totals.clamp_total_j, brownout)
 
@@ -88,8 +97,8 @@ class TestEnergyStep:
         with pytest.raises(ValueError):
             step(fresh_state(), "dusk")
         with pytest.raises(ValueError):
-            settle_slots(fresh_state(), SlotTotals(), ["dusk"], [0.0], SLOT_S, HARVEST, PROFILE,
-                         {})
+            settle_slots(fresh_state(), SlotTotals(), {0: "dusk"}, 0, [0.0], SLOT_S, HARVEST,
+                         PROFILE, {})
 
     @given(
         phi=st.floats(0.0, 200.0),
@@ -112,12 +121,31 @@ class TestEnergyStep:
         assert slot.discharge_j >= 0.0
 
 
+class SlotRun(NamedTuple):
+    """A node's state and totals, and a walk over slots first .. first + n - 1 of its grid."""
+
+    state: NodeEnergyState
+    totals: SlotTotals
+    orbit: OrbitConfig
+    offset: float
+    first: int
+    phases: list        # the transmit phase of each slot of the walk (None: asleep)
+    sun_s: list         # the sunlit seconds of each slot of the walk
+    slot_s: float
+    harvest: HarvestModel
+    profile: PowerProfile
+
+    def tx(self, lo=0, hi=None) -> dict:
+        """The {slot: phase} transmit map of the walk's slots lo .. hi - 1, by walk index."""
+        return {self.first + i: p for i, p in enumerate(self.phases[lo:hi], lo) if p is not None}
+
+
 @st.composite
 def slot_runs(draw):
-    """A node's state, totals and a run of slots on an orbit of a few slots' period.
+    """A node's state, totals and a walk over a few slots of an orbit of a few slots' period.
 
     The slot grid starts at an offset that is not a whole number, and the
-    short period puts sunrises and sunsets inside slots, so runs mix
+    short period puts sunrises and sunsets inside slots, so walks mix
     sunlit, eclipsed and partly sunlit slots.
     """
     slot_s = draw(st.floats(5.0, 90.0))
@@ -139,8 +167,14 @@ def slot_runs(draw):
                         *(draw(st.floats(0.0, 1e6)) for _ in range(2)), draw(st.integers(0, 99)),
                         -draw(st.floats(0.0, 1e4)))
     phases = draw(st.lists(st.sampled_from([None, None, SUN, ECLIPSE]), min_size=n, max_size=n))
-    sun_s = sun_seconds_per_slot(orbit, offset, slot_s, first, first + n)
-    return state, totals, phases, sun_s, slot_s, harvest, profile
+    sun_s = list(sun_seconds_per_slot(orbit, offset, slot_s, first, first + n))
+    return SlotRun(state, totals, orbit, offset, first, phases, sun_s, slot_s, harvest, profile)
+
+
+def walk(run, state, totals, tx, lo=0, hi=None, memo=None):
+    """Walk slots lo .. hi - 1 of the run (by walk index), lazily, on the given state and map."""
+    return settle_slots(state, totals, tx, run.first + lo, iter(run.sun_s[lo:hi]), run.slot_s,
+                        run.harvest, run.profile, {} if memo is None else memo)
 
 
 class TestSettleSlots:
@@ -148,35 +182,86 @@ class TestSettleSlots:
 
     @given(slot_runs(), st.data())
     def test_batch_equals_slot_by_slot(self, run, data):
-        """Two consecutive batches that share one memo, split anywhere, are one slot loop.
+        """Two consecutive walks that share one memo and one map, split anywhere, are one slot loop.
 
-        A batch returns its last slot's brownout; a brownout before that
+        A walk returns its last slot's brownout; a brownout before that
         raises and leaves state and totals as they were.
         """
-        state, totals, phases, sun_s, slot_s, harvest, profile = run
-        split = data.draw(st.integers(0, len(phases)))
-        memo = {}
-        for part in (slice(None, split), slice(split, None)):
+        state, totals = run.state, run.totals
+        split = data.draw(st.integers(0, len(run.phases)))
+        memo, tx = {}, run.tx()
+        for lo, hi in ((0, split), (split, None)):
             ref_state, ref_totals = copy.copy(state), copy.copy(totals)
-            slots = [oracle_slot(ref_state, ref_totals, tx_phase, s, slot_s, harvest, profile)
-                     for tx_phase, s in zip(phases[part], sun_s[part])]
+            slots = [oracle_slot(ref_state, ref_totals, tx_phase, s, run.slot_s, run.harvest,
+                                 run.profile)
+                     for tx_phase, s in zip(run.phases[lo:hi], run.sun_s[lo:hi])]
             if any(slot.brownout for slot in slots[:-1]):
                 before = bits(state), bits(totals)
                 with pytest.raises(ContractError):
-                    settle_slots(state, totals, phases[part], sun_s[part], slot_s, harvest,
-                                 profile, memo)
+                    walk(run, state, totals, tx, lo, hi, memo)
                 assert (bits(state), bits(totals)) == before
                 return
-            brownout = settle_slots(state, totals, phases[part], sun_s[part], slot_s, harvest,
-                                    profile, memo)
+            brownout = walk(run, state, totals, tx, lo, hi, memo)
             assert brownout == (bool(slots) and slots[-1].brownout)
             assert bits(state) == bits(ref_state)
             assert bits(totals) == bits(ref_totals)
 
+    @given(slot_runs(), st.data())
+    def test_split_walks_over_one_map_equal_one_walk(self, run, data):
+        """Two walks sharing one memo and one map, split anywhere, end where one walk does.
+
+        The map also books slots below and above the walk, which every walk
+        leaves as they are, while it pops its own slots' phases.  Where the
+        one walk raises (a brownout before its last slot), so does a part,
+        unless that brownout is the first part's last slot, which that part
+        returns; a raise changes neither state nor totals.
+        """
+        n = len(run.phases)
+        split = data.draw(st.integers(0, n))
+        outside = data.draw(st.dictionaries(st.integers(-50, -1) | st.integers(n, n + 50),
+                                            st.sampled_from([SUN, ECLIPSE])))
+        left = {run.first + i: phase for i, phase in outside.items()}
+        one_state, one_totals, one_tx = copy.copy(run.state), copy.copy(run.totals), run.tx() | left
+        try:
+            one = walk(run, one_state, one_totals, one_tx)
+            assert one_tx == left
+        except ContractError:
+            one = None
+        state, totals, memo, tx = run.state, run.totals, {}, run.tx() | left
+        brownouts = []
+        for lo, hi in ((0, split), (split, None)):
+            before = bits(state), bits(totals)
+            try:
+                brownouts.append(walk(run, state, totals, tx, lo, hi, memo))
+            except ContractError:
+                assert one is None
+                assert (bits(state), bits(totals)) == before
+                return
+            assert tx == run.tx(n if hi is None else hi) | left   # the bookings not yet walked
+            if brownouts[-1] and hi == split < n:
+                assert one is None   # a brownout before the one walk's last slot
+                return
+        # the last slot is the second part's, unless that part is empty
+        assert brownouts[split < n] == one
+        assert (bits(state), bits(totals)) == (bits(one_state), bits(one_totals))
+
+    @given(slot_runs(), st.data())
+    def test_a_one_slot_tick_is_the_slot_law_on_its_own_sunlit_seconds(self, run, data):
+        """`energy_step` over slots k .. k is `oracle_slot` on the sunlit seconds of slot k."""
+        phase = data.draw(st.sampled_from([None, SUN, ECLIPSE]))
+        k, slot_s = run.first, run.slot_s
+        sun = sun_seconds(run.orbit, run.offset + k * slot_s, run.offset + (k + 1) * slot_s)
+        ref_state, ref_totals = copy.copy(run.state), copy.copy(run.totals)
+        slot = oracle_slot(ref_state, ref_totals, phase, sun, slot_s, run.harvest, run.profile)
+        brownout = energy_step(run.state, run.totals, {k: phase}, k,
+                               sun_seconds_per_slot(run.orbit, run.offset, slot_s, k, k + 1),
+                               slot_s, run.harvest, run.profile, {})
+        assert brownout == slot.brownout
+        assert (bits(run.state), bits(run.totals)) == (bits(ref_state), bits(ref_totals))
+
     def test_clamps_at_capacity_are_counted(self):
         state, totals = fresh_state(phi=195.0), SlotTotals()
-        assert not settle_slots(state, totals, [None] * 3, [SLOT_S] * 3, SLOT_S, HARVEST,
-                                PROFILE, {})
+        assert not settle_slots(state, totals, {}, 0, [SLOT_S] * 3, SLOT_S, HARVEST, PROFILE, {})
         assert state.phi_j == 200.0
         assert (totals.clamp_count, totals.clamp_total_j) == (3, -(4.0 + 9.0 + 9.0))
         assert (totals.period_slots, totals.orbit_s) == (3, 3 * SLOT_S)
@@ -184,8 +269,8 @@ class TestSettleSlots:
     def test_a_brownout_in_the_last_slot_is_returned(self):
         # 6 J less 5 J leaves 1 J, and the second transmit overdraws it by 4 J
         state, totals = fresh_state(phi=6.0), SlotTotals()
-        assert settle_slots(state, totals, [ECLIPSE, ECLIPSE], [0.0, 0.0], SLOT_S, HARVEST,
-                            PROFILE, {})
+        assert settle_slots(state, totals, {0: ECLIPSE, 1: ECLIPSE}, 0, [0.0, 0.0], SLOT_S,
+                            HARVEST, PROFILE, {})
         assert state.phi_j == 0.0
         assert (totals.clamp_count, totals.clamp_total_j) == (1, 4.0)
         assert totals.period_slots == 2
@@ -194,7 +279,7 @@ class TestSettleSlots:
         state, totals = fresh_state(phi=6.0), SlotTotals(harvested_j=3.0, period_slots=7)
         before = bits(state), bits(totals)
         with pytest.raises(ContractError):
-            settle_slots(state, totals, [ECLIPSE, ECLIPSE, None], [0.0, 0.0, 0.0], SLOT_S,
+            settle_slots(state, totals, {0: ECLIPSE, 1: ECLIPSE}, 0, [0.0, 0.0, 0.0], SLOT_S,
                          HARVEST, PROFILE, {})
         assert (bits(state), bits(totals)) == before
 

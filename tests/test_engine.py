@@ -17,7 +17,15 @@ from leolora import engine
 from leolora.engine import PacketState, Simulator, run
 from leolora.exceptions import ContractError
 from leolora.mac import resolve_collisions
-from leolora.orbit import ECLIPSE, MAX_WINDOW_S, SUN, ForecastWindow, Schedule, sun_seconds
+from leolora.orbit import (
+    ECLIPSE,
+    MAX_WINDOW_S,
+    SUN,
+    ForecastWindow,
+    Schedule,
+    phase_edges,
+    sun_seconds,
+)
 
 from conftest import make_scenario, time_limit
 from oracles import (
@@ -163,12 +171,14 @@ class TestFullRuns:
     def test_a_batch_that_browns_out_is_a_broken_contract(self, default_dict):
         # the guard keeps brownouts out of batches; a batch that reports one anyway raises
         sim = Simulator(make_scenario(default_dict, **{"sim.node_count": 1,
-                                                       "sim.duration_days": 0.01}),
+                                                       "sim.duration_days": 0.1}),
                         schedules={})
         node = sim.nodes[0]
+        k = node.last_tick(phase_edges(node.orbit, 0.0)[0]) + 1   # the first slot wholly in eclipse
+        sim._settle_upto(node, k)
         node.energy.phi_j = 0.0
         with pytest.raises(ContractError, match="browns out"):
-            sim._settle(node, [0.0])
+            sim._settle_upto(node, k + 1)
 
     def test_capacity_fade_clamp_is_counted(self, default_dict, energy_spy):
         # a pack that stays full through eclipse: each orbit's fade lowers
