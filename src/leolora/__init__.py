@@ -29,10 +29,8 @@ from .exceptions import ConfigError, ContractError, ValidationError
 from .mac import (
     DropReason,
     MacConfig,
-    TxAttempt,
     TxDecision,
     collides,
-    resolve_collisions,
     run_transmission_sequence,
     select_forecast_window,
 )

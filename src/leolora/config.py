@@ -25,7 +25,7 @@ from pathlib import Path
 from .airtime import RadioConfig, time_on_air, tx_energy
 from .battery import CycleStress, DegradationParams, ThermalProfile, cycle_aging
 from .energy import HarvestModel, PowerProfile
-from .exceptions import Bounds, ValidationError, bounded, check_bounds
+from .exceptions import Bounds, ConfigError, ValidationError, bounded, check_bounds
 from .mac import MacConfig, nominal_backoff_base, transmit_stress
 from .orbit import GroundStation, OrbitConfig, TWO_PI, grid_problem
 from .report import MAX_DOD_OBSERVATIONS, MAX_NODE_ID
@@ -37,6 +37,10 @@ PROTOCOLS = ("battery_aware", "naive_aloha")
 # the limit); the bound also keeps a report interval far above the clock's
 # resolution, so each report comes strictly after the one before.
 MAX_REPORT_ROWS = 10_000_000
+# A run draws every arrival up front (about 40 B each, so 1.2 GB at the
+# limit) and decides each as a packet, at several µs each: at the limit a
+# run takes minutes, as one at the report-row limit does.
+MAX_ARRIVALS = 30_000_000
 
 _IGNORED_KEYS = ("presets",)
 
@@ -56,6 +60,11 @@ class BatteryScenario:
 
     def __post_init__(self):
         check_bounds(self)
+        if not math.isfinite(self.capacity_rated_j):
+            raise ConfigError(
+                f"rated energy capacity_rated_ah * voltage_nominal_v * 3600 must be finite, "
+                f"got {self.capacity_rated_j} J"
+            )
 
     @property
     def capacity_rated_j(self) -> float:
@@ -366,6 +375,13 @@ def parse_scenario(data: dict) -> ScenarioConfig:
                 f"sim.report_interval_s: {sim.node_count} nodes over {sim.duration_s} s "
                 f"would report {rows:.3g} rows, over the limit of {MAX_REPORT_ROWS:,}; "
                 f"got {sim.report_interval_s}"
+            )
+        arrivals = sim.node_count * sim.duration_s * sim.traffic_rate_per_s
+        if sim.traffic_model != "none" and arrivals > MAX_ARRIVALS:
+            problems.append(
+                f"sim.traffic_rate_per_s: {sim.node_count} nodes over {sim.duration_s} s "
+                f"would generate {arrivals:.3g} arrivals, over the limit of {MAX_ARRIVALS:,}; "
+                f"got {sim.traffic_rate_per_s}"
             )
         grid = grid_problem(sim.duration_s, sim.schedule_step_s)
         if grid is not None:

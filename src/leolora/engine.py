@@ -64,7 +64,6 @@ from .exceptions import ContractError
 from .mac import (
     Backoff,
     DropReason,
-    TxAttempt,
     collides,
     phase_dif,
     reserve_holds,
@@ -191,7 +190,7 @@ class _Node:
 
     @property
     def account_end(self) -> float:
-        """The end of the node's last slot."""
+        """The end of the node's last slot, or with none, the start of its first: in the run."""
         return self.slot_time(self.n_slots)
 
 
@@ -234,8 +233,8 @@ class Simulator:
         self.now = 0.0
         self.metrics: list[MetricsRecord] = []
         self.reports: list[NodeBatteryReport] = []
-        # announced attempts that may still overlap one to come, with their packets
-        self._on_air: list[tuple[TxAttempt, _Packet]] = []
+        # (attempts record, packet) of each heard attempt that may overlap one to come
+        self._on_air: list[tuple[tuple, _Packet]] = []
 
         n = scenario.sim.node_count
         ss = np.random.SeedSequence([self.seed])
@@ -249,7 +248,9 @@ class Simulator:
         for u in range(n):
             orbit = scenario.node_orbit(u)
             schedule = schedules.get(u, Schedule())
-            slot_offset = float(offset_rng.uniform(0.0, self.slot_s))
+            # a node whose first slot would start past the run end has no slot
+            # either way; starting its grid at the end keeps `account_end` in the run
+            slot_offset = min(float(offset_rng.uniform(0.0, self.slot_s)), self.t_end)
             traffic_rng = np.random.default_rng(children[2 * u])
             phi0 = scenario.steady_state_phi_j(orbit)
             node = _Node(
@@ -437,14 +438,12 @@ class Simulator:
         last = len(attempts) - 1
         while k < last and attempts[k][1] is None:
             k += 1
-        start, receiver, seq = attempts[k]
-        attempt = None
+        record = attempts[k]
+        start, receiver, seq = record
         if receiver is not None:
-            attempt = TxAttempt(start=start, airtime=self.toa, channel=0,
-                                sf=self.sc.radio.spreading_factor, receiver=receiver)
-            self._on_air.append((attempt, packet))
+            self._on_air.append((record, packet))
         heapq.heappush(self._heap, (start + self.toa, _OTHER, seq, EventKind.TX_ATTEMPT_END,
-                                    (node.node_id, packet, k, attempt)))
+                                    (node.node_id, packet, k)))
 
     # ── event handlers ───────────────────────────────────────────────────
 
@@ -526,27 +525,28 @@ class Simulator:
     def _on_attempt_end(self, now: float, payload: tuple):
         """Settle one attempt: delivered, retried with the next one, or dropped.
 
-        An attempt nobody can hear (`attempt` None, only ever a packet's
+        An attempt nobody can hear (receiver None, only ever a packet's
         last) never gets through; one that can gets through iff it
         `collides` with no listed attempt of another packet.  Every attempt
         that could overlap this one started before now and is listed;
         entries that ended an airtime before the earliest start still
         pending overlap nothing to come.
         """
-        node_id, packet, k, attempt = payload
+        node_id, packet, k = payload
         if packet.state is not PacketState.IN_FLIGHT:   # a brownout dropped it in flight
             return
         node = self.nodes[node_id]
+        record = packet.attempts[k]
         got_through = False
-        if attempt is not None:
+        if record[1] is not None:
             toa = self.toa
-            self._on_air = [e for e in self._on_air if e[0].start + toa > now - 2 * toa]
-            got_through = not any(other is not packet and collides(attempt, a)
+            self._on_air = [e for e in self._on_air if e[0][0] + toa > now - 2 * toa]
+            got_through = not any(other is not packet and collides(record, a, toa)
                                   for a, other in self._on_air)
         if not got_through and k + 1 < len(packet.attempts):
             self._announce(node, packet, k + 1)
             return
-        heard = attempt is not None or any(r is not None for _, r, _ in packet.attempts)
+        heard = record[1] is not None or any(r is not None for _, r, _ in packet.attempts)
         self._finish(node, packet, "delivered" if got_through
                      else "dropped_collision_exhausted" if heard else "dropped_no_window")
         node.period_txs += 1
@@ -594,7 +594,7 @@ class Simulator:
                     node.tx_slot_info.pop(tx_idx, None)
                 # an attempt already on air still collides; one yet to start never happens
                 self._on_air = [(a, p) for a, p in self._on_air
-                                if p is not victim or a.start <= now]
+                                if p is not victim or a[0] <= now]
                 self._finish(node, victim, "dropped_energy")
                 node.in_flight = None
                 node.busy_until = t_end

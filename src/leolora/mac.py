@@ -18,8 +18,10 @@ the candidates that keeps the best window and the earliest failure.  A
 transmit then draws its attempts between plain start and end times, from
 the node's `Backoff` stream.
 
-The collision law lives here too: `collides` is the one overlap test, used
-by the engine for every attempt it settles and by `resolve_collisions`.
+The collision law lives here too: `collides` is the one overlap test, and
+the engine settles every heard attempt through it.  An attempt is the
+`(start, receiver, ...)` record its packet already holds; every attempt of
+a run shares one channel, one spreading factor and one airtime.
 """
 
 from __future__ import annotations
@@ -284,36 +286,11 @@ def run_transmission_sequence(
     return starts
 
 
-@dataclass(frozen=True)
-class TxAttempt:
-    """One on-air attempt as seen by a receiver."""
-
-    start: float
-    airtime: float
-    channel: int
-    sf: int
-    receiver: str
-
-
-def collides(a: TxAttempt, b: TxAttempt) -> bool:
+def collides(a: tuple, b: tuple, airtime: float) -> bool:
     """Whether two attempts destroy each other (pure ALOHA, no capture).
 
-    They do iff they share receiver, channel and spreading factor and their
-    airtimes overlap; intervals that only touch do not overlap.
+    An attempt is its packet's `(start, receiver, ...)` record, on air for
+    `airtime` from its start.  Two attempts collide iff they share the
+    receiver and their airtimes overlap; intervals that only touch do not.
     """
-    return (a.receiver == b.receiver and a.channel == b.channel and a.sf == b.sf
-            and a.start < b.start + b.airtime and b.start < a.start + a.airtime)
-
-
-def resolve_collisions(attempts: list[TxAttempt]) -> list[bool]:
-    """Per-attempt success under `collides`: an attempt succeeds iff it collides with no other."""
-    success = [True] * len(attempts)
-    active: list[int] = []  # attempts not yet ended by the current start
-    for i in sorted(range(len(attempts)), key=lambda i: attempts[i].start):
-        a = attempts[i]
-        active = [j for j in active if attempts[j].start + attempts[j].airtime > a.start]
-        for j in active:
-            if collides(a, attempts[j]):
-                success[i] = success[j] = False
-        active.append(i)
-    return success
+    return a[1] == b[1] and a[0] < b[0] + airtime and b[0] < a[0] + airtime

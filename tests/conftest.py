@@ -160,8 +160,10 @@ def decision_spy(monkeypatch):
 def attempt_spy(monkeypatch):
     """Record every settled attempt that had a receiver, through `_on_attempt_end`.
 
-    Returns `attempts(result)`: the run's (TxAttempt, delivered) pairs in
-    settling order, where delivered is whether that attempt got through.
+    Returns `attempts(result)`: the run's (record, delivered) pairs in
+    settling order, where record is the packet's own `(start, receiver,
+    seq)` entry in `_Packet.attempts` and delivered is whether that attempt
+    got through.
     """
     from leolora.engine import PacketState, Simulator
 
@@ -169,12 +171,13 @@ def attempt_spy(monkeypatch):
     logs: dict[int, tuple[list, list]] = {}  # id(sim.nodes) -> (sim.nodes, log)
 
     def spy(sim, now, payload):
-        _, packet, _, attempt = payload
+        _, packet, k = payload
         settles = packet.state is PacketState.IN_FLIGHT
         real(sim, now, payload)
-        if settles and attempt is not None:
+        record = packet.attempts[k]
+        if settles and record[1] is not None:
             log = logs.setdefault(id(sim.nodes), (sim.nodes, []))[1]
-            log.append((attempt, packet.state is PacketState.DELIVERED))
+            log.append((record, packet.state is PacketState.DELIVERED))
 
     monkeypatch.setattr(Simulator, "_on_attempt_end", spy)
     return lambda result: logs.get(id(result.nodes), (None, []))[1]

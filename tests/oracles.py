@@ -173,6 +173,39 @@ def oracle_visible_target(windows, t, toa):
     return target
 
 
+def oracle_collides(a, b, airtime):
+    """Pure ALOHA without capture: same receiver, on-air intervals that overlap.
+
+    Attempts are (start, receiver, ...) records on air for `airtime`; the
+    intervals are half-open, so two that only touch do not overlap.
+    """
+    a_start, a_receiver = a[0], a[1]
+    b_start, b_receiver = b[0], b[1]
+    return (a_receiver == b_receiver
+            and max(a_start, b_start) < min(a_start + airtime, b_start + airtime))
+
+
+def oracle_resolve_collisions(attempts, airtime, law=oracle_collides):
+    """Per-attempt success of a start-ordered sweep: an attempt succeeds iff it collides with none.
+
+    `attempts` are (start, receiver, ...) records sharing one `airtime`;
+    `law(a, b, airtime)` says whether two of them collide.  The sweep keeps
+    the attempts still on air at each start and asks the law about those
+    alone: an attempt that ended by then cannot overlap this one or any
+    later one.
+    """
+    success = [True] * len(attempts)
+    active = []  # attempts not yet ended by the current start
+    for i in sorted(range(len(attempts)), key=lambda i: attempts[i][0]):
+        a = attempts[i]
+        active = [j for j in active if attempts[j][0] + airtime > a[0]]
+        for j in active:
+            if law(a, attempts[j], airtime):
+                success[i] = success[j] = False
+        active.append(i)
+    return success
+
+
 def oracle_poisson_arrivals(rng, rate, horizon):
     """Poisson arrival times before `horizon`, one scalar exponential draw per gap."""
     out = []

@@ -10,10 +10,8 @@ import time
 import numpy as np
 
 from leolora import (
-    TxAttempt,
     engine,
     gateway_compute_fleet_degradation,
-    resolve_collisions,
     run_degradation_curve,
 )
 from leolora.airtime import RadioConfig, time_on_air
@@ -26,12 +24,18 @@ from leolora.battery import (
 )
 from leolora.config import parse_scenario
 from leolora.energy import ewma_update
-from leolora.mac import run_transmission_sequence
+from leolora.mac import collides, run_transmission_sequence
 from leolora.orbit import ECLIPSE, SUN, ForecastWindow, build_schedule, sun_seconds
 from leolora.report import NodeBatteryReport
 
 from conftest import make_scenario
-from oracles import oracle_airtime, oracle_calendar, oracle_cycle, oracle_sei
+from oracles import (
+    oracle_airtime,
+    oracle_calendar,
+    oracle_cycle,
+    oracle_resolve_collisions,
+    oracle_sei,
+)
 
 
 def _report(label, ok, detail=""):
@@ -270,9 +274,9 @@ def test_criterion_08_collision_sanity():
     rng = np.random.default_rng(808)
     gaps = rng.exponential(1.0 / rate, size=int(n_target * 1.05) + 1000)
     starts = np.cumsum(gaps)[:n_target]
-    attempts = [TxAttempt(start=float(s), airtime=toa, channel=0, sf=10, receiver="gw")
-                for s in starts]
-    outcomes = resolve_collisions(attempts)
+    # outcomes under the engine's own law, through the oracle's sweep
+    attempts = [(float(s), "gw") for s in starts]
+    outcomes = oracle_resolve_collisions(attempts, toa, law=collides)
     n = len(outcomes)
     p_hat = sum(outcomes) / n
     p_want = math.exp(-2.0 * g_load)

@@ -1,7 +1,9 @@
 """Scenario validation and the command-line surface."""
 
+import copy
 import csv
 import dataclasses
+import functools
 import io
 import json
 import math
@@ -20,6 +22,7 @@ from leolora.airtime import RadioConfig
 from leolora.battery import DegradationParams, ThermalProfile
 from leolora.cli import main
 from leolora.config import (
+    MAX_ARRIVALS,
     MAX_REPORT_ROWS,
     BatteryScenario,
     EnergyScenario,
@@ -28,6 +31,7 @@ from leolora.config import (
     parse_scenario,
 )
 from leolora.energy import HarvestModel, PowerProfile
+from leolora.engine import END_OUTCOMES
 from leolora.exceptions import ConfigError, ValidationError
 from leolora.mac import MacConfig
 from leolora.orbit import (
@@ -36,6 +40,8 @@ from leolora.orbit import (
     OrbitConfig,
     load_schedule_override,
 )
+
+from conftest import time_limit
 
 
 class TestValidation:
@@ -128,6 +134,37 @@ class TestValidation:
         sim["report_interval_s"] = (sim["node_count"] * sim["duration_days"] * 86400.0
                                     / MAX_REPORT_ROWS)
         parse_scenario(scenario_dict)
+
+    def test_traffic_too_heavy_to_finish_rejected(self, scenario_dict):
+        # 4.3e8 arrivals, each drawn up front: the run would never finish
+        scenario_dict["sim"].update(node_count=2, duration_days=0.01,
+                                    traffic_rate_per_s=250000.0)
+        with pytest.raises(ValidationError) as exc:
+            parse_scenario(scenario_dict)
+        assert len(exc.value.problems) == 1
+        assert exc.value.problems[0].startswith("sim.traffic_rate_per_s: 2 nodes over 864.0 s")
+
+    def test_arrivals_at_the_limit_accepted(self, scenario_dict):
+        sim = scenario_dict["sim"]
+        sim["traffic_rate_per_s"] = MAX_ARRIVALS / (sim["node_count"] * sim["duration_days"]
+                                                    * 86400.0)
+        parse_scenario(scenario_dict)
+        sim["traffic_rate_per_s"] *= 1.001
+        with pytest.raises(ValidationError, match="traffic_rate_per_s"):
+            parse_scenario(scenario_dict)
+
+    def test_no_traffic_draws_no_arrival_at_any_rate(self, scenario_dict):
+        scenario_dict["sim"].update(traffic_model="none", traffic_rate_per_s=1e306)
+        assert parse_scenario(scenario_dict).sim.traffic_rate_per_s == 1e306
+
+    def test_pack_whose_rated_energy_overflows_rejected(self, scenario_dict):
+        # 1e306 Ah at 28 V is an infinite number of joules
+        scenario_dict["battery"]["capacity_rated_ah"] = 1e306
+        with pytest.raises(ValidationError) as exc:
+            parse_scenario(scenario_dict)
+        assert exc.value.problems == [
+            "battery: rated energy capacity_rated_ah * voltage_nominal_v * 3600 must be "
+            "finite, got inf J"]
 
     def test_schedule_step_too_fine_to_build_rejected(self, scenario_dict):
         scenario_dict["sim"].update(duration_days=0.1, schedule_step_s=1e-9)
@@ -668,6 +705,18 @@ def _odd_orbit(d, cwd):
     d["orbit"].update(period_s=5677.3, sun_duration_s=3411.1)
 
 
+def _huge_capacity(d, cwd):
+    d["battery"]["capacity_rated_ah"] = 1e306
+
+
+def _huge_voltage(d, cwd):
+    d["battery"]["voltage_nominal_v"] = 1e306
+
+
+def _heavy_traffic(d, cwd):
+    d["sim"]["traffic_rate_per_s"] = 250000.0
+
+
 def _bad_override(d, cwd):
     (cwd / "bad_override.json").write_text("[1]")
     d["sim"]["schedule_override_path"] = str(cwd / "bad_override.json")
@@ -702,9 +751,16 @@ class TestConsoleScript:
           "--out", "odd_schedule.json"], ("odd_orbit.json", _odd_orbit), 0),
         (["simulate", "--config", "bad_override_cfg.json"],
          ("bad_override_cfg.json", _bad_override), 3),
+        # a pack whose rated energy overflows, and traffic too heavy to draw up front
+        (["simulate", "--config", "huge_capacity.json"],
+         ("huge_capacity.json", _huge_capacity), 2),
+        (["simulate", "--config", "huge_voltage.json"],
+         ("huge_voltage.json", _huge_voltage), 2),
+        (["simulate", "--config", "heavy_traffic.json"],
+         ("heavy_traffic.json", _heavy_traffic), 2),
     ], ids=["step_zero", "negative_seed", "years_inf", "resolution_tiny", "years_1000",
             "grid_too_fine", "tiny_reports", "coarse_grid_too_large", "odd_orbit",
-            "bad_override"])
+            "bad_override", "capacity_overflow", "voltage_overflow", "heavy_traffic"])
     def test_exit_code(self, tmp_path, scenario_dict, argv, config, code):
         if config is not None:
             name, change = config
@@ -715,3 +771,103 @@ class TestConsoleScript:
                               capture_output=True, timeout=20,
                               env={**os.environ, "PYTHONPATH": src})
         assert done.returncode == code, done.stderr.decode()
+
+
+# Each key of the one-key scenario fuzz is set to each of these, or deleted.
+FUZZ_VALUES = [0, 0.0, -1.0, 1, 0.5, 1.5, 1e-12, 1e-3, 1e6, 1e306, -1e306, math.inf, -math.inf,
+               math.nan, True, False, "x", None, [], 7, 13, 250000, 10**400]
+_DELETE = object()
+# (key, value, problem lines) of the changes that break more than one rule
+FUZZ_SEVERAL = [
+    ("duration_days", 1e6, 2),       # the arrivals and the schedule grid
+    ("duration_days", 250000, 2),
+    ("duration_days", 1e306, 3),     # and the report rows
+    ("node_count", 1e306, 3),        # the report rows, the arrivals and the uint16 node id
+]
+BOTH_C_RATE_FORMS = "error: battery: give either c_rate_reference or discharge_current_a, not both"
+# an `error:` line names one dotted path: a section, a station, or a key of either
+DOTTED_PATH_LINE = re.compile(r"error: [a-z]+(\[\d+\])?(\.[a-z_0-9]+)?: ")
+
+
+class TestScenarioFuzz:
+    """Every scenario one key away from a small base runs to the end or is refused.
+
+    The base is the default scenario with 2 nodes over 0.001 days, short
+    enough that `report_interval_s: 0.001` (173,000 report rows) takes a few
+    seconds.  Every key of each section and of `stations[0]`, and
+    `battery.discharge_current_a`, is set to each of `FUZZ_VALUES` or
+    deleted, and run through `main(["simulate", ...])` under a time limit.
+    """
+
+    CASE_LIMIT_S = 10.0
+
+    @staticmethod
+    def cases(base):
+        keys = [((name,), key) for name, section in base.items() if isinstance(section, dict)
+                for key in section if not key.startswith("_")]
+        keys += [(("stations", 0), key) for key in base["stations"][0]]
+        keys.append((("battery",), "discharge_current_a"))
+        return [(where, key, value) for where, key in keys for value in FUZZ_VALUES + [_DELETE]]
+
+    def test_every_one_key_change_runs_or_is_refused(self, tmp_path, default_dict, capsys):
+        base = copy.deepcopy(default_dict)
+        base["sim"].update(node_count=2, duration_days=0.001)
+        cases = self.cases(base)
+        assert len(cases) == 66 * 24
+        cfg, summary = tmp_path / "scenario.json", tmp_path / "summary.json"
+        argv = ["simulate", "--config", str(cfg), "--out", str(tmp_path / "metrics.csv"),
+                "--summary", str(summary)]
+        failures = []
+        for where, key, value in cases:
+            scenario = copy.deepcopy(base)
+            section = functools.reduce(lambda d, k: d[k], where, scenario)
+            if value is _DELETE:
+                section.pop(key, None)
+            else:
+                section[key] = value
+            cfg.write_text(json.dumps(scenario))
+            summary.unlink(missing_ok=True)
+            shown = "deleted" if value is _DELETE else repr(value)
+            case = f"{'.'.join(map(str, where))}.{key} = {shown}"
+            try:
+                with time_limit(self.CASE_LIMIT_S), warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    code = main(argv)
+            except Exception as exc:   # a traceback at the console
+                code = exc
+            err = capsys.readouterr().err
+            problem = (f"raised {code!r}" if isinstance(code, Exception)
+                       else self.problem(key, value, code, err, summary))
+            if problem:
+                failures.append(f"{case}: {problem}")
+        assert failures == []
+
+    @staticmethod
+    def problem(key, value, code, err, summary) -> str | None:
+        """What is wrong with one case's exit code, error lines or summary, or None."""
+        lines = err.splitlines()
+        # `main` reports the time limit's TimeoutError, an OSError, as exit 3
+        if "Traceback" in err or "still running after" in err:
+            return f"exit {code}: {err}"
+        if code == 3:
+            # only an override file that cannot be read stops a run at exit 3
+            return None if key == "schedule_override_path" else f"exit 3: {err}"
+        if code == 2:
+            if not all(DOTTED_PATH_LINE.match(line) for line in lines):
+                return f"a line names no dotted path: {lines}"
+            if key == "discharge_current_a" and value is not _DELETE and value is not None:
+                # given beside the base's c_rate_reference, both forms are truly present
+                if BOTH_C_RATE_FORMS not in lines:
+                    return f"no line for both C-rate forms: {lines}"
+                lines = [line for line in lines if line != BOTH_C_RATE_FORMS]
+                return None if len(lines) <= 1 else f"more than one problem: {lines}"
+            several = sum(n for k, v, n in FUZZ_SEVERAL if k == key and v == value) or 1
+            return None if len(lines) == several else f"{len(lines)} problem lines: {lines}"
+        if code != 0:
+            return f"exit {code}: {err}"
+        doc = json.loads(summary.read_text())
+        packets = doc["packets"]
+        if not packets["generated"] == doc["packets_terminal"] == sum(
+                packets[k] for k in END_OUTCOMES):
+            return f"packet accounting does not close: {packets}"
+        return None

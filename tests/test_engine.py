@@ -14,9 +14,9 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from leolora import engine
+from leolora.airtime import time_on_air
 from leolora.engine import PacketState, Simulator, run
 from leolora.exceptions import ContractError
-from leolora.mac import resolve_collisions
 from leolora.orbit import (
     ECLIPSE,
     MAX_WINDOW_S,
@@ -31,6 +31,7 @@ from conftest import make_scenario, time_limit
 from oracles import (
     oracle_calendar,
     oracle_poisson_arrivals,
+    oracle_resolve_collisions,
     oracle_sei,
     oracle_visible_target,
 )
@@ -44,6 +45,20 @@ from test_golden import (
 
 
 class TestFullRuns:
+    def test_a_node_with_no_slot_draws_no_arrival_past_the_run_end(self, default_dict):
+        # a slot longer than the run: a node's first slot may start past its end
+        for slot_s in (1e9, 1e306):
+            sc = make_scenario(default_dict, **{"sim.node_count": 2, "sim.duration_days": 0.01,
+                                                "sim.slot_s": slot_s})
+            with time_limit(20):
+                result = run(sc)
+            for node in result.nodes:
+                assert node.n_slots == 0 and node.account_end <= sc.sim.duration_s
+                assert all(t < sc.sim.duration_s for t in node.arrivals)
+            packets = result.summary["packets"]
+            # every arrival in the run is counted, and none is decided
+            assert packets["generated"] == packets["dropped_no_window"] > 0
+
     def test_zero_node_scenario_exits_cleanly(self, default_dict):
         sc = make_scenario(default_dict, **{"sim.node_count": 0})
         result = run(sc)
@@ -300,7 +315,7 @@ class TestFullRuns:
         attempts = [a for a, _ in log]
         outcomes = [ok for _, ok in log]
         assert attempts, "override scenario should produce attempts"
-        assert resolve_collisions(attempts) == outcomes
+        assert oracle_resolve_collisions(attempts, time_on_air(sc.radio)) == outcomes
         assert any(not ok for ok in outcomes), "expected at least one collision"
 
     def test_engine_settles_through_collides(self, tmp_path, default_dict, attempt_spy,
@@ -309,7 +324,7 @@ class TestFullRuns:
         # iff the engine never had another packet's attempt to ask it about
         asked = []
 
-        def always(a, b):
+        def always(a, b, airtime):
             asked.append(a)
             return True
 
@@ -361,7 +376,7 @@ class TestFullRuns:
         )
         log = attempt_spy(run(sc))
         assert log
-        assert {a.receiver for a, _ in log} == {"gw-late"}
+        assert {receiver for (_, receiver, _), _ in log} == {"gw-late"}
 
     def test_gateway_summary_matches_node_states(self, default_dict):
         sc = make_scenario(default_dict, **{"sim.duration_days": 1.0})
@@ -775,8 +790,8 @@ class TestNaivePerPacketPaths:
         real = Simulator._on_attempt_end
 
         def spy(sim, now, payload):
-            _, packet, k, attempt = payload
-            handled.append((attempt is not None, k == len(packet.attempts) - 1,
+            _, packet, k = payload
+            handled.append((packet.attempts[k][1] is not None, k == len(packet.attempts) - 1,
                             any(r is None for _, r, _ in packet.attempts[:k])))
             real(sim, now, payload)
 

@@ -18,11 +18,10 @@ from leolora.mac import (
     Backoff,
     DropReason,
     MacConfig,
-    TxAttempt,
     TxDecision,
+    collides,
     nominal_backoff_base,
     phase_dif,
-    resolve_collisions,
     run_transmission_sequence,
     select_forecast_window,
     transmit_stress,
@@ -30,7 +29,7 @@ from leolora.mac import (
 from leolora.orbit import ECLIPSE, SUN, ForecastWindow
 
 from conftest import make_scenario
-from oracles import oracle_select_window
+from oracles import oracle_collides, oracle_resolve_collisions, oracle_select_window
 
 PARAMS = DegradationParams(k1=5.5e-3, k2=2.0, ea_j_per_mol=35_000.0,
                            b=1.3, c=1.3, d=1.2, alpha_sei=0.0575, k_sei=121.0)
@@ -458,43 +457,63 @@ class TestDecisionAndConfig:
             mac(beta=1.2)
 
 
-def attempt(start, airtime=1.0, channel=0, sf=10, receiver="gw"):
-    return TxAttempt(start=start, airtime=airtime, channel=channel, sf=sf, receiver=receiver)
+def attempt(start, receiver="gw"):
+    return (start, receiver)
 
 
-class TestResolveCollisions:
-    def test_single_attempt_succeeds(self):
-        assert resolve_collisions([attempt(0.0)]) == [True]
+LAWS = {"oracle": oracle_collides, "collides": collides}
 
-    def test_full_overlap_kills_both(self):
-        assert resolve_collisions([attempt(0.0), attempt(0.5)]) == [False, False]
 
-    def test_touching_intervals_do_not_collide(self):
-        assert resolve_collisions([attempt(0.0), attempt(1.0)]) == [True, True]
+class TestCollisionLaw:
+    """`collides` pair by pair, and the oracle's sweep under its own law and under `collides`."""
 
-    def test_different_sf_never_interact(self):
-        got = resolve_collisions([attempt(0.0, sf=10), attempt(0.5, sf=11)])
-        assert got == [True, True]
+    @pytest.mark.parametrize("a, b, expected", [
+        (attempt(0.0), attempt(0.5), True),                     # full overlap
+        (attempt(0.5), attempt(0.0), True),
+        (attempt(0.0), attempt(1.0), False),                    # touching intervals
+        (attempt(1.0), attempt(0.0), False),
+        (attempt(0.0), attempt(0.0), True),                     # the same instant
+        (attempt(0.0, "a"), attempt(0.5, "b"), False),          # different receivers
+        (attempt(0.0), attempt(2.0), False),                    # apart
+    ])
+    def test_collides(self, a, b, expected):
+        assert collides(a, b, 1.0) is expected
+        assert oracle_collides(a, b, 1.0) is expected
 
-    def test_different_receivers_never_interact(self):
-        got = resolve_collisions([attempt(0.0, receiver="a"), attempt(0.5, receiver="b")])
-        assert got == [True, True]
+    def test_collides_reads_start_and_receiver_alone(self):
+        # the engine's records carry a third field, the end event's sequence number
+        assert collides((0.0, "gw", 7), (0.5, "gw", 3), 1.0)
+        assert not collides((0.0, "gw", 7), (1.0, "gw", 3), 1.0)
 
-    def test_chain_of_overlaps(self):
+    @given(st.floats(-1e5, 1e5), st.floats(-1e5, 1e5), st.floats(1e-3, 10.0),
+           st.sampled_from(["a", "b"]), st.sampled_from(["a", "b"]))
+    def test_collides_agrees_with_oracle(self, s1, s2, airtime, r1, r2):
+        a, b = (s1, r1), (s2, r2)
+        assert collides(a, b, airtime) == collides(b, a, airtime) == oracle_collides(a, b, airtime)
+
+    @pytest.mark.parametrize("law", LAWS.values(), ids=list(LAWS))
+    @pytest.mark.parametrize("attempts, expected", [
+        ([attempt(0.0)], [True]),                                           # single attempt
+        ([attempt(0.0), attempt(0.5)], [False, False]),                     # full overlap
+        ([attempt(0.0), attempt(1.0)], [True, True]),                       # touching
+        ([attempt(0.0, "a"), attempt(0.5, "b")], [True, True]),             # receivers
         # a-b overlap, b-c overlap, a-c do not: only b collides with both
-        got = resolve_collisions([attempt(0.0), attempt(0.9), attempt(1.8)])
-        assert got == [False, False, False]
-        got = resolve_collisions([attempt(0.0), attempt(2.0), attempt(4.0)])
-        assert got == [True, True, True]
+        ([attempt(0.0), attempt(0.9), attempt(1.8)], [False, False, False]),
+        ([attempt(0.0), attempt(2.0), attempt(4.0)], [True, True, True]),
+        ([attempt(1.8), attempt(0.0), attempt(0.9)], [False, False, False]),  # any order
+    ], ids=["single", "full_overlap", "touching", "receivers", "chain", "apart", "unsorted"])
+    def test_sweep(self, law, attempts, expected):
+        assert oracle_resolve_collisions(attempts, 1.0, law) == expected
 
-    def test_matches_quadratic_reference(self):
+    @pytest.mark.parametrize("law", LAWS.values(), ids=list(LAWS))
+    def test_sweep_matches_quadratic_reference(self, law):
         rng = np.random.default_rng(3)
         starts = rng.uniform(0.0, 200.0, size=300)
         attempts = [attempt(float(s)) for s in starts]
-        got = resolve_collisions(attempts)
+        got = oracle_resolve_collisions(attempts, 1.0, law)
         for i, a in enumerate(attempts):
             expected = not any(
-                j != i and a.start < b.start + b.airtime and b.start < a.start + a.airtime
+                j != i and a[0] < b[0] + 1.0 and b[0] < a[0] + 1.0
                 for j, b in enumerate(attempts)
             )
             assert got[i] == expected
