@@ -28,7 +28,12 @@ A real tick closes the orbits whose sunrise lies before it, then settles
 the rest of that gap and its own slot in one `energy.energy_step` walk,
 which makes each slot's sunlit seconds as it reaches it, raises
 `ContractError` if a gap slot browns out and returns whether its own slot
-did, for the tick to act on; it then pushes the next real tick.
+did, for the tick to act on; it then pushes the next real tick.  Every
+walk, a tick's or a batch settle's, goes through `Simulator._walk`, and
+only `_Node.slot_time` places a slot edge.
+
+The fleet reports on one clock: one report event per report time settles
+and reports every node in id order, then pushes the next.
 
 Whatever reads or resets the energy state (window open, report, end of
 run) first settles the node up to now: it closes every orbit whose
@@ -80,7 +85,7 @@ from .orbit import (
     load_schedule_override,
     phase_at,
     phase_edges,
-    sun_seconds_per_slot,
+    sunlit_seconds,
 )
 from .report import NodeBatteryReport, gateway_compute_fleet_degradation
 
@@ -176,7 +181,6 @@ class _Node:
     settled: int = 0         # slots 0 .. settled - 1 are settled
     sunrise: float = math.inf  # the next sunrise, where an orbit closes; inf past the run
     # per reporting period
-    period_start: float = 0.0
     period_txs: int = 0
     period_dods: list[float] = field(default_factory=list)
     packets: Counter[str] = field(default_factory=Counter)  # PACKET_OUTCOMES
@@ -231,6 +235,7 @@ class Simulator:
         self._heap: list[tuple[float, int, int, EventKind, tuple]] = []
         self._seq = itertools.count()
         self.now = 0.0
+        self.period_start = 0.0   # the fleet's reporting period began here
         self.metrics: list[MetricsRecord] = []
         self.reports: list[NodeBatteryReport] = []
         # (attempts record, packet) of each heard attempt that may overlap one to come
@@ -277,8 +282,8 @@ class Simulator:
             self.nodes.append(node)
 
             self._schedule_wake(node)
-            if scenario.sim.report_interval_s < self.t_end:
-                self._push(scenario.sim.report_interval_s, EventKind.REPORT_DUE, (u,))
+        if n and scenario.sim.report_interval_s < self.t_end:
+            self._push(scenario.sim.report_interval_s, EventKind.REPORT_DUE, ())
 
     # ── plumbing ─────────────────────────────────────────────────────────
 
@@ -463,7 +468,7 @@ class Simulator:
             starts = run_transmission_sequence(start, window.end, self.toa, self.sc.mac,
                                                node.backoff)
             if not starts:
-                missed = self._skip_repeated_rounds(node, packet, window, start)
+                missed = self._skip_repeated_rounds(node, packet, window)
         if not starts:
             packet.missed = missed
             self._release(node, packet)
@@ -471,26 +476,27 @@ class Simulator:
             return
         self._launch(node, packet, window.phase, [(t, window.target) for t in starts])
 
-    def _skip_repeated_rounds(self, node: _Node, packet: _Packet, window: ForecastWindow,
-                              start: float) -> tuple:
+    def _skip_repeated_rounds(self, node: _Node, packet: _Packet,
+                              window: ForecastWindow) -> tuple:
         """Skip the rounds of missed first draws that must repeat; return the packet's snapshot.
 
         A first draw that misses consumes one double, and the re-decision
         after it releases and re-reserves the packet's energy and may push
         the same window at the same instant.  The snapshot holds what that
-        depends on: now, the window, the attempt start, the packet's
-        reservation (released as taken, perhaps before the EWMA last moved),
-        the node's energy and `busy_until`, and, once those repeat, the
-        (packet, window, reservation) of every event waiting at now.  When it
-        equals the packet's snapshot at its previous miss and every waiting
-        event is a window open of this node whose packet missed at now on
-        that same window, the round (those packets in heap order, then this
-        one) starts from the state the last one did, so it runs the same
-        until a draw hits.  The whole rounds before that hit are consumed in
-        one scan, and at most P - 1 redo events follow.
+        depends on: now, the window, the packet's reservation (released as
+        taken, perhaps before the EWMA last moved), the node's energy and
+        `busy_until` (with now and the window, they fix the attempt start),
+        and, once those repeat, the (packet, window, reservation) of every
+        event waiting at now.  When it equals the packet's snapshot at its
+        previous miss and every waiting event is a window open of this node
+        whose packet missed at now on that same window, the round (those
+        packets in heap order, then this one) starts from the state the last
+        one did, so it runs the same until a draw hits.  The whole rounds
+        before that hit are consumed in one scan, and at most P - 1 redo
+        events follow.
         """
         now, energy = self.now, node.energy
-        state = (now, window, start, packet.reserved_j, energy.phi_j, energy.reserved_j,
+        state = (now, window, packet.reserved_j, energy.phi_j, energy.reserved_j,
                  energy.ewma_estimate_j, energy.phi_max_j, node.busy_until)
         previous = packet.missed
         if previous is None or previous[0] != state:
@@ -498,8 +504,8 @@ class Simulator:
         waiting = self._waiting_opens(node, now)
         if waiting is not None and waiting == previous[1] and all(
                 q.missed is not None and q.missed[0][:2] == (now, w) for q, w, _ in waiting):
-            rounds = [(max(w.start, now, node.busy_until), w.end) for _, w, _ in waiting]
-            rounds.append((start, window.end))
+            windows = [w for _, w, _ in waiting] + [window]
+            rounds = [(max(w.start, now, node.busy_until), w.end) for w in windows]
             node.backoff.skip_missed_rounds(rounds, self.toa, self.sc.mac.backoff_base_s)
         return state, waiting
 
@@ -578,13 +584,8 @@ class Simulator:
         idx = k - 1
         if idx == node.sleep_slot:   # no transmit counts in the slot after a brownout
             node.tx_slot_info.pop(idx, None)
-        # one walk settles the gap and this tick's own slot, its sunlit seconds made as it goes
-        brownout = energy_step(node.energy, node.totals, node.tx_slot_info, node.settled,
-                               sun_seconds_per_slot(node.orbit, node.slot_offset, self.slot_s,
-                                                    node.settled, k),
-                               self.slot_s, self.harvest, self.profile, self._slot_terms)
-        node.settled = k
-
+        # one walk settles the gap and this tick's own slot
+        brownout = self._walk(node, k, tick=True)
         if brownout:
             node.sleep_slot = k
             if node.in_flight is not None:
@@ -642,13 +643,24 @@ class Simulator:
         The guard keeps a brownout out of these slots, and so also the slot
         after a brownout: that one always has its own tick.
         """
-        if m > node.settled:
-            if settle_slots(node.energy, node.totals, node.tx_slot_info, node.settled,
-                            sun_seconds_per_slot(node.orbit, node.slot_offset, self.slot_s,
-                                                 node.settled, m),
-                            self.slot_s, self.harvest, self.profile, self._slot_terms):
-                raise ContractError(f"node {node.node_id} browns out in batch-settled slot {m - 1}")
-            node.settled = m
+        if m > node.settled and self._walk(node, m, tick=False):
+            raise ContractError(f"node {node.node_id} browns out in batch-settled slot {m - 1}")
+
+    def _walk(self, node: _Node, upto: int, tick: bool) -> bool:
+        """Settle the node's slots below tick `upto` in one walk; return the last one's brownout.
+
+        A real tick walks through `energy_step`, any other settle through
+        `settle_slots`; each slot's sunlit seconds are made from the node's
+        own slot edges as the walk reaches it.  Both names are looked up as
+        the walk starts, so a wrapper set on this module sees every walk.
+        """
+        step = energy_step if tick else settle_slots
+        edges = map(node.slot_time, range(node.settled, upto + 1))
+        brownout = step(node.energy, node.totals, node.tx_slot_info, node.settled,
+                        sunlit_seconds(node.orbit, edges), self.slot_s, self.harvest,
+                        self.profile, self._slot_terms)
+        node.settled = upto
+        return brownout
 
     def _settle_before_now(self, node: _Node):
         """Close the orbits whose sunrise is at or before now; settle the slots whose tick is.
@@ -684,21 +696,22 @@ class Simulator:
         node.energy.phi_max_j = new_phi_max
 
     def _on_report_due(self, now: float, payload: tuple):
-        (node_id,) = payload
-        node = self.nodes[node_id]
-        # settling closes a sunrise at this instant, so its orbit rides this report
-        self._settle_before_now(node)
-        self._emit_report(node, now)
+        """Every node reports, in id order, on the fleet's one report clock."""
+        for node in self.nodes:
+            # settling closes a sunrise at this instant, so its orbit rides this report
+            self._settle_before_now(node)
+            self._emit_report(node, now)
+        self.period_start = now
         nxt = now + self.sc.sim.report_interval_s
         if nxt < self.t_end:
-            self._push(nxt, EventKind.REPORT_DUE, (node_id,))
+            self._push(nxt, EventKind.REPORT_DUE, ())
 
     def _emit_report(self, node: _Node, t: float):
         thermal = self.sc.battery.thermal
         totals = node.totals
         self.reports.append(NodeBatteryReport(
             node_id=node.node_id,
-            period_start=node.period_start,
+            period_start=self.period_start,
             period_end=t,
             n_slots=totals.period_slots,
             n_transmissions=node.period_txs,
@@ -708,16 +721,10 @@ class Simulator:
             mean_temperature_eclipse_k=thermal.t_eclipse_k,
         ))
         self.metrics.append(MetricsRecord(
-            time_s=t,
-            node_id=node.node_id,
-            soc=node.energy.soc,
-            fade_fraction=node.battery.fade_fraction,
-            d_linear=node.battery.d_linear,
-            **{f"packets_{key}": node.packets[key] for key in END_OUTCOMES},
-            energy_harvested_j=totals.harvested_j,
-            energy_consumed_j=totals.consumed_j,
+            t, node.node_id, node.energy.soc, node.battery.fade_fraction, node.battery.d_linear,
+            *(node.packets[key] for key in END_OUTCOMES),
+            totals.harvested_j, totals.consumed_j,
         ))
-        node.period_start = t
         totals.period_slots = 0
         node.period_txs = 0
         totals.period_consumed_j = 0.0
@@ -813,7 +820,7 @@ def run(
 def write_metrics_csv(metrics: list[MetricsRecord], path: str | Path):
     lines = [",".join(METRICS_COLUMNS)]
     for m in metrics:
-        lines.append(",".join(repr(v) if isinstance(v, float) else str(v) for v in m))
+        lines.append(",".join(map(str, m)))
     Path(path).write_text("\n".join(lines) + "\n")
 
 

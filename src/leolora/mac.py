@@ -233,28 +233,20 @@ class Backoff:
         pair: it hits when `start + high * u + toa <= end`, the float test
         `run_transmission_sequence` makes (0.0 + x is x for x >= 0).  With j
         the first hit, the floor(j / P) * P doubles before its round are
-        consumed; the rest stay for `uniform`.  The buffered doubles are
-        scanned as floats, then blocks of at most `SCAN_BLOCK` doubles from
-        `Generator.random(n)`, the doubles repeated `random(BLOCK)` calls give.
+        consumed; the rest stay for `uniform`.  The scan reads round-aligned
+        blocks: the buffered doubles, in stream order, head the first, and
+        `Generator.random(n)` fills it and every later block of at most
+        `SCAN_BLOCK` doubles, the doubles repeated `random(BLOCK)` calls give.
         At least one range must have room for a hit.
         """
         p = len(rounds)
-        doubles = self._doubles
-        n = len(doubles)
-        for i in range(n):
-            start, end = rounds[i % p]
-            if start + high * doubles[n - 1 - i] + toa <= end:
-                skip = i - i % p
-                del doubles[n - skip:]
-                return skip
-        # the round under way when the buffer runs out, in stream order
-        head = np.array(doubles[:n % p][::-1], dtype=float)
-        skipped = n - len(head)
         starts, ends = np.array(rounds, dtype=float).T
-        rows = max(1, self.BLOCK // p)
+        head = self._doubles[::-1]
+        rows = max(1, -(-len(head) // p), self.BLOCK // p)
+        skipped = 0
         while True:
             block = np.concatenate((head, self._rng.random(rows * p - len(head))))
-            head = head[:0]
+            head = []
             hits = (starts + high * block.reshape(rows, p)) + toa <= ends
             k = int(hits.argmax())
             if hits.flat[k]:

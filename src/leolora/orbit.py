@@ -166,22 +166,23 @@ def next_phase_boundary(config: OrbitConfig, t: float) -> tuple[float, str]:
     return (sunset, ECLIPSE) if t < sunset < sunrise else (sunrise, SUN)
 
 
-def _sunlit_between(config: OrbitConfig, edges: Iterable[float]) -> Iterator[float]:
-    """Sunlit measure between each two consecutive orbit-time edges, yielded edge by edge.
+def sunlit_seconds(config: OrbitConfig, times: Iterable[float]) -> Iterator[float]:
+    """Sunlit time between each two consecutive simulation times, yielded time by time.
 
     Orbit time is simulation time plus the phase offset.  The sunlit measure
-    of [0, u) is full * sun + min(rem, sun), with (full, rem) = divmod(u,
-    period); each edge takes it once, as the walk reaches it, and yields its
-    difference from the edge before.  This is the one formula for sunlit
-    time: `sun_seconds` is its two-edge case.
+    of orbit time [0, u) is full * sun + min(rem, sun), with (full, rem) =
+    divmod(u, period); each time takes it once, as the walk reaches it, and
+    yields its difference from the time before.  This is the one formula for
+    sunlit time: `sun_seconds` is its two-time case, and a caller that
+    settles each value as it comes builds no list.
     """
-    period, sun = config.period_s, config.sun_duration_s
+    period, sun, off = config.period_s, config.sun_duration_s, config.phase_time_offset_s
     below = None
-    for u in edges:
+    for t in times:
         last = below
-        full, rem = divmod(u, period)
+        full, rem = divmod(t + off, period)
         below = full * sun + (sun if sun < rem else rem)   # min(rem, sun), bit for bit
-        if last is not None:   # the first edge only sets the measure the next one starts from
+        if last is not None:   # the first time only sets the measure the next one starts from
             yield below - last
 
 
@@ -189,21 +190,7 @@ def sun_seconds(config: OrbitConfig, t0: float, t1: float) -> float:
     """Exact sunlit time within [t0, t1) under the phase profile."""
     if t1 < t0:
         raise ValueError(f"need t0 <= t1, got [{t0}, {t1})")
-    off = config.phase_time_offset_s
-    return next(_sunlit_between(config, (t0 + off, t1 + off)))
-
-
-def sun_seconds_per_slot(config: OrbitConfig, offset: float, slot_s: float,
-                         first: int, upto: int) -> Iterator[float]:
-    """Sunlit time of slots first .. upto - 1 on the grid T_k = offset + k * slot_s, lazily.
-
-    Slot k spans [T_k, T_{k+1}); each value is bit for bit what `sun_seconds`
-    gives for it.  The n + 1 edges of n slots are made as the one
-    `_sunlit_between` walk reaches them, so a caller that settles each
-    value as it comes builds no list.
-    """
-    off = config.phase_time_offset_s
-    return _sunlit_between(config, (offset + k * slot_s + off for k in range(first, upto + 1)))
+    return next(sunlit_seconds(config, (t0, t1)))
 
 
 def max_central_angle(altitude_m: float, min_elevation_rad: float) -> float:

@@ -782,11 +782,12 @@ FUZZ_SEVERAL = [
     ("duration_days", 1e6, 2),       # the arrivals and the schedule grid
     ("duration_days", 250000, 2),
     ("duration_days", 1e306, 3),     # and the report rows
-    ("node_count", 1e306, 3),        # the report rows, the arrivals and the uint16 node id
 ]
 BOTH_C_RATE_FORMS = "error: battery: give either c_rate_reference or discharge_current_a, not both"
 # an `error:` line names one dotted path: a section, a station, or a key of either
 DOTTED_PATH_LINE = re.compile(r"error: [a-z]+(\[\d+\])?(\.[a-z_0-9]+)?: ")
+# a problem line shows a huge value in short form, never digit by digit
+HUGE_NUMBER = re.compile(r"\d{20}")
 
 
 class TestScenarioFuzz:
@@ -849,6 +850,9 @@ class TestScenarioFuzz:
         # `main` reports the time limit's TimeoutError, an OSError, as exit 3
         if "Traceback" in err or "still running after" in err:
             return f"exit {code}: {err}"
+        if value == 1e306 and any(HUGE_NUMBER.search(line) for line in lines
+                                  if line.startswith("error:")):
+            return f"a problem line spells out a huge number: {lines}"
         if code == 3:
             # only an override file that cannot be read stops a run at exit 3
             return None if key == "schedule_override_path" else f"exit 3: {err}"

@@ -24,7 +24,7 @@ from leolora.orbit import (
     ForecastWindow,
     OrbitConfig,
     sun_seconds,
-    sun_seconds_per_slot,
+    sunlit_seconds,
 )
 
 from conftest import bits
@@ -167,7 +167,8 @@ def slot_runs(draw):
                         *(draw(st.floats(0.0, 1e6)) for _ in range(2)), draw(st.integers(0, 99)),
                         -draw(st.floats(0.0, 1e4)))
     phases = draw(st.lists(st.sampled_from([None, None, SUN, ECLIPSE]), min_size=n, max_size=n))
-    sun_s = list(sun_seconds_per_slot(orbit, offset, slot_s, first, first + n))
+    edges = (offset + k * slot_s for k in range(first, first + n + 1))
+    sun_s = list(sunlit_seconds(orbit, edges))
     return SlotRun(state, totals, orbit, offset, first, phases, sun_s, slot_s, harvest, profile)
 
 
@@ -254,7 +255,8 @@ class TestSettleSlots:
         ref_state, ref_totals = copy.copy(run.state), copy.copy(run.totals)
         slot = oracle_slot(ref_state, ref_totals, phase, sun, slot_s, run.harvest, run.profile)
         brownout = energy_step(run.state, run.totals, {k: phase}, k,
-                               sun_seconds_per_slot(run.orbit, run.offset, slot_s, k, k + 1),
+                               sunlit_seconds(run.orbit, (run.offset + k * slot_s,
+                                                          run.offset + (k + 1) * slot_s)),
                                slot_s, run.harvest, run.profile, {})
         assert brownout == slot.brownout
         assert (bits(run.state), bits(run.totals)) == (bits(ref_state), bits(ref_totals))

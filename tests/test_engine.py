@@ -646,6 +646,47 @@ class TestTickTies:
         self._check(settle_log)
 
 
+class TestReportClock:
+    """The fleet reports on one clock: one event per report time, every node in id order."""
+
+    INTERVAL = 5400.0
+
+    def _run(self, default_dict, monkeypatch, node_count):
+        sc = make_scenario(default_dict, **{"sim.node_count": node_count,
+                                            "sim.duration_days": 0.5,
+                                            "sim.report_interval_s": self.INTERVAL})
+        calls = []
+        real = Simulator._on_report_due
+
+        def watched(sim, now, payload):
+            calls.append(now)
+            real(sim, now, payload)
+
+        monkeypatch.setattr(Simulator, "_on_report_due", watched)
+        sim = Simulator(sc)
+        return sim, sim.run(), calls
+
+    @pytest.mark.parametrize("node_count", [1, 8])
+    def test_one_report_event_per_report_time(self, node_count, default_dict, monkeypatch):
+        sim, result, calls = self._run(default_dict, monkeypatch, node_count)
+        times = [self.INTERVAL * m for m in range(1, 8)]   # the eighth falls on the run end
+        assert calls == times
+        ends = times + [sim.t_end]
+        assert [(r.period_start, r.period_end, r.node_id) for r in sim.reports] == [
+            (start, end, u) for start, end in zip([0.0] + times, ends) for u in range(node_count)]
+
+    def test_metrics_rows_come_out_in_time_then_node_order(self, default_dict, monkeypatch):
+        sim, result, _ = self._run(default_dict, monkeypatch, 8)
+        rows = [(m.time_s, m.node_id) for m in result.metrics]
+        assert rows == sorted(rows)
+        assert rows == [(t, u) for t, _ in itertools.groupby(t for t, _ in rows)
+                        for u in range(8)]
+
+    def test_a_run_without_nodes_pushes_no_report(self, default_dict, monkeypatch):
+        sim, result, calls = self._run(default_dict, monkeypatch, 0)
+        assert calls == [] and sim.reports == [] and result.metrics == []
+
+
 class TestOrbitClosing:
     """Each sunrise up to the horizon closes one orbit, in order, on exactly the slots before it."""
 

@@ -24,7 +24,7 @@ from leolora.orbit import (
     next_phase_boundary,
     phase_at,
     sun_seconds,
-    sun_seconds_per_slot,
+    sunlit_seconds,
 )
 
 ORBIT = OrbitConfig(period_s=5400.0, sun_duration_s=3300.0, altitude_m=550e3,
@@ -137,7 +137,7 @@ class TestPhase:
         """Both sunlit-time paths equal the oracle's difference, bit for bit."""
         edges = [offset + k * slot_s for k in range(first, first + n + 1)]
         want = [oracle_sun_seconds(orbit, a, b).hex() for a, b in zip(edges, edges[1:])]
-        got = sun_seconds_per_slot(orbit, offset, slot_s, first, first + n)
+        got = sunlit_seconds(orbit, iter(edges))
         assert [x.hex() for x in got] == want
         assert [sun_seconds(orbit, a, b).hex() for a, b in zip(edges, edges[1:])] == want
 
