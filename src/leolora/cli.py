@@ -63,20 +63,18 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         seeds = [seeds[0] + i for i in range(args.sweep)]
 
     schedules = engine.build_schedules(scenario)
+    paths = (Path(args.out or f"metrics.{args.format}"), Path(args.summary or "summary.json"))
     merged = []
     for seed in seeds:
         result = engine.run(scenario, seed=seed, schedules=schedules)
-        suffix = f".seed{seed}" if len(seeds) > 1 else ""
-        out = args.out or f"metrics.{args.format}"
-        out_path = Path(out).with_suffix(f"{suffix}{Path(out).suffix}") if suffix else Path(out)
+        # a sweep writes metrics.seed5.csv and the like; one seed, the paths as given
+        out_path, summary_path = (p.with_suffix(f".seed{seed}{p.suffix}") if len(seeds) > 1
+                                  else p for p in paths)
         if args.format == "json":
             rows = [m._asdict() for m in result.metrics]
             out_path.write_text(json.dumps(rows, indent=2) + "\n")
         else:
             engine.write_metrics_csv(result.metrics, out_path)
-        summary = args.summary or "summary.json"
-        summary_path = (Path(summary).with_suffix(f"{suffix}{Path(summary).suffix}")
-                        if suffix else Path(summary))
         engine.write_summary_json(result.summary, summary_path)
         # the index sits next to the summaries, so it names them alone
         merged.append({"seed": seed, "summary": summary_path.name,
@@ -84,9 +82,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                        "delivered": result.summary["packets"]["delivered"]})
         print(f"seed {seed}: wrote {out_path} and {summary_path}")
     if len(seeds) > 1:
-        Path(args.summary or "summary.json").with_suffix(".sweep.json").write_text(
-            json.dumps(merged, indent=2) + "\n"
-        )
+        paths[1].with_suffix(".sweep.json").write_text(json.dumps(merged, indent=2) + "\n")
     return EXIT_OK
 
 
@@ -115,20 +111,13 @@ def cmd_degradation(args: argparse.Namespace) -> int:
 
 def cmd_airtime(args: argparse.Namespace) -> int:
     scenario = _load_config(args.config)
-    radio = scenario.radio
-    overrides = {}
-    if args.sf is not None:
-        overrides["spreading_factor"] = args.sf
-    if args.bandwidth_hz is not None:
-        overrides["bandwidth_hz"] = args.bandwidth_hz
-    if args.payload_bytes is not None:
-        overrides["payload_bytes"] = args.payload_bytes
-    if args.tx_power_w is not None:
-        overrides["tx_power_w"] = args.tx_power_w
-    if overrides:
-        if "spreading_factor" in overrides or "bandwidth_hz" in overrides:
-            overrides.setdefault("low_data_rate_optimize", None)
-        radio = dataclasses.replace(radio, **overrides)
+    # each override flag's dest is the `RadioConfig` field it sets
+    flags = vars(args)
+    overrides = {f.name: flags[f.name] for f in dataclasses.fields(scenario.radio)
+                 if flags.get(f.name) is not None}
+    if overrides.keys() & {"spreading_factor", "bandwidth_hz"}:
+        overrides["low_data_rate_optimize"] = None   # re-derived for the new rate
+    radio = dataclasses.replace(scenario.radio, **overrides)
 
     figures = {
         "spreading_factor": radio.spreading_factor,
@@ -204,7 +193,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="run the discrete-event simulation")
     common(p_sim, out_help="metrics path (default metrics.csv, or metrics.json with --format json)")
-    p_sim.set_defaults(out=None)
     p_sim.add_argument("--seed", type=int, default=None, help="seed override")
     p_sim.add_argument("--summary", default=None, help="summary JSON path (default summary.json)")
     p_sim.add_argument("--sweep", type=int, default=1,
@@ -219,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_air = sub.add_parser("airtime", help="LoRa airtime and energy figures")
     common(p_air)
-    p_air.add_argument("--sf", type=int, default=None)
+    p_air.add_argument("--sf", dest="spreading_factor", type=int, default=None)
     p_air.add_argument("--bandwidth-hz", type=int, default=None)
     p_air.add_argument("--payload-bytes", type=int, default=None)
     p_air.add_argument("--tx-power-w", type=float, default=None)

@@ -37,9 +37,8 @@ PROTOCOLS = ("battery_aware", "naive_aloha")
 # the limit); the bound also keeps a report interval far above the clock's
 # resolution, so each report comes strictly after the one before.
 MAX_REPORT_ROWS = 10_000_000
-# A run draws every arrival up front (about 40 B each, so 1.2 GB at the
-# limit) and decides each as a packet, at several µs each: at the limit a
-# run takes minutes, as one at the report-row limit does.
+# A run decides each arrival as a packet, at several µs each: at the limit
+# a run takes minutes, as one at the report-row limit does.
 MAX_ARRIVALS = 30_000_000
 
 _IGNORED_KEYS = ("presets",)

@@ -10,16 +10,17 @@ transmit phase from the node's {slot: phase} map, and adds each slot to
 the node's running `SlotTotals`.  `_slot_terms` gives the terms phi does
 not enter (x, y, E_g and the slot's battery discharge for the orbit
 ledger).  They depend only on (tx_phase, sun_s) and the run's constants,
-so a run keeps them in a memo.  A clamp at zero is a brownout; every clamp
-is counted so the run-level ledger can be audited exactly.  A real slot
-tick settles its gap and its own slot through `energy_step`, one walk; a
-settle before a read walks through `settle_slots` itself.
+so a run keeps those of whole slots in a memo of at most six keys.  A
+clamp at zero is a brownout; every clamp is counted so the run-level
+ledger can be audited exactly.  A real slot tick settles its gap and its
+own slot through `energy_step`, one walk; a settle before a read walks
+through `settle_slots` itself.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .exceptions import ConfigError, ContractError, bounded, check_bounds
 from .orbit import ECLIPSE, SUN, ForecastWindow
@@ -122,11 +123,13 @@ def _slot_terms(tx_phase, sun_s, slot_s, harvest, profile) -> tuple[float, float
 
 @dataclass
 class SlotTotals:
-    """Running sums over a node's settled slots, which `settle_slots` adds to in slot order.
+    """A node's running sums over the run, its report period and its orbit.
 
-    harvested_j, consumed_j and brownouts cover the run; the period sums
-    restart at each report and the orbit sums at each orbit flush.  The
-    clamp figures also take the capacity-fade clamps an orbit flush makes.
+    `settle_slots` adds each slot in slot order.  harvested_j, consumed_j
+    and brownouts cover the run; the orbit sums restart at each orbit
+    flush, and the clamp figures also take the fade clamps a flush makes.
+    The period figures, finished transmissions and flushed orbits' DoDs
+    among them, restart only in `close_period`.
     """
 
     harvested_j: float = 0.0
@@ -138,6 +141,17 @@ class SlotTotals:
     clamp_count: int = 0
     clamp_total_j: float = 0.0
     brownouts: int = 0
+    period_txs: int = 0
+    period_dods: list[float] = field(default_factory=list)
+
+    def close_period(self) -> tuple[int, int, float, tuple[float, ...]]:
+        """The period's (slots, transmissions, consumed J, DoDs); a new period starts."""
+        closed = (self.period_slots, self.period_txs, self.period_consumed_j,
+                  tuple(self.period_dods))
+        self.period_slots = self.period_txs = 0
+        self.period_consumed_j = 0.0
+        self.period_dods.clear()
+        return closed
 
 
 def settle_slots(
@@ -166,9 +180,10 @@ def settle_slots(
     pick the same float (-0.0 and NaN included) without their call cost.
 
     memo maps (tx_phase, sun_s) to the slot's `_slot_terms` and their
-    harvested - consumed, and fills as slots miss it.  The terms also
-    depend on slot_s, harvest and profile, so a run keeps its own memo.
-    Keys 0.0 and -0.0 are one key, and give the same terms.
+    harvested - consumed.  It keeps whole slots only (sun_s 0.0 or slot_s),
+    at most six keys, since a partly sunlit slot's sun_s rarely repeats.
+    The terms also depend on slot_s, harvest and profile, so a run keeps
+    its own memo.  Keys 0.0 and -0.0 are one key, and give the same terms.
     """
     phi, phi_max = state.phi_j, state.phi_max_j
     harvested_j, consumed_j = totals.harvested_j, totals.consumed_j
@@ -185,7 +200,9 @@ def settle_slots(
         terms = get(key)
         if terms is None:
             harvested, consumed, discharge = _slot_terms(*key, slot_s, harvest, profile)
-            terms = memo[key] = (harvested, consumed, discharge, harvested - consumed)
+            terms = (harvested, consumed, discharge, harvested - consumed)
+            if s == 0.0 or s == slot_s:
+                memo[key] = terms
         harvested, consumed, discharge, delta = terms
         raw = phi + delta
         # min(max(raw, 0.0), phi_max), by the comparisons max and min make

@@ -48,13 +48,13 @@ is at most the sunrise's.
 
 from __future__ import annotations
 
-import bisect
 import enum
 import heapq
 import itertools
 import json
 import math
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
@@ -171,8 +171,8 @@ class _Node:
     slot_offset: float
     n_slots: int             # slots 0 .. n_slots - 1; slot k ends at tick k + 1
     backoff: Backoff
-    arrivals: list[float]
-    arrival_ptr: int = 0
+    arrivals: Iterator[float]  # the arrival times after next_arrival, drawn as they are reached
+    next_arrival: float = math.inf  # the next arrival not yet drained; inf when none is left
     busy_until: float = 0.0
     tx_slot_info: dict[int, str] = field(default_factory=dict)
     sleep_slot: int = -1     # the slot after the latest brownout: no transmit counts there
@@ -180,9 +180,6 @@ class _Node:
     totals: SlotTotals = field(default_factory=SlotTotals)
     settled: int = 0         # slots 0 .. settled - 1 are settled
     sunrise: float = math.inf  # the next sunrise, where an orbit closes; inf past the run
-    # per reporting period
-    period_txs: int = 0
-    period_dods: list[float] = field(default_factory=list)
     packets: Counter[str] = field(default_factory=Counter)  # PACKET_OUTCOMES
 
     def slot_time(self, k: int) -> float:
@@ -229,7 +226,7 @@ class Simulator:
         battery = scenario.battery
         self.dif = phase_dif(self.harvest, self.profile, battery.params, battery.base_stress,
                              battery.capacity_rated_j, scenario.mac.dif_ref)
-        # `settle_slots` terms by (tx_phase, sun_s); they hold for this run's constants only
+        # `settle_slots` whole-slot terms by (tx_phase, sun_s); for this run's constants only
         self._slot_terms: dict = {}
 
         self._heap: list[tuple[float, int, int, EventKind, tuple]] = []
@@ -274,11 +271,12 @@ class Simulator:
                 slot_offset=slot_offset,
                 n_slots=0,
                 backoff=Backoff(np.random.default_rng(children[2 * u + 1])),
-                arrivals=[],
+                arrivals=iter(()),
             )
             node.n_slots = max(node.last_tick(self.t_end), 0)
             node.sunrise = self._next_sunrise(orbit, 0.0)
             node.arrivals = self._generate_arrivals(traffic_rng, node.account_end)
+            node.next_arrival = next(node.arrivals, math.inf)
             self.nodes.append(node)
 
             self._schedule_wake(node)
@@ -293,32 +291,31 @@ class Simulator:
             raise ContractError(f"event {kind} scheduled at {time} before now {self.now}")
         heapq.heappush(self._heap, (time, _OTHER, next(self._seq), kind, payload))
 
-    def _generate_arrivals(self, rng: np.random.Generator, horizon: float) -> list[float]:
-        """Arrival times before `horizon`, from the node's own traffic stream.
+    def _generate_arrivals(self, rng: np.random.Generator, horizon: float) -> Iterator[float]:
+        """Arrival times before `horizon`, drawn from the node's own traffic stream as read.
 
         Poisson gaps come `_GAPS_PER_DRAW` at a time, the floats of as many
         scalar draws; nothing reads the stream's draws past the horizon.
+        The stream is the node's alone, so when its draws are made does not
+        change them.
         """
         model = self.sc.sim.traffic_model
         rate = self.sc.sim.traffic_rate_per_s
         if model == "none" or rate <= 0.0 or horizon <= 0.0:
-            return []
-        out: list[float] = []
+            return
         if model == "poisson":
             t = 0.0
-            while t < horizon:
+            while True:
                 for gap in rng.exponential(1.0 / rate, _GAPS_PER_DRAW).tolist():
                     t += gap
                     if t >= horizon:
-                        break
-                    out.append(t)
-        else:  # periodic
-            step = 1.0 / rate
-            t = float(rng.uniform(0.0, step))
-            while t < horizon:
-                out.append(t)
-                t += step
-        return out
+                        return
+                    yield t
+        step = 1.0 / rate   # periodic
+        t = float(rng.uniform(0.0, step))
+        while t < horizon:
+            yield t
+            t += step
 
     def _next_sunrise(self, orbit: OrbitConfig, after: float) -> float:
         """The first sunrise of this orbit profile after `after`, or inf past the run."""
@@ -346,10 +343,14 @@ class Simulator:
 
     def _drain_arrivals(self, node: _Node, until: float) -> list[_Packet]:
         """Create a packet for every arrival not yet drained, up to `until`."""
-        first = node.arrival_ptr
-        node.arrival_ptr = bisect.bisect_right(node.arrivals, until, lo=first)
-        node.packets["generated"] += node.arrival_ptr - first
-        return [_Packet(created=t) for t in node.arrivals[first:node.arrival_ptr]]
+        packets = []
+        t = node.next_arrival
+        while t <= until:
+            packets.append(_Packet(created=t))
+            t = next(node.arrivals, math.inf)
+        node.next_arrival = t
+        node.packets["generated"] += len(packets)
+        return packets
 
     def _candidates(self, node: _Node, now: float, created: float) -> list[ForecastWindow]:
         deadline = created + self.sc.mac.deadline_s
@@ -555,7 +556,7 @@ class Simulator:
         heard = record[1] is not None or any(r is not None for _, r, _ in packet.attempts)
         self._finish(node, packet, "delivered" if got_through
                      else "dropped_collision_exhausted" if heard else "dropped_no_window")
-        node.period_txs += 1
+        node.totals.period_txs += 1
         node.in_flight = None
         node.energy.ewma_estimate_j = ewma_update(
             self.sc.mac.beta, self.profile.e_cons_tx_j, node.energy.ewma_estimate_j
@@ -619,8 +620,8 @@ class Simulator:
         if node.settled >= node.n_slots:
             return
         k = min(node.n_slots, self._guard(node))
-        if node.arrival_ptr < len(node.arrivals):
-            k = min(k, self._first_tick(node, node.arrivals[node.arrival_ptr]))
+        if node.next_arrival < math.inf:   # grid_floor(inf) overflows
+            k = min(k, self._first_tick(node, node.next_arrival))
         if node.slot_time(k) >= node.sunrise:   # else the sunrise's tick comes after k
             k = self._first_tick(node, node.sunrise)
         heapq.heappush(self._heap, (node.slot_time(k), _TICK, next(self._seq),
@@ -686,7 +687,7 @@ class Simulator:
         dod = step_battery_per_orbit(node.battery, self.sc.battery, totals.orbit_s,
                                      totals.orbit_discharge_j)
         if totals.orbit_discharge_j > 0.0:
-            node.period_dods.append(dod)
+            totals.period_dods.append(dod)
         totals.orbit_s = totals.orbit_discharge_j = 0.0
         new_phi_max = self.sc.phi_max_j(node.battery.fade_fraction)
         if node.energy.phi_j > new_phi_max:
@@ -710,13 +711,7 @@ class Simulator:
         thermal = self.sc.battery.thermal
         totals = node.totals
         self.reports.append(NodeBatteryReport(
-            node_id=node.node_id,
-            period_start=self.period_start,
-            period_end=t,
-            n_slots=totals.period_slots,
-            n_transmissions=node.period_txs,
-            energy_consumed_j=totals.period_consumed_j,
-            dod_observations=tuple(node.period_dods),
+            node.node_id, self.period_start, t, *totals.close_period(),
             mean_temperature_sun_k=thermal.t_sun_k,
             mean_temperature_eclipse_k=thermal.t_eclipse_k,
         ))
@@ -725,10 +720,6 @@ class Simulator:
             *(node.packets[key] for key in END_OUTCOMES),
             totals.harvested_j, totals.consumed_j,
         ))
-        totals.period_slots = 0
-        node.period_txs = 0
-        totals.period_consumed_j = 0.0
-        node.period_dods = []
 
     def _finalize(self):
         for node in self.nodes:

@@ -25,6 +25,7 @@ uplink budget.
 
 from __future__ import annotations
 
+import itertools
 import math
 import struct
 from dataclasses import dataclass
@@ -160,13 +161,9 @@ def gateway_compute_fleet_degradation(
     differ by about 1.44e-11.  Overlapping report periods for one node are
     rejected.
     """
-    by_node: dict[int, list[NodeBatteryReport]] = {}
-    for r in reports:
-        by_node.setdefault(r.node_id, []).append(r)
-
     out: dict[int, DegradationAssessment] = {}
-    for node_id in sorted(by_node):
-        node_reports = sorted(by_node[node_id], key=lambda r: r.period_start)
+    ordered = sorted(reports, key=lambda r: (r.node_id, r.period_start))
+    for node_id, node_reports in itertools.groupby(ordered, key=lambda r: r.node_id):
         prev_end = -math.inf
         dc_cal = 0.0
         dc_cycle = 0.0

@@ -136,7 +136,7 @@ class TestValidation:
         parse_scenario(scenario_dict)
 
     def test_traffic_too_heavy_to_finish_rejected(self, scenario_dict):
-        # 4.3e8 arrivals, each drawn up front: the run would never finish
+        # 4.3e8 arrivals, each decided as a packet: the run would never finish
         scenario_dict["sim"].update(node_count=2, duration_days=0.01,
                                     traffic_rate_per_s=250000.0)
         with pytest.raises(ValidationError) as exc:

@@ -286,6 +286,21 @@ class TestSettleSlots:
         assert (bits(state), bits(totals)) == before
 
 
+class TestSlotTotals:
+    def test_close_period_hands_over_the_period_and_restarts_it(self):
+        totals = SlotTotals(3.0, 4.0, 2.5, 7, 80.0, 1.5, 1, 0.5, 1, 2, [0.1, 0.2])
+        assert totals.close_period() == (7, 2, 2.5, (0.1, 0.2))
+        # the run and orbit sums stay; only the period restarts
+        assert bits(totals) == bits(SlotTotals(3.0, 4.0, 0.0, 0, 80.0, 1.5, 1, 0.5, 1, 0, []))
+        assert totals.close_period() == (0, 0, 0.0, ())
+
+    def test_the_memo_keeps_whole_slots_only(self):
+        memo = {}
+        settle_slots(fresh_state(), SlotTotals(), {1: SUN, 3: ECLIPSE}, 0,
+                     [0.0, SLOT_S, 12.5, 0.0, SLOT_S, 7.0], SLOT_S, HARVEST, PROFILE, memo)
+        assert set(memo) == {(None, 0.0), (SUN, SLOT_S), (ECLIPSE, 0.0), (None, SLOT_S)}
+
+
 class TestDischarge:
     """The slot's battery discharge, which feeds the orbit ledger."""
 

@@ -6,6 +6,7 @@ import heapq
 import itertools
 import json
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -50,11 +51,15 @@ class TestFullRuns:
         for slot_s in (1e9, 1e306):
             sc = make_scenario(default_dict, **{"sim.node_count": 2, "sim.duration_days": 0.01,
                                                 "sim.slot_s": slot_s})
+            for node in Simulator(sc).nodes:
+                assert node.n_slots == 0 and node.account_end <= sc.sim.duration_s
+                # next_arrival is inf only when the node draws no arrival at all
+                arrivals = [node.next_arrival, *node.arrivals]
+                assert all(t < sc.sim.duration_s for t in arrivals if t < math.inf)
             with time_limit(20):
                 result = run(sc)
-            for node in result.nodes:
-                assert node.n_slots == 0 and node.account_end <= sc.sim.duration_s
-                assert all(t < sc.sim.duration_s for t in node.arrivals)
+            # every arrival is drained by the run's end
+            assert all(node.next_arrival == math.inf for node in result.nodes)
             packets = result.summary["packets"]
             # every arrival in the run is counted, and none is decided
             assert packets["generated"] == packets["dropped_no_window"] > 0
@@ -581,9 +586,10 @@ class TestTickTies:
 
         monkeypatch.setattr(Simulator, "_settle_before_now", watched)
         sim = Simulator(make_scenario(default_dict, **overrides))
+        first_arrival = sim.nodes[0].next_arrival
         node = sim.run().nodes[0]
         assert node.slot_time(self.K) == t_k
-        assert node.arrivals[0] < node.slot_time(self.K - 2)
+        assert first_arrival < node.slot_time(self.K - 2)
         assert seen and all(s == (self.K, self.K) for s in seen)
         if event == "report_due":
             assert sim.reports[0].period_end == t_k
@@ -685,6 +691,31 @@ class TestReportClock:
     def test_a_run_without_nodes_pushes_no_report(self, default_dict, monkeypatch):
         sim, result, calls = self._run(default_dict, monkeypatch, 0)
         assert calls == [] and sim.reports == [] and result.metrics == []
+
+
+class TestBoundedRunState:
+    """Run state that grows with neither the run's length nor its traffic."""
+
+    def test_the_slot_terms_memo_holds_at_most_six_keys(self, default_dict):
+        # an orbit that is not a whole number of 40 s slots gives nearly every
+        # partly sunlit slot a sunlit time of its own
+        sim = Simulator(make_scenario(default_dict, **{"sim.node_count": 8,
+                                                       "sim.duration_days": 4.0,
+                                                       "orbit.period_s": 5677.3}), seed=1)
+        sim.run()
+        assert len(sim._slot_terms) <= 6
+
+    def test_a_new_run_draws_no_arrival_up_front(self, default_dict):
+        # 2 nodes at 2,000 arrivals/s over 864 s: 3.5 million arrival times
+        sc = make_scenario(default_dict, **{"sim.node_count": 2, "sim.duration_days": 0.01,
+                                            "sim.traffic_rate_per_s": 2000.0})
+        tracemalloc.start()
+        try:
+            Simulator(sc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2**20
 
 
 class TestOrbitClosing:
@@ -856,7 +887,7 @@ class TestNaivePerPacketPaths:
             horizons = [draws[63], math.nextafter(draws[63], math.inf), draws[0], draws[127],
                         draws[129], 86400.0]
             for horizon in horizons:
-                got = sim._generate_arrivals(np.random.default_rng(seed), horizon)
+                got = list(sim._generate_arrivals(np.random.default_rng(seed), horizon))
                 assert got == oracle_poisson_arrivals(np.random.default_rng(seed), rate, horizon)
-            assert len(sim._generate_arrivals(np.random.default_rng(seed), draws[63])) == 63
-            assert len(sim._generate_arrivals(np.random.default_rng(seed), horizons[1])) == 64
+            assert len(list(sim._generate_arrivals(np.random.default_rng(seed), draws[63]))) == 63
+            assert len(list(sim._generate_arrivals(np.random.default_rng(seed), horizons[1]))) == 64

@@ -1,5 +1,7 @@
 """Uplink encoding of battery-usage summaries and the gateway's assessment."""
 
+import random
+
 import pytest
 
 from leolora.report import (
@@ -12,6 +14,7 @@ from leolora.report import (
     gateway_compute_fleet_degradation,
 )
 
+from conftest import bits
 from oracles import oracle_calendar, oracle_cycle, oracle_sei
 
 
@@ -125,6 +128,34 @@ class TestGateway:
         assert got.fade_fraction == pytest.approx(
             oracle_sei(params.alpha_sei, params.k_sei, cal + cyc), rel=1e-12
         )
+
+    def test_any_report_order_gives_the_same_bits(self, default_scenario):
+        # uneven periods, DoDs and temperatures, so a sum in another order
+        # would round differently
+        grouped = [
+            NodeBatteryReport(
+                node_id=u, period_start=1000.0 * m + 0.1 * u, period_end=1000.0 * (m + 1),
+                n_slots=25, n_transmissions=m, energy_consumed_j=1e3 * u,
+                dod_observations=tuple(0.01 + 0.0731 * ((u + m + i) % 11) for i in range(m)),
+                mean_temperature_sun_k=290.0 + 3.3 * m, mean_temperature_eclipse_k=250.0 + u,
+            )
+            for u in range(4) for m in range(6)
+        ]
+        interleaved = sorted(grouped, key=lambda r: (r.period_start // 1000.0, r.node_id))
+        shuffled = grouped[:]
+        random.Random(5).shuffle(shuffled)
+
+        def assess(reports):
+            got = gateway_compute_fleet_degradation(
+                reports, default_scenario.battery.params,
+                soc_reference=0.825, c_rate_reference=12.5, dod_reference=0.4,
+            )
+            return list(got), {u: bits(a) for u, a in got.items()}
+
+        expected = assess(grouped)
+        assert expected[0] == [0, 1, 2, 3]
+        for reports in (interleaved, shuffled, grouped[::-1]):
+            assert assess(reports) == expected
 
     def test_overlapping_periods_rejected(self, default_scenario):
         reports = [self.report(), self.report(start=40000.0, end=90000.0)]
