@@ -17,6 +17,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import sys
 import warnings
 from dataclasses import MISSING, dataclass, fields, replace
 from importlib import resources
@@ -161,6 +162,13 @@ def _declared_type(annotation: str) -> tuple[str, bool]:
     return names[0], "None" in names
 
 
+def _shown(value) -> str:
+    """A value as a problem line shows it: a whole number of 18 digits or more in short form."""
+    if isinstance(value, int) and abs(value) >= 10**17:
+        return f"{value:.3g}" if abs(value) <= sys.float_info.max else "an int past float range"
+    return repr(value)
+
+
 class _Reader:
     """Typed, path-tracking accessor over a parsed JSON object."""
 
@@ -199,7 +207,7 @@ class _Reader:
         if kind in ("bool", "str"):
             if not isinstance(value, bool if kind == "bool" else str):
                 expected = "a boolean" if kind == "bool" else "a string"
-                self.problems.append(f"{self._at(key)}: expected {expected}, got {value!r}")
+                self.problems.append(f"{self._at(key)}: expected {expected}, got {_shown(value)}")
                 return default
             problem = bounds.problem(value)
             if problem is not None:

@@ -5,16 +5,17 @@
     phi[t] = phi[t-1] + y[t]*E_g[t] - x[t]*E_cons - (1 - x[t])*E_sleep
 
 with phi clamped to [0, phi_max]: it settles a run of slots in one walk,
-taking each slot's sunlit seconds from an iterable as it goes and its
-transmit phase from the node's {slot: phase} map, and adds each slot to
-the node's running `SlotTotals`.  `_slot_terms` gives the terms phi does
-not enter (x, y, E_g and the slot's battery discharge for the orbit
-ledger).  They depend only on (tx_phase, sun_s) and the run's constants,
-so a run keeps those of whole slots in a memo of at most six keys.  A
-clamp at zero is a brownout; every clamp is counted so the run-level
-ledger can be audited exactly.  A real slot tick settles its gap and its
-own slot through `energy_step`, one walk; a settle before a read walks
-through `settle_slots` itself.
+taking each slot's sunlit seconds, in slot order, from an iterable (the
+engine slices them from the node's lazy, block-filled `_Node.sunlit`)
+and its transmit phase from the node's {slot: phase} map, and adds each
+slot to the node's running `SlotTotals`.  `_slot_terms` gives the terms
+phi does not enter (x, y, E_g and the slot's battery discharge for the
+orbit ledger).  They depend only on (tx_phase, sun_s) and the run's
+constants, so a run keeps those of whole slots in a memo of at most six
+keys.  A clamp at zero is a brownout; every clamp is counted so the
+run-level ledger can be audited exactly.  A real slot tick settles its
+gap and its own slot through `energy_step`, one walk; a settle before a
+read walks through `settle_slots` itself.
 """
 
 from __future__ import annotations

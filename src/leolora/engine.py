@@ -26,11 +26,13 @@ is the very next tick; the arrivals a brownout tick leaves undrained are
 created and decided there.  The slots between real ticks cannot brown out.
 A real tick closes the orbits whose sunrise lies before it, then settles
 the rest of that gap and its own slot in one `energy.energy_step` walk,
-which makes each slot's sunlit seconds as it reaches it, raises
-`ContractError` if a gap slot browns out and returns whether its own slot
-did, for the tick to act on; it then pushes the next real tick.  Every
-walk, a tick's or a batch settle's, goes through `Simulator._walk`, and
-only `_Node.slot_time` places a slot edge.
+which raises `ContractError` if a gap slot browns out and returns whether
+its own slot did, for the tick to act on; it then pushes the next real
+tick.  Every walk, a tick's or a batch settle's, goes through
+`Simulator._walk`, and takes its slots' sunlit seconds from the node's
+`sunlit` iterator, which makes them `_SLOTS_PER_BLOCK` slots at a time in
+one `orbit.sunlit_seconds` call, when a walk first reaches the block.
+Only `_Node.slot_time` places a slot edge, for one index or an array.
 
 The fleet reports on one clock: one report event per report time settles
 and reports every node in id order, then pushes the next.
@@ -94,6 +96,9 @@ MAX_NAIVE_SPAN_S = 1800.0
 
 # Poisson inter-arrival gaps fetched per `Generator.exponential` call.
 _GAPS_PER_DRAW = 64
+
+# Slots whose sunlit seconds one `orbit.sunlit_seconds` call makes.
+_SLOTS_PER_BLOCK = 256
 
 
 class EventKind(enum.Enum):
@@ -181,9 +186,20 @@ class _Node:
     settled: int = 0         # slots 0 .. settled - 1 are settled
     sunrise: float = math.inf  # the next sunrise, where an orbit closes; inf past the run
     packets: Counter[str] = field(default_factory=Counter)  # PACKET_OUTCOMES
+    sunlit: Iterator[float] = iter(())  # the sunlit seconds of slot settled on (`sunlit_blocks`)
 
-    def slot_time(self, k: int) -> float:
+    def slot_time(self, k: int | np.ndarray) -> float | np.ndarray:
+        """The start of slot k (the time of tick k), for an index or an array of them."""
         return self.slot_offset + k * self.slot_s
+
+    def sunlit_blocks(self) -> Iterator[list[float]]:
+        """Each slot's sunlit seconds in slot order, `_SLOTS_PER_BLOCK` slots a block.
+
+        A block is made from the slot edges only when the walk reaches it.
+        """
+        for b in range(0, self.n_slots, _SLOTS_PER_BLOCK):
+            ticks = np.arange(b, min(b + _SLOTS_PER_BLOCK, self.n_slots) + 1)
+            yield sunlit_seconds(self.orbit, self.slot_time(ticks))
 
     def last_tick(self, t: float) -> int:
         """The largest m with slot_time(m) <= t: t lies in slot m."""
@@ -274,6 +290,7 @@ class Simulator:
                 arrivals=iter(()),
             )
             node.n_slots = max(node.last_tick(self.t_end), 0)
+            node.sunlit = itertools.chain.from_iterable(node.sunlit_blocks())
             node.sunrise = self._next_sunrise(orbit, 0.0)
             node.arrivals = self._generate_arrivals(traffic_rng, node.account_end)
             node.next_arrival = next(node.arrivals, math.inf)
@@ -651,15 +668,16 @@ class Simulator:
         """Settle the node's slots below tick `upto` in one walk; return the last one's brownout.
 
         A real tick walks through `energy_step`, any other settle through
-        `settle_slots`; each slot's sunlit seconds are made from the node's
-        own slot edges as the walk reaches it.  Both names are looked up as
-        the walk starts, so a wrapper set on this module sees every walk.
+        `settle_slots`; each slot's sunlit seconds are the next values of
+        the node's `sunlit` iterator, which every walk draws from in turn,
+        so a walk longer than a block builds no list of them.  Both names
+        are looked up as the walk starts, so a wrapper set on this module
+        sees every walk.
         """
         step = energy_step if tick else settle_slots
-        edges = map(node.slot_time, range(node.settled, upto + 1))
         brownout = step(node.energy, node.totals, node.tx_slot_info, node.settled,
-                        sunlit_seconds(node.orbit, edges), self.slot_s, self.harvest,
-                        self.profile, self._slot_terms)
+                        itertools.islice(node.sunlit, upto - node.settled), self.slot_s,
+                        self.harvest, self.profile, self._slot_terms)
         node.settled = upto
         return brownout
 

@@ -35,7 +35,7 @@ import bisect
 import json
 import math
 import sys
-from collections.abc import Iterable, Iterator
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -166,31 +166,28 @@ def next_phase_boundary(config: OrbitConfig, t: float) -> tuple[float, str]:
     return (sunset, ECLIPSE) if t < sunset < sunrise else (sunrise, SUN)
 
 
-def sunlit_seconds(config: OrbitConfig, times: Iterable[float]) -> Iterator[float]:
-    """Sunlit time between each two consecutive simulation times, yielded time by time.
+def sunlit_seconds(config: OrbitConfig, times: Sequence[float]) -> list[float]:
+    """Sunlit time between each two consecutive simulation times, as Python floats.
 
     Orbit time is simulation time plus the phase offset.  The sunlit measure
     of orbit time [0, u) is full * sun + min(rem, sun), with (full, rem) =
-    divmod(u, period); each time takes it once, as the walk reaches it, and
-    yields its difference from the time before.  This is the one formula for
-    sunlit time: `sun_seconds` is its two-time case, and a caller that
-    settles each value as it comes builds no list.
+    divmod(u, period); it is taken for all the times in one numpy pass, and
+    each value is its difference from the time before.  numpy's float64
+    `divmod`, arithmetic and `where` give the bits of CPython's scalar
+    operations, so each value is that of the scalar formula.  This is the
+    one formula for sunlit time: `sun_seconds` is its two-time case.
     """
-    period, sun, off = config.period_s, config.sun_duration_s, config.phase_time_offset_s
-    below = None
-    for t in times:
-        last = below
-        full, rem = divmod(t + off, period)
-        below = full * sun + (sun if sun < rem else rem)   # min(rem, sun), bit for bit
-        if last is not None:   # the first time only sets the measure the next one starts from
-            yield below - last
+    period, sun = config.period_s, config.sun_duration_s
+    full, rem = np.divmod(np.asarray(times, dtype=float) + config.phase_time_offset_s, period)
+    below = full * sun + np.where(sun < rem, sun, rem)   # min(rem, sun), bit for bit
+    return (below[1:] - below[:-1]).tolist()
 
 
 def sun_seconds(config: OrbitConfig, t0: float, t1: float) -> float:
     """Exact sunlit time within [t0, t1) under the phase profile."""
     if t1 < t0:
         raise ValueError(f"need t0 <= t1, got [{t0}, {t1})")
-    return next(sunlit_seconds(config, (t0, t1)))
+    return sunlit_seconds(config, (t0, t1))[0]
 
 
 def max_central_angle(altitude_m: float, min_elevation_rad: float) -> float:

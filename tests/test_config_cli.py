@@ -1,5 +1,6 @@
 """Scenario validation and the command-line surface."""
 
+import contextlib
 import copy
 import csv
 import dataclasses
@@ -16,6 +17,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leolora import cli
 from leolora.airtime import RadioConfig
@@ -32,7 +35,7 @@ from leolora.config import (
 )
 from leolora.energy import HarvestModel, PowerProfile
 from leolora.engine import END_OUTCOMES
-from leolora.exceptions import ConfigError, ValidationError
+from leolora.exceptions import Bounds, ConfigError, ValidationError
 from leolora.mac import MacConfig
 from leolora.orbit import (
     MAX_SCHEDULE_SAMPLES,
@@ -449,6 +452,17 @@ class TestCliSimulate:
             parse_scenario(scenario_dict)
         assert exc.value.problems == ["sim.duration_days: must be a finite number, got inf"]
 
+    def test_a_huge_int_for_a_string_or_flag_is_shown_short(self, scenario_dict):
+        scenario_dict["sim"]["protocol"] = 10**400
+        scenario_dict["radio"]["crc_on"] = -10**20
+        scenario_dict["stations"][0]["id"] = 10**17 - 1
+        with pytest.raises(ValidationError) as exc:
+            parse_scenario(scenario_dict)
+        assert exc.value.problems == [
+            f"stations[0].id: expected a string, got {10**17 - 1}",
+            "radio.crc_on: expected a boolean, got -1e+20",
+            "sim.protocol: expected a string, got an int past float range"]
+
     def test_backoff_span_overflow_exits_3(self, tmp_path, scenario_dict, monkeypatch, capsys):
         # 1e308 validates, but k * b0 overflows at the second attempt; with
         # every draw 0.0 each packet's first attempt fits and gets there
@@ -798,6 +812,9 @@ class TestScenarioFuzz:
     seconds.  Every key of each section and of `stations[0]`, and
     `battery.discharge_current_a`, is set to each of `FUZZ_VALUES` or
     deleted, and run through `main(["simulate", ...])` under a time limit.
+    Then, derandomized, 2 to 4 of those keys at once are set, each to one of
+    `FUZZ_VALUES`, deleted, or set to a value near the one it runs with or
+    near a bound it declares (`_near_values`), so many cases reach the engine.
     """
 
     CASE_LIMIT_S = 10.0
@@ -838,35 +855,46 @@ class TestScenarioFuzz:
                 code = exc
             err = capsys.readouterr().err
             problem = (f"raised {code!r}" if isinstance(code, Exception)
-                       else self.problem(key, value, code, err, summary))
+                       else self.problem([(key, value)], scenario, code, err, summary))
             if problem:
                 failures.append(f"{case}: {problem}")
         assert failures == []
 
     @staticmethod
-    def problem(key, value, code, err, summary) -> str | None:
-        """What is wrong with one case's exit code, error lines or summary, or None."""
+    def problem(changes, scenario, code, err, summary) -> str | None:
+        """What is wrong with one case's exit code, error lines or summary, or None.
+
+        changes are the case's (key, value) pairs and scenario what they made.
+        One change must give exactly the problem lines it breaks rules for;
+        several, at least one line and at most one a change, or a change's
+        count in `FUZZ_SEVERAL`, since changes may break a rule together.
+        """
         lines = err.splitlines()
+        keys = {key for key, _ in changes}
         # `main` reports the time limit's TimeoutError, an OSError, as exit 3
         if "Traceback" in err or "still running after" in err:
             return f"exit {code}: {err}"
-        if value == 1e306 and any(HUGE_NUMBER.search(line) for line in lines
-                                  if line.startswith("error:")):
+        if any(HUGE_NUMBER.search(line) for line in lines if line.startswith("error:")):
             return f"a problem line spells out a huge number: {lines}"
         if code == 3:
             # only an override file that cannot be read stops a run at exit 3
-            return None if key == "schedule_override_path" else f"exit 3: {err}"
+            return None if "schedule_override_path" in keys else f"exit 3: {err}"
         if code == 2:
             if not all(DOTTED_PATH_LINE.match(line) for line in lines):
                 return f"a line names no dotted path: {lines}"
-            if key == "discharge_current_a" and value is not _DELETE and value is not None:
-                # given beside the base's c_rate_reference, both forms are truly present
-                if BOTH_C_RATE_FORMS not in lines:
-                    return f"no line for both C-rate forms: {lines}"
-                lines = [line for line in lines if line != BOTH_C_RATE_FORMS]
-                return None if len(lines) <= 1 else f"more than one problem: {lines}"
-            several = sum(n for k, v, n in FUZZ_SEVERAL if k == key and v == value) or 1
-            return None if len(lines) == several else f"{len(lines)} problem lines: {lines}"
+            # both C-rate forms given is a line of its own, beside the values' problems
+            both = all(scenario["battery"].get(key) is not None
+                       for key in ("c_rate_reference", "discharge_current_a"))
+            if both != (BOTH_C_RATE_FORMS in lines):
+                return f"both C-rate forms given: {both}, but the lines are {lines}"
+            lines = [line for line in lines if line != BOTH_C_RATE_FORMS]
+            several = [sum(n for k, v, n in FUZZ_SEVERAL if k == key and v == value) or 1
+                       for key, value in changes]
+            if len(changes) == 1:
+                ok = len(lines) <= 1 if both else len(lines) == several[0]
+            else:
+                ok = (both or bool(lines)) and len(lines) <= sum(several)
+            return None if ok else f"{len(lines)} problem lines: {lines}"
         if code != 0:
             return f"exit {code}: {err}"
         doc = json.loads(summary.read_text())
@@ -875,3 +903,81 @@ class TestScenarioFuzz:
                 packets[k] for k in END_OUTCOMES):
             return f"packet accounting does not close: {packets}"
         return None
+
+    @settings(max_examples=600, derandomize=True)
+    @given(data=st.data())
+    def test_every_two_to_four_key_change_runs_or_is_refused(self, data, tmp_path_factory,
+                                                             default_dict):
+        base = copy.deepcopy(default_dict)
+        base["sim"].update(node_count=2, duration_days=0.001)
+        near = _near_values(base)
+        keys = data.draw(st.lists(st.sampled_from(list(near)), min_size=2, max_size=4,
+                                  unique=True), label="keys")
+        scenario, changes = copy.deepcopy(base), []
+        for where, key in keys:
+            value = data.draw(st.sampled_from(near[(where, key)])
+                              | st.sampled_from(FUZZ_VALUES + [_DELETE]), label=key)
+            section = functools.reduce(lambda d, k: d[k], where, scenario)
+            if value is _DELETE:
+                section.pop(key, None)
+            else:
+                section[key] = value
+            changes.append((key, value))
+        cwd = tmp_path_factory.mktemp("mutation")
+        cfg, summary = cwd / "scenario.json", cwd / "summary.json"
+        cfg.write_text(json.dumps(scenario))
+        err = io.StringIO()
+        with (time_limit(self.CASE_LIMIT_S), warnings.catch_warnings(),
+              contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO())):
+            warnings.simplefilter("ignore")
+            code = main(["simulate", "--config", str(cfg), "--out", str(cwd / "metrics.csv"),
+                         "--summary", str(summary)])
+        assert self.problem(changes, scenario, code, err.getvalue(), summary) is None
+
+
+# the section of the fuzz's base each scenario dataclass reads its fields from
+_SECTION = {OrbitConfig: ("orbit",), GroundStation: ("stations", 0),
+            DegradationParams: ("battery",), ThermalProfile: ("battery",),
+            BatteryScenario: ("battery",), HarvestModel: ("energy",), PowerProfile: ("energy",),
+            EnergyScenario: ("energy",), RadioConfig: ("radio",), MacConfig: ("mac",),
+            SimParams: ("sim",)}
+
+
+def _near_values(base) -> dict[tuple, list]:
+    """Values near each fuzzed key's valid one, by (section, key).
+
+    The value a key runs with in the base (derived, where the base gives
+    none) is scaled by 0, 1e-3, 0.5, 2 and 1e3, if a number.  Each bound
+    a key declares is taken with its neighbours, one ulp (for a whole
+    number, one) either side, and each of its choices as it is.
+    """
+    parsed = parse_scenario(base)
+    # (section, key) -> (bounds, whether a whole number, the value the base runs with)
+    declared = {(where, f.name): (f.metadata["bounds"], f.type in ("int", int),
+                                  getattr(_PARTS[part](parsed), f.name))
+                for part, where in _SECTION.items() for f in dataclasses.fields(part)
+                if "bounds" in f.metadata}
+    # the keys the reader bounds itself
+    declared[(("mac",), "slot_budget_s")] = (Bounds(gt=0.0), False, 40.0)
+    declared[(("mac",), "deadline_orbits")] = (Bounds(gt=0.0), False, 2.0)
+    declared[(("battery",), "discharge_current_a")] = (
+        Bounds(ge=0.0), False, parsed.battery.c_rate_reference * parsed.battery.capacity_rated_ah)
+    near = {}
+    for where, key, _ in TestScenarioFuzz.cases(base):
+        if (where, key) in near:
+            continue
+        section = functools.reduce(lambda d, k: d[k], where, base)
+        bounds, whole, value = declared.get((where, key)) or (Bounds(), False, section[key])
+        values = []
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            values += [type(value)(value * f) for f in (0, 1e-3, 0.5, 2, 1e3)]
+        for edge in (bounds.ge, bounds.gt, bounds.le):
+            if edge is not None:
+                values += ([edge - 1, edge, edge + 1] if whole else
+                           [math.nextafter(edge, -math.inf), edge, math.nextafter(edge, math.inf)])
+        if key == "node_count":
+            # a fleet at its bound runs for minutes, as long as its work takes, not
+            # hung: only the value past the bound is drawn
+            values = [v for v in values if v <= 1000 * value or v > bounds.le]
+        near[(where, key)] = values + list(bounds.choices or ()) or [value]
+    return near

@@ -167,8 +167,7 @@ def slot_runs(draw):
                         *(draw(st.floats(0.0, 1e6)) for _ in range(2)), draw(st.integers(0, 99)),
                         -draw(st.floats(0.0, 1e4)))
     phases = draw(st.lists(st.sampled_from([None, None, SUN, ECLIPSE]), min_size=n, max_size=n))
-    edges = (offset + k * slot_s for k in range(first, first + n + 1))
-    sun_s = list(sunlit_seconds(orbit, edges))
+    sun_s = sunlit_seconds(orbit, [offset + k * slot_s for k in range(first, first + n + 1)])
     return SlotRun(state, totals, orbit, offset, first, phases, sun_s, slot_s, harvest, profile)
 
 

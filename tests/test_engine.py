@@ -1,6 +1,7 @@
 """Full engine runs: accounting, collisions, fades and determinism."""
 
 import bisect
+import copy
 import dataclasses
 import heapq
 import itertools
@@ -397,7 +398,9 @@ class TestLifecycleInvariants:
 
     Every window open finds its packet waiting, every launched packet ends
     delivered or dropped before the run does (so `_finalize` has nothing in
-    flight to drop), and every report covers a non-empty period.
+    flight to drop), every report covers a non-empty period, and a node's
+    reports cover all its slots: a walk that drew fewer sunlit seconds than
+    it has slots would end short without an error.
     """
 
     RUNS = {**{case: (overrides, (1, 2, 3)) for case, overrides in GOLDEN_CASES.items()},
@@ -427,9 +430,12 @@ class TestLifecycleInvariants:
         monkeypatch.setattr(Simulator, "_on_window_open", on_window_open)
         monkeypatch.setattr(Simulator, "_launch", launch)
         for seed in seeds:
-            result = run(sc, seed=seed)
+            sim = Simulator(sc, seed=seed)
+            result = sim.run()
             for node in result.nodes:
                 assert node.in_flight is None or node.in_flight.state is not PacketState.IN_FLIGHT
+                assert sum(r.n_slots for r in sim.reports if r.node_id == node.node_id) \
+                    == node.n_slots
             rows = {}
             for m in result.metrics:
                 rows.setdefault(m.node_id, []).append(m.time_s)
@@ -716,6 +722,44 @@ class TestBoundedRunState:
         finally:
             tracemalloc.stop()
         assert peak < 5 * 2**20
+
+    def test_a_walk_of_many_blocks_keeps_no_list_of_its_slots(self, default_dict, monkeypatch):
+        # one node, no traffic and no stations over one orbit of 0.05 s slots
+        # (a radio fast enough to fit one): 108,000 slots in two walks.  The
+        # energies per slot are the default powers at this slot length, so
+        # only the guard splits the orbit.
+        d = copy.deepcopy(default_dict)
+        d["stations"] = []
+        scale = 0.05 / d["sim"]["slot_s"]
+        energy = {f"energy.{key}": d["energy"][key] * scale for key in
+                  ("e_sleep_j", "e_g_sun_j_per_slot", "charge_rate_limit_j_per_slot")}
+        sc = make_scenario(d, **energy, **{
+            "sim.node_count": 1, "sim.traffic_rate_per_s": 0.0, "sim.slot_s": 0.05,
+            "sim.duration_days": 5400.0 / 86400.0, "radio.spreading_factor": 7,
+            "radio.bandwidth_hz": 500000, "radio.payload_bytes": 1})
+        firsts = []
+
+        def spied(real):
+            def walk(state, totals, tx, first, *rest):
+                firsts.append(first)
+                return real(state, totals, tx, first, *rest)
+            return walk
+
+        monkeypatch.setattr(engine, "energy_step", spied(engine.energy_step))
+        monkeypatch.setattr(engine, "settle_slots", spied(engine.settle_slots))
+        sim = Simulator(sc, seed=1)
+        node = sim.nodes[0]
+        tracemalloc.start()
+        try:
+            sim.run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        walks = np.diff(firsts + [node.n_slots])
+        assert node.settled == node.n_slots == 107_999
+        assert len(walks) <= 3 and walks.min() > 100 * engine._SLOTS_PER_BLOCK
+        # a list of one walk's sunlit seconds would take over 1.7 MB
+        assert peak < 2**20
 
 
 class TestOrbitClosing:

@@ -134,11 +134,16 @@ class TestPhase:
 
     @staticmethod
     def _check_against_oracle(orbit, offset, slot_s, first, n):
-        """Both sunlit-time paths equal the oracle's difference, bit for bit."""
+        """Both sunlit-time paths equal the oracle's difference, bit for bit.
+
+        `sunlit_seconds` is also given the edges as the engine makes them,
+        one array of slot indices scaled and offset at once.
+        """
         edges = [offset + k * slot_s for k in range(first, first + n + 1)]
         want = [oracle_sun_seconds(orbit, a, b).hex() for a, b in zip(edges, edges[1:])]
-        got = sunlit_seconds(orbit, iter(edges))
-        assert [x.hex() for x in got] == want
+        assert [x.hex() for x in sunlit_seconds(orbit, edges)] == want
+        ticks = offset + np.arange(first, first + n + 1) * slot_s
+        assert [x.hex() for x in sunlit_seconds(orbit, ticks)] == want
         assert [sun_seconds(orbit, a, b).hex() for a, b in zip(edges, edges[1:])] == want
 
     @given(t=st.floats(0.0, 1e6), k=st.integers(1, 20))
@@ -155,6 +160,60 @@ class TestPhase:
             fine = np.arange(t0, t1, 0.25)
             brute = 0.25 * sum(phase_at(ORBIT, float(t)) == SUN for t in fine)
             assert sun_seconds(ORBIT, t0, t1) == pytest.approx(brute, abs=0.5)
+
+
+def _ulps_around(t: float, n: int) -> list[float]:
+    """t and the n floats either side of it."""
+    below, above = [t], [t]
+    for _ in range(n):
+        below.append(math.nextafter(below[-1], -math.inf))
+        above.append(math.nextafter(above[-1], math.inf))
+    return below[:0:-1] + above
+
+
+class TestSunlitNumerics:
+    """The numpy float64 operations `sunlit_seconds` takes its values from are CPython's.
+
+    It evaluates the scalar divmod formula on arrays, so its exactness
+    rests on numpy's float `divmod`, `*`, `+`, `-` and `where` giving the
+    bits CPython's scalar operations give, on every numpy the project admits.
+    """
+
+    PERIODS = (5400.0, 5677.3, 3411.1)
+    ORBITS = [OrbitConfig(period_s=p, sun_duration_s=s, altitude_m=550e3, inclination_rad=0.9,
+                          phase_offset_rad=phase)
+              for p, s, phase in ((5400.0, 3300.0, 0.0), (5677.3, 3411.1, 1.0),
+                                  (3411.1, 2000.3, 2.5))]
+
+    @pytest.mark.parametrize("period", PERIODS)
+    def test_numpy_divmod_is_cpython_divmod(self, period):
+        rng = np.random.default_rng(11)
+        times = rng.uniform(0.0, 1.3e8, 20_000).tolist()   # four years of orbit time
+        times += (rng.uniform(0.0, 1.0, 2_000) * 10.0 ** rng.integers(-12, 9, 2_000)).tolist()
+        multiples = [0, 1, 2, 3, 7, 100, 12_345, 23_000, 10**6]
+        for m in multiples + rng.integers(0, 24_000, 200).tolist():
+            times += _ulps_around(m * period, 1)
+        times += [-t for t in times]   # zeros, quotients and remainders of either sign
+        full, rem = np.divmod(np.array(times), period)
+        got = [(q.hex(), r.hex()) for q, r in zip(full.tolist(), rem.tolist())]
+        assert got == [(q.hex(), r.hex()) for q, r in (divmod(t, period) for t in times)]
+
+    @pytest.mark.parametrize("config", ORBITS, ids=["5400", "5677.3", "3411.1"])
+    def test_slots_within_three_ulps_of_a_phase_edge_match_the_oracle(self, config):
+        first, period = -config.phase_time_offset_s, config.period_s
+        rng = np.random.default_rng(12)
+        checked = 0
+        for m in [1, 2, 3, 50, 1000] + rng.integers(1, 23_000, 40).tolist():
+            for edge in (first + m * period, first + m * period + config.sun_duration_s):
+                for slot_s in (40.0, 33.3, 7.3):
+                    for t in _ulps_around(edge, 3):
+                        # a slot that ends at t, then one that starts there
+                        times = [t - slot_s, t, t + slot_s]
+                        want = [oracle_sun_seconds(config, a, b).hex()
+                                for a, b in zip(times, times[1:])]
+                        assert [x.hex() for x in sunlit_seconds(config, times)] == want
+                        checked += 2
+        assert checked == 45 * 2 * 3 * 7 * 2
 
 
 def _track_point(config, t):
