@@ -17,7 +17,6 @@ from __future__ import annotations
 import functools
 import json
 import math
-import sys
 import warnings
 from dataclasses import MISSING, dataclass, fields, replace
 from importlib import resources
@@ -26,7 +25,7 @@ from pathlib import Path
 from .airtime import RadioConfig, time_on_air, tx_energy
 from .battery import CycleStress, DegradationParams, ThermalProfile, cycle_aging
 from .energy import HarvestModel, PowerProfile
-from .exceptions import Bounds, ConfigError, ValidationError, bounded, check_bounds
+from .exceptions import Bounds, ConfigError, ValidationError, bounded, check_bounds, shown
 from .mac import MacConfig, nominal_backoff_base, transmit_stress
 from .orbit import GroundStation, OrbitConfig, TWO_PI, grid_problem
 from .report import MAX_DOD_OBSERVATIONS, MAX_NODE_ID
@@ -162,13 +161,6 @@ def _declared_type(annotation: str) -> tuple[str, bool]:
     return names[0], "None" in names
 
 
-def _shown(value) -> str:
-    """A value as a problem line shows it: a whole number of 18 digits or more in short form."""
-    if isinstance(value, int) and abs(value) >= 10**17:
-        return f"{value:.3g}" if abs(value) <= sys.float_info.max else "an int past float range"
-    return repr(value)
-
-
 class _Reader:
     """Typed, path-tracking accessor over a parsed JSON object."""
 
@@ -207,7 +199,7 @@ class _Reader:
         if kind in ("bool", "str"):
             if not isinstance(value, bool if kind == "bool" else str):
                 expected = "a boolean" if kind == "bool" else "a string"
-                self.problems.append(f"{self._at(key)}: expected {expected}, got {_shown(value)}")
+                self.problems.append(f"{self._at(key)}: expected {expected}, got {shown(value)}")
                 return default
             problem = bounds.problem(value)
             if problem is not None:

@@ -110,15 +110,6 @@ class EventKind(enum.Enum):
     REPORT_DUE = "report_due"
 
 
-class PacketState(enum.Enum):
-    """Lifecycle of one packet; delivered and dropped are terminal, and `_finish` sets both."""
-
-    WAITING = "waiting"
-    IN_FLIGHT = "in_flight"
-    DELIVERED = "delivered"
-    DROPPED = "dropped"
-
-
 # A node's packet counts, keyed as in the summary: how packets end, and how many began.
 DROP_OUTCOMES = ("dropped_energy", "dropped_collision_exhausted", "dropped_no_window")
 END_OUTCOMES = ("delivered",) + DROP_OUTCOMES
@@ -155,7 +146,8 @@ METRICS_COLUMNS = MetricsRecord._fields
 @dataclass(eq=False)   # one packet is equal only to itself: snapshots compare packets
 class _Packet:
     created: float
-    state: PacketState = PacketState.WAITING
+    # how it ended, its `END_OUTCOMES` key (`Simulator._finish`); None while it lives
+    outcome: str | None = None
     reserved_j: float = 0.0
     # the drawn sequence, (start, receiver, end-event sequence number) per
     # attempt; a receiver of None means nobody can hear that attempt
@@ -439,7 +431,6 @@ class Simulator:
 
         The slot of the first attempt is booked as a transmit in `tx_phase`.
         """
-        packet.state = PacketState.IN_FLIGHT
         # each attempt's end takes its sequence number now, so it orders
         # among simultaneous events as if it had been scheduled at launch
         packet.attempts = [(t, receiver, next(self._seq)) for t, receiver in attempts]
@@ -519,32 +510,18 @@ class Simulator:
         previous = packet.missed
         if previous is None or previous[0] != state:
             return state, None
-        waiting = self._waiting_opens(node, now)
-        if waiting is not None and waiting == previous[1] and all(
+        # every other heap entry is later than now, so these are the events at now in pop order
+        at_now = sorted(e for e in self._heap if e[0] == now)
+        if any(kind is not EventKind.WINDOW_OPEN or payload[0] != node.node_id
+               for _, _, _, kind, payload in at_now):
+            return state, None
+        waiting = tuple((q, w, q.reserved_j) for _, _, _, _, (_, q, w) in at_now)
+        if waiting == previous[1] and all(
                 q.missed is not None and q.missed[0][:2] == (now, w) for q, w, _ in waiting):
             windows = [w for _, w, _ in waiting] + [window]
             rounds = [(max(w.start, now, node.busy_until), w.end) for w in windows]
             node.backoff.skip_missed_rounds(rounds, self.toa, self.sc.mac.backoff_base_s)
         return state, waiting
-
-    def _waiting_opens(self, node: _Node, now: float) -> tuple | None:
-        """(packet, window, reservation) of each event at now in pop order, or None.
-
-        None unless every event waiting at now is a window open of `node`.
-        """
-        heap = self._heap
-        found = []
-        stack = [0]
-        while stack:
-            i = stack.pop()
-            if i < len(heap) and heap[i][0] == now:
-                found.append(heap[i])
-                stack += (2 * i + 1, 2 * i + 2)
-        found.sort()
-        if any(kind is not EventKind.WINDOW_OPEN or payload[0] != node.node_id
-               for _, _, _, kind, payload in found):
-            return None
-        return tuple((q, w, q.reserved_j) for _, _, _, _, (_, q, w) in found)
 
     def _on_attempt_end(self, now: float, payload: tuple):
         """Settle one attempt: delivered, retried with the next one, or dropped.
@@ -557,7 +534,7 @@ class Simulator:
         pending overlap nothing to come.
         """
         node_id, packet, k = payload
-        if packet.state is not PacketState.IN_FLIGHT:   # a brownout dropped it in flight
+        if packet.outcome is not None:   # a brownout dropped it in flight
             return
         node = self.nodes[node_id]
         record = packet.attempts[k]
@@ -587,7 +564,7 @@ class Simulator:
     def _finish(self, node: _Node, packet: _Packet, outcome: str):
         """End a packet: release its reservation and count it under one of `END_OUTCOMES`."""
         self._release(node, packet)
-        packet.state = PacketState.DELIVERED if outcome == "delivered" else PacketState.DROPPED
+        packet.outcome = outcome
         node.packets[outcome] += 1
 
     # ── slot ticks and lazy settling ─────────────────────────────────────

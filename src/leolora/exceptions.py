@@ -1,4 +1,5 @@
-"""Shared exception types, and the bounds a scenario field declares once.
+"""Shared exception types, the bounds a scenario field declares once, and
+`shown`, the one way the scenario and override readers show a value.
 
 A scenario dataclass declares each field with `bounded`: its bounds and its
 scenario default live on the field.  The constructor enforces them through
@@ -8,6 +9,7 @@ scenario default live on the field.  The constructor enforces them through
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import MISSING, dataclass, field, fields
 
 
@@ -25,6 +27,13 @@ class ValidationError(ValueError):
     def __init__(self, problems: list[str]):
         self.problems = list(problems)
         super().__init__("; ".join(self.problems))
+
+
+def shown(value) -> str:
+    """A value as a problem line shows it: a whole number of 18 digits or more in short form."""
+    if isinstance(value, int) and abs(value) >= 10**17:
+        return f"{value:.3g}" if abs(value) <= sys.float_info.max else "an int past float range"
+    return repr(value)
 
 
 @dataclass(frozen=True)

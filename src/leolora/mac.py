@@ -57,14 +57,6 @@ class TxDecision:
         if (self.window is None) == (self.reason is None):
             raise ValueError("decision must carry exactly one of window or reason")
 
-    @classmethod
-    def transmit(cls, window: ForecastWindow) -> "TxDecision":
-        return cls(window=window)
-
-    @classmethod
-    def drop(cls, reason: DropReason) -> "TxDecision":
-        return cls(reason=reason)
-
     @property
     def is_transmit(self) -> bool:
         return self.window is not None
@@ -194,8 +186,8 @@ def select_forecast_window(
         if best is None or key < best[0]:
             best = (key, window, estimate)
     if best is not None:
-        return SelectionResult(TxDecision.transmit(best[1]), best[2])
-    return SelectionResult(TxDecision.drop(failed[1] if failed else DropReason.NO_WINDOW), None)
+        return SelectionResult(TxDecision(window=best[1]), best[2])
+    return SelectionResult(TxDecision(reason=failed[1] if failed else DropReason.NO_WINDOW), None)
 
 
 class Backoff:

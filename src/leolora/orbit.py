@@ -41,7 +41,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .exceptions import bounded, check_bounds
+from .exceptions import bounded, check_bounds, shown
+from .report import MAX_NODE_ID
 
 EARTH_RADIUS_M = 6.371e6
 EARTH_ROTATION_RAD_S = 7.2921159e-5
@@ -352,9 +353,10 @@ def load_schedule_override(source: str | Path | list) -> dict[int, Schedule]:
     """Parse a schedule-override file: a JSON array of window records.
 
     Records are {node, target, start_s, end_s, phase} objects, node a whole
-    number, target a non-empty string and start_s, end_s finite numbers;
-    each node's windows must satisfy the usual window invariants.  A
-    malformed record raises ValueError naming its index.
+    number in [0, MAX_NODE_ID] (the uplink's node_id is a uint16), target a
+    non-empty string and start_s, end_s finite numbers; each node's
+    windows must satisfy the usual window invariants.  A malformed record
+    raises ValueError naming its index.
     """
     if isinstance(source, (str, Path)):
         records = json.loads(Path(source).read_text())
@@ -378,10 +380,13 @@ def load_schedule_override(source: str | Path | list) -> dict[int, Schedule]:
             if (isinstance(value, bool) or not isinstance(value, (int, float))
                     or not abs(value) <= sys.float_info.max):
                 raise ValueError(f"override record {i}: {key} must be a finite number, "
-                                 f"got {value!r}")
+                                 f"got {shown(value)}")
         node, target = int(rec["node"]), rec["target"]
         if node != rec["node"]:
             raise ValueError(f"override record {i}: node {rec['node']!r} is not a whole number")
+        if not 0 <= node <= MAX_NODE_ID:
+            raise ValueError(f"override record {i}: node must be in [0, {MAX_NODE_ID}], "
+                             f"got {shown(node)}")
         if not isinstance(target, str) or not target:
             raise ValueError(f"override record {i}: target must be a non-empty string, "
                              f"got {target!r}")

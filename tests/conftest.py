@@ -165,19 +165,19 @@ def attempt_spy(monkeypatch):
     seq)` entry in `_Packet.attempts` and delivered is whether that attempt
     got through.
     """
-    from leolora.engine import PacketState, Simulator
+    from leolora.engine import Simulator
 
     real = Simulator._on_attempt_end
     logs: dict[int, tuple[list, list]] = {}  # id(sim.nodes) -> (sim.nodes, log)
 
     def spy(sim, now, payload):
         _, packet, k = payload
-        settles = packet.state is PacketState.IN_FLIGHT
+        settles = packet.outcome is None   # launched, so in flight until it ends
         real(sim, now, payload)
         record = packet.attempts[k]
         if settles and record[1] is not None:
             log = logs.setdefault(id(sim.nodes), (sim.nodes, []))[1]
-            log.append((record, packet.state is PacketState.DELIVERED))
+            log.append((record, packet.outcome == "delivered"))
 
     monkeypatch.setattr(Simulator, "_on_attempt_end", spy)
     return lambda result: logs.get(id(result.nodes), (None, []))[1]

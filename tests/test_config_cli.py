@@ -489,6 +489,9 @@ class TestCliSimulate:
         [{"node": None, "target": "gw", "start_s": 0.0, "end_s": 600.0, "phase": "sun"}],
         # a null target is not a station named "None"
         [{"node": 0, "target": None, "start_s": 0.0, "end_s": 600.0, "phase": "sun"}],
+        # no node outside the uplink's uint16 node_id range can exist
+        *([{"node": n, "target": "gw", "start_s": 0.0, "end_s": 600.0, "phase": "sun"}]
+          for n in (10**40, -1, 65536, 70000, 10**400)),
     ])
     def test_malformed_override_record_exits_3(self, tmp_path, scenario_dict, records, capsys):
         override = tmp_path / "override.json"
@@ -501,6 +504,7 @@ class TestCliSimulate:
         assert code == 3
         err = capsys.readouterr().err
         assert err.startswith("error: override record 0") and err.count("\n") == 1
+        assert len(err) < 100   # a huge number is shown short
 
     @pytest.mark.parametrize("sweep", ["1", "3"])
     def test_negative_seed_exits_2(self, tmp_path, sweep, capsys):

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from leolora import engine
 from leolora.airtime import time_on_air
-from leolora.engine import PacketState, Simulator, run
+from leolora.engine import Simulator, run
 from leolora.exceptions import ContractError
 from leolora.orbit import (
     ECLIPSE,
@@ -393,6 +393,11 @@ class TestFullRuns:
             assert gw["dc_cycle"] == pytest.approx(node.battery.dc_cycle_total, rel=1e-12)
 
 
+def _in_flight(packet) -> bool:
+    """Launched and not yet ended: a packet waits with no attempts, and ends with an outcome."""
+    return packet.outcome is None and bool(packet.attempts)
+
+
 class TestLifecycleInvariants:
     """What the engine relies on without checking it, over the golden cases and `steady`.
 
@@ -420,7 +425,7 @@ class TestLifecycleInvariants:
         real_open, real_launch = Simulator._on_window_open, Simulator._launch
 
         def on_window_open(sim, now, payload):
-            opens.append(payload[1].state)
+            opens.append((payload[1].outcome, len(payload[1].attempts)))
             real_open(sim, now, payload)
 
         def launch(sim, node, packet, tx_phase, attempts):
@@ -433,7 +438,7 @@ class TestLifecycleInvariants:
             sim = Simulator(sc, seed=seed)
             result = sim.run()
             for node in result.nodes:
-                assert node.in_flight is None or node.in_flight.state is not PacketState.IN_FLIGHT
+                assert node.in_flight is None or not _in_flight(node.in_flight)
                 assert sum(r.n_slots for r in sim.reports if r.node_id == node.node_id) \
                     == node.n_slots
             rows = {}
@@ -442,9 +447,9 @@ class TestLifecycleInvariants:
             for times in rows.values():
                 assert 0.0 < times[0] and all(a < b for a, b in zip(times, times[1:]))
         assert opens or "naive" in case
-        assert all(state is PacketState.WAITING for state in opens)
+        assert all(state == (None, 0) for state in opens)   # waiting: not ended, no attempts
         assert launched
-        assert {p.state for p in launched} <= {PacketState.DELIVERED, PacketState.DROPPED}
+        assert all(p.outcome in engine.END_OUTCOMES for p in launched)
 
     def test_a_window_open_at_the_reserve_edge_agrees_with_the_re_decision(self, default_dict):
         # With the packet's reservation given back, this state sits within an
@@ -471,7 +476,7 @@ class TestLifecycleInvariants:
             opens += 1
             sim._on_window_open(time, payload)
         assert opens <= 2
-        assert packet.state is PacketState.IN_FLIGHT
+        assert _in_flight(packet)
 
 
 class TestRedrawCollapse:

@@ -484,11 +484,13 @@ class TestScheduleOverride:
         with pytest.raises(ValueError):
             load_schedule_override(bad)
         # a record that is not an object, whose node or times are not
-        # finite numbers (node a whole one), or whose target is not a
-        # non-empty string, is named by its index
+        # finite numbers (node a whole one, within the uplink's uint16
+        # node_id), or whose target is not a non-empty string, is named by
+        # its index
         good = self.RECORDS[0]
         for record in ([1, 2], None, "0", {**good, "node": None}, {**good, "node": "0"},
-                       {**good, "node": True}, {**good, "node": 1.5},
+                       {**good, "node": True}, {**good, "node": 1.5}, {**good, "node": -1},
+                       {**good, "node": 65536}, {**good, "node": 10**40},
                        {**good, "node": float("inf")}, {**good, "start_s": None},
                        {**good, "start_s": "0"}, {**good, "end_s": float("nan")},
                        {**good, "end_s": 10**400}, {**good, "target": None},
@@ -498,6 +500,7 @@ class TestScheduleOverride:
         # ids are strings, so windows sharing a start still sort by id
         per_node = load_schedule_override([{**good, "window_id": 1}, {**good, "target": "b"}])
         assert [w.window_id for w in per_node[0].windows] == ["1", "b:override:1"]
+        assert set(load_schedule_override([{**good, "node": 65535}])) == {65535}
 
     def test_missing_fields_reported(self):
         with pytest.raises(ValueError, match="missing fields"):
