@@ -1,15 +1,21 @@
-"""Scenario ingestion: JSON parsing, total validation, derived defaults.
+"""Outside input: scenario files and schedule-override files, read by one reader.
 
 All physical quantities carry explicit SI units in their field names
 (period_s, ea_j_per_mol, ...).  Each scenario dataclass declares every
 field's bounds and scenario default once, on the field (`bounded`); its
-constructor enforces them, and the reader here reads each section from the
-same declaration: a field's type, its default (none: the key is required)
-and its bounds.  Validation is total: every violation in a malformed
-scenario is collected and reported with its dotted path, and a
-ValidationError is raised carrying the whole list.  Keys starting with an
-underscore and the top-level "presets" block are documentation and are
-ignored; any other unknown key produces a warning.
+constructor enforces them, and the reader here (`_Reader`) reads each
+section from the same declaration: a field's type, its default (none: the
+key is required) and its bounds.  Validation is total: every violation in a
+malformed scenario is collected and reported with its dotted path, and a
+ValidationError is raised carrying the whole list.  A level that is missing
+or is not an object is one problem, and nothing under it reports.  Keys
+starting with an underscore and the top-level "presets" block are
+documentation and are ignored; any other unknown key produces a warning.
+
+The schedule-override file a scenario may name (`sim.schedule_override_path`)
+is read by the same reader, a record at a time, when the schedules are
+built (`load_schedule_override`); its first problem raises ValueError
+naming the record.
 """
 
 from __future__ import annotations
@@ -27,7 +33,8 @@ from .battery import CycleStress, DegradationParams, ThermalProfile, cycle_aging
 from .energy import HarvestModel, PowerProfile
 from .exceptions import Bounds, ConfigError, ValidationError, bounded, check_bounds, shown
 from .mac import MacConfig, nominal_backoff_base, transmit_stress
-from .orbit import GroundStation, OrbitConfig, TWO_PI, grid_problem
+from .orbit import (TWO_PI, ForecastWindow, GroundStation, OrbitConfig, Schedule,
+                    grid_problem)
 from .report import MAX_DOD_OBSERVATIONS, MAX_NODE_ID
 
 TRAFFIC_MODELS = ("poisson", "periodic", "none")
@@ -162,26 +169,42 @@ def _declared_type(annotation: str) -> tuple[str, bool]:
 
 
 class _Reader:
-    """Typed, path-tracking accessor over a parsed JSON object."""
+    """Typed, path-tracking accessor over a parsed JSON object.
 
-    def __init__(self, data: dict, path: str, problems: list[str], notes: list[str]):
-        self.data = data if isinstance(data, dict) else {}
+    A level that is missing or is not an object is one problem, `broken`;
+    the reader over it builds nothing and records nothing more, so nothing
+    under that level reports.
+    """
+
+    def __init__(self, data: dict, path: str, problems: list[str], notes: list[str],
+                 broken: str | None = "expected an object"):
+        self.ok = isinstance(data, dict)
+        self.data = data if self.ok else {}
         self.path = path
         self.problems = problems
         self.notes = notes
         self.seen: set[str] = set()
-        if not isinstance(data, dict):
-            problems.append(f"{path}: expected an object")
+        if not self.ok and broken is not None:
+            problems.append(f"{path or 'scenario'}: {broken}")
 
     def _at(self, key: str) -> str:
         return f"{self.path}.{key}" if self.path else key
 
     def section(self, key: str) -> "_Reader":
         self.seen.add(key)
-        if key not in self.data:
-            self.problems.append(f"{self._at(key)}: missing required section")
-            return _Reader({}, self._at(key), self.problems, self.notes)
-        return _Reader(self.data[key], self._at(key), self.problems, self.notes)
+        broken = (None if not self.ok else "missing required section" if key not in self.data
+                  else "expected an object")
+        return _Reader(self.data.get(key), self._at(key), self.problems, self.notes, broken)
+
+    def items(self, key: str) -> list["_Reader"]:
+        """A reader over each element of the array at key; none if the key is absent."""
+        self.seen.add(key)
+        items = self.data.get(key, [])
+        if not isinstance(items, list):
+            self.problems.append(f"{self._at(key)}: expected an array")
+            return []
+        return [_Reader(item, f"{self._at(key)}[{i}]", self.problems, self.notes)
+                for i, item in enumerate(items)]
 
     def value(self, key: str, kind: str = "float", bounds: Bounds = Bounds(),
               default=None, required: bool = False):
@@ -192,7 +215,7 @@ class _Reader:
         """
         self.seen.add(key)
         if key not in self.data or self.data[key] is None:
-            if required:
+            if required and self.ok:
                 self.problems.append(f"{self._at(key)}: missing required value")
             return default
         value = self.data[key]
@@ -239,8 +262,9 @@ class _Reader:
         return value
 
     def guarded(self, key: str, compute, *inputs):
-        """compute(*inputs); None if an input failed, or with one problem of key if compute does."""
-        if None in inputs:
+        """compute(*inputs); None if an input or this level failed, or with one problem
+        of key if compute does."""
+        if not self.ok or None in inputs:
             return None
         try:
             return compute(*inputs)
@@ -255,7 +279,10 @@ class _Reader:
         the field failed its own check (which is recorded), so construction
         is skipped - except for fields declared optional, where None is a
         legitimate value.  A constructor's error is folded into the problems.
+        A broken level builds nothing.
         """
+        if not self.ok:
+            return None
         values = {f.name: given[f.name] if f.name in given else self.field(cls, f.name)
                   for f in fields(cls)}
         if any(v is None and not _declared_type(cls.__dataclass_fields__[k].type)[1]
@@ -284,14 +311,8 @@ def parse_scenario(data: dict) -> ScenarioConfig:
     orbit = orbit_r.build(OrbitConfig)
     orbit_r.warn_unknown()
 
-    root.seen.add("stations")
     stations: list[GroundStation] = []
-    raw_stations = data.get("stations", [])
-    if not isinstance(raw_stations, list):
-        problems.append("stations: expected an array")
-        raw_stations = []
-    for i, raw in enumerate(raw_stations):
-        st_r = _Reader(raw, f"stations[{i}]", problems, notes)
+    for i, st_r in enumerate(root.items("stations")):
         station_id = st_r.field(GroundStation, "id", derive=(lambda: f"gs-{i}",))
         station = st_r.build(GroundStation, id=station_id)
         st_r.warn_unknown()
@@ -310,7 +331,7 @@ def parse_scenario(data: dict) -> ScenarioConfig:
              if bat_r.data.get(key) is not None]
     if len(given) == 2:
         problems.append("battery: give either c_rate_reference or discharge_current_a, not both")
-    elif not given:
+    elif not given and bat_r.ok:
         problems.append("battery: one of c_rate_reference or discharge_current_a is required")
     battery = bat_r.build(BatteryScenario, params=deg, thermal=thermal,
                           capacity_rated_ah=capacity_ah, c_rate_reference=c_rate_ref)
@@ -428,6 +449,40 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
     except json.JSONDecodeError as exc:
         raise ValidationError([f"{path}: not valid JSON: {exc}"]) from exc
     return parse_scenario(data)
+
+
+def load_schedule_override(source: str | Path | list) -> dict[int, Schedule]:
+    """Read a schedule-override file: a JSON array of window records, by node.
+
+    Each record is read as a scenario section is: node a whole number in
+    [0, MAX_NODE_ID] (the uplink's node_id is a uint16), start_s and end_s
+    numbers, target a non-empty string and phase a string; a window_id
+    given is taken as its str.  The windows and each node's schedule keep
+    their own checks.  The first problem raises ValueError naming its
+    record ("override record 3.node: ...").
+    """
+    if isinstance(source, (str, Path)):
+        source = json.loads(Path(source).read_text())
+    records = source["windows"] if isinstance(source, dict) and "windows" in source else source
+    if not isinstance(records, list):
+        raise ValueError("schedule override must be a JSON array of window records")
+
+    per_node: dict[int, list[ForecastWindow]] = {}
+    for i, rec in enumerate(records):
+        problems: list[str] = []
+        rec_r = _Reader(rec, f"override record {i}", problems, [])
+        node = rec_r.value("node", "int", Bounds(ge=0, le=MAX_NODE_ID), required=True)
+        target = rec_r.value("target", "str", required=True)
+        if target == "":
+            problems.append(f"{rec_r._at('target')}: must not be empty")
+        window = rec_r.build(
+            ForecastWindow, window_id=str(rec_r.data.get("window_id", f"{target}:override:{i}")),
+            start=rec_r.value("start_s", required=True), end=rec_r.value("end_s", required=True),
+            phase=rec_r.value("phase", "str", required=True), target=target)
+        if problems:
+            raise ValueError(problems[0])
+        per_node.setdefault(node, []).append(window)
+    return {node: Schedule(windows=tuple(ws)) for node, ws in per_node.items()}
 
 
 def default_scenario_dict() -> dict:

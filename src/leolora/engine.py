@@ -65,7 +65,7 @@ import numpy as np
 
 from .airtime import time_on_air
 from .battery import BatteryState, step_battery_per_orbit
-from .config import ScenarioConfig
+from .config import ScenarioConfig, load_schedule_override
 from .energy import NodeEnergyState, SlotTotals, energy_step, ewma_update, settle_slots
 from .exceptions import ContractError
 from .mac import (
@@ -84,7 +84,6 @@ from .orbit import (
     Schedule,
     build_schedule,
     grid_floor,
-    load_schedule_override,
     phase_at,
     phase_edges,
     sunlit_seconds,

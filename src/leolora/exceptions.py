@@ -1,5 +1,5 @@
 """Shared exception types, the bounds a scenario field declares once, and
-`shown`, the one way the scenario and override readers show a value.
+`shown`, the one way the reader of scenario and override files shows a value.
 
 A scenario dataclass declares each field with `bounded`: its bounds and its
 scenario default live on the field.  The constructor enforces them through

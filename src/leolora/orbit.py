@@ -1,5 +1,8 @@
 """Sun/eclipse phase timeline and satellite-ground visibility windows.
 
+This module is geometry only: it reads no files.  Forecast windows given
+from outside (a schedule-override file) are read by `config`.
+
 The phase timeline is profile-driven: sunrises on the exact grid
 -offset + m * period (placed by `grid_floor`), each starting a fixed sunlit
 span.  Visibility uses a spherical Earth, a circular-orbit ground track,
@@ -32,17 +35,13 @@ merged runs of visible samples) are those of the full scan, bit for bit.
 from __future__ import annotations
 
 import bisect
-import json
 import math
-import sys
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
-from .exceptions import bounded, check_bounds, shown
-from .report import MAX_NODE_ID
+from .exceptions import bounded, check_bounds
 
 EARTH_RADIUS_M = 6.371e6
 EARTH_ROTATION_RAD_S = 7.2921159e-5
@@ -347,50 +346,3 @@ def build_schedule(
     if horizon <= 0:
         raise ValueError(f"horizon must be > 0, got {horizon}")
     return Schedule(windows=tuple(_passes(config, stations, t0, t0 + horizon, step)))
-
-
-def load_schedule_override(source: str | Path | list) -> dict[int, Schedule]:
-    """Parse a schedule-override file: a JSON array of window records.
-
-    Records are {node, target, start_s, end_s, phase} objects, node a whole
-    number in [0, MAX_NODE_ID] (the uplink's node_id is a uint16), target a
-    non-empty string and start_s, end_s finite numbers; each node's
-    windows must satisfy the usual window invariants.  A malformed record
-    raises ValueError naming its index.
-    """
-    if isinstance(source, (str, Path)):
-        records = json.loads(Path(source).read_text())
-    else:
-        records = source
-    if isinstance(records, dict) and "windows" in records:
-        records = records["windows"]
-    if not isinstance(records, list):
-        raise ValueError("schedule override must be a JSON array of window records")
-
-    per_node: dict[int, list[ForecastWindow]] = {}
-    for i, rec in enumerate(records):
-        if not isinstance(rec, dict):
-            raise ValueError(f"override record {i} is not an object: {rec!r}")
-        missing = {"node", "target", "start_s", "end_s", "phase"} - set(rec)
-        if missing:
-            raise ValueError(f"override record {i} missing fields: {sorted(missing)}")
-        for key in ("node", "start_s", "end_s"):
-            value = rec[key]
-            # abs(value) <= max also rules out NaN, infinities and ints past float range
-            if (isinstance(value, bool) or not isinstance(value, (int, float))
-                    or not abs(value) <= sys.float_info.max):
-                raise ValueError(f"override record {i}: {key} must be a finite number, "
-                                 f"got {shown(value)}")
-        node, target = int(rec["node"]), rec["target"]
-        if node != rec["node"]:
-            raise ValueError(f"override record {i}: node {rec['node']!r} is not a whole number")
-        if not 0 <= node <= MAX_NODE_ID:
-            raise ValueError(f"override record {i}: node must be in [0, {MAX_NODE_ID}], "
-                             f"got {shown(node)}")
-        if not isinstance(target, str) or not target:
-            raise ValueError(f"override record {i}: target must be a non-empty string, "
-                             f"got {target!r}")
-        per_node.setdefault(node, []).append(ForecastWindow(
-            str(rec.get("window_id", f"{target}:override:{i}")), float(rec["start_s"]),
-            float(rec["end_s"]), str(rec["phase"]), target))
-    return {node: Schedule(windows=tuple(ws)) for node, ws in per_node.items()}

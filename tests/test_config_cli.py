@@ -31,18 +31,14 @@ from leolora.config import (
     EnergyScenario,
     SimParams,
     load_scenario,
+    load_schedule_override,
     parse_scenario,
 )
 from leolora.energy import HarvestModel, PowerProfile
 from leolora.engine import END_OUTCOMES
 from leolora.exceptions import Bounds, ConfigError, ValidationError
 from leolora.mac import MacConfig
-from leolora.orbit import (
-    MAX_SCHEDULE_SAMPLES,
-    GroundStation,
-    OrbitConfig,
-    load_schedule_override,
-)
+from leolora.orbit import MAX_SCHEDULE_SAMPLES, GroundStation, OrbitConfig
 
 from conftest import time_limit
 
@@ -204,6 +200,29 @@ class TestValidation:
         path.write_text("{nope")
         with pytest.raises(ValidationError, match="not valid JSON"):
             load_scenario(path)
+
+    def test_an_empty_scenario_is_one_line_a_section(self):
+        with pytest.raises(ValidationError) as exc:
+            parse_scenario({})
+        assert exc.value.problems == [f"{name}: missing required section" for name in
+                                      ("orbit", "battery", "radio", "energy", "mac", "sim")]
+
+    @pytest.mark.parametrize("where, value, line", [
+        *((None, value, "scenario: expected an object") for value in ([], 5, "x", None, True)),
+        *(("orbit", value, "orbit: expected an object") for value in ([], 5, None)),
+        ("battery", 5, "battery: expected an object"),   # and no C-rate line
+        ("stations", 5, "stations: expected an array"),
+        ("stations", [5], "stations[0]: expected an object"),
+    ])
+    def test_a_level_that_is_not_an_object_is_one_line(self, scenario_dict, where, value,
+                                                        line):
+        if where is None:
+            scenario_dict = value
+        else:
+            scenario_dict[where] = value
+        with pytest.raises(ValidationError) as exc:
+            parse_scenario(scenario_dict)
+        assert exc.value.problems == [line]
 
     def test_steady_state_phi_continuous_at_dawn(self, default_scenario):
         sc = default_scenario
@@ -516,6 +535,16 @@ class TestCliSimulate:
 
 
 class TestCliDegradation:
+    def test_json_rows_equal_the_csv_rows(self, tmp_path):
+        csv_out, json_out = tmp_path / "curve.csv", tmp_path / "curve.json"
+        argv = ["degradation", "--years", "0.5", "--resolution", "7"]
+        assert main([*argv, "--out", str(csv_out)]) == 0
+        assert main([*argv, "--format", "json", "--out", str(json_out)]) == 0
+        header, *rows = csv.reader(io.StringIO(csv_out.read_text()))
+        doc = json.loads(json_out.read_text())
+        assert len(doc) == len(rows) > 1
+        assert doc == [dict(zip(header, map(float, row))) for row in rows]
+
     def test_zero_years_header_only(self, tmp_path):
         out = tmp_path / "curve.csv"
         assert main(["degradation", "--years", "0", "--out", str(out)]) == 0
@@ -735,6 +764,12 @@ def _heavy_traffic(d, cwd):
     d["sim"]["traffic_rate_per_s"] = 250000.0
 
 
+def _huge_node_override(d, cwd):
+    (cwd / "node_override.json").write_text(json.dumps(
+        [{"node": 65536, "target": "gw", "start_s": 0.0, "end_s": 600.0, "phase": "sun"}]))
+    d["sim"]["schedule_override_path"] = str(cwd / "node_override.json")
+
+
 def _bad_override(d, cwd):
     (cwd / "bad_override.json").write_text("[1]")
     d["sim"]["schedule_override_path"] = str(cwd / "bad_override.json")
@@ -748,7 +783,8 @@ class TestConsoleScript:
     fails at the limit.
     """
 
-    # (arguments, the scenario file they read as (name, change to the default), exit code)
+    # (arguments, the scenario file they read as (name, change to the default, or
+    # the file's text), exit code); a failing run prints one `error:` line
     @pytest.mark.parametrize("argv, config, code", [
         (["schedule", "--step-s", "0", "--out", "step0.json"], None, 2),
         (["simulate", "--seed", "-1"], None, 2),
@@ -776,19 +812,34 @@ class TestConsoleScript:
          ("huge_voltage.json", _huge_voltage), 2),
         (["simulate", "--config", "heavy_traffic.json"],
          ("heavy_traffic.json", _heavy_traffic), 2),
+        (["simulate", "--config", "node_override_cfg.json"],
+         ("node_override_cfg.json", _huge_node_override), 3),
+        # a scenario file that is not an object
+        (["simulate", "--config", "array.json"], ("array.json", "[]"), 2),
+        (["simulate", "--config", "null.json"], ("null.json", "null"), 2),
+        (["schedule", "--config", "array.json"], ("array.json", "[]"), 2),
+        (["airtime", "--config", "null.json"], ("null.json", "null"), 2),
     ], ids=["step_zero", "negative_seed", "years_inf", "resolution_tiny", "years_1000",
             "grid_too_fine", "tiny_reports", "coarse_grid_too_large", "odd_orbit",
-            "bad_override", "capacity_overflow", "voltage_overflow", "heavy_traffic"])
+            "bad_override", "capacity_overflow", "voltage_overflow", "heavy_traffic",
+            "override_node_past_uint16", "simulate_array", "simulate_null", "schedule_array",
+            "airtime_null"])
     def test_exit_code(self, tmp_path, scenario_dict, argv, config, code):
         if config is not None:
             name, change = config
-            change(scenario_dict, tmp_path)
-            (tmp_path / name).write_text(json.dumps(scenario_dict))
+            if isinstance(change, str):
+                (tmp_path / name).write_text(change)
+            else:
+                change(scenario_dict, tmp_path)
+                (tmp_path / name).write_text(json.dumps(scenario_dict))
         src = str(Path(cli.__file__).resolve().parents[1])
         done = subprocess.run([sys.executable, "-m", "leolora.cli", *argv], cwd=tmp_path,
                               capture_output=True, timeout=20,
                               env={**os.environ, "PYTHONPATH": src})
-        assert done.returncode == code, done.stderr.decode()
+        err = done.stderr.decode()
+        assert done.returncode == code, err
+        if code:
+            assert [line.startswith("error: ") for line in err.splitlines()] == [True], err
 
 
 # Each key of the one-key scenario fuzz is set to each of these, or deleted.

@@ -507,6 +507,53 @@ class TestRedrawCollapse:
             summary = run(make_scenario(default_dict, **STEADY), seed=0).summary
         assert 0 < opens <= 1.3 * summary["packets_terminal"]
 
+    @pytest.mark.parametrize("waiting", ["nothing", "another_node", "report"])
+    def test_a_round_with_another_event_waiting_is_not_skipped(self, waiting, default_dict,
+                                                               monkeypatch):
+        # the same packet misses on the same window at the same instant, three times over
+        skips = []
+        monkeypatch.setattr(engine.Backoff, "skip_missed_rounds",
+                            lambda backoff, rounds, toa, high: skips.append(rounds) or 0)
+        sim = Simulator(make_scenario(default_dict, **STEADY), seed=1, schedules={})
+        sim.now, node = 100.0, sim.nodes[0]
+        window = ForecastWindow("gw:0", 100.0, 700.0, SUN, "gw")
+        packet, other = engine._Packet(created=0.0), engine._Packet(created=0.0)
+        other.missed = ((sim.now, window), None)   # as if it missed there too
+        sim._heap = {
+            "nothing": [],
+            "another_node": [(sim.now, engine._OTHER, 0, engine.EventKind.WINDOW_OPEN,
+                              (1, other, window))],
+            "report": [(sim.now, engine._OTHER, 0, engine.EventKind.REPORT_DUE, ())],
+        }[waiting]
+        for _ in range(3):
+            packet.missed = sim._skip_repeated_rounds(node, packet, window)
+        if waiting == "nothing":
+            # the first miss is a snapshot, the second its round; the third repeats it
+            assert packet.missed[1] == () and skips == [[(100.0, 700.0)]]
+        else:
+            assert packet.missed[1] is None and skips == []
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+    def test_skipping_rounds_changes_no_output(self, seed, tmp_path, default_dict, monkeypatch):
+        sc = make_scenario(default_dict, **{**STEADY, "sim.duration_days": 1.0})
+        skipped = []
+        real = engine.Backoff.skip_missed_rounds
+
+        def skip_missed_rounds(backoff, *args):
+            skipped.append(real(backoff, *args))
+            return skipped[-1]
+
+        outputs = []
+        for stub in (skip_missed_rounds, lambda backoff, *args: 0):   # the second never skips
+            monkeypatch.setattr(engine.Backoff, "skip_missed_rounds", stub)
+            result = run(sc, seed=seed)
+            engine.write_metrics_csv(result.metrics, tmp_path / "metrics.csv")
+            engine.write_summary_json(result.summary, tmp_path / "summary.json")
+            outputs.append((tmp_path / "metrics.csv").read_bytes()
+                           + (tmp_path / "summary.json").read_bytes())
+        assert sum(skipped) > 0   # the run with the collapse skipped some rounds
+        assert outputs[0] == outputs[1]
+
 
 @pytest.fixture(scope="module")
 def grid_sims(default_dict):

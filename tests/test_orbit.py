@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from oracles import oracle_phase_at, oracle_sun_seconds, oracle_visibility_windows
 
 from leolora import engine, orbit
-from leolora.config import default_scenario_dict, parse_scenario
+from leolora.config import default_scenario_dict, load_schedule_override, parse_scenario
 from leolora.orbit import (
     ECLIPSE,
     SUN,
@@ -19,7 +19,6 @@ from leolora.orbit import (
     OrbitConfig,
     Schedule,
     build_schedule,
-    load_schedule_override,
     max_central_angle,
     next_phase_boundary,
     phase_at,
@@ -485,8 +484,8 @@ class TestScheduleOverride:
             load_schedule_override(bad)
         # a record that is not an object, whose node or times are not
         # finite numbers (node a whole one, within the uplink's uint16
-        # node_id), or whose target is not a non-empty string, is named by
-        # its index
+        # node_id), whose target is not a non-empty string, or whose window
+        # breaks a window's own checks, is named by its index
         good = self.RECORDS[0]
         for record in ([1, 2], None, "0", {**good, "node": None}, {**good, "node": "0"},
                        {**good, "node": True}, {**good, "node": 1.5}, {**good, "node": -1},
@@ -494,7 +493,9 @@ class TestScheduleOverride:
                        {**good, "node": float("inf")}, {**good, "start_s": None},
                        {**good, "start_s": "0"}, {**good, "end_s": float("nan")},
                        {**good, "end_s": 10**400}, {**good, "target": None},
-                       {**good, "target": ""}):
+                       {**good, "target": ""}, {**good, "start_s": 700.0, "end_s": 600.0},
+                       {**good, "end_s": 5000.0}, {**good, "phase": "dusk"},
+                       {**good, "phase": 5}):
             with pytest.raises(ValueError, match="override record 1"):
                 load_schedule_override([good, record])
         # ids are strings, so windows sharing a start still sort by id
@@ -502,6 +503,8 @@ class TestScheduleOverride:
         assert [w.window_id for w in per_node[0].windows] == ["1", "b:override:1"]
         assert set(load_schedule_override([{**good, "node": 65535}])) == {65535}
 
-    def test_missing_fields_reported(self):
-        with pytest.raises(ValueError, match="missing fields"):
-            load_schedule_override([{"node": 0, "start_s": 0.0}])
+    @pytest.mark.parametrize("key", ["node", "target", "start_s", "end_s", "phase"])
+    def test_missing_fields_reported(self, key):
+        record = {k: v for k, v in self.RECORDS[2].items() if k != key}
+        with pytest.raises(ValueError, match=rf"^override record 1\.{key}: missing required"):
+            load_schedule_override([self.RECORDS[0], record])
