@@ -39,7 +39,7 @@ def main():
         for protocol, scenario in scenarios.items():
             res = engine.run(scenario, seed=seed, schedules=schedules)
             out[protocol] = (
-                sum(n.battery.dc_cycle_total for n in res.nodes),
+                sum(n.battery.dc_cycle for n in res.nodes),
                 res.summary["pdr"] or 0.0,
             )
         ca, pa = out["battery_aware"]

@@ -11,14 +11,19 @@ All dC values are fractions of rated capacity, so D_L is dimensionless and
 fade is bounded in [0, 1).  The aging functions are pure.  The pack is
 described once, by the scenario's `BatteryScenario` (rated energy, thermal
 profile, reference DoD, C-rate and SoC); a `BatteryState` holds only what
-aging changes.  `step_battery_per_orbit` advances a state against its pack
-by one orbit, and `run_degradation_curve` steps a quiet pack through many.
+aging changes.  `age` is the one step that runs the pipeline: it ages a
+state over one span of calendar time and a list of (DoD, cycles)
+observations.  A node ages its own pack through it an orbit at a time
+(`step_battery_per_orbit`), the gateway folds each node's reports through
+it (`report.gateway_compute_fleet_degradation`), and
+`run_degradation_curve` steps a quiet pack through many orbits.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -102,21 +107,22 @@ class CycleStress:
 
 @dataclass
 class BatteryState:
-    """Mutable per-pack bookkeeping the simulation advances orbit by orbit.
+    """Mutable per-pack bookkeeping that `age` advances: by a node orbit by
+    orbit, and by the gateway report by report.
 
     Only what aging changes lives here; the pack itself (rated energy and
     reference stress) is the scenario's `BatteryScenario`.  fade_fraction
     is the nonlinear (SEI) total fade; d_linear the accumulated linear
-    degradation feeding it.  Both are non-decreasing over a run, so
-    effective capacity is non-increasing.
+    degradation feeding it, the sum of dc_cal and dc_cycle.  Both are
+    non-decreasing over a run, so effective capacity is non-increasing.
     """
 
     fade_fraction: float = 0.0
     d_linear: float = 0.0
     cycles_completed: float = 0.0
     calendar_days: float = 0.0
-    dc_cal_total: float = 0.0
-    dc_cycle_total: float = 0.0
+    dc_cal: float = 0.0
+    dc_cycle: float = 0.0
 
     def __post_init__(self):
         if not 0.0 <= self.fade_fraction <= 1.0:
@@ -200,6 +206,26 @@ def degradation_impact_factor(
     return min(max(extra / dif_ref, 0.0), 1.0)
 
 
+def age(state: BatteryState, params: DegradationParams, days: float, t_sun_k: float,
+        soc: float, c_rate: float, t_eclipse_k: float,
+        cycles: Iterable[tuple[float, float]]) -> None:
+    """Age a pack over one span: the one step of the fade pipeline.
+
+    Calendar aging runs over `days` at the sunlit-phase temperature and
+    `soc`.  Each (dod, n_cycles) observation adds its cycles, and cycle
+    aging at the eclipse temperature when n_cycles > 0.  Then D_L and the
+    SEI fade are set from the running totals.
+    """
+    state.calendar_days += days
+    state.dc_cal += calendar_aging(params, t_sun_k, soc, days)
+    for dod, n in cycles:
+        state.cycles_completed += n
+        if n > 0.0:
+            state.dc_cycle += cycle_aging(params, CycleStress(dod, c_rate, t_eclipse_k), n)
+    state.d_linear = linear_degradation(state.dc_cal, state.dc_cycle)
+    state.fade_fraction = sei_capacity_fade(params, state.d_linear)
+
+
 def step_battery_per_orbit(
     state: BatteryState, battery: BatteryScenario, duration_s: float, discharge_j: float
 ) -> float:
@@ -211,26 +237,11 @@ def step_battery_per_orbit(
     by the orbit duration at the sunlit-phase temperature and reference
     SoC.  Returns the orbit's observed depth of discharge.
     """
-    params, thermal = battery.params, battery.thermal
     capacity_j = battery.capacity_rated_j
-    days = duration_s / 86400.0
-    cycles_inc = discharge_j / (battery.dod_reference * capacity_j)
     dod_observed = min(discharge_j / capacity_j, 1.0)
-
-    dc_cal_inc = calendar_aging(params, thermal.t_sun_k, battery.soc_reference, days)
-    dc_cycle_inc = 0.0
-    if cycles_inc > 0.0:
-        stress = CycleStress(
-            dod=dod_observed, c_rate=battery.c_rate_reference, temperature_k=thermal.t_eclipse_k
-        )
-        dc_cycle_inc = cycle_aging(params, stress, cycles_inc)
-
-    state.calendar_days += days
-    state.cycles_completed += cycles_inc
-    state.dc_cal_total += dc_cal_inc
-    state.dc_cycle_total += dc_cycle_inc
-    state.d_linear = linear_degradation(state.dc_cal_total, state.dc_cycle_total)
-    state.fade_fraction = sei_capacity_fade(params, state.d_linear)
+    age(state, battery.params, duration_s / 86400.0, battery.thermal.t_sun_k,
+        battery.soc_reference, battery.c_rate_reference, battery.thermal.t_eclipse_k,
+        [(dod_observed, discharge_j / (battery.dod_reference * capacity_j))])
     return dod_observed
 
 

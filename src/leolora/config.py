@@ -34,7 +34,7 @@ from .energy import HarvestModel, PowerProfile
 from .exceptions import Bounds, ConfigError, ValidationError, bounded, check_bounds, shown
 from .mac import MacConfig, nominal_backoff_base, transmit_stress
 from .orbit import (TWO_PI, ForecastWindow, GroundStation, OrbitConfig, Schedule,
-                    grid_problem)
+                    WindowOverlap, grid_problem)
 from .report import MAX_DOD_OBSERVATIONS, MAX_NODE_ID
 
 TRAFFIC_MODELS = ("poisson", "periodic", "none")
@@ -233,9 +233,11 @@ class _Reader:
             self.problems.append(f"{self._at(key)}: expected a number, got {value!r}")
             return None
         try:
-            value = float(value)
+            number = float(value)
         except OverflowError:  # an int beyond the float range
-            value = math.inf
+            number = math.inf
+        if kind == "float" or not math.isfinite(number):
+            value = number   # an int-kind value within float range is checked as itself
         problem = bounds.problem(value)
         if problem is not None:
             self.problems.append(f"{self._at(key)}: {problem}")
@@ -459,7 +461,8 @@ def load_schedule_override(source: str | Path | list) -> dict[int, Schedule]:
     numbers, target a non-empty string and phase a string; a window_id
     given is taken as its str.  The windows and each node's schedule keep
     their own checks.  The first problem raises ValueError naming its
-    record ("override record 3.node: ...").
+    record ("override record 3.node: ..."); two windows of a node that
+    overlap on one target name the later one's record.
     """
     if isinstance(source, (str, Path)):
         source = json.loads(Path(source).read_text())
@@ -468,6 +471,7 @@ def load_schedule_override(source: str | Path | list) -> dict[int, Schedule]:
         raise ValueError("schedule override must be a JSON array of window records")
 
     per_node: dict[int, list[ForecastWindow]] = {}
+    record_of: dict[int, int] = {}   # a window's id() -> its record's index
     for i, rec in enumerate(records):
         problems: list[str] = []
         rec_r = _Reader(rec, f"override record {i}", problems, [])
@@ -482,7 +486,11 @@ def load_schedule_override(source: str | Path | list) -> dict[int, Schedule]:
         if problems:
             raise ValueError(problems[0])
         per_node.setdefault(node, []).append(window)
-    return {node: Schedule(windows=tuple(ws)) for node, ws in per_node.items()}
+        record_of[id(window)] = i
+    try:
+        return {node: Schedule(windows=tuple(ws)) for node, ws in per_node.items()}
+    except WindowOverlap as exc:   # named by the later of the two windows
+        raise ValueError(f"override record {record_of[id(exc.window)]}: {exc}") from None
 
 
 def default_scenario_dict() -> dict:

@@ -731,8 +731,8 @@ class Simulator:
                 "soc": node.energy.soc,
                 "fade_fraction": node.battery.fade_fraction,
                 "d_linear": node.battery.d_linear,
-                "dc_cal": node.battery.dc_cal_total,
-                "dc_cycle": node.battery.dc_cycle_total,
+                "dc_cal": node.battery.dc_cal,
+                "dc_cycle": node.battery.dc_cycle,
                 "cycles_completed": node.battery.cycles_completed,
                 "calendar_days": node.battery.calendar_days,
                 **{key: node.packets[key] for key in END_OUTCOMES},
@@ -759,13 +759,13 @@ class Simulator:
             "pdr": delivered / totals["generated"] if totals["generated"] else None,
             "per_node": per_node,
             "gateway_assessment": {
-                str(a.node_id): {
+                str(node_id): {
                     "dc_cal": a.dc_cal,
                     "dc_cycle": a.dc_cycle,
                     "d_linear": a.d_linear,
                     "fade_fraction": a.fade_fraction,
                 }
-                for a in gateway.values()
+                for node_id, a in gateway.items()
             },
         }
 

@@ -48,13 +48,13 @@ class Bounds:
     def problem(self, value) -> str | None:
         """Why value breaks these bounds, or None if it keeps them."""
         if isinstance(value, float) and not math.isfinite(value):
-            return f"must be a finite number, got {value}"
+            return f"must be a finite number, got {shown(value)}"
         if self.ge is not None and value < self.ge:
-            return f"must be >= {self.ge}, got {value}"
+            return f"must be >= {self.ge}, got {shown(value)}"
         if self.gt is not None and value <= self.gt:
-            return f"must be > {self.gt}, got {value}"
+            return f"must be > {self.gt}, got {shown(value)}"
         if self.le is not None and value > self.le:
-            return f"must be <= {self.le}, got {value}"
+            return f"must be <= {self.le}, got {shown(value)}"
         if self.choices is not None and value not in self.choices:
             return f"must be one of {self.choices}, got {value!r}"
         return None

@@ -304,6 +304,14 @@ def _passes(
     return windows
 
 
+class WindowOverlap(ValueError):
+    """Two windows on one target overlap; `window` is the later of the two."""
+
+    def __init__(self, window: ForecastWindow):
+        super().__init__(f"windows for target {window.target!r} overlap at t={window.start}")
+        self.window = window
+
+
 @dataclass(frozen=True)
 class Schedule:
     """A node's forecast windows, sorted by start."""
@@ -316,9 +324,7 @@ class Schedule:
         for w in windows:
             last_end = by_target.get(w.target)
             if last_end is not None and w.start < last_end:
-                raise ValueError(
-                    f"windows for target {w.target!r} overlap at t={w.start}"
-                )
+                raise WindowOverlap(w)
             by_target[w.target] = w.end
         object.__setattr__(self, "windows", windows)
         object.__setattr__(self, "_starts", [w.start for w in windows])

@@ -1,8 +1,9 @@
 """Node battery-usage summaries, their compact uplink encoding, and the gateway.
 
-Nodes do not run the fade pipeline themselves; they periodically summarize
-battery usage and the gateway (`gateway_compute_fleet_degradation`)
-computes degradation for the whole fleet.
+Each node periodically summarizes its battery usage, and the gateway
+(`gateway_compute_fleet_degradation`) rebuilds the whole fleet's
+degradation from those summaries, through the same aging step the nodes
+age their own packs by (`battery.age`).
 
 Wire format (little-endian, fixed field order):
 
@@ -30,14 +31,7 @@ import math
 import struct
 from dataclasses import dataclass
 
-from .battery import (
-    CycleStress,
-    DegradationParams,
-    calendar_aging,
-    cycle_aging,
-    linear_degradation,
-    sei_capacity_fade,
-)
+from .battery import BatteryState, DegradationParams, age
 
 MAX_ENCODED_BYTES = 51
 MAX_DOD_OBSERVATIONS = 9
@@ -130,43 +124,32 @@ def decode_report(blob: bytes) -> NodeBatteryReport:
     )
 
 
-@dataclass(frozen=True)
-class DegradationAssessment:
-    """Gateway-side fade figures for one node."""
-
-    node_id: int
-    dc_cal: float
-    dc_cycle: float
-    d_linear: float
-    fade_fraction: float
-
-
 def gateway_compute_fleet_degradation(
     reports: list[NodeBatteryReport],
     params: DegradationParams,
     soc_reference: float,
     c_rate_reference: float,
     dod_reference: float,
-) -> dict[int, DegradationAssessment]:
-    """Apply the fade pipeline to each node's reported usage summaries.
+) -> dict[int, BatteryState]:
+    """Fold each node's reported usage summaries into a fresh pack state.
 
-    Calendar aging is evaluated at the reported sunlit-phase temperature
-    and the configured reference SoC.  Each DoD observation covers one
-    orbit's discharge; its equivalent cycle count is dod / dod_reference,
-    the same fractional-cycle convention the nodes accrue by, so cycle
-    aging agrees with the node's own figure.  Calendar aging does not
-    quite: the gateway ages a node over its report periods, which cover
-    the run, while the node ages over its settled whole slots, which stop
-    short of the run end by up to two slots.  On a 40 s slot the fades
-    differ by about 1.44e-11.  Overlapping report periods for one node are
-    rejected.
+    Each report ages the state through `battery.age`: calendar aging over
+    the report period at the reported sunlit-phase temperature and the
+    configured reference SoC, and one cycle observation per DoD.  Each DoD
+    observation covers one orbit's discharge; its equivalent cycle count is
+    dod / dod_reference, the same fractional-cycle convention the nodes
+    accrue by, so cycle aging agrees with the node's own figure.  Calendar
+    aging does not quite: the gateway ages a node over its report periods,
+    which cover the run, while the node ages over its settled whole slots,
+    which stop short of the run end by up to two slots.  On a 40 s slot the
+    fades differ by about 1.44e-11.  Overlapping report periods for one
+    node are rejected.
     """
-    out: dict[int, DegradationAssessment] = {}
+    out: dict[int, BatteryState] = {}
     ordered = sorted(reports, key=lambda r: (r.node_id, r.period_start))
     for node_id, node_reports in itertools.groupby(ordered, key=lambda r: r.node_id):
+        state = out[node_id] = BatteryState()
         prev_end = -math.inf
-        dc_cal = 0.0
-        dc_cycle = 0.0
         for r in node_reports:
             if r.period_start < prev_end:
                 raise ValueError(
@@ -174,22 +157,7 @@ def gateway_compute_fleet_degradation(
                     f"overlaps the previous period ending at {prev_end}"
                 )
             prev_end = r.period_end
-            dc_cal += calendar_aging(
-                params, r.mean_temperature_sun_k, soc_reference, r.period_days
-            )
-            for dod in r.dod_observations:
-                dc_cycle += cycle_aging(
-                    params,
-                    CycleStress(dod=dod, c_rate=c_rate_reference,
-                                temperature_k=r.mean_temperature_eclipse_k),
-                    dod / dod_reference,
-                )
-        d_linear = linear_degradation(dc_cal, dc_cycle)
-        out[node_id] = DegradationAssessment(
-            node_id=node_id,
-            dc_cal=dc_cal,
-            dc_cycle=dc_cycle,
-            d_linear=d_linear,
-            fade_fraction=sei_capacity_fade(params, d_linear),
-        )
+            age(state, params, r.period_days, r.mean_temperature_sun_k, soc_reference,
+                c_rate_reference, r.mean_temperature_eclipse_k,
+                [(dod, dod / dod_reference) for dod in r.dod_observations])
     return out

@@ -353,8 +353,8 @@ def test_criterion_10_directional_protocol_claim(default_dict):
     for seed in range(20):
         res_a = engine.run(sc_aware, seed=seed, schedules=schedules)
         res_n = engine.run(sc_naive, seed=seed, schedules=schedules)
-        cyc_a = sum(n.battery.dc_cycle_total for n in res_a.nodes)
-        cyc_n = sum(n.battery.dc_cycle_total for n in res_n.nodes)
+        cyc_a = sum(n.battery.dc_cycle for n in res_a.nodes)
+        cyc_n = sum(n.battery.dc_cycle for n in res_n.nodes)
         rows.append((seed, cyc_a, cyc_n, res_a.summary["pdr"], res_n.summary["pdr"]))
         assert cyc_a <= cyc_n, (
             f"seed {seed}: battery-aware cycle aging {cyc_a:.6e} exceeds "

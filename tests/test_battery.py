@@ -258,8 +258,8 @@ class TestOrbitStepping:
         step_battery_per_orbit(state, default_scenario.battery, 5400.0, 0.0)
         assert state.cycles_completed == 0.0
         assert state.calendar_days == pytest.approx(5400.0 / 86400.0)
-        assert state.dc_cycle_total == 0.0
-        assert state.dc_cal_total > 0.0
+        assert state.dc_cycle == 0.0
+        assert state.dc_cal > 0.0
 
     def test_reference_orbit_is_exactly_one_cycle(self, default_scenario):
         battery = default_scenario.battery

@@ -482,6 +482,30 @@ class TestCliSimulate:
             "radio.crc_on: expected a boolean, got -1e+20",
             "sim.protocol: expected a string, got an int past float range"]
 
+    @pytest.mark.parametrize("path, value, line", [
+        ("sim.node_count", 70000, "sim.node_count: must be <= 65535, got 70000"),
+        ("mac.max_attempts", 0, "mac.max_attempts: must be >= 1, got 0"),
+        ("sim.node_count", 10**40, "sim.node_count: must be <= 65535, got 1e+40"),
+        ("sim.node_count", 10**400, "sim.node_count: must be a finite number, got inf"),
+        ("override.node", 65536, "override record 0.node: must be <= 65535, got 65536"),
+    ])
+    def test_an_int_field_shows_its_value_as_an_int(self, scenario_dict, path, value, line):
+        section, key = path.split(".")
+        if section == "override":
+            record = {"node": 0, "target": "gw", "start_s": 0.0, "end_s": 600.0, "phase": "sun"}
+            with pytest.raises(ValueError) as exc:
+                load_schedule_override([{**record, key: value}])
+            assert str(exc.value) == line
+        else:
+            scenario_dict[section][key] = value
+            with pytest.raises(ValidationError) as exc:
+                parse_scenario(scenario_dict)
+            assert exc.value.problems == [line]
+
+    def test_an_int_field_keeps_every_digit(self, scenario_dict):
+        scenario_dict["sim"]["seed"] = 2**53 + 1   # a float would round it to 2**53
+        assert parse_scenario(scenario_dict).sim.seed == 2**53 + 1
+
     def test_backoff_span_overflow_exits_3(self, tmp_path, scenario_dict, monkeypatch, capsys):
         # 1e308 validates, but k * b0 overflows at the second attempt; with
         # every draw 0.0 each packet's first attempt fits and gets there

@@ -390,7 +390,7 @@ class TestFullRuns:
         # engine-side and gateway-side cycle aging agree through the report path
         for node in result.nodes:
             gw = result.summary["gateway_assessment"][str(node.node_id)]
-            assert gw["dc_cycle"] == pytest.approx(node.battery.dc_cycle_total, rel=1e-12)
+            assert gw["dc_cycle"] == pytest.approx(node.battery.dc_cycle, rel=1e-12)
 
 
 def _in_flight(packet) -> bool:
@@ -749,6 +749,13 @@ class TestReportClock:
     def test_a_run_without_nodes_pushes_no_report(self, default_dict, monkeypatch):
         sim, result, calls = self._run(default_dict, monkeypatch, 0)
         assert calls == [] and sim.reports == [] and result.metrics == []
+
+    def test_an_event_before_now_is_a_broken_contract(self, default_dict):
+        sim = Simulator(make_scenario(default_dict, **{"sim.node_count": 1}), schedules={})
+        sim.now = self.INTERVAL
+        with pytest.raises(ContractError, match="before now"):
+            sim._push(self.INTERVAL - 1.0, engine.EventKind.REPORT_DUE, ())
+        sim._push(self.INTERVAL, engine.EventKind.REPORT_DUE, ())   # now itself is not before now
 
 
 class TestBoundedRunState:

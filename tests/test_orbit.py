@@ -495,13 +495,26 @@ class TestScheduleOverride:
                        {**good, "end_s": 10**400}, {**good, "target": None},
                        {**good, "target": ""}, {**good, "start_s": 700.0, "end_s": 600.0},
                        {**good, "end_s": 5000.0}, {**good, "phase": "dusk"},
-                       {**good, "phase": 5}):
+                       {**good, "phase": 5},
+                       # the later of two windows that overlap on one target
+                       {**good, "start_s": 300.0, "end_s": 900.0}):
             with pytest.raises(ValueError, match="override record 1"):
                 load_schedule_override([good, record])
         # ids are strings, so windows sharing a start still sort by id
         per_node = load_schedule_override([{**good, "window_id": 1}, {**good, "target": "b"}])
         assert [w.window_id for w in per_node[0].windows] == ["1", "b:override:1"]
         assert set(load_schedule_override([{**good, "node": 65535}])) == {65535}
+
+    def test_an_overlap_names_the_later_window_in_time(self):
+        good = self.RECORDS[0]
+        with pytest.raises(ValueError, match=r"^override record 0: windows for target 'gs' "
+                                             r"overlap at t=300\.0$"):
+            load_schedule_override([{**good, "start_s": 300.0, "end_s": 900.0}, good])
+
+    @pytest.mark.parametrize("source", [5, None, {"windows": 5}, {"windows": {}}, {"node": 0}])
+    def test_a_source_that_is_not_an_array_is_refused(self, source):
+        with pytest.raises(ValueError, match="^schedule override must be a JSON array"):
+            load_schedule_override(source)
 
     @pytest.mark.parametrize("key", ["node", "target", "start_s", "end_s", "phase"])
     def test_missing_fields_reported(self, key):

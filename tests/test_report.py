@@ -129,6 +129,16 @@ class TestGateway:
             oracle_sei(params.alpha_sei, params.k_sei, cal + cyc), rel=1e-12
         )
 
+    def test_calendar_days_and_cycles_are_the_reports_sums(self, default_scenario):
+        reports = [self.report(dods=(0.1, 0.3)), self.report(start=43200.0, end=50000.0, dods=()),
+                   self.report(start=60000.0, end=86400.0, dods=(0.0, 0.25, 0.4))]
+        got = gateway_compute_fleet_degradation(
+            reports, default_scenario.battery.params,
+            soc_reference=0.825, c_rate_reference=12.5, dod_reference=0.4,
+        )[0]
+        assert got.calendar_days == sum(r.period_days for r in reports)
+        assert got.cycles_completed == sum(dod / 0.4 for r in reports for dod in r.dod_observations)
+
     def test_any_report_order_gives_the_same_bits(self, default_scenario):
         # uneven periods, DoDs and temperatures, so a sum in another order
         # would round differently
