@@ -21,7 +21,6 @@ from .energy import (
     NodeEnergyState,
     PowerProfile,
     energy_step,
-    estimate_available_energy,
     ewma_update,
 )
 from .engine import Simulator, run

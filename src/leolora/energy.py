@@ -24,7 +24,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from .exceptions import ConfigError, ContractError, bounded, check_bounds
-from .orbit import ECLIPSE, SUN, ForecastWindow
+from .orbit import ECLIPSE, SUN
 
 
 @dataclass
@@ -32,7 +32,8 @@ class NodeEnergyState:
     """Stored energy, EWMA estimate and reservations for one node.
 
     reserved_j is energy provisionally debited for packets already
-    scheduled but not yet transmitted; availability estimates subtract it.
+    scheduled but not yet transmitted; the window estimates of
+    `mac.select_forecast_window` subtract it.
     """
 
     phi_j: float
@@ -261,26 +262,3 @@ def ewma_update(beta: float, e_cons_prev_j: float, ewma_prev_j: float) -> float:
         raise ValueError("energy inputs must be >= 0")
     return beta * e_cons_prev_j + (1.0 - beta) * ewma_prev_j
 
-
-def estimate_available_energy(
-    state: NodeEnergyState,
-    window: ForecastWindow,
-    harvest: HarvestModel,
-    profile: PowerProfile,
-    slot_s: float,
-) -> float:
-    """Projected energy on hand across the window, capped at phi_max.
-
-    Sun windows add the projected harvest and subtract the sleep drain;
-    eclipse windows subtract the sleep drain only.  Energy already reserved
-    for scheduled transmissions is excluded.
-    """
-    if slot_s <= 0:
-        raise ValueError(f"slot length must be > 0, got {slot_s}")
-    n_slots = int(window.duration // slot_s)
-    base = state.phi_j - state.reserved_j
-    if window.phase == SUN:
-        estimate = base + n_slots * harvest.slot_harvest(1.0) - n_slots * profile.e_sleep_j
-    else:
-        estimate = base - n_slots * profile.e_sleep_j
-    return min(estimate, state.phi_max_j)

@@ -361,9 +361,8 @@ class Simulator:
         return packets
 
     def _candidates(self, node: _Node, now: float, created: float) -> list[ForecastWindow]:
-        deadline = created + self.sc.mac.deadline_s
-        account_end = node.account_end
-        return [w for w in node.schedule.candidates(now, deadline) if w.end <= account_end]
+        """The windows a battery-aware decision may pick: before the deadline, in the run."""
+        return node.schedule.candidates(now, created + self.sc.mac.deadline_s, node.account_end)
 
     def _decide(self, node: _Node, packet: _Packet, now: float):
         """Send a waiting packet through the node's MAC, at now or once its last sequence ends."""

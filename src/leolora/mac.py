@@ -35,7 +35,7 @@ import numpy as np
 
 from .airtime import RadioConfig, time_on_air
 from .battery import CycleStress, DegradationParams, degradation_impact_factor
-from .energy import HarvestModel, NodeEnergyState, PowerProfile, estimate_available_energy
+from .energy import HarvestModel, NodeEnergyState, PowerProfile
 from .exceptions import ConfigError, bounded, check_bounds
 from .orbit import ECLIPSE, SUN, ForecastWindow
 
@@ -46,16 +46,20 @@ class DropReason(enum.Enum):
     NO_WINDOW = "no_window"
 
 
-@dataclass(frozen=True)
 class TxDecision:
-    """Either Transmit(window) or Drop(reason), never both."""
+    """Either Transmit(window) or Drop(reason), never both.
 
-    window: ForecastWindow | None = None
-    reason: DropReason | None = None
+    A slotted class rather than a frozen dataclass, since every
+    battery-aware decision builds one and the dataclass costs twice as much.
+    """
 
-    def __post_init__(self):
-        if (self.window is None) == (self.reason is None):
+    __slots__ = ("window", "reason")
+
+    def __init__(self, window: ForecastWindow | None = None, reason: DropReason | None = None):
+        if (window is None) == (reason is None):
             raise ValueError("decision must carry exactly one of window or reason")
+        self.window = window
+        self.reason = reason
 
     @property
     def is_transmit(self) -> bool:
@@ -161,28 +165,44 @@ def select_forecast_window(
     outcome is independent of input ordering.  With no feasible window the
     drop reason is the earliest candidate's failure; with no candidates at
     all it is NO_WINDOW.
+
+    This is the one owner of a window's projected energy E_hat.  Over the
+    window's n = (end - start) // slot_s whole slots, the stored energy
+    less what is reserved, base = phi - reserved, gains n full-sun
+    harvests and loses n sleep draws in a sun window, (base + n * gain) -
+    n * sleep, and loses the draws alone in an eclipse window, base -
+    n * sleep; either is capped at phi_max.  Everything but n and E_hat
+    is taken once per call.  `max` and `min` are spelled as the
+    comparisons they make, which pick the same float (ties and -0.0
+    included) without their call cost.
     """
+    base = energy.phi_j - energy.reserved_j
+    phi_max = energy.phi_max_j
+    gain = harvest.slot_harvest(1.0)
+    sleep = profile.e_sleep_j
     sun_threshold = energy.phi_min_j + energy.e_critical_j
     eclipse_ok = reserve_holds(energy)
+    w_dif, w_energy = mac.w_dif, mac.w_energy
     best = None     # (objective, start, window_id), window, estimate
     failed = None   # (start, window_id), reason
     for window in windows:
-        if max(window.start, now) + min_attempt_s > window.end:
+        start, end = window.start, window.end
+        if (now if now > start else start) + min_attempt_s > end:   # max(start, now)
             continue
-        estimate = estimate_available_energy(energy, window, harvest, profile, slot_s)
-        if window.phase == SUN:
-            fail = None if estimate >= sun_threshold else DropReason.INSUFFICIENT_ENERGY_SUN
-        else:
-            fail = None if eclipse_ok else DropReason.BELOW_RESERVE_ECLIPSE
-        if fail is not None:
-            key = (window.start, window.window_id)
+        n = int((end - start) // slot_s)
+        sun = window.phase == SUN
+        estimate = base + n * gain - n * sleep if sun else base - n * sleep
+        if phi_max < estimate:   # min(estimate, phi_max)
+            estimate = phi_max
+        if not (estimate >= sun_threshold if sun else eclipse_ok):
+            key = (start, window.window_id)
             if failed is None or key < failed[0]:
-                failed = (key, fail)
+                failed = (key, DropReason.INSUFFICIENT_ENERGY_SUN if sun
+                          else DropReason.BELOW_RESERVE_ECLIPSE)
             continue
         # a pack faded to no capacity passes only at an estimate of 0.0: its share is 0.0
-        share = mac.w_energy * estimate / energy.phi_max_j if energy.phi_max_j else 0.0
-        objective = mac.w_dif * dif[window.phase] + share
-        key = (objective, window.start, window.window_id)
+        share = w_energy * estimate / phi_max if phi_max else 0.0
+        key = (w_dif * dif[window.phase] + share, start, window.window_id)
         if best is None or key < best[0]:
             best = (key, window, estimate)
     if best is not None:

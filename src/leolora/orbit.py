@@ -329,16 +329,17 @@ class Schedule:
         object.__setattr__(self, "windows", windows)
         object.__setattr__(self, "_starts", [w.start for w in windows])
 
-    def candidates(self, now: float, deadline: float) -> list[ForecastWindow]:
-        """Windows still usable at `now` that begin before `deadline`.
+    def candidates(self, now: float, deadline: float,
+                   account_end: float = math.inf) -> list[ForecastWindow]:
+        """Windows still usable at `now` that begin before `deadline` and end by `account_end`.
 
         No window lasts longer than _LONGEST_WINDOW_S, so only starts in
-        (now - _LONGEST_WINDOW_S, deadline) need scanning.
+        (now - _LONGEST_WINDOW_S, deadline) need scanning, in one pass.
         """
         starts = self._starts
         lo = bisect.bisect_right(starts, now - _LONGEST_WINDOW_S)
         hi = bisect.bisect_left(starts, deadline, lo=lo)
-        return [w for w in self.windows[lo:hi] if w.end > now]
+        return [w for w in self.windows[lo:hi] if now < w.end <= account_end]
 
 
 def build_schedule(

@@ -22,6 +22,12 @@ Wire format (little-endian, fixed field order):
 Nine observations cover a reporting period of eight 90-minute orbits plus
 a trailing partial orbit; the packet is then 49 bytes, inside the 51-byte
 uplink budget.
+
+Range: `energy_consumed_j` saturates at the largest finite float32,
+about 3.4e38 J; a pack whose retransmissions draw more sends that (the
+gateway reads no energy).  `n_transmissions` counts the node's packets,
+at most `config.MAX_ARRIVALS` (3e7).  Validation does not yet bound the
+uint32 period times or `n_slots`.
 """
 
 from __future__ import annotations
@@ -39,6 +45,7 @@ MAX_NODE_ID = 0xFFFF
 _DOD_SCALE = 65535.0
 
 _HEADER = struct.Struct("<HIIIIfffB")
+_FLOAT32_MAX = (2.0 - 2.0**-23) * 2.0**127
 
 
 @dataclass(frozen=True)
@@ -88,7 +95,7 @@ def encode_report(report: NodeBatteryReport) -> bytes:
         round(report.period_end),
         report.n_slots,
         report.n_transmissions,
-        report.energy_consumed_j,
+        min(report.energy_consumed_j, _FLOAT32_MAX),
         report.mean_temperature_sun_k,
         report.mean_temperature_eclipse_k,
         n_dod,

@@ -147,7 +147,9 @@ def oracle_select_window(windows, energy, harvest, profile, params, base_stress,
             fail = "below_reserve_eclipse"
         objective = None
         if feasible:
-            objective = w_dif * dif(w.phase) + w_energy * estimate / energy.phi_max_j
+            # a pack faded to no capacity weighs its energy at 0.0, as the simulator does
+            share = w_energy * estimate / energy.phi_max_j if energy.phi_max_j else 0.0
+            objective = w_dif * dif(w.phase) + share
         evaluations.append((w, feasible, estimate, objective, fail))
 
     feasible = [e for e in evaluations if e[1]]

@@ -1,4 +1,4 @@
-"""Stored-energy balance, EWMA estimator, and availability projections."""
+"""Stored-energy balance and the EWMA estimator."""
 
 import copy
 from typing import NamedTuple
@@ -13,7 +13,6 @@ from leolora.energy import (
     PowerProfile,
     SlotTotals,
     energy_step,
-    estimate_available_energy,
     ewma_update,
     settle_slots,
 )
@@ -21,7 +20,6 @@ from leolora.exceptions import ConfigError, ContractError
 from leolora.orbit import (
     ECLIPSE,
     SUN,
-    ForecastWindow,
     OrbitConfig,
     sun_seconds,
     sunlit_seconds,
@@ -364,44 +362,6 @@ class TestEwma:
     def test_output_between_inputs(self, beta, prev, sample):
         out = ewma_update(beta, sample, prev)
         assert min(prev, sample) - 1e-9 <= out <= max(prev, sample) + 1e-9
-
-
-class TestEstimateAvailableEnergy:
-    HARVEST = HarvestModel(e_g_sun_j_per_slot=2.0, charge_rate_limit_j_per_slot=10.0)
-
-    def test_eclipse_with_zero_drain_returns_phi(self):
-        profile = PowerProfile(e_cons_tx_j=1.0, e_sleep_j=0.0)
-        window = ForecastWindow("w", 0.0, 400.0, ECLIPSE, "gs")
-        state = fresh_state(phi=50.0)
-        got = estimate_available_energy(state, window, self.HARVEST, profile, slot_s=40.0)
-        assert got == 50.0
-
-    def test_sun_projection(self):
-        profile = PowerProfile(e_cons_tx_j=1.0, e_sleep_j=0.5)
-        window = ForecastWindow("w", 0.0, 400.0, SUN, "gs")  # 10 slots
-        state = fresh_state(phi=50.0)
-        got = estimate_available_energy(state, window, self.HARVEST, profile, slot_s=40.0)
-        assert got == pytest.approx(50.0 + 20.0 - 5.0)
-
-    def test_projection_clamped_at_capacity(self):
-        profile = PowerProfile(e_cons_tx_j=1.0, e_sleep_j=0.0)
-        window = ForecastWindow("w", 0.0, 1800.0, SUN, "gs")
-        state = fresh_state(phi=195.0)
-        got = estimate_available_energy(state, window, self.HARVEST, profile, slot_s=40.0)
-        assert got == 200.0
-
-    def test_reservations_reduce_estimate(self):
-        profile = PowerProfile(e_cons_tx_j=1.0, e_sleep_j=0.0)
-        window = ForecastWindow("w", 0.0, 400.0, ECLIPSE, "gs")
-        state = fresh_state(phi=50.0)
-        state.reserved_j = 7.0
-        got = estimate_available_energy(state, window, self.HARVEST, profile, slot_s=40.0)
-        assert got == 43.0
-
-    def test_charge_rate_limit_caps_harvest(self):
-        harvest = HarvestModel(e_g_sun_j_per_slot=100.0, charge_rate_limit_j_per_slot=3.0)
-        assert harvest.slot_harvest(1.0) == 3.0
-        assert harvest.slot_harvest(0.5) == 3.0
 
 
 class TestTypes:

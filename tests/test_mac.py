@@ -66,6 +66,49 @@ def select(windows, energy, m=None, now=0.0, **kw):
                                   now, 40.0, **kw)
 
 
+class TestEstimateAvailableEnergy:
+    """A window's projected energy, read from a one-window selection that picks it."""
+
+    HARVEST = HarvestModel(e_g_sun_j_per_slot=2.0, charge_rate_limit_j_per_slot=10.0)
+
+    def estimate(self, window, phi, profile, harvest=HARVEST, reserved=0.0):
+        energy = NodeEnergyState(phi_j=phi, phi_max_j=200.0, phi_min_j=10.0, e_critical_j=20.0,
+                                 reserved_j=reserved)
+        result = select_forecast_window([window], energy, harvest, profile, mac(), DIF,
+                                        now=0.0, slot_s=40.0)
+        assert result.decision.window is window
+        return result.estimate_j
+
+    def test_eclipse_with_zero_drain_returns_phi(self):
+        profile = PowerProfile(e_cons_tx_j=1.0, e_sleep_j=0.0)
+        window = ForecastWindow("w", 0.0, 400.0, ECLIPSE, "gs")
+        assert self.estimate(window, 50.0, profile) == 50.0
+
+    def test_sun_projection(self):
+        profile = PowerProfile(e_cons_tx_j=1.0, e_sleep_j=0.5)
+        window = ForecastWindow("w", 0.0, 400.0, SUN, "gs")  # 10 slots
+        assert self.estimate(window, 50.0, profile) == pytest.approx(50.0 + 20.0 - 5.0)
+
+    def test_projection_clamped_at_capacity(self):
+        profile = PowerProfile(e_cons_tx_j=1.0, e_sleep_j=0.0)
+        window = ForecastWindow("w", 0.0, 1800.0, SUN, "gs")
+        assert self.estimate(window, 195.0, profile) == 200.0
+
+    def test_reservations_reduce_estimate(self):
+        profile = PowerProfile(e_cons_tx_j=1.0, e_sleep_j=0.0)
+        window = ForecastWindow("w", 0.0, 400.0, ECLIPSE, "gs")
+        assert self.estimate(window, 50.0, profile, reserved=7.0) == 43.0
+
+    def test_charge_rate_limit_caps_harvest(self):
+        harvest = HarvestModel(e_g_sun_j_per_slot=100.0, charge_rate_limit_j_per_slot=3.0)
+        assert harvest.slot_harvest(1.0) == 3.0
+        assert harvest.slot_harvest(0.5) == 3.0
+        # 10 slots at the 3 J limit
+        profile = PowerProfile(e_cons_tx_j=1.0, e_sleep_j=0.0)
+        window = ForecastWindow("w", 0.0, 400.0, SUN, "gs")
+        assert self.estimate(window, 50.0, profile, harvest=harvest) == 80.0
+
+
 class TestWindowDif:
     def test_sun_window_with_covering_harvest_has_zero_impact(self):
         assert DIF[SUN] == 0.0
@@ -151,7 +194,9 @@ class TestChooseWindow:
 def selection_cases(draw):
     """A random decision: windows of both phases with tied starts, equal
     objectives and slivers, in shuffled order, over a random energy state,
-    harvest, profile, pack and weights."""
+    harvest, profile, pack, weights and slot length.  A pack may be faded to
+    no capacity after construction, as the engine leaves it: phi_max and
+    phi both 0.0."""
     n = draw(st.integers(0, 7))
     ids = draw(st.permutations([f"w{i}" for i in range(n)]))
     windows = []
@@ -162,14 +207,16 @@ def selection_cases(draw):
                                   st.floats(0.01, 1800.0)))
         phase = draw(st.sampled_from([SUN, ECLIPSE]))
         windows.append(ForecastWindow(window_id, start, start + duration, phase, "gs"))
-    phi_max = 1000.0
+    phi_max = draw(st.sampled_from([1000.0, 1.0]) | st.floats(1.0, 1e5))
     energy = NodeEnergyState(
         phi_j=draw(st.floats(0.0, phi_max)),
         phi_max_j=phi_max,
-        phi_min_j=draw(st.floats(0.0, 600.0)),
-        e_critical_j=draw(st.floats(0.0, 600.0)),
-        reserved_j=draw(st.sampled_from([0.0, 10.0]) | st.floats(0.0, 300.0)),
+        phi_min_j=draw(st.just(0.0) | st.floats(0.0, 0.6 * phi_max)),
+        e_critical_j=draw(st.just(0.0) | st.floats(0.0, 0.6 * phi_max)),
+        reserved_j=draw(st.sampled_from([0.0, 10.0]) | st.floats(0.0, 0.3 * phi_max)),
     )
+    if draw(st.integers(0, 3)) == 3:
+        energy.phi_max_j = energy.phi_j = 0.0
     e_sleep = draw(st.floats(0.0, 5.0))
     profile = PowerProfile(e_cons_tx_j=e_sleep + draw(st.floats(0.5, 50.0)), e_sleep_j=e_sleep)
     harvest = HarvestModel(e_g_sun_j_per_slot=draw(st.sampled_from([0.0, 3.0, 20.0]) |
@@ -186,26 +233,29 @@ def selection_cases(draw):
     m = mac(w_dif=w_dif, w_energy=w_energy, dif_ref=dif_ref)
     now = draw(st.sampled_from([0.0, 40.0]) | st.floats(0.0, 3000.0))
     min_attempt_s = draw(st.sampled_from([0.0, 0.3, 50.0]))
+    slot_s = draw(st.sampled_from([40.0, 1.0, 1800.0]) | st.floats(0.05, 2000.0))
     order = draw(st.permutations(range(n)))
-    return windows, order, energy, harvest, profile, base, capacity_j, m, now, min_attempt_s
+    return (windows, order, energy, harvest, profile, base, capacity_j, m, now, min_attempt_s,
+            slot_s)
 
 
 class TestOnePassSelection:
     @given(selection_cases())
     def test_matches_evaluate_all_then_choose(self, case):
-        windows, order, energy, harvest, profile, base, capacity_j, m, now, min_attempt_s = case
+        (windows, order, energy, harvest, profile, base, capacity_j, m, now, min_attempt_s,
+         slot_s) = case
         dif = phase_dif(harvest, profile, PARAMS, base, capacity_j, m.dif_ref)
         got = select_forecast_window([windows[i] for i in order], energy, harvest, profile,
-                                     m, dif, now, 40.0, min_attempt_s)
+                                     m, dif, now, slot_s, min_attempt_s)
         window, reason, estimate = oracle_select_window(
             windows, energy, harvest, profile, PARAMS, base, capacity_j, m.dif_ref,
-            m.w_dif, m.w_energy, now, 40.0, min_attempt_s,
+            m.w_dif, m.w_energy, now, slot_s, min_attempt_s,
         )
         if window is not None:
             assert got.decision.window is window
         else:
             assert got.decision.reason.value == reason
-        assert got.estimate_j == estimate
+        assert repr(got.estimate_j) == repr(estimate)   # bit for bit, -0.0 apart from 0.0
 
 
 class TestSelectForecastWindow:

@@ -461,6 +461,37 @@ class TestSchedule:
         assert sched.candidates(now=w.end, deadline=2900.0) == []
 
 
+@st.composite
+def candidate_queries(draw):
+    """A schedule of up to three targets' windows, and a (now, deadline, account_end)
+    query whose times may sit on window edges."""
+    windows = []
+    for target in draw(st.sets(st.sampled_from(["a", "b", "c"]), max_size=3)):
+        t = draw(st.floats(0.0, 3000.0))
+        for k in range(draw(st.integers(0, 6))):
+            start = t + draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 4000.0))
+            end = start + draw(st.sampled_from([orbit.MAX_WINDOW_S, 0.5]) |
+                               st.floats(0.01, orbit.MAX_WINDOW_S))
+            windows.append(ForecastWindow(f"{target}:{k}", start, end, SUN, target))
+            t = end
+    edges = [w.start for w in windows] + [w.end for w in windows]
+    time = st.floats(0.0, 40_000.0) | (st.sampled_from(edges) if edges else st.nothing())
+    now = draw(time)
+    deadline = draw(time | st.floats(0.0, 20_000.0).map(lambda span: now + span))
+    return Schedule(windows=tuple(windows)), now, deadline, draw(time | st.just(math.inf))
+
+
+class TestCandidateQuery:
+    @given(candidate_queries())
+    def test_one_pass_matches_query_then_filter(self, query):
+        schedule, now, deadline, account_end = query
+        got = schedule.candidates(now, deadline, account_end)
+        assert got == [w for w in schedule.candidates(now, deadline) if w.end <= account_end]
+        # and a scan of every window, in schedule order
+        assert got == [w for w in schedule.windows
+                       if w.start < deadline and now < w.end <= account_end]
+
+
 class TestScheduleOverride:
     RECORDS = [
         {"node": 0, "target": "gs", "start_s": 0.0, "end_s": 600.0, "phase": "sun"},

@@ -2,8 +2,10 @@
 
 import random
 
+import numpy as np
 import pytest
 
+from leolora.engine import Simulator
 from leolora.report import (
     MAX_DOD_OBSERVATIONS,
     MAX_ENCODED_BYTES,
@@ -14,8 +16,11 @@ from leolora.report import (
     gateway_compute_fleet_degradation,
 )
 
-from conftest import bits
+from conftest import bits, make_scenario
 from oracles import oracle_calendar, oracle_cycle, oracle_sei
+
+
+FLOAT32_MAX = float(np.finfo(np.float32).max)
 
 
 def make_report(n_dod=8, **kw):
@@ -69,6 +74,30 @@ class TestEncoding:
         report = make_report(n_dod=2, dod_observations=(0.0, 1.0))
         back = decode_report(encode_report(report))
         assert back.dod_observations == (0.0, 1.0)
+
+    @pytest.mark.parametrize("energy", [FLOAT32_MAX, 3.5e38, 2.3e299, 1e308, float("inf")])
+    def test_energy_past_float32_saturates(self, energy):
+        back = decode_report(encode_report(make_report(energy_consumed_j=energy)))
+        assert back.energy_consumed_j == FLOAT32_MAX
+
+    def test_every_report_of_a_pack_that_fades_out_fits_the_uplink(self, default_dict):
+        # retransmissions without end draw up to 2.3e299 J a period, past float32
+        sc = make_scenario(default_dict, **{"sim.duration_days": 1.0, "mac.max_attempts": 1e300,
+                                            "mac.backoff_base_s": 1.0})
+        sim = Simulator(sc, seed=1)
+        sim.run()
+        assert len(sim.reports) == 8
+        assert sum(r.energy_consumed_j > FLOAT32_MAX for r in sim.reports) == 4
+        for report in sim.reports:
+            blob = encode_report(report)
+            assert len(blob) <= MAX_ENCODED_BYTES
+            back = decode_report(blob)
+            assert (back.node_id, back.n_slots, back.n_transmissions) == (
+                report.node_id, report.n_slots, report.n_transmissions)
+            assert (back.period_start, back.period_end) == (
+                round(report.period_start), round(report.period_end))
+            assert back.energy_consumed_j == pytest.approx(
+                min(report.energy_consumed_j, FLOAT32_MAX), rel=1e-7)
 
 
 class TestValidation:
