@@ -35,7 +35,7 @@ from .exceptions import Bounds, ConfigError, ValidationError, bounded, check_bou
 from .mac import MacConfig, nominal_backoff_base, transmit_stress
 from .orbit import (TWO_PI, ForecastWindow, GroundStation, OrbitConfig, Schedule,
                     WindowOverlap, grid_problem)
-from .report import MAX_DOD_OBSERVATIONS, MAX_NODE_ID
+from .report import MAX_DOD_OBSERVATIONS, MAX_NODE_ID, MAX_UINT32
 
 TRAFFIC_MODELS = ("poisson", "periodic", "none")
 PROTOCOLS = ("battery_aware", "naive_aloha")
@@ -397,6 +397,22 @@ def parse_scenario(data: dict) -> ScenarioConfig:
                 f"sim.report_interval_s: {sim.node_count} nodes over {sim.duration_s} s "
                 f"would report {rows:.3g} rows, over the limit of {MAX_REPORT_ROWS:,}; "
                 f"got {sim.report_interval_s}"
+            )
+        # the uplink sends period times in whole seconds and n_slots as uint32s:
+        # round(duration_s) <= MAX_UINT32 (half to even, and MAX_UINT32 is odd),
+        # and a period of L s holds at most floor(L / slot_s) + 1 slots
+        if sim.duration_s >= MAX_UINT32 + 0.5:
+            problems.append(
+                f"sim.duration_days: the last report period would end at {sim.duration_s} s, "
+                f"past the uplink's uint32 whole seconds ({MAX_UINT32:,}); "
+                f"got {sim.duration_days}"
+            )
+        period = min(sim.report_interval_s, sim.duration_s)
+        if period / sim.slot_s >= MAX_UINT32:
+            problems.append(
+                f"sim.report_interval_s: a report period of {period} s would hold up to "
+                f"{period / sim.slot_s:.4g} slots of {sim.slot_s} s, past the uplink's uint32 "
+                f"n_slots ({MAX_UINT32:,}); got {sim.report_interval_s}"
             )
         arrivals = sim.node_count * sim.duration_s * sim.traffic_rate_per_s
         if sim.traffic_model != "none" and arrivals > MAX_ARRIVALS:

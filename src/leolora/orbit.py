@@ -8,28 +8,39 @@ The phase timeline is profile-driven: sunrises on the exact grid
 span.  Visibility uses a spherical Earth, a circular-orbit ground track,
 and a sampled central-angle threshold; no perturbations or TLE propagation.
 
-Visibility is decided on the sample grid t0 + step * i.  A node's ground
-track (sin lat, cos lat, lon) is computed once on the coarse grid, every
-COARSE_STEP_S seconds with the last sample included, and every station reads
-it for its central angle c.  The ground track moves no faster than the mean
-motion plus the Earth's rotation, so c changes no faster than
-rate = 2 pi / period + omega_earth, and over a coarse interval of length h
-with end values c_a and c_b it stays within (c_a + c_b -+ rate * h) / 2.
-Each interval falls in one of three classes:
+Visibility is decided on the sample grid t0 + step * i, level by level.
+Level 0 takes a node's ground track (sin lat, cos lat, lon) at every
+LEVEL_SPANS_S[0] / step-th sample, with the last sample included, and
+every station, one row of the same array, reads it for its central angle
+c.  The ground track moves no faster than the mean motion plus the Earth's
+rotation, so c changes no faster than rate = 2 pi / period + omega_earth,
+and over an interval of samples [a, b] with end values c_a and c_b it stays
+within (c_a + c_b -+ slack) / 2, slack = rate * (b - a) * step.  Each
+interval falls in one of three classes:
 
-- outside, when the floor (c_a + c_b - rate * h) / 2 exceeds lam_max plus a
+- outside, when the floor (c_a + c_b - slack) / 2 exceeds lam_max plus a
   margin: no sample in it is visible, and none is evaluated;
-- inside, when the ceiling (c_a + c_b + rate * h) / 2 is below lam_max minus
+- inside, when the ceiling (c_a + c_b + slack) / 2 is below lam_max minus
   the margin: every sample in it is visible, and none is evaluated;
-- straddling otherwise: every sample in it is evaluated with the same times
-  and the same cos-threshold test as a scan of every sample.
+- straddling otherwise: it is split into the pieces of the next level
+  (60 s, then 8 s), each evaluated at its ends in order and classed the
+  same way.  The straddlers of the last level have every sample evaluated,
+  with the same times and the same cos-threshold test as a scan of every
+  sample.
+
+All of a node's stations are rows of one array per level, with each
+station's constants gathered per point, so a build makes as many numpy
+calls for one station as for many; level 0 is taken a chunk of points at a
+time, which bounds the arrays a build holds at once.
 
 The margin of 1e-6 rad covers rounding in the computed angle, which can put
 a sample's computed cosine on the other side of cos(lam_max) from its true
 angle; it must hold on both sides, since an inside sample the full scan
-would round to invisible must be evaluated too.  So every sample that is
-not evaluated has the verdict the full scan gives it, and the windows (the
-merged runs of visible samples) are those of the full scan, bit for bit.
+would round to invisible must be evaluated too.  The bound holds over an
+interval of any length, so the argument is the same at every level: every
+sample that is not evaluated has the verdict the full scan gives it, and
+the windows (the merged runs of visible samples) are those of the full
+scan, bit for bit.
 """
 
 from __future__ import annotations
@@ -55,18 +66,23 @@ _LONGEST_WINDOW_S = MAX_WINDOW_S + 1e-6
 SUN = "sun"
 ECLIPSE = "eclipse"
 
-# Spacing of the coarse visibility pass, and the slack its bound allows for
-# rounding in the computed central angle.
-COARSE_STEP_S = 60.0
+# Interval spans of the pass search's levels, longest first, and the slack
+# its bound allows for rounding in the computed central angle.
+LEVEL_SPANS_S = (600.0, 60.0, 8.0)
 _ANGLE_MARGIN_RAD = 1e-6
+# The spacing the build limits below are stated in, and the level-0 points
+# times stations a build evaluates at once.
+COARSE_STEP_S = 60.0
+_CHUNK_POINTS = 1 << 17
 
-# A build evaluates its passes whole, so its memory grows with the grid: with
-# the grid's horizon / step samples (one node's 1e8 at a 1 s step peak at
-# about 250 MB), and faster with its coarse samples, where the ground track
-# and every station's arrays are evaluated (about 90 B each: one node's 1e6
-# at a 60 s step peak at about 120 MB).  `grid_problem` refuses a grid past
-# either limit before any build.  4 years at 1 s is 1.26e8 samples, and
-# 2.1e6 coarse ones at 1 s or at 60 s.
+# Limits on a build's grid, which `grid_problem` checks before any build:
+# horizon / step samples, and coarse samples, one every COARSE_STEP_S
+# seconds, or every sample at steps of COARSE_STEP_S or more.  A build's
+# arrays are bounded by its chunks, so its peak grows only with the passes
+# it finds: one node over 4 stations peaks at about 66 MB traced at the
+# coarse limit at a 1000 s step, 44 MB at 60 s, and 162 MB at the sample
+# limit at 1 s, in about 2 s, 7 s and 6 s.  4 years at
+# 1 s is 1.26e8 samples, and 2.1e6 coarse ones at 1 s or at 60 s.
 MAX_SCHEDULE_SAMPLES = 500_000_000
 MAX_COARSE_SAMPLES = 10_000_000
 
@@ -206,22 +222,25 @@ def _ground_track(config: OrbitConfig, times: np.ndarray) -> tuple[np.ndarray, .
     return sin_lat, np.cos(np.arcsin(sin_lat)), lon
 
 
-def _cos_central_angle(station: GroundStation, track: tuple[np.ndarray, ...]) -> np.ndarray:
-    """Cosine of the Earth-central angle from station to each point of a ground track."""
+def _cos_central_angle(sin_lat_st, cos_lat_st, lon_st, track: tuple[np.ndarray, ...]):
+    """Cosine of the Earth-central angle from a station to each point of a ground track.
+
+    The station's sin lat, cos lat and lon are scalars, columns (one station
+    a row) or one value per track point; each gives the same bits.
+    """
     sin_lat, cos_lat, lon = track
-    return (math.sin(station.latitude_rad) * sin_lat
-            + math.cos(station.latitude_rad) * cos_lat * np.cos(lon - station.longitude_rad))
-
-
-def _runs(flags: np.ndarray, coarse: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """First and last sample index of each maximal run of flagged coarse intervals."""
-    edges = np.diff(np.concatenate(([0], flags.view(np.int8), [0])))
-    return coarse[np.flatnonzero(edges == 1)], coarse[np.flatnonzero(edges == -1)]
+    return sin_lat_st * sin_lat + cos_lat_st * cos_lat * np.cos(lon - lon_st)
 
 
 def _stride(step: float) -> int:
     """Samples per coarse interval of a grid of this step."""
     return max(1, int(COARSE_STEP_S // step))
+
+
+def _strides(step: float) -> list[int]:
+    """Samples per interval of each search level on a grid of this step: distinct,
+    longest first, and 1 (the sample-by-sample scan) last."""
+    return sorted({max(1, int(span // step)) for span in LEVEL_SPANS_S} | {1}, reverse=True)
 
 
 def grid_problem(horizon: float, step: float) -> str | None:
@@ -237,16 +256,71 @@ def grid_problem(horizon: float, step: float) -> str | None:
     return None
 
 
+def _split(rows: np.ndarray, a: np.ndarray, b: np.ndarray, stride: int):
+    """(row, point, whether first) of the points a, a + stride, ... and b of each
+    interval [a, b] of a row, interval by interval and in order within each."""
+    counts = (b - a - 1) // stride + 2
+    j = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+    points = np.minimum(np.repeat(a, counts) + stride * j, np.repeat(b, counts))
+    return np.repeat(rows, counts), points, j == 0
+
+
+def _runs(rows: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(row, first, last) of each run of consecutive sample indices in (row, idx) order;
+    an index repeated is still consecutive."""
+    if idx.size == 0:
+        return rows, idx, idx
+    cut = np.flatnonzero((np.diff(idx) > 1) | (np.diff(rows) != 0))
+    heads = np.append(0, cut + 1)
+    return rows[heads], idx[heads], idx[np.append(cut, idx.size - 1)]
+
+
+def _visible_ranges(config: OrbitConfig, rows_st: tuple[np.ndarray, ...], t0: float,
+                    step: float, points: np.ndarray, strides: list[int]) -> list[tuple]:
+    """(row, first sample, last sample) of ranges that hold every visible sample of
+    each station (a row of `rows_st`) from the first to the last of the level-0
+    points given, found level by level (see the module docstring)."""
+    sin_st, cos_st, lon_st, lam, cos_lam = rows_st
+    m = points.size
+    cos_c = _cos_central_angle(sin_st[:, None], cos_st[:, None], lon_st[:, None],
+                               _ground_track(config, t0 + step * points)).ravel()
+    rows = np.repeat(np.arange(sin_st.size), m)
+    points = np.tile(points, sin_st.size)
+    first = np.arange(points.size) % m == 0   # no interval ends at a row's first point
+
+    found = []
+    rate_step = (TWO_PI / config.period_s + EARTH_ROTATION_RAD_S) * step
+    for stride in strides[1:]:
+        c = np.arccos(np.clip(cos_c, -1.0, 1.0))
+        ends = c[:-1] + c[1:]
+        slack = rate_step * (points[1:] - points[:-1])
+        lam_r = lam[rows[:-1]]
+        inside = (0.5 * (ends + slack) < lam_r - _ANGLE_MARGIN_RAD) & ~first[1:]
+        straddle = (0.5 * (ends - slack) <= lam_r + _ANGLE_MARGIN_RAD) & ~first[1:] & ~inside
+        found.append((rows[:-1][inside], points[:-1][inside], points[1:][inside]))
+        # the straddling intervals' pieces make the next level, evaluated at their ends
+        rows, points, first = _split(rows[:-1][straddle], points[:-1][straddle],
+                                     points[1:][straddle], stride)
+        cos_c = _cos_central_angle(sin_st[rows], cos_st[rows], lon_st[rows],
+                                   _ground_track(config, t0 + step * points))
+
+    # the last level holds every sample of its intervals: each takes the exact test
+    visible = cos_c >= cos_lam[rows]
+    found.append(_runs(rows[visible], points[visible]))
+    return found
+
+
 def _passes(
     config: OrbitConfig, stations: list[GroundStation], t0: float, t1: float, step: float
 ) -> list[ForecastWindow]:
-    """Every station's passes within [t0, t1], found from one coarse ground track.
+    """Every station's passes within [t0, t1], found level by level from the ground track.
 
     A window covers a maximal run of sample times t0 + step * i with central
     angle within the visibility cone.  Runs shorter than two samples are
     dropped as numerical slivers; runs longer than MAX_WINDOW_S keep only
-    their first MAX_WINDOW_S seconds.  Only samples in coarse intervals that
-    straddle the cone edge are evaluated (see the module docstring).
+    their first MAX_WINDOW_S seconds.  Only the samples of the shortest
+    intervals that straddle the cone edge are evaluated one by one (see the
+    module docstring).
     """
     if t1 <= t0:
         raise ValueError(f"need t0 < t1, got [{t0}, {t1}]")
@@ -256,51 +330,46 @@ def _passes(
         return []
 
     n = int(math.floor((t1 - t0) / step)) + 1
-    stride = _stride(step)
-    coarse = np.arange(0, n, stride)
-    if coarse[-1] != n - 1:
-        coarse = np.append(coarse, n - 1)
-    track = _ground_track(config, t0 + step * coarse)
-    # the central angle moves by at most rate * h over a coarse interval
-    slack = (TWO_PI / config.period_s + EARTH_ROTATION_RAD_S) * (stride * step)
+    strides = _strides(step)
+    lam = [max_central_angle(config.altitude_m, s.min_elevation_rad) for s in stations]
+    rows_st = (np.array([math.sin(s.latitude_rad) for s in stations]),
+               np.array([math.cos(s.latitude_rad) for s in stations]),
+               np.array([s.longitude_rad for s in stations]),
+               np.array(lam), np.array([math.cos(x) for x in lam]))
+    # level 0 takes its points 0, stride, 2 * stride, ... and n - 1 a chunk at a
+    # time, each chunk's last point the next one's first
+    span = max(1, _CHUNK_POINTS // len(stations)) * strides[0]
+    found = []
+    for a in range(0, max(n - 1, 1), span):
+        b = min(a + span, n - 1)
+        points = np.append(np.arange(a, b, strides[0]), b)
+        found += _visible_ranges(config, rows_st, t0, step, points, strides)
+
+    # ranges that touch or overlap within a row join into one run; a key of
+    # row * (n + 1) + sample keeps the rows apart
+    key = n + 1
+    rows, lo, hi = (np.concatenate(part) for part in zip(*found))
+    if lo.size == 0:
+        return []
+    lo, hi = rows * key + lo, rows * key + hi
+    order = np.argsort(lo)
+    lo, hi = lo[order], np.maximum.accumulate(hi[order])
+    gap = lo[1:] > hi[:-1] + 1
+    lo, hi = lo[np.append(True, gap)], hi[np.append(gap, True)]
+    long_enough = hi > lo
+    rows, lo = np.divmod(lo[long_enough], key)
+    hi = hi[long_enough] - rows * key
 
     windows = []
-    for station in stations:
-        lam_max = max_central_angle(config.altitude_m, station.min_elevation_rad)
-        c = np.arccos(np.clip(_cos_central_angle(station, track), -1.0, 1.0))
-        ends = c[:-1] + c[1:]
-        inside = 0.5 * (ends + slack) < lam_max - _ANGLE_MARGIN_RAD
-        straddle = (0.5 * (ends - slack) <= lam_max + _ANGLE_MARGIN_RAD) & ~inside
-
-        # every sample of a straddling interval is evaluated as a full scan would
-        first, last = _runs(straddle, coarse)
-        lengths = last - first + 1
-        offsets = np.cumsum(lengths) - lengths
-        idx = np.arange(lengths.sum()) + np.repeat(first - offsets, lengths)
-        fine = _ground_track(config, t0 + step * idx)
-        idx = idx[_cos_central_angle(station, fine) >= math.cos(lam_max)]
-
-        # visible ranges: runs of evaluated visible samples, and inside intervals whole
-        breaks = np.flatnonzero(np.diff(idx) != 1)
-        in_first, in_last = _runs(inside, coarse)
-        lo = np.concatenate((idx[:1], idx[breaks + 1], in_first))
-        if lo.size == 0:
-            continue
-        hi = np.concatenate((idx[breaks], idx[-1:], in_last))
-        order = np.argsort(lo)
-        lo, hi = lo[order], np.maximum.accumulate(hi[order])
-        # ranges that touch or overlap join into one run
-        gap = lo[1:] > hi[:-1] + 1
-        lo, hi = lo[np.append(True, gap)], hi[np.append(gap, True)]
-        long_enough = hi > lo
-        starts = t0 + step * lo[long_enough]
-        lasts = t0 + step * hi[long_enough]
-
-        for k, (start, last_t) in enumerate(zip(starts.tolist(), lasts.tolist())):
-            end = min(min(last_t + step, t1), start + MAX_WINDOW_S)
-            windows.append(ForecastWindow(
-                window_id=f"{station.id}:{k}", start=start, end=end,
-                phase=phase_at(config, 0.5 * (start + end)), target=station.id))
+    counts = [0] * len(stations)
+    for r, start, last_t in zip(rows.tolist(), (t0 + step * lo).tolist(),
+                                (t0 + step * hi).tolist()):
+        station = stations[r]
+        end = min(min(last_t + step, t1), start + MAX_WINDOW_S)
+        windows.append(ForecastWindow(
+            window_id=f"{station.id}:{counts[r]}", start=start, end=end,
+            phase=phase_at(config, 0.5 * (start + end)), target=station.id))
+        counts[r] += 1
     return windows
 
 

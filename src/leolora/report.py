@@ -26,8 +26,10 @@ uplink budget.
 Range: `energy_consumed_j` saturates at the largest finite float32,
 about 3.4e38 J; a pack whose retransmissions draw more sends that (the
 gateway reads no energy).  `n_transmissions` counts the node's packets,
-at most `config.MAX_ARRIVALS` (3e7).  Validation does not yet bound the
-uint32 period times or `n_slots`.
+at most `config.MAX_ARRIVALS` (3e7).  Validation refuses a run whose
+last period ends past MAX_UINT32 whole seconds, or whose report period
+can hold more than MAX_UINT32 slots, so the period times and `n_slots`
+always fit.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from .battery import BatteryState, DegradationParams, age
 MAX_ENCODED_BYTES = 51
 MAX_DOD_OBSERVATIONS = 9
 MAX_NODE_ID = 0xFFFF
+MAX_UINT32 = 0xFFFFFFFF
 _DOD_SCALE = 65535.0
 
 _HEADER = struct.Struct("<HIIIIfffB")

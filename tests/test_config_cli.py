@@ -5,6 +5,7 @@ import copy
 import csv
 import dataclasses
 import functools
+import hashlib
 import io
 import json
 import math
@@ -39,6 +40,7 @@ from leolora.engine import END_OUTCOMES
 from leolora.exceptions import Bounds, ConfigError, ValidationError
 from leolora.mac import MacConfig
 from leolora.orbit import MAX_SCHEDULE_SAMPLES, GroundStation, OrbitConfig
+from leolora.report import MAX_UINT32
 
 from conftest import time_limit
 
@@ -189,6 +191,48 @@ class TestValidation:
         assert len(exc.value.problems) == 1
         assert exc.value.problems[0].startswith("sim.schedule_step_s: ")
         assert "coarse samples" in exc.value.problems[0]
+
+    # the last report period ends at 4.32e9 s, past the uint32 whole seconds
+    _PAST_UINT32_END = {"sim.duration_days": 50000, "sim.schedule_step_s": 1000}
+    # 4.4e9 slots of 1 s in one report period, over 51,000 days (4.41e9 s)
+    _PAST_UINT32_SLOTS = {"orbit.period_s": 1e9, "orbit.sun_duration_s": 5e8,
+                          "sim.report_interval_s": 4.4e9, "sim.slot_s": 1.0,
+                          "sim.duration_days": 51000, "sim.schedule_step_s": 1000}
+    # the longest run the uplink's period times carry: it ends at 2^32 - 1 s
+    _UINT32_END = {"sim.duration_days": MAX_UINT32 / 86400.0, "sim.schedule_step_s": 1000}
+
+    @pytest.mark.parametrize("changes, fields", [
+        (_PAST_UINT32_END, ["sim.duration_days"]),
+        (_PAST_UINT32_SLOTS, ["sim.duration_days", "sim.report_interval_s"]),
+        # a period of 2^32 - 1 s that ends at 2^32 - 1 s holds 2^32 slots of 1 s
+        ({**_PAST_UINT32_SLOTS, **_UINT32_END, "sim.report_interval_s": float(MAX_UINT32)},
+         ["sim.report_interval_s"]),
+    ], ids=["end", "end_and_slots", "slots"])
+    def test_reports_past_the_uplink_uint32_fields_exit_2(self, tmp_path, scenario_dict,
+                                                          capsys, changes, fields):
+        for dotted, value in changes.items():
+            section, key = dotted.split(".")
+            scenario_dict[section][key] = value
+        cfg = tmp_path / "uint32.json"
+        cfg.write_text(json.dumps(scenario_dict))
+        code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "m.csv")])
+        assert code == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert [line.split(": ")[1] for line in lines] == fields, lines
+        assert all("uplink's uint32" in line for line in lines)
+
+    @pytest.mark.parametrize("changes", [
+        _UINT32_END,
+        # a period of 2^32 - 2 s holds at most 2^32 - 1 slots of 1 s
+        {**_PAST_UINT32_SLOTS, **_UINT32_END, "sim.report_interval_s": MAX_UINT32 - 1.0},
+    ], ids=["end", "slots"])
+    def test_reports_just_inside_the_uplink_uint32_fields_accepted(self, scenario_dict,
+                                                                   changes):
+        for dotted, value in changes.items():
+            section, key = dotted.split(".")
+            scenario_dict[section][key] = value
+        sim = parse_scenario(scenario_dict).sim
+        assert round(sim.duration_s) == MAX_UINT32
 
     def test_negative_seed_rejected(self, scenario_dict):
         scenario_dict["sim"]["seed"] = -1
@@ -656,7 +700,21 @@ class TestCliAirtime:
         assert captured.err.startswith("error: tx_power_w: must be ")
 
 
+# sha256 of `leolora schedule --horizon-s 345600` on the default scenario with
+# 8 nodes (608 windows): a faster pass search must give every byte the same
+SCHEDULE_GOLDEN = "f1017033aed19a3b80c7957c2a8caac0eaae1a5f720e5e01e2e2770a83476ddd"
+
+
 class TestCliSchedule:
+    def test_eight_nodes_over_four_days_give_the_pinned_schedule(self, tmp_path,
+                                                                 scenario_dict):
+        scenario_dict["sim"]["node_count"] = 8
+        cfg, out = tmp_path / "cfg.json", tmp_path / "schedule.json"
+        cfg.write_text(json.dumps(scenario_dict))
+        assert main(["schedule", "--config", str(cfg), "--horizon-s", "345600",
+                     "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == SCHEDULE_GOLDEN
+
     def test_sun_fraction_exact_over_one_orbit(self, capsys):
         assert main(["schedule", "--horizon-s", "5400"]) == 0
         doc = json.loads(capsys.readouterr().out)
@@ -872,9 +930,10 @@ FUZZ_VALUES = [0, 0.0, -1.0, 1, 0.5, 1.5, 1e-12, 1e-3, 1e6, 1e306, -1e306, math.
 _DELETE = object()
 # (key, value, problem lines) of the changes that break more than one rule
 FUZZ_SEVERAL = [
-    ("duration_days", 1e6, 2),       # the arrivals and the schedule grid
-    ("duration_days", 250000, 2),
-    ("duration_days", 1e306, 3),     # and the report rows
+    ("duration_days", 1e6, 3),       # the uint32 period end, the arrivals and the grid
+    ("duration_days", 250000, 3),
+    ("duration_days", 1e306, 4),     # and the report rows
+    ("slot_s", 1e-12, 2),            # under the time-on-air, and past the uint32 n_slots
 ]
 BOTH_C_RATE_FORMS = "error: battery: give either c_rate_reference or discharge_current_a, not both"
 # an `error:` line names one dotted path: a section, a station, or a key of either
