@@ -6,16 +6,17 @@
 
 with phi clamped to [0, phi_max]: it settles a run of slots in one walk,
 taking each slot's sunlit seconds, in slot order, from an iterable (the
-engine slices them from the node's lazy, block-filled `_Node.sunlit`)
-and its transmit phase from the node's {slot: phase} map, and adds each
-slot to the node's running `SlotTotals`.  `_slot_terms` gives the terms
-phi does not enter (x, y, E_g and the slot's battery discharge for the
-orbit ledger).  They depend only on (tx_phase, sun_s) and the run's
-constants, so a run keeps those of whole slots in a memo of at most six
-keys.  A clamp at zero is a brownout; every clamp is counted so the
-run-level ledger can be audited exactly.  A real slot tick settles its
-gap and its own slot through `energy_step`, one walk; a settle before a
-read walks through `settle_slots` itself.
+engine passes slices of the node's 256-slot blocks, `_Node.block`) and
+its transmit phase from the node's {slot: phase} map, and adds each slot
+to the node's running `SlotTotals`.  `_slot_terms` gives the terms phi
+does not enter (x, y, E_g and the slot's battery discharge for the orbit
+ledger).  They depend only on (tx_phase, sun_s) and the run's constants,
+so a run keeps those of whole slots in a memo of at most six keys, and a
+walk holds an idle slot's terms across each run of equal sunlit seconds
+without a lookup.  A clamp at zero is a brownout; every clamp is counted
+so the run-level ledger can be audited exactly.  A real slot tick
+settles its gap and its own slot through `energy_step`, one walk; a
+settle before a read walks through `settle_slots` itself.
 """
 
 from __future__ import annotations
@@ -186,6 +187,9 @@ def settle_slots(
     at most six keys, since a partly sunlit slot's sun_s rarely repeats.
     The terms also depend on slot_s, harvest and profile, so a run keeps
     its own memo.  Keys 0.0 and -0.0 are one key, and give the same terms.
+    An idle slot whose sun_s equals the slot before's, also idle, reuses
+    that slot's terms without a lookup, and the map is popped only while
+    it holds a booking: so a long idle run costs only its arithmetic.
     """
     phi, phi_max = state.phi_j, state.phi_max_j
     harvested_j, consumed_j = totals.harvested_j, totals.consumed_j
@@ -195,17 +199,21 @@ def settle_slots(
     brownouts = 0
     raw = phi
     get, pop = memo.get, tx.pop
+    held = None   # the sunlit seconds of the idle slot whose terms the locals hold
     k = first
     for s in sun_s:
-        key = (pop(k, None), s)
+        tx_phase = pop(k, None) if tx else None
         k += 1
-        terms = get(key)
-        if terms is None:
-            harvested, consumed, discharge = _slot_terms(*key, slot_s, harvest, profile)
-            terms = (harvested, consumed, discharge, harvested - consumed)
-            if s == 0.0 or s == slot_s:
-                memo[key] = terms
-        harvested, consumed, discharge, delta = terms
+        if tx_phase is not None or s != held:
+            key = (tx_phase, s)
+            terms = get(key)
+            if terms is None:
+                harvested, consumed, discharge = _slot_terms(*key, slot_s, harvest, profile)
+                terms = (harvested, consumed, discharge, harvested - consumed)
+                if s == 0.0 or s == slot_s:
+                    memo[key] = terms
+            harvested, consumed, discharge, delta = terms
+            held = s if tx_phase is None else None
         raw = phi + delta
         # min(max(raw, 0.0), phi_max), by the comparisons max and min make
         phi = 0.0 if raw < 0.0 else raw

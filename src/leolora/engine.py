@@ -29,10 +29,14 @@ the rest of that gap and its own slot in one `energy.energy_step` walk,
 which raises `ContractError` if a gap slot browns out and returns whether
 its own slot did, for the tick to act on; it then pushes the next real
 tick.  Every walk, a tick's or a batch settle's, goes through
-`Simulator._walk`, and takes its slots' sunlit seconds from the node's
-`sunlit` iterator, which makes them `_SLOTS_PER_BLOCK` slots at a time in
-one `orbit.sunlit_seconds` call, when a walk first reaches the block.
-Only `_Node.slot_time` places a slot edge, for one index or an array.
+`Simulator._walk`.  It takes its slots' sunlit seconds from blocks of
+`_SLOTS_PER_BLOCK` slots, each made in one `orbit.sunlit_seconds` call
+when a walk first reaches it: a list slice of the node's current block
+(`_Node.block`), or a lazy chain of slices for a walk that runs past it.
+A walk holds an idle slot's terms across each run of equal sunlit
+seconds, and the run's memo (`Simulator._slot_terms`) keeps whole slots'
+terms (`energy.settle_slots`).  Only `_Node.slot_time` places a slot
+edge, for one index or an array.
 
 The fleet reports on one clock: one report event per report time settles
 and reports every node in id order, then pushes the next.
@@ -142,7 +146,7 @@ class MetricsRecord(NamedTuple):
 METRICS_COLUMNS = MetricsRecord._fields
 
 
-@dataclass(eq=False)   # one packet is equal only to itself: snapshots compare packets
+@dataclass(eq=False, slots=True)   # one packet is equal only to itself: snapshots compare packets
 class _Packet:
     created: float
     # how it ended, its `END_OUTCOMES` key (`Simulator._finish`); None while it lives
@@ -177,20 +181,17 @@ class _Node:
     settled: int = 0         # slots 0 .. settled - 1 are settled
     sunrise: float = math.inf  # the next sunrise, where an orbit closes; inf past the run
     packets: Counter[str] = field(default_factory=Counter)  # PACKET_OUTCOMES
-    sunlit: Iterator[float] = iter(())  # the sunlit seconds of slot settled on (`sunlit_blocks`)
+    # the sunlit seconds of the block the latest walk ended in (`sunlit_block`)
+    block: list[float] = field(default_factory=list)
 
     def slot_time(self, k: int | np.ndarray) -> float | np.ndarray:
         """The start of slot k (the time of tick k), for an index or an array of them."""
         return self.slot_offset + k * self.slot_s
 
-    def sunlit_blocks(self) -> Iterator[list[float]]:
-        """Each slot's sunlit seconds in slot order, `_SLOTS_PER_BLOCK` slots a block.
-
-        A block is made from the slot edges only when the walk reaches it.
-        """
-        for b in range(0, self.n_slots, _SLOTS_PER_BLOCK):
-            ticks = np.arange(b, min(b + _SLOTS_PER_BLOCK, self.n_slots) + 1)
-            yield sunlit_seconds(self.orbit, self.slot_time(ticks))
+    def sunlit_block(self, b: int) -> list[float]:
+        """The sunlit seconds of slots b .. b + `_SLOTS_PER_BLOCK` - 1 (or to the last), in order."""
+        ticks = np.arange(b, min(b + _SLOTS_PER_BLOCK, self.n_slots) + 1)
+        return sunlit_seconds(self.orbit, self.slot_time(ticks))
 
     def last_tick(self, t: float) -> int:
         """The largest m with slot_time(m) <= t: t lies in slot m."""
@@ -213,7 +214,9 @@ class Simulator:
     """One deterministic run of a validated scenario.
 
     `schedules` holds each node's forecast windows by node id (a node left
-    out has none); when omitted they come from `build_schedules`.
+    out has none); when omitted they come from `build_schedules`.  The
+    per-event code spells `max` and `min` as the comparisons the builtins
+    make, which pick the same value without their call cost.
     """
 
     def __init__(
@@ -281,7 +284,6 @@ class Simulator:
                 arrivals=iter(()),
             )
             node.n_slots = max(node.last_tick(self.t_end), 0)
-            node.sunlit = itertools.chain.from_iterable(node.sunlit_blocks())
             node.sunrise = self._next_sunrise(orbit, 0.0)
             node.arrivals = self._generate_arrivals(traffic_rng, node.account_end)
             node.next_arrival = next(node.arrivals, math.inf)
@@ -333,16 +335,21 @@ class Simulator:
     # ── main loop ────────────────────────────────────────────────────────
 
     def run(self) -> RunResult:
-        handlers = {
-            EventKind.SLOT_TICK: self._on_slot_tick,
-            EventKind.WINDOW_OPEN: self._on_window_open,
-            EventKind.TX_ATTEMPT_END: self._on_attempt_end,
-            EventKind.REPORT_DUE: self._on_report_due,
-        }
-        while self._heap:
-            time, _, _, kind, payload = heapq.heappop(self._heap)
+        # kinds are told apart by identity: hashing an enum member is a Python call
+        heap, pop = self._heap, heapq.heappop
+        tick, attempt_end, window_open = (EventKind.SLOT_TICK, EventKind.TX_ATTEMPT_END,
+                                          EventKind.WINDOW_OPEN)
+        while heap:
+            time, _, _, kind, payload = pop(heap)
             self.now = time
-            handlers[kind](time, payload)
+            if kind is tick:
+                self._on_slot_tick(time, payload)
+            elif kind is attempt_end:
+                self._on_attempt_end(time, payload)
+            elif kind is window_open:
+                self._on_window_open(time, payload)
+            else:
+                self._on_report_due(time, payload)
         self.now = self.t_end
         self._finalize()
         return RunResult(metrics=self.metrics, summary=self._summary(), nodes=self.nodes)
@@ -366,7 +373,8 @@ class Simulator:
 
     def _decide(self, node: _Node, packet: _Packet, now: float):
         """Send a waiting packet through the node's MAC, at now or once its last sequence ends."""
-        now = max(now, node.busy_until)
+        if node.busy_until > now:   # max(now, busy_until)
+            now = node.busy_until
         if self.naive:
             self._decide_naive(node, packet, now)
             return
@@ -431,7 +439,8 @@ class Simulator:
         """
         # each attempt's end takes its sequence number now, so it orders
         # among simultaneous events as if it had been scheduled at launch
-        packet.attempts = [(t, receiver, next(self._seq)) for t, receiver in attempts]
+        seq = self._seq
+        packet.attempts = attempts = [(t, receiver, next(seq)) for t, receiver in attempts]
         node.in_flight = packet
         node.tx_slot_info[node.last_tick(attempts[0][0])] = tx_phase
         node.busy_until = attempts[-1][0] + self.toa
@@ -463,7 +472,11 @@ class Simulator:
         node_id, packet, window = payload
         node = self.nodes[node_id]
         self._settle_before_now(node)
-        start = max(window.start, now, node.busy_until)
+        start = window.start   # max(window.start, now, node.busy_until)
+        if now > start:
+            start = now
+        if node.busy_until > start:
+            start = node.busy_until
 
         # The reserve is re-checked as the window opens, as a re-decision would
         # see it; sun-window estimates were projections and stand as decided.
@@ -539,9 +552,13 @@ class Simulator:
         got_through = False
         if record[1] is not None:
             toa = self.toa
-            self._on_air = [e for e in self._on_air if e[0][0] + toa > now - 2 * toa]
-            got_through = not any(other is not packet and collides(record, a, toa)
-                                  for a, other in self._on_air)
+            horizon = now - 2 * toa
+            self._on_air = [e for e in self._on_air if e[0][0] + toa > horizon]
+            for a, other in self._on_air:
+                if other is not packet and collides(record, a, toa):
+                    break
+            else:
+                got_through = True
         if not got_through and k + 1 < len(packet.attempts):
             self._announce(node, packet, k + 1)
             return
@@ -556,7 +573,8 @@ class Simulator:
 
     def _release(self, node: _Node, packet: _Packet):
         if packet.reserved_j:
-            node.energy.reserved_j = max(0.0, node.energy.reserved_j - packet.reserved_j)
+            left = node.energy.reserved_j - packet.reserved_j
+            node.energy.reserved_j = left if left > 0.0 else 0.0   # max(0.0, left)
             packet.reserved_j = 0.0
 
     def _finish(self, node: _Node, packet: _Packet, outcome: str):
@@ -573,7 +591,6 @@ class Simulator:
         # a sunrise at exactly this tick closes after the tick's decisions
         while node.sunrise < now:
             self._close_orbit(node)
-        t_end = node.slot_time(k)
         idx = k - 1
         if idx == node.sleep_slot:   # no transmit counts in the slot after a brownout
             node.tx_slot_info.pop(idx, None)
@@ -591,12 +608,11 @@ class Simulator:
                                 if p is not victim or a[0] <= now]
                 self._finish(node, victim, "dropped_energy")
                 node.in_flight = None
-                node.busy_until = t_end
-
+                node.busy_until = now
         # a brownout tick leaves its arrivals to the guard tick right after it
-        if not brownout:
-            for packet in self._drain_arrivals(node, t_end):
-                self._decide(node, packet, t_end)
+        elif node.next_arrival <= now:   # now is slot_time(k), the end of the tick's slot
+            for packet in self._drain_arrivals(node, now):
+                self._decide(node, packet, now)
         self._schedule_wake(node)
 
     def _schedule_wake(self, node: _Node):
@@ -609,15 +625,22 @@ class Simulator:
         also gives the tick right after it, which drains the arrivals the
         brownout tick left.  Every slot before the tick settles in one batch.
         """
-        if node.settled >= node.n_slots:
+        n_slots = node.n_slots
+        if node.settled >= n_slots:
             return
-        k = min(node.n_slots, self._guard(node))
+        k = self._guard(node)   # min(n_slots, guard), then min(k, the arrival's tick)
+        if n_slots < k:
+            k = n_slots
         if node.next_arrival < math.inf:   # grid_floor(inf) overflows
-            k = min(k, self._first_tick(node, node.next_arrival))
-        if node.slot_time(k) >= node.sunrise:   # else the sunrise's tick comes after k
+            arrival = self._first_tick(node, node.next_arrival)
+            if arrival < k:
+                k = arrival
+        t = node.slot_time(k)
+        if t >= node.sunrise:   # else the sunrise's tick comes after k
             k = self._first_tick(node, node.sunrise)
-        heapq.heappush(self._heap, (node.slot_time(k), _TICK, next(self._seq),
-                                    EventKind.SLOT_TICK, (node.node_id, k)))
+            t = node.slot_time(k)
+        heapq.heappush(self._heap, (t, _TICK, next(self._seq), EventKind.SLOT_TICK,
+                                    (node.node_id, k)))
 
     def _guard(self, node: _Node) -> int:
         """The first tick whose slot a transmit in every slot from now could brown out."""
@@ -628,7 +651,8 @@ class Simulator:
         k = node.last_tick(t)
         if node.slot_time(k) < t:
             k += 1
-        return max(node.settled + 1, k)
+        first = node.settled + 1
+        return k if k > first else first
 
     def _settle_upto(self, node: _Node, m: int):
         """Settle every slot whose tick is at or before tick m, in one walk.
@@ -643,18 +667,32 @@ class Simulator:
         """Settle the node's slots below tick `upto` in one walk; return the last one's brownout.
 
         A real tick walks through `energy_step`, any other settle through
-        `settle_slots`; each slot's sunlit seconds are the next values of
-        the node's `sunlit` iterator, which every walk draws from in turn,
-        so a walk longer than a block builds no list of them.  Both names
-        are looked up as the walk starts, so a wrapper set on this module
-        sees every walk.
+        `settle_slots`.  A walk that ends in the block it starts in takes a
+        slice of `_Node.block`; a longer one takes a lazy chain of slices,
+        each later block made as the walk reaches it, so it builds no list
+        of all its values.  Both names are looked up as the walk starts, so
+        a wrapper set on this module sees every walk.
         """
+        first = node.settled
+        i = first % _SLOTS_PER_BLOCK
+        if not i:   # the walk starts a block
+            node.block = node.sunlit_block(first)
+        j = i + upto - first
+        sun_s = (node.block[i:j] if j <= _SLOTS_PER_BLOCK
+                 else itertools.chain.from_iterable(self._later_blocks(node, first - i, i, j)))
         step = energy_step if tick else settle_slots
-        brownout = step(node.energy, node.totals, node.tx_slot_info, node.settled,
-                        itertools.islice(node.sunlit, upto - node.settled), self.slot_s,
+        brownout = step(node.energy, node.totals, node.tx_slot_info, first, sun_s, self.slot_s,
                         self.harvest, self.profile, self._slot_terms)
         node.settled = upto
         return brownout
+
+    @staticmethod
+    def _later_blocks(node: _Node, b: int, i: int, j: int) -> Iterator[list[float]]:
+        """Slices of blocks b, b + 1, ... covering slots b + i .. b + j - 1; the node keeps the last."""
+        yield node.block[i:]
+        for start in range(_SLOTS_PER_BLOCK, j, _SLOTS_PER_BLOCK):
+            node.block = node.sunlit_block(b + start)
+            yield node.block[:j - start]
 
     def _settle_before_now(self, node: _Node):
         """Close the orbits whose sunrise is at or before now; settle the slots whose tick is.

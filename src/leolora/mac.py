@@ -232,9 +232,10 @@ class Backoff:
         if not 0.0 <= span < math.inf:
             raise ValueError(f"backoff range [{low}, {high}] is not a finite, "
                              f"non-negative span")
-        if not self._doubles:
-            self._doubles = self._rng.random(self.BLOCK).tolist()[::-1]
-        return low + span * self._doubles.pop()
+        doubles = self._doubles
+        if not doubles:
+            doubles = self._doubles = self._rng.random(self.BLOCK).tolist()[::-1]
+        return low + span * doubles.pop()
 
     def skip_missed_rounds(self, rounds: list[tuple[float, float]], toa: float,
                            high: float) -> int:
@@ -279,10 +280,10 @@ def run_transmission_sequence(
     `Generator`: the same floats); attempts that would not finish by `end`
     are cut, truncating the sequence.
     """
-    t = start
+    t, b0, uniform = start, mac.backoff_base_s, rng.uniform
     starts: list[float] = []
     for k in range(1, mac.max_attempts + 1):
-        s = t + rng.uniform(0.0, k * mac.backoff_base_s)
+        s = t + uniform(0.0, k * b0)
         if s + toa > end:
             break
         starts.append(s)

@@ -15,6 +15,7 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -36,11 +37,11 @@ from leolora.config import (
     parse_scenario,
 )
 from leolora.energy import HarvestModel, PowerProfile
-from leolora.engine import END_OUTCOMES
+from leolora.engine import END_OUTCOMES, Simulator
 from leolora.exceptions import Bounds, ConfigError, ValidationError
 from leolora.mac import MacConfig
 from leolora.orbit import MAX_SCHEDULE_SAMPLES, GroundStation, OrbitConfig
-from leolora.report import MAX_UINT32
+from leolora.report import MAX_ENCODED_BYTES, MAX_UINT32, encode_report
 
 from conftest import time_limit
 
@@ -1065,12 +1066,25 @@ class TestScenarioFuzz:
         cfg, summary = cwd / "scenario.json", cwd / "summary.json"
         cfg.write_text(json.dumps(scenario))
         err = io.StringIO()
+        reports = []
+        real_emit = Simulator._emit_report
+
+        def emit(sim, node, t):
+            real_emit(sim, node, t)
+            reports.append(sim.reports[-1])
+
         with (time_limit(self.CASE_LIMIT_S), warnings.catch_warnings(),
-              contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO())):
+              contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()),
+              mock.patch.object(Simulator, "_emit_report", emit)):
             warnings.simplefilter("ignore")
             code = main(["simulate", "--config", str(cfg), "--out", str(cwd / "metrics.csv"),
                          "--summary", str(summary)])
-        assert self.problem(changes, scenario, code, err.getvalue(), summary) is None
+            assert self.problem(changes, scenario, code, err.getvalue(), summary) is None
+            # every report an accepted run makes fits the uplink; decoding is not
+            # asserted, since a period under a second can round to an empty
+            # whole-second span, which `decode_report` refuses (ROADMAP item 4)
+            for report in reports if code == 0 else ():
+                assert len(encode_report(report)) <= MAX_ENCODED_BYTES
 
 
 # the section of the fuzz's base each scenario dataclass reads its fields from

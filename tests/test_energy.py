@@ -140,21 +140,30 @@ class SlotRun(NamedTuple):
 
 @st.composite
 def slot_runs(draw):
-    """A node's state, totals and a walk over a few slots of an orbit of a few slots' period.
+    """A node's state, totals and a walk over slots of its grid.
 
-    The slot grid starts at an offset that is not a whole number, and the
-    short period puts sunrises and sunsets inside slots, so walks mix
-    sunlit, eclipsed and partly sunlit slots.
+    The slot grid starts at an offset that is not a whole number.  Half
+    the walks are short, up to 40 slots on an orbit of 2 to 12 slots'
+    period, which puts sunrises and sunsets inside slots, so they mix
+    sunlit, eclipsed and partly sunlit slots.  Half are long, 100 to 600
+    slots on an orbit of 20 to 80 slots' period: runs of tens of equal
+    whole slots, over which a walk holds one slot's terms and, in
+    oversupplied sunlight, clamps at phi_max slot after slot.  A walk books
+    no slot (an empty map), books slots at random, or books the first or
+    last slots of runs of equal sunlit seconds.
     """
     slot_s = draw(st.floats(5.0, 90.0))
-    period = draw(st.floats(2.0 * slot_s, 12.0 * slot_s))
+    long = draw(st.booleans())
+    lo, hi = (20.0, 80.0) if long else (2.0, 12.0)
+    period = draw(st.floats(lo * slot_s, hi * slot_s))
     orbit = OrbitConfig(period_s=period, sun_duration_s=draw(st.floats(0.1, 1.0)) * period,
                         altitude_m=550e3, inclination_rad=0.9,
                         phase_offset_rad=draw(st.floats(0.0, 6.28)))
     offset = draw(st.floats(0.0, slot_s, exclude_max=True))
     first = draw(st.integers(0, 5000))
-    n = draw(st.integers(0, 40))
-    e_sleep = draw(st.floats(0.0, 5.0))
+    n = draw(st.integers(100, 600) if long else st.integers(0, 40))
+    # a long walk's draw is lighter, so that more of them end without a brownout
+    e_sleep = draw(st.floats(0.0, 0.5 if long else 5.0))
     profile = PowerProfile(e_cons_tx_j=e_sleep + draw(st.floats(0.01, 20.0)), e_sleep_j=e_sleep)
     # up to ten times the transmit draw: sunlit runs clamp at phi_max
     harvest = HarvestModel(e_g_sun_j_per_slot=draw(st.floats(0.0, 10.0 * profile.e_cons_tx_j)),
@@ -164,8 +173,17 @@ def slot_runs(draw):
     totals = SlotTotals(*(draw(st.floats(0.0, 1e6)) for _ in range(3)), draw(st.integers(0, 99)),
                         *(draw(st.floats(0.0, 1e6)) for _ in range(2)), draw(st.integers(0, 99)),
                         -draw(st.floats(0.0, 1e4)))
-    phases = draw(st.lists(st.sampled_from([None, None, SUN, ECLIPSE]), min_size=n, max_size=n))
     sun_s = sunlit_seconds(orbit, [offset + k * slot_s for k in range(first, first + n + 1)])
+    booking = draw(st.sampled_from(["none", "random", "run edges"]))
+    if booking == "random":
+        phases = draw(st.lists(st.sampled_from([None] * (18 if long else 2) + [SUN, ECLIPSE]),
+                               min_size=n, max_size=n))
+    else:
+        phases = [None] * n
+    if booking == "run edges":
+        for i in range(n):
+            if not (0 < i < n - 1 and sun_s[i - 1] == sun_s[i] == sun_s[i + 1]):
+                phases[i] = draw(st.sampled_from([None, SUN, ECLIPSE]))
     return SlotRun(state, totals, orbit, offset, first, phases, sun_s, slot_s, harvest, profile)
 
 

@@ -820,6 +820,27 @@ class TestBoundedRunState:
         # a list of one walk's sunlit seconds would take over 1.7 MB
         assert peak < 2**20
 
+    def test_walks_take_each_slot_s_sunlit_seconds_across_block_edges(self, default_dict,
+                                                                       energy_spy):
+        # one quiet node, walked by hand: walks end one slot before, at and
+        # one slot after a block edge, one spans three blocks (511 .. 768),
+        # and the last ends in the partial last block; the spy checks every
+        # slot's sunlit seconds against the oracle and every walk against
+        # the slot law, slot by slot
+        block = engine._SLOTS_PER_BLOCK
+        sim = Simulator(make_scenario(default_dict, **{"sim.node_count": 1,
+                                                       "sim.traffic_model": "none",
+                                                       "sim.duration_days": 0.73}), seed=2)
+        node = sim.nodes[0]
+        assert 6 * block < node.n_slots < 7 * block
+        ends = [block - 1, block, block + 1, 2 * block - 1, 3 * block + 1, 5 * block,
+                node.n_slots]
+        for i, upto in enumerate(ends):
+            assert not sim._walk(node, upto, tick=i % 2 == 0)
+        rows = energy_spy(node)
+        assert len(rows) == node.settled == node.n_slots
+        assert len(node.block) == node.n_slots % block   # the last walk ended in the last block
+
 
 class TestOrbitClosing:
     """Each sunrise up to the horizon closes one orbit, in order, on exactly the slots before it."""
