@@ -16,13 +16,7 @@ from .battery import (
     step_battery_per_orbit,
 )
 from .config import ScenarioConfig, default_scenario, load_scenario, parse_scenario
-from .energy import (
-    HarvestModel,
-    NodeEnergyState,
-    PowerProfile,
-    energy_step,
-    ewma_update,
-)
+from .energy import HarvestModel, NodeEnergyState, PowerProfile, ewma_update
 from .engine import Simulator, run
 from .exceptions import ConfigError, ContractError, ValidationError
 from .mac import (

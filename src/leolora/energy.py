@@ -1,31 +1,43 @@
 """Per-node stored-energy balance, solar harvest, and the EWMA estimator.
 
-`settle_slots` owns the slot law
+`NodeLedger` holds a node's energy timeline: its `NodeEnergyState`, its
+running `SlotTotals`, its transmit bookings, the sleep slot after its
+latest brownout, how far it is settled and the sunlit seconds of the
+block its latest walk ended in.  Only its walks and methods move phi,
+phi_max, the slot sums, the bookings and the settled index; the engine
+decides only when to settle, book and refit (it still adds a finished
+transmission and a flushed orbit to the totals, and the MAC's
+reservation and estimate to the state).  `settle_slots` owns the slot law
 
     phi[t] = phi[t-1] + y[t]*E_g[t] - x[t]*E_cons - (1 - x[t])*E_sleep
 
 with phi clamped to [0, phi_max]: it settles a run of slots in one walk,
 taking each slot's sunlit seconds, in slot order, from an iterable (the
-engine passes slices of the node's 256-slot blocks, `_Node.block`) and
+ledger passes slices of the node's `SLOTS_PER_BLOCK`-slot blocks) and
 its transmit phase from the node's {slot: phase} map, and adds each slot
 to the node's running `SlotTotals`.  `_slot_terms` gives the terms phi
 does not enter (x, y, E_g and the slot's battery discharge for the orbit
 ledger).  They depend only on (tx_phase, sun_s) and the run's constants,
-so a run keeps those of whole slots in a memo of at most six keys, and a
-walk holds an idle slot's terms across each run of equal sunlit seconds
-without a lookup.  A clamp at zero is a brownout; every clamp is counted
-so the run-level ledger can be audited exactly.  A real slot tick
-settles its gap and its own slot through `energy_step`, one walk; a
-settle before a read walks through `settle_slots` itself.
+so a run makes those of its six whole-slot keys once, in one table that
+every walk only reads (`NodeLedger.whole_slot_terms`), and a walk holds
+an idle slot's terms across each run of equal sunlit seconds without a
+lookup.  A clamp at zero is a brownout; every clamp is counted so the
+run-level ledger can be audited exactly.  A real slot tick settles its
+gap and its own slot through `energy_step`, one walk; a settle before a
+read walks through `settle_slots` itself.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+import itertools
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 
 from .exceptions import ConfigError, ContractError, bounded, check_bounds
 from .orbit import ECLIPSE, SUN
+
+# Slots whose sunlit seconds one block holds, made in one `orbit.sunlit_seconds` call.
+SLOTS_PER_BLOCK = 256
 
 
 @dataclass
@@ -157,40 +169,31 @@ class SlotTotals:
         return closed
 
 
-def settle_slots(
-    state: NodeEnergyState,
-    totals: SlotTotals,
-    tx: dict[int, str | None],
-    first: int,
-    sun_s: Iterable[float],
-    slot_s: float,
-    harvest: HarvestModel,
-    profile: PowerProfile,
-    memo: dict[tuple, tuple[float, float, float, float]],
-) -> bool:
-    """Settle slots first, first + 1, ... in one walk; return whether the last one browned out.
+def settle_slots(ledger: NodeLedger, sun_s: Iterable[float]) -> bool:
+    """Settle the ledger's next slots in one walk, one per sunlit value; return the last's brownout.
 
-    The walk takes slot first + i's sunlit time as the i-th value of sun_s,
-    which may be a lazy iterator, and pops its transmit phase from the
-    node's {slot: phase} map tx (no key: the node slept); keys outside the
-    walked slots stay.  Each slot advances phi by the slot law and adds its
-    figures to the running sums.  A brownout must be acted on (the node
-    sleeps through the next slot), so one before the last slot is a broken
-    contract: it raises before state or totals change.
+    The walk takes slot settled + i's sunlit time as the i-th value of
+    sun_s, which may be a lazy iterator, and pops its transmit phase from
+    the ledger's {slot: phase} map (no key: the node slept); keys outside
+    the walked slots stay.  Each slot advances phi by the slot law and adds
+    its figures to the running sums, and `settled` moves past the walk.  A
+    brownout must be acted on (the node sleeps through the next slot), so
+    one before the last slot is a broken contract: it raises before phi,
+    the totals or `settled` change.
 
     The loop holds phi and the sums in locals and writes them back once.
     The clamp is spelled as the comparisons `max` and `min` make, which
     pick the same float (-0.0 and NaN included) without their call cost.
 
-    memo maps (tx_phase, sun_s) to the slot's `_slot_terms` and their
-    harvested - consumed.  It keeps whole slots only (sun_s 0.0 or slot_s),
-    at most six keys, since a partly sunlit slot's sun_s rarely repeats.
-    The terms also depend on slot_s, harvest and profile, so a run keeps
-    its own memo.  Keys 0.0 and -0.0 are one key, and give the same terms.
-    An idle slot whose sun_s equals the slot before's, also idle, reuses
-    that slot's terms without a lookup, and the map is popped only while
-    it holds a booking: so a long idle run costs only its arithmetic.
+    The ledger's table maps (tx_phase, sun_s) to a slot's `_slot_terms`
+    and their harvested - consumed (`NodeLedger.whole_slot_terms`); the
+    terms of a slot it lacks are made afresh.  An idle slot whose sun_s
+    equals the slot before's, also idle, reuses that slot's terms without a
+    lookup, and the map is popped only while it holds a booking: so a long
+    idle run costs only its arithmetic.
     """
+    state, totals, tx, first = ledger.energy, ledger.totals, ledger.tx, ledger.settled
+    slot_s, harvest, profile = ledger.slot_s, ledger.harvest, ledger.profile
     phi, phi_max = state.phi_j, state.phi_max_j
     harvested_j, consumed_j = totals.harvested_j, totals.consumed_j
     period_consumed_j, orbit_s = totals.period_consumed_j, totals.orbit_s
@@ -198,20 +201,17 @@ def settle_slots(
     clamp_count, clamp_total_j = totals.clamp_count, totals.clamp_total_j
     brownouts = 0
     raw = phi
-    get, pop = memo.get, tx.pop
+    get, pop = ledger.table.get, tx.pop
     held = None   # the sunlit seconds of the idle slot whose terms the locals hold
     k = first
     for s in sun_s:
         tx_phase = pop(k, None) if tx else None
         k += 1
         if tx_phase is not None or s != held:
-            key = (tx_phase, s)
-            terms = get(key)
+            terms = get((tx_phase, s))
             if terms is None:
-                harvested, consumed, discharge = _slot_terms(*key, slot_s, harvest, profile)
+                harvested, consumed, discharge = _slot_terms(tx_phase, s, slot_s, harvest, profile)
                 terms = (harvested, consumed, discharge, harvested - consumed)
-                if s == 0.0 or s == slot_s:
-                    memo[key] = terms
             harvested, consumed, discharge, delta = terms
             held = s if tx_phase is None else None
         raw = phi + delta
@@ -240,26 +240,116 @@ def settle_slots(
     totals.clamp_count, totals.clamp_total_j = clamp_count, clamp_total_j
     totals.brownouts += brownouts
     totals.period_slots += k - first
+    ledger.settled = k
     return brownout
 
 
-def energy_step(
-    state: NodeEnergyState,
-    totals: SlotTotals,
-    tx: dict[int, str | None],
-    first: int,
-    sun_s: Iterable[float],
-    slot_s: float,
-    harvest: HarvestModel,
-    profile: PowerProfile,
-    memo: dict[tuple, tuple[float, float, float, float]],
-) -> bool:
+def energy_step(ledger: NodeLedger, sun_s: Iterable[float]) -> bool:
     """A real slot tick's one walk: its gap and its own slot; return the last one's brownout.
 
     It is `settle_slots` by another name, so that the real ticks, which
     alone call it, can be counted apart from batch settles.
     """
-    return settle_slots(state, totals, tx, first, sun_s, slot_s, harvest, profile, memo)
+    return settle_slots(ledger, sun_s)
+
+
+@dataclass(slots=True)
+class NodeLedger:
+    """One node's energy timeline: phi and its slot sums move only by its walks and methods.
+
+    Slots 0 .. settled - 1 are settled.  `tx` books each slot not yet
+    settled whose first attempt transmits, by phase; the slot after the
+    latest brownout (`sleep_slot`) counts no transmit.  `block` holds the
+    sunlit seconds of the block the latest walk ended in, from the node's
+    `sunlit_block(b)`: those of slots b .. b + `SLOTS_PER_BLOCK` - 1 (or to
+    the last), so the node alone places a slot edge.  `table` is the run's
+    `whole_slot_terms`, shared by its nodes.
+    """
+
+    energy: NodeEnergyState
+    sunlit_block: Callable[[int], list[float]]
+    table: dict[tuple, tuple[float, float, float, float]]
+    slot_s: float
+    harvest: HarvestModel
+    profile: PowerProfile
+    totals: SlotTotals = field(default_factory=SlotTotals)
+    tx: dict[int, str] = field(default_factory=dict)
+    sleep_slot: int = -1
+    settled: int = 0
+    block: list[float] = field(default_factory=list)
+
+    @staticmethod
+    def whole_slot_terms(slot_s: float, harvest: HarvestModel,
+                         profile: PowerProfile) -> dict[tuple, tuple[float, float, float, float]]:
+        """A run's term table: each whole slot's `_slot_terms` and their harvested - consumed.
+
+        Its six keys are (tx_phase, sun_s) for every transmit phase and sun_s
+        0.0 (wholly in eclipse, and also -0.0, the same key) or slot_s (wholly
+        sunlit), about 98.5% of all slots.  A walk only reads it.
+        """
+        table = {}
+        for key in itertools.product((None, SUN, ECLIPSE), (0.0, slot_s)):
+            harvested, consumed, discharge = _slot_terms(*key, slot_s, harvest, profile)
+            table[key] = harvested, consumed, discharge, harvested - consumed
+        return table
+
+    def settle_to(self, k: int, tick: bool) -> bool:
+        """Settle the slots below tick k in one walk; return whether the last one browned out.
+
+        A settle to a tick already reached walks nothing.  A real tick
+        walks through `energy_step`, any other settle through
+        `settle_slots`; both are looked up as the walk starts, so a wrapper
+        set on this module sees every walk.  The engine's guard keeps
+        brownouts out of batch settles, so one there raises `ContractError`;
+        a tick's brownout makes tick k's slot the sleep slot.  A walk that
+        ends in the block it starts in takes a slice of `block`; a longer
+        one takes a lazy chain of slices, each later block made as the walk
+        reaches it, so it builds no list of all its values.
+        """
+        first = self.settled
+        if k <= first:
+            return False
+        if self.sleep_slot >= first:   # no transmit counts in the slot after a brownout
+            self.tx.pop(self.sleep_slot, None)
+        i = first % SLOTS_PER_BLOCK
+        if not i:   # the walk starts a block
+            self.block = self.sunlit_block(first)
+        j = i + k - first
+        sun_s = (self.block[i:j] if j <= SLOTS_PER_BLOCK
+                 else itertools.chain.from_iterable(self._later_blocks(first - i, i, j)))
+        brownout = (energy_step if tick else settle_slots)(self, sun_s)
+        if brownout:
+            if not tick:
+                raise ContractError(f"a batch settle browns out in slot {k - 1}")
+            self.sleep_slot = k
+        return brownout
+
+    def _later_blocks(self, b: int, i: int, j: int) -> Iterator[list[float]]:
+        """Slices of blocks b, b + 1, ... covering slots b + i .. b + j - 1; the last stays held."""
+        yield self.block[i:]
+        for start in range(SLOTS_PER_BLOCK, j, SLOTS_PER_BLOCK):
+            self.block = self.sunlit_block(b + start)
+            yield self.block[:j - start]
+
+    def book(self, k: int, phase: str):
+        """Count slot k, not yet settled, as a transmit in `phase` (SUN or ECLIPSE)."""
+        self.tx[k] = phase
+
+    def unbook(self, k: int):
+        """Take back slot k's booking, if it has one."""
+        self.tx.pop(k, None)
+
+    def refit(self, phi_max_j: float):
+        """Fit the store to a faded capacity; phi above it is clamped down, a counted clamp."""
+        if self.energy.phi_j > phi_max_j:
+            self.totals.clamp_count += 1
+            self.totals.clamp_total_j += phi_max_j - self.energy.phi_j
+            self.energy.phi_j = phi_max_j
+        self.energy.phi_max_j = phi_max_j
+
+    def guard(self) -> int:
+        """The first tick whose slot a transmit in every slot from now could brown out."""
+        return self.settled + max(1, int(self.energy.phi_j // self.profile.e_cons_tx_j))
 
 
 def ewma_update(beta: float, e_cons_prev_j: float, ewma_prev_j: float) -> float:

@@ -28,15 +28,13 @@ A real tick closes the orbits whose sunrise lies before it, then settles
 the rest of that gap and its own slot in one `energy.energy_step` walk,
 which raises `ContractError` if a gap slot browns out and returns whether
 its own slot did, for the tick to act on; it then pushes the next real
-tick.  Every walk, a tick's or a batch settle's, goes through
-`Simulator._walk`.  It takes its slots' sunlit seconds from blocks of
-`_SLOTS_PER_BLOCK` slots, each made in one `orbit.sunlit_seconds` call
-when a walk first reaches it: a list slice of the node's current block
-(`_Node.block`), or a lazy chain of slices for a walk that runs past it.
-A walk holds an idle slot's terms across each run of equal sunlit
-seconds, and the run's memo (`Simulator._slot_terms`) keeps whole slots'
-terms (`energy.settle_slots`).  Only `_Node.slot_time` places a slot
-edge, for one index or an array.
+tick.  Every walk, a tick's or a batch settle's, is one
+`energy.NodeLedger.settle_to` call on the node's ledger, which holds its
+energy timeline; the engine decides only when to settle.  A walk takes
+its slots' sunlit seconds from blocks of `energy.SLOTS_PER_BLOCK` slots,
+each made in one `orbit.sunlit_seconds` call (`_Node.sunlit_block`) when
+a walk first reaches it.  Only `_Node.slot_time` places a slot edge, for
+one index or an array.
 
 The fleet reports on one clock: one report event per report time settles
 and reports every node in id order, then pushes the next.
@@ -62,6 +60,7 @@ import math
 from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from operator import attrgetter
 from pathlib import Path
 from typing import NamedTuple
 
@@ -70,7 +69,7 @@ import numpy as np
 from .airtime import time_on_air
 from .battery import BatteryState, step_battery_per_orbit
 from .config import ScenarioConfig, load_schedule_override
-from .energy import NodeEnergyState, SlotTotals, energy_step, ewma_update, settle_slots
+from .energy import SLOTS_PER_BLOCK, NodeEnergyState, NodeLedger, ewma_update
 from .exceptions import ContractError
 from .mac import (
     Backoff,
@@ -99,9 +98,6 @@ MAX_NAIVE_SPAN_S = 1800.0
 
 # Poisson inter-arrival gaps fetched per `Generator.exponential` call.
 _GAPS_PER_DRAW = 64
-
-# Slots whose sunlit seconds one `orbit.sunlit_seconds` call makes.
-_SLOTS_PER_BLOCK = 256
 
 
 class EventKind(enum.Enum):
@@ -166,7 +162,6 @@ class _Node:
     slot_s: float
     orbit: OrbitConfig
     schedule: Schedule
-    energy: NodeEnergyState
     battery: BatteryState
     slot_offset: float
     n_slots: int             # slots 0 .. n_slots - 1; slot k ends at tick k + 1
@@ -174,23 +169,23 @@ class _Node:
     arrivals: Iterator[float]  # the arrival times after next_arrival, drawn as they are reached
     next_arrival: float = math.inf  # the next arrival not yet drained; inf when none is left
     busy_until: float = 0.0
-    tx_slot_info: dict[int, str] = field(default_factory=dict)
-    sleep_slot: int = -1     # the slot after the latest brownout: no transmit counts there
     in_flight: _Packet | None = None
-    totals: SlotTotals = field(default_factory=SlotTotals)
-    settled: int = 0         # slots 0 .. settled - 1 are settled
     sunrise: float = math.inf  # the next sunrise, where an orbit closes; inf past the run
     packets: Counter[str] = field(default_factory=Counter)  # PACKET_OUTCOMES
-    # the sunlit seconds of the block the latest walk ended in (`sunlit_block`)
-    block: list[float] = field(default_factory=list)
+    # phi, the totals, the bookings and the settled slots; set once the node exists, since
+    # its walks take their sunlit seconds from `sunlit_block` (so `replace` leaves it out)
+    ledger: NodeLedger = field(init=False)
+    # views for reports and the run's readers; per-event code reads `ledger`, a cheaper lookup
+    energy = property(attrgetter("ledger.energy"), doc="The ledger's `NodeEnergyState`.")
+    totals = property(attrgetter("ledger.totals"), doc="The ledger's `SlotTotals`.")
 
     def slot_time(self, k: int | np.ndarray) -> float | np.ndarray:
         """The start of slot k (the time of tick k), for an index or an array of them."""
         return self.slot_offset + k * self.slot_s
 
     def sunlit_block(self, b: int) -> list[float]:
-        """The sunlit seconds of slots b .. b + `_SLOTS_PER_BLOCK` - 1 (or to the last), in order."""
-        ticks = np.arange(b, min(b + _SLOTS_PER_BLOCK, self.n_slots) + 1)
+        """The sunlit seconds of slots b .. b + `SLOTS_PER_BLOCK` - 1 (or to the last), in order."""
+        ticks = np.arange(b, min(b + SLOTS_PER_BLOCK, self.n_slots) + 1)
         return sunlit_seconds(self.orbit, self.slot_time(ticks))
 
     def last_tick(self, t: float) -> int:
@@ -236,8 +231,7 @@ class Simulator:
         battery = scenario.battery
         self.dif = phase_dif(self.harvest, self.profile, battery.params, battery.base_stress,
                              battery.capacity_rated_j, scenario.mac.dif_ref)
-        # `settle_slots` whole-slot terms by (tx_phase, sun_s); for this run's constants only
-        self._slot_terms: dict = {}
+        terms = NodeLedger.whole_slot_terms(self.slot_s, self.harvest, self.profile)
 
         self._heap: list[tuple[float, int, int, EventKind, tuple]] = []
         self._seq = itertools.count()
@@ -264,24 +258,26 @@ class Simulator:
             # either way; starting its grid at the end keeps `account_end` in the run
             slot_offset = min(float(offset_rng.uniform(0.0, self.slot_s)), self.t_end)
             traffic_rng = np.random.default_rng(children[2 * u])
-            phi0 = scenario.steady_state_phi_j(orbit)
             node = _Node(
                 node_id=u,
                 slot_s=self.slot_s,
                 orbit=orbit,
                 schedule=schedule,
-                energy=NodeEnergyState(
-                    phi_j=phi0,
-                    phi_max_j=scenario.phi_max_j(),
-                    phi_min_j=scenario.energy.psi_min_j,
-                    e_critical_j=scenario.energy.e_critical_j,
-                    ewma_estimate_j=scenario.energy.ewma_initial_j,
-                ),
                 battery=BatteryState(),
                 slot_offset=slot_offset,
                 n_slots=0,
                 backoff=Backoff(np.random.default_rng(children[2 * u + 1])),
                 arrivals=iter(()),
+            )
+            node.ledger = NodeLedger(
+                NodeEnergyState(
+                    phi_j=scenario.steady_state_phi_j(orbit),
+                    phi_max_j=scenario.phi_max_j(),
+                    phi_min_j=scenario.energy.psi_min_j,
+                    e_critical_j=scenario.energy.e_critical_j,
+                    ewma_estimate_j=scenario.energy.ewma_initial_j,
+                ),
+                node.sunlit_block, terms, self.slot_s, self.harvest, self.profile,
             )
             node.n_slots = max(node.last_tick(self.t_end), 0)
             node.sunrise = self._next_sunrise(orbit, 0.0)
@@ -380,7 +376,7 @@ class Simulator:
             return
         result = select_forecast_window(
             self._candidates(node, now, packet.created),
-            node.energy,
+            node.ledger.energy,
             self.harvest,
             self.profile,
             self.sc.mac,
@@ -394,8 +390,8 @@ class Simulator:
             self._finish(node, packet, _DROP_OUTCOME[decision.reason])
             return
         window = decision.window
-        packet.reserved_j = node.energy.ewma_estimate_j
-        node.energy.reserved_j += packet.reserved_j
+        packet.reserved_j = node.ledger.energy.ewma_estimate_j
+        node.ledger.energy.reserved_j += packet.reserved_j
         self._push(max(window.start, now), EventKind.WINDOW_OPEN, (node.node_id, packet, window))
 
     def _decide_naive(self, node: _Node, packet: _Packet, start: float):
@@ -442,7 +438,7 @@ class Simulator:
         seq = self._seq
         packet.attempts = attempts = [(t, receiver, next(seq)) for t, receiver in attempts]
         node.in_flight = packet
-        node.tx_slot_info[node.last_tick(attempts[0][0])] = tx_phase
+        node.ledger.book(node.last_tick(attempts[0][0]), tx_phase)
         node.busy_until = attempts[-1][0] + self.toa
         self._announce(node, packet, 0)
 
@@ -480,7 +476,7 @@ class Simulator:
 
         # The reserve is re-checked as the window opens, as a re-decision would
         # see it; sun-window estimates were projections and stand as decided.
-        ok = window.phase != ECLIPSE or reserve_holds(node.energy, packet.reserved_j)
+        ok = window.phase != ECLIPSE or reserve_holds(node.ledger.energy, packet.reserved_j)
 
         starts: list[float] = []
         missed = None
@@ -515,7 +511,7 @@ class Simulator:
         before that hit are consumed in one scan, and at most P - 1 redo
         events follow.
         """
-        now, energy = self.now, node.energy
+        now, energy = self.now, node.ledger.energy
         state = (now, window, packet.reserved_j, energy.phi_j, energy.reserved_j,
                  energy.ewma_estimate_j, energy.phi_max_j, node.busy_until)
         previous = packet.missed
@@ -565,16 +561,16 @@ class Simulator:
         heard = record[1] is not None or any(r is not None for _, r, _ in packet.attempts)
         self._finish(node, packet, "delivered" if got_through
                      else "dropped_collision_exhausted" if heard else "dropped_no_window")
-        node.totals.period_txs += 1
+        node.ledger.totals.period_txs += 1
         node.in_flight = None
-        node.energy.ewma_estimate_j = ewma_update(
-            self.sc.mac.beta, self.profile.e_cons_tx_j, node.energy.ewma_estimate_j
+        node.ledger.energy.ewma_estimate_j = ewma_update(
+            self.sc.mac.beta, self.profile.e_cons_tx_j, node.ledger.energy.ewma_estimate_j
         )
 
     def _release(self, node: _Node, packet: _Packet):
         if packet.reserved_j:
-            left = node.energy.reserved_j - packet.reserved_j
-            node.energy.reserved_j = left if left > 0.0 else 0.0   # max(0.0, left)
+            left = node.ledger.energy.reserved_j - packet.reserved_j
+            node.ledger.energy.reserved_j = left if left > 0.0 else 0.0   # max(0.0, left)
             packet.reserved_j = 0.0
 
     def _finish(self, node: _Node, packet: _Packet, outcome: str):
@@ -591,18 +587,11 @@ class Simulator:
         # a sunrise at exactly this tick closes after the tick's decisions
         while node.sunrise < now:
             self._close_orbit(node)
-        idx = k - 1
-        if idx == node.sleep_slot:   # no transmit counts in the slot after a brownout
-            node.tx_slot_info.pop(idx, None)
         # one walk settles the gap and this tick's own slot
-        brownout = self._walk(node, k, tick=True)
-        if brownout:
-            node.sleep_slot = k
+        if node.ledger.settle_to(k, True):
             if node.in_flight is not None:
                 victim = node.in_flight
-                tx_idx = node.last_tick(victim.attempts[0][0])
-                if tx_idx > idx:
-                    node.tx_slot_info.pop(tx_idx, None)
+                node.ledger.unbook(node.last_tick(victim.attempts[0][0]))
                 # an attempt already on air still collides; one yet to start never happens
                 self._on_air = [(a, p) for a, p in self._on_air
                                 if p is not victim or a[0] <= now]
@@ -626,9 +615,9 @@ class Simulator:
         brownout tick left.  Every slot before the tick settles in one batch.
         """
         n_slots = node.n_slots
-        if node.settled >= n_slots:
+        if node.ledger.settled >= n_slots:
             return
-        k = self._guard(node)   # min(n_slots, guard), then min(k, the arrival's tick)
+        k = node.ledger.guard()   # min(n_slots, guard), then min(k, the arrival's tick)
         if n_slots < k:
             k = n_slots
         if node.next_arrival < math.inf:   # grid_floor(inf) overflows
@@ -642,77 +631,35 @@ class Simulator:
         heapq.heappush(self._heap, (t, _TICK, next(self._seq), EventKind.SLOT_TICK,
                                     (node.node_id, k)))
 
-    def _guard(self, node: _Node) -> int:
-        """The first tick whose slot a transmit in every slot from now could brown out."""
-        return node.settled + max(1, int(node.energy.phi_j // self.profile.e_cons_tx_j))
-
     def _first_tick(self, node: _Node, t: float) -> int:
         """The first tick k with slot_time(k) >= t, after the settled slots."""
         k = node.last_tick(t)
         if node.slot_time(k) < t:
             k += 1
-        first = node.settled + 1
+        first = node.ledger.settled + 1
         return k if k > first else first
-
-    def _settle_upto(self, node: _Node, m: int):
-        """Settle every slot whose tick is at or before tick m, in one walk.
-
-        The guard keeps a brownout out of these slots, and so also the slot
-        after a brownout: that one always has its own tick.
-        """
-        if m > node.settled and self._walk(node, m, tick=False):
-            raise ContractError(f"node {node.node_id} browns out in batch-settled slot {m - 1}")
-
-    def _walk(self, node: _Node, upto: int, tick: bool) -> bool:
-        """Settle the node's slots below tick `upto` in one walk; return the last one's brownout.
-
-        A real tick walks through `energy_step`, any other settle through
-        `settle_slots`.  A walk that ends in the block it starts in takes a
-        slice of `_Node.block`; a longer one takes a lazy chain of slices,
-        each later block made as the walk reaches it, so it builds no list
-        of all its values.  Both names are looked up as the walk starts, so
-        a wrapper set on this module sees every walk.
-        """
-        first = node.settled
-        i = first % _SLOTS_PER_BLOCK
-        if not i:   # the walk starts a block
-            node.block = node.sunlit_block(first)
-        j = i + upto - first
-        sun_s = (node.block[i:j] if j <= _SLOTS_PER_BLOCK
-                 else itertools.chain.from_iterable(self._later_blocks(node, first - i, i, j)))
-        step = energy_step if tick else settle_slots
-        brownout = step(node.energy, node.totals, node.tx_slot_info, first, sun_s, self.slot_s,
-                        self.harvest, self.profile, self._slot_terms)
-        node.settled = upto
-        return brownout
-
-    @staticmethod
-    def _later_blocks(node: _Node, b: int, i: int, j: int) -> Iterator[list[float]]:
-        """Slices of blocks b, b + 1, ... covering slots b + i .. b + j - 1; the node keeps the last."""
-        yield node.block[i:]
-        for start in range(_SLOTS_PER_BLOCK, j, _SLOTS_PER_BLOCK):
-            node.block = node.sunlit_block(b + start)
-            yield node.block[:j - start]
 
     def _settle_before_now(self, node: _Node):
         """Close the orbits whose sunrise is at or before now; settle the slots whose tick is.
 
         Only other events and the end of the run call this, and ticks run
         first at a tie, so the pending tick is later than now and every
-        such slot lies below it.
+        such slot lies below it.  The guard keeps a brownout out of these
+        slots, and so also the slot after a brownout: that one always has
+        its own tick.
         """
         while node.sunrise <= self.now:
             self._close_orbit(node)
-        self._settle_upto(node, node.last_tick(self.now))
+        node.ledger.settle_to(node.last_tick(self.now), False)
 
     def _close_orbit(self, node: _Node):
         """Close the orbit ending at the next sunrise, on the slots with a tick at or before it."""
-        self._settle_upto(node, node.last_tick(node.sunrise))
+        node.ledger.settle_to(node.last_tick(node.sunrise), False)
         self._flush_orbit(node)
         node.sunrise = self._next_sunrise(node.orbit, node.sunrise)
 
     def _flush_orbit(self, node: _Node):
-        totals = node.totals
+        totals = node.ledger.totals
         if totals.orbit_s <= 0.0:
             return
         dod = step_battery_per_orbit(node.battery, self.sc.battery, totals.orbit_s,
@@ -720,12 +667,7 @@ class Simulator:
         if totals.orbit_discharge_j > 0.0:
             totals.period_dods.append(dod)
         totals.orbit_s = totals.orbit_discharge_j = 0.0
-        new_phi_max = self.sc.phi_max_j(node.battery.fade_fraction)
-        if node.energy.phi_j > new_phi_max:
-            totals.clamp_count += 1
-            totals.clamp_total_j += new_phi_max - node.energy.phi_j
-            node.energy.phi_j = new_phi_max
-        node.energy.phi_max_j = new_phi_max
+        node.ledger.refit(self.sc.phi_max_j(node.battery.fade_fraction))
 
     def _on_report_due(self, now: float, payload: tuple):
         """Every node reports, in id order, on the fleet's one report clock."""

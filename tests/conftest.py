@@ -46,17 +46,24 @@ def bits(obj) -> tuple:
                  for v in dataclasses.astuple(obj))
 
 
+def table_bits(table: dict) -> dict:
+    """A term table, (tx_phase, sun_s) -> terms, with the terms' floats by their exact bits."""
+    return {key: tuple(t.hex() for t in terms) for key, terms in table.items()}
+
+
 @pytest.fixture
 def energy_spy(monkeypatch):
     """Record every slot the engine settles, per node, in slot order.
 
     Every walk, through `energy_step` (a real tick) or `settle_slots` (a
-    batch), has its sunlit iterator drawn out and the transmit phases of
+    batch), both patched in `energy` where `NodeLedger.settle_to` looks
+    them up, has its sunlit iterator drawn out and the transmit phases of
     its slots copied before the real call, and is replayed slot by slot
-    through `oracles.oracle_slot` on copies of the node's state and totals:
-    the real walk must end bit for bit where the replay did, with the same
-    brownout reported, having popped the phases of its own slots and no
-    other key.
+    through `oracles.oracle_slot` on copies of the ledger's state and
+    totals: the real walk must end bit for bit where the replay did, with
+    the same brownout reported, having popped the phases of its own slots
+    and no other key and moved the ledger's settled index past them.
+    `energy_step`'s own call of `settle_slots` is part of its walk.
 
     Returns `slots(node)`: the node's (tx_phase, sun_s, slot_s, OracleSlot)
     per settled slot, after checking that the walks covered slots 0, 1, ...
@@ -64,36 +71,45 @@ def energy_spy(monkeypatch):
     `oracles.oracle_sun_seconds` over that slot on the node's grid.  Runs
     keep no per-slot history of their own.
     """
-    from leolora import engine
+    from leolora import energy
 
-    # id(state) -> (state, slot indices, rows); holding the state keeps its id from being reused
+    # id(ledger) -> (ledger, slot indices, rows); holding the ledger keeps its id from being reused
     calls: dict[int, tuple] = {}
+    walking = []   # the ledger of the walk being recorded
 
     def spied(real):
-        def walk(state, totals, tx, first, sun_s, slot_s, harvest, profile, memo):
+        def walk(ledger, sun_s):
+            if walking:
+                return real(ledger, sun_s)
+            state, totals, tx, first = ledger.energy, ledger.totals, ledger.tx, ledger.settled
             suns = list(sun_s)
             upto = first + len(suns)
             phases = [tx.get(k) for k in range(first, upto)]
             outside = {k: v for k, v in tx.items() if not first <= k < upto}
             replay, replay_totals = copy.copy(state), copy.copy(totals)
-            rows = [(tx_phase, s, slot_s,
-                     oracle_slot(replay, replay_totals, tx_phase, s, slot_s, harvest, profile))
+            rows = [(tx_phase, s, ledger.slot_s,
+                     oracle_slot(replay, replay_totals, tx_phase, s, ledger.slot_s,
+                                 ledger.harvest, ledger.profile))
                     for tx_phase, s in zip(phases, suns)]
-            brownout = real(state, totals, tx, first, iter(suns), slot_s, harvest, profile, memo)
+            walking.append(ledger)
+            try:
+                brownout = real(ledger, iter(suns))
+            finally:
+                walking.clear()
             assert (bits(state), bits(totals)) == (bits(replay), bits(replay_totals))
             assert brownout == (bool(rows) and rows[-1][3].brownout)
-            assert tx == outside
-            _, slots, log = calls.setdefault(id(state), (state, [], []))
+            assert tx == outside and ledger.settled == upto
+            _, slots, log = calls.setdefault(id(ledger), (ledger, [], []))
             slots.extend(range(first, upto))
             log.extend(rows)
             return brownout
         return walk
 
-    monkeypatch.setattr(engine, "energy_step", spied(engine.energy_step))
-    monkeypatch.setattr(engine, "settle_slots", spied(engine.settle_slots))
+    monkeypatch.setattr(energy, "energy_step", spied(energy.energy_step))
+    monkeypatch.setattr(energy, "settle_slots", spied(energy.settle_slots))
 
     def slots(node):
-        _, indices, rows = calls.get(id(node.energy), (None, [], []))
+        _, indices, rows = calls.get(id(node.ledger), (None, [], []))
         assert indices == list(range(len(indices)))
         for k, (_, sun_s, _, _) in zip(indices, rows):
             want = oracle_sun_seconds(node.orbit, node.slot_time(k), node.slot_time(k + 1))

@@ -935,6 +935,7 @@ FUZZ_SEVERAL = [
     ("duration_days", 250000, 3),
     ("duration_days", 1e306, 4),     # and the report rows
     ("slot_s", 1e-12, 2),            # under the time-on-air, and past the uint32 n_slots
+    ("slot_s", 5e-324, 2),
 ]
 BOTH_C_RATE_FORMS = "error: battery: give either c_rate_reference or discharge_current_a, not both"
 # an `error:` line names one dotted path: a section, a station, or a key of either

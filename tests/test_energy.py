@@ -8,10 +8,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from leolora.energy import (
+    SLOTS_PER_BLOCK,
     HarvestModel,
     NodeEnergyState,
+    NodeLedger,
     PowerProfile,
     SlotTotals,
+    _slot_terms,
     energy_step,
     ewma_update,
     settle_slots,
@@ -25,7 +28,7 @@ from leolora.orbit import (
     sunlit_seconds,
 )
 
-from conftest import bits
+from conftest import bits, table_bits
 from oracles import OracleSlot, oracle_slot
 
 PROFILE = PowerProfile(e_cons_tx_j=5.0, e_sleep_j=1.0)
@@ -38,11 +41,24 @@ def fresh_state(phi=100.0, phi_max=200.0, phi_min=10.0, e_critical=20.0):
                            e_critical_j=e_critical)
 
 
+def ledger(state, tx=None, totals=None, first=0, slot_s=SLOT_S, harvest=HARVEST,
+           profile=PROFILE, table=None, sun_s=SLOT_S):
+    """A ledger settled below slot `first`, on the run's term table unless one is given.
+
+    Its blocks, which only `settle_to` reads, hold `sun_s` in every slot.
+    """
+    return NodeLedger(state, lambda b: [sun_s] * SLOTS_PER_BLOCK,
+                      NodeLedger.whole_slot_terms(slot_s, harvest, profile)
+                      if table is None else table,
+                      slot_s, harvest, profile, SlotTotals() if totals is None else totals,
+                      {} if tx is None else tx, settled=first)
+
+
 def step(state, tx_phase=None, sun_s=0.0, harvest=HARVEST, profile=PROFILE):
-    """Settle one slot on fresh totals and memo; its figures are what the totals took."""
-    totals = SlotTotals()
-    brownout = energy_step(state, totals, {0: tx_phase}, 0, [sun_s], SLOT_S, harvest, profile,
-                           {})
+    """Settle one slot on fresh totals; its figures are what the totals took."""
+    book = ledger(state, {0: tx_phase}, harvest=harvest, profile=profile)
+    brownout = energy_step(book, [sun_s])
+    totals = book.totals
     return OracleSlot(totals.harvested_j, totals.consumed_j, totals.orbit_discharge_j,
                       totals.clamp_total_j, brownout)
 
@@ -95,8 +111,7 @@ class TestEnergyStep:
         with pytest.raises(ValueError):
             step(fresh_state(), "dusk")
         with pytest.raises(ValueError):
-            settle_slots(fresh_state(), SlotTotals(), {0: "dusk"}, 0, [0.0], SLOT_S, HARVEST,
-                         PROFILE, {})
+            settle_slots(ledger(fresh_state(), {0: "dusk"}), [0.0])
 
     @given(
         phi=st.floats(0.0, 200.0),
@@ -187,10 +202,16 @@ def slot_runs(draw):
     return SlotRun(state, totals, orbit, offset, first, phases, sun_s, slot_s, harvest, profile)
 
 
-def walk(run, state, totals, tx, lo=0, hi=None, memo=None):
-    """Walk slots lo .. hi - 1 of the run (by walk index), lazily, on the given state and map."""
-    return settle_slots(state, totals, tx, run.first + lo, iter(run.sun_s[lo:hi]), run.slot_s,
-                        run.harvest, run.profile, {} if memo is None else memo)
+def walk(run, state, totals, tx, lo=0, hi=None, table=None):
+    """Walk slots lo .. hi - 1 of the run (by walk index), lazily, on the given state and map.
+
+    The walk runs on the run's term table unless given one, and must move
+    the ledger's settled index past its slots.
+    """
+    book = ledger(state, tx, totals, run.first + lo, run.slot_s, run.harvest, run.profile, table)
+    brownout = settle_slots(book, iter(run.sun_s[lo:hi]))
+    assert book.settled == run.first + (len(run.sun_s) if hi is None else hi)
+    return brownout
 
 
 class TestSettleSlots:
@@ -198,14 +219,14 @@ class TestSettleSlots:
 
     @given(slot_runs(), st.data())
     def test_batch_equals_slot_by_slot(self, run, data):
-        """Two consecutive walks that share one memo and one map, split anywhere, are one slot loop.
+        """Two consecutive walks that share one map, split anywhere, are one slot loop.
 
         A walk returns its last slot's brownout; a brownout before that
         raises and leaves state and totals as they were.
         """
         state, totals = run.state, run.totals
         split = data.draw(st.integers(0, len(run.phases)))
-        memo, tx = {}, run.tx()
+        tx = run.tx()
         for lo, hi in ((0, split), (split, None)):
             ref_state, ref_totals = copy.copy(state), copy.copy(totals)
             slots = [oracle_slot(ref_state, ref_totals, tx_phase, s, run.slot_s, run.harvest,
@@ -214,17 +235,17 @@ class TestSettleSlots:
             if any(slot.brownout for slot in slots[:-1]):
                 before = bits(state), bits(totals)
                 with pytest.raises(ContractError):
-                    walk(run, state, totals, tx, lo, hi, memo)
+                    walk(run, state, totals, tx, lo, hi)
                 assert (bits(state), bits(totals)) == before
                 return
-            brownout = walk(run, state, totals, tx, lo, hi, memo)
+            brownout = walk(run, state, totals, tx, lo, hi)
             assert brownout == (bool(slots) and slots[-1].brownout)
             assert bits(state) == bits(ref_state)
             assert bits(totals) == bits(ref_totals)
 
     @given(slot_runs(), st.data())
     def test_split_walks_over_one_map_equal_one_walk(self, run, data):
-        """Two walks sharing one memo and one map, split anywhere, end where one walk does.
+        """Two walks sharing one map, split anywhere, end where one walk does.
 
         The map also books slots below and above the walk, which every walk
         leaves as they are, while it pops its own slots' phases.  Where the
@@ -243,12 +264,12 @@ class TestSettleSlots:
             assert one_tx == left
         except ContractError:
             one = None
-        state, totals, memo, tx = run.state, run.totals, {}, run.tx() | left
+        state, totals, tx = run.state, run.totals, run.tx() | left
         brownouts = []
         for lo, hi in ((0, split), (split, None)):
             before = bits(state), bits(totals)
             try:
-                brownouts.append(walk(run, state, totals, tx, lo, hi, memo))
+                brownouts.append(walk(run, state, totals, tx, lo, hi))
             except ContractError:
                 assert one is None
                 assert (bits(state), bits(totals)) == before
@@ -269,16 +290,15 @@ class TestSettleSlots:
         sun = sun_seconds(run.orbit, run.offset + k * slot_s, run.offset + (k + 1) * slot_s)
         ref_state, ref_totals = copy.copy(run.state), copy.copy(run.totals)
         slot = oracle_slot(ref_state, ref_totals, phase, sun, slot_s, run.harvest, run.profile)
-        brownout = energy_step(run.state, run.totals, {k: phase}, k,
-                               sunlit_seconds(run.orbit, (run.offset + k * slot_s,
-                                                          run.offset + (k + 1) * slot_s)),
-                               slot_s, run.harvest, run.profile, {})
+        book = ledger(run.state, {k: phase}, run.totals, k, slot_s, run.harvest, run.profile)
+        brownout = energy_step(book, sunlit_seconds(run.orbit, (run.offset + k * slot_s,
+                                                                run.offset + (k + 1) * slot_s)))
         assert brownout == slot.brownout
         assert (bits(run.state), bits(run.totals)) == (bits(ref_state), bits(ref_totals))
 
     def test_clamps_at_capacity_are_counted(self):
         state, totals = fresh_state(phi=195.0), SlotTotals()
-        assert not settle_slots(state, totals, {}, 0, [SLOT_S] * 3, SLOT_S, HARVEST, PROFILE, {})
+        assert not settle_slots(ledger(state, totals=totals), [SLOT_S] * 3)
         assert state.phi_j == 200.0
         assert (totals.clamp_count, totals.clamp_total_j) == (3, -(4.0 + 9.0 + 9.0))
         assert (totals.period_slots, totals.orbit_s) == (3, 3 * SLOT_S)
@@ -286,8 +306,7 @@ class TestSettleSlots:
     def test_a_brownout_in_the_last_slot_is_returned(self):
         # 6 J less 5 J leaves 1 J, and the second transmit overdraws it by 4 J
         state, totals = fresh_state(phi=6.0), SlotTotals()
-        assert settle_slots(state, totals, {0: ECLIPSE, 1: ECLIPSE}, 0, [0.0, 0.0], SLOT_S,
-                            HARVEST, PROFILE, {})
+        assert settle_slots(ledger(state, {0: ECLIPSE, 1: ECLIPSE}, totals), [0.0, 0.0])
         assert state.phi_j == 0.0
         assert (totals.clamp_count, totals.clamp_total_j) == (1, 4.0)
         assert totals.period_slots == 2
@@ -295,10 +314,10 @@ class TestSettleSlots:
     def test_a_brownout_before_the_last_slot_is_a_broken_contract(self):
         state, totals = fresh_state(phi=6.0), SlotTotals(harvested_j=3.0, period_slots=7)
         before = bits(state), bits(totals)
+        book = ledger(state, {0: ECLIPSE, 1: ECLIPSE}, totals)
         with pytest.raises(ContractError):
-            settle_slots(state, totals, {0: ECLIPSE, 1: ECLIPSE}, 0, [0.0, 0.0, 0.0], SLOT_S,
-                         HARVEST, PROFILE, {})
-        assert (bits(state), bits(totals)) == before
+            settle_slots(book, [0.0, 0.0, 0.0])
+        assert (bits(state), bits(totals), book.settled) == (*before, 0)
 
 
 class TestSlotTotals:
@@ -309,11 +328,98 @@ class TestSlotTotals:
         assert bits(totals) == bits(SlotTotals(3.0, 4.0, 0.0, 0, 80.0, 1.5, 1, 0.5, 1, 0, []))
         assert totals.close_period() == (0, 0, 0.0, ())
 
-    def test_the_memo_keeps_whole_slots_only(self):
-        memo = {}
-        settle_slots(fresh_state(), SlotTotals(), {1: SUN, 3: ECLIPSE}, 0,
-                     [0.0, SLOT_S, 12.5, 0.0, SLOT_S, 7.0], SLOT_S, HARVEST, PROFILE, memo)
-        assert set(memo) == {(None, 0.0), (SUN, SLOT_S), (ECLIPSE, 0.0), (None, SLOT_S)}
+
+
+class TestTermTable:
+    """The run's whole-slot terms, made once and only read."""
+
+    WHOLE_SLOTS = {(p, s) for p in (None, SUN, ECLIPSE) for s in (0.0, SLOT_S)}
+
+    def test_the_table_holds_the_six_whole_slot_keys_with_the_slot_terms_bits(self):
+        table = NodeLedger.whole_slot_terms(SLOT_S, HARVEST, PROFILE)
+        assert set(table) == self.WHOLE_SLOTS
+        for (tx_phase, sun_s), terms in table.items():
+            harvested, consumed, discharge = _slot_terms(tx_phase, sun_s, SLOT_S, HARVEST, PROFILE)
+            want = (harvested, consumed, discharge, harvested - consumed)
+            assert tuple(t.hex() for t in terms) == tuple(t.hex() for t in want)
+            # a slot wholly in eclipse may read -0.0: the same key, and the same terms
+            if sun_s == 0.0:
+                assert table[tx_phase, -0.0] is terms
+                signed = _slot_terms(tx_phase, -0.0, SLOT_S, HARVEST, PROFILE)
+                assert tuple(t.hex() for t in signed) == tuple(t.hex() for t in want[:3])
+
+    def test_no_walk_writes_the_table(self):
+        # whole and partly sunlit slots, booked and idle, and a -0.0
+        table = NodeLedger.whole_slot_terms(SLOT_S, HARVEST, PROFILE)
+        before = table_bits(table)
+        book = ledger(fresh_state(), {1: SUN, 3: ECLIPSE, 5: SUN}, table=table)
+        settle_slots(book, [0.0, SLOT_S, 12.5, -0.0, SLOT_S, 7.0, 7.0])
+        energy_step(book, [SLOT_S, 0.5])
+        assert table_bits(table) == before
+
+
+class TestNodeLedger:
+    @staticmethod
+    def flushed(phi, phi_max, totals, new_phi_max):
+        """The fade clamp as `Simulator._flush_orbit` made it: (clamp figures, phi, phi_max)."""
+        energy = fresh_state(phi=phi, phi_max=phi_max)
+        if energy.phi_j > new_phi_max:
+            totals.clamp_count += 1
+            totals.clamp_total_j += new_phi_max - energy.phi_j
+            energy.phi_j = new_phi_max
+        energy.phi_max_j = new_phi_max
+        return totals.clamp_count, totals.clamp_total_j.hex(), energy.phi_j, energy.phi_max_j
+
+    @pytest.mark.parametrize("new_phi_max", [150.1, 150.3, 180.7])   # below, at and above phi
+    def test_refit_is_the_fade_clamp_bit_for_bit(self, new_phi_max):
+        phi, phi_max = 150.3, 200.0
+        want = self.flushed(phi, phi_max, SlotTotals(clamp_count=4, clamp_total_j=-0.7),
+                            new_phi_max)
+        book = ledger(fresh_state(phi=phi, phi_max=phi_max),
+                      totals=SlotTotals(clamp_count=4, clamp_total_j=-0.7))
+        book.refit(new_phi_max)
+        got = (book.totals.clamp_count, book.totals.clamp_total_j.hex(), book.energy.phi_j,
+               book.energy.phi_max_j)
+        assert got == want
+        assert book.totals.clamp_count == (5 if new_phi_max < phi else 4)
+
+    def test_a_settle_drops_a_booking_on_the_sleep_slot_and_nowhere_else(self):
+        # 6 J: slot 0's transmit leaves 1 J and slot 1's browns out, so slot 2 sleeps
+        book = ledger(fresh_state(phi=6.0), {0: ECLIPSE, 1: ECLIPSE}, sun_s=0.0)
+        assert book.settle_to(2, True)
+        assert (book.sleep_slot, book.settled, book.energy.phi_j) == (2, 2, 0.0)
+        for k, phase in ((2, SUN), (3, ECLIPSE), (5, SUN)):
+            book.book(k, phase)
+        book.energy.phi_j = 100.0
+        assert not book.settle_to(3, True)   # slot 2 draws as asleep
+        assert (book.tx, book.totals.consumed_j) == ({3: ECLIPSE, 5: SUN}, 5.0 + 5.0 + 1.0)
+        assert not book.settle_to(5, False)   # slot 3 transmits, slot 4 sleeps
+        assert (book.tx, book.totals.consumed_j) == ({5: SUN}, 11.0 + 5.0 + 1.0)
+        assert book.sleep_slot == 2
+
+    def test_a_settle_to_a_tick_already_reached_walks_nothing(self):
+        book = ledger(fresh_state(), {3: SUN}, first=4)
+        before = bits(book.energy), bits(book.totals)
+        assert not book.settle_to(4, False) and not book.settle_to(2, True)
+        after = bits(book.energy), bits(book.totals), book.settled, book.tx
+        assert after == (*before, 4, {3: SUN})
+
+    def test_unbook_removes_only_its_own_key(self):
+        book = ledger(fresh_state(), {3: SUN, 4: ECLIPSE})
+        book.unbook(3)
+        book.unbook(7)   # no booking: nothing to take back
+        assert book.tx == {4: ECLIPSE}
+        book.book(6, SUN)
+        book.unbook(4)
+        assert book.tx == {6: SUN}
+
+    @given(phi=st.floats(0.0, 200.0), settled=st.integers(0, 10**6),
+           e_cons=st.floats(1.0, 300.0))
+    def test_the_guard_is_the_settled_slots_and_the_transmits_phi_can_pay(self, phi, settled,
+                                                                          e_cons):
+        profile = PowerProfile(e_cons_tx_j=e_cons, e_sleep_j=0.5)
+        book = ledger(fresh_state(phi=phi), first=settled, profile=profile)
+        assert book.guard() == settled + max(1, int(phi // e_cons))
 
 
 class TestDischarge:

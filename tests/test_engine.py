@@ -15,8 +15,10 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from leolora import energy as energy_module
 from leolora import engine
 from leolora.airtime import time_on_air
+from leolora.energy import SLOTS_PER_BLOCK, NodeLedger
 from leolora.engine import Simulator, run
 from leolora.exceptions import ContractError
 from leolora.orbit import (
@@ -29,7 +31,7 @@ from leolora.orbit import (
     sun_seconds,
 )
 
-from conftest import make_scenario, time_limit
+from conftest import make_scenario, table_bits, time_limit
 from oracles import (
     oracle_calendar,
     oracle_poisson_arrivals,
@@ -103,20 +105,34 @@ class TestFullRuns:
         assert node.battery.cycles_completed == 0.0
         assert node.battery.fade_fraction == pytest.approx(expected, rel=1e-9)
 
-    def test_a_run_takes_no_slot_terms_from_an_earlier_one(self, default_dict, energy_spy):
-        # a quiet slot adds nothing, a default one harvests and draws: the
-        # two runs share their (tx_phase, sun_s) keys but not the terms, and
-        # the spy checks every settled slot against the slot-law oracle
+    def test_runs_of_different_slot_lengths_each_use_their_own_term_table(self, default_dict,
+                                                                          energy_spy):
+        # a quiet 40 s slot adds nothing, a default 30 s one harvests and
+        # draws: each run's table holds its own slot length's terms, a run
+        # after the other reads as one alone, and the spy checks every
+        # settled slot against the slot-law oracle
         quiet = make_scenario(default_dict, **{"sim.traffic_model": "none",
                                                "sim.duration_days": 0.5,
                                                "sim.node_count": 1,
                                                "energy.e_sleep_j": 0.0,
                                                "energy.e_g_sun_j_per_slot": 0.0})
+        other = make_scenario(default_dict, **{"sim.duration_days": 0.25, "sim.node_count": 1,
+                                               "sim.slot_s": 30.0})
         alone = run(quiet)
-        run(make_scenario(default_dict, **{"sim.duration_days": 0.25, "sim.node_count": 1}))
+        between = run(other)
         after = run(quiet)
         assert after.metrics == alone.metrics
         assert after.summary == alone.summary
+        for result, sc in ((alone, quiet), (between, other), (after, quiet)):
+            node = result.nodes[0]
+            table = node.ledger.table
+            assert {s for _, s in table} == {0.0, sc.sim.slot_s}
+            want = NodeLedger.whole_slot_terms(sc.sim.slot_s, sc.energy.harvest, sc.energy.profile)
+            assert table_bits(table) == table_bits(want)
+            rows = energy_spy(node)
+            assert len(rows) == node.n_slots
+            assert all(slot_s == sc.sim.slot_s for _, _, slot_s, _ in rows)
+        assert alone.nodes[0].ledger.table is not after.nodes[0].ledger.table
 
     @pytest.mark.parametrize("case", list(GOLDEN_CASES))
     def test_no_event_is_popped_past_the_end(self, case, tmp_path, default_dict, monkeypatch):
@@ -196,10 +212,10 @@ class TestFullRuns:
                         schedules={})
         node = sim.nodes[0]
         k = node.last_tick(phase_edges(node.orbit, 0.0)[0]) + 1   # the first slot wholly in eclipse
-        sim._settle_upto(node, k)
+        node.ledger.settle_to(k, False)
         node.energy.phi_j = 0.0
         with pytest.raises(ContractError, match="browns out"):
-            sim._settle_upto(node, k + 1)
+            node.ledger.settle_to(k + 1, False)
 
     def test_capacity_fade_clamp_is_counted(self, default_dict, energy_spy):
         # a pack that stays full through eclipse: each orbit's fade lowers
@@ -238,7 +254,7 @@ class TestFullRuns:
         monkeypatch.setattr(Simulator, "_on_slot_tick", counted)
         result = run(make_scenario(default_dict, **{"sim.duration_days": 1.0}))
         node_slots = sum(node.n_slots for node in result.nodes)
-        assert all(node.settled == node.n_slots for node in result.nodes)
+        assert all(node.ledger.settled == node.n_slots for node in result.nodes)
         assert 0 < len(ticks) <= 0.15 * node_slots
 
     def test_a_fade_clamp_never_leaves_the_pending_tick_past_the_guard(
@@ -268,7 +284,7 @@ class TestFullRuns:
             before = node.energy.phi_j
             real(sim, node)
             flushes.append((before, node.energy.phi_j, pending_tick(sim, node),
-                            sim._guard(node)))
+                            node.ledger.guard()))
 
         monkeypatch.setattr(Simulator, "_flush_orbit", watched)
         # without traffic, phi does not depend on E_cons
@@ -467,7 +483,7 @@ class TestLifecycleInvariants:
         assert phi - reserved + p == node.energy.phi_min_j < phi - max(0.0, reserved - p)
         sim._heap.clear()
         sim.now = window.start
-        node.settled = node.last_tick(window.start)   # nothing left to settle at the open
+        node.ledger.settled = node.last_tick(window.start)   # nothing left to settle at the open
         packet = engine._Packet(created=window.start, reserved_j=p)
         sim._push(window.start, engine.EventKind.WINDOW_OPEN, (0, packet, window))
         opens = 0
@@ -577,7 +593,8 @@ class TestSlotGrid:
         # after it, for a run of ticks: the rounded quotient misplaces a few
         # percent of tick-adjacent times on the 33.3 and 7.3 s grids
         sim = grid_sims[slot_s]
-        node = dataclasses.replace(sim.nodes[0], slot_offset=offset * slot_s, settled=0)
+        node = dataclasses.replace(sim.nodes[0], slot_offset=offset * slot_s)
+        node.ledger = dataclasses.replace(sim.nodes[0].ledger, settled=0)
         for k in range(k0, k0 + 256):
             t_k = node.slot_time(k)
             for t in (math.nextafter(t_k, -math.inf), t_k, math.nextafter(t_k, math.inf),
@@ -605,7 +622,7 @@ def settle_log(monkeypatch):
 
     def watched(sim, node):
         real(sim, node)
-        log.append((sim.now, node, node.settled, pending_tick(sim, node)))
+        log.append((sim.now, node, node.ledger.settled, pending_tick(sim, node)))
 
     monkeypatch.setattr(Simulator, "_settle_before_now", watched)
     return log
@@ -640,7 +657,7 @@ class TestTickTies:
         def watched(sim, node):
             real(sim, node)
             if sim.now == t_k:
-                seen.append((node.settled, len(energy_spy(node))))
+                seen.append((node.ledger.settled, len(energy_spy(node))))
 
         monkeypatch.setattr(Simulator, "_settle_before_now", watched)
         sim = Simulator(make_scenario(default_dict, **overrides))
@@ -761,14 +778,17 @@ class TestReportClock:
 class TestBoundedRunState:
     """Run state that grows with neither the run's length nor its traffic."""
 
-    def test_the_slot_terms_memo_holds_at_most_six_keys(self, default_dict):
+    def test_a_run_shares_one_term_table_of_six_keys_that_no_walk_writes(self, default_dict):
         # an orbit that is not a whole number of 40 s slots gives nearly every
         # partly sunlit slot a sunlit time of its own
         sim = Simulator(make_scenario(default_dict, **{"sim.node_count": 8,
                                                        "sim.duration_days": 4.0,
                                                        "orbit.period_s": 5677.3}), seed=1)
+        table = sim.nodes[0].ledger.table
+        assert all(node.ledger.table is table for node in sim.nodes)
+        before = table_bits(table)
         sim.run()
-        assert len(sim._slot_terms) <= 6
+        assert len(table) == 6 and table_bits(table) == before
 
     def test_a_new_run_draws_no_arrival_up_front(self, default_dict):
         # 2 nodes at 2,000 arrivals/s over 864 s: 3.5 million arrival times
@@ -797,15 +817,14 @@ class TestBoundedRunState:
             "sim.duration_days": 5400.0 / 86400.0, "radio.spreading_factor": 7,
             "radio.bandwidth_hz": 500000, "radio.payload_bytes": 1})
         firsts = []
+        real = energy_module.settle_slots
 
-        def spied(real):
-            def walk(state, totals, tx, first, *rest):
-                firsts.append(first)
-                return real(state, totals, tx, first, *rest)
-            return walk
+        def walk(ledger, sun_s):
+            firsts.append(ledger.settled)
+            return real(ledger, sun_s)
 
-        monkeypatch.setattr(engine, "energy_step", spied(engine.energy_step))
-        monkeypatch.setattr(engine, "settle_slots", spied(engine.settle_slots))
+        # every walk reaches it once: a real tick's `energy_step` walks through it
+        monkeypatch.setattr(energy_module, "settle_slots", walk)
         sim = Simulator(sc, seed=1)
         node = sim.nodes[0]
         tracemalloc.start()
@@ -815,8 +834,8 @@ class TestBoundedRunState:
         finally:
             tracemalloc.stop()
         walks = np.diff(firsts + [node.n_slots])
-        assert node.settled == node.n_slots == 107_999
-        assert len(walks) <= 3 and walks.min() > 100 * engine._SLOTS_PER_BLOCK
+        assert node.ledger.settled == node.n_slots == 107_999
+        assert len(walks) <= 3 and walks.min() > 100 * SLOTS_PER_BLOCK
         # a list of one walk's sunlit seconds would take over 1.7 MB
         assert peak < 2**20
 
@@ -827,7 +846,7 @@ class TestBoundedRunState:
         # and the last ends in the partial last block; the spy checks every
         # slot's sunlit seconds against the oracle and every walk against
         # the slot law, slot by slot
-        block = engine._SLOTS_PER_BLOCK
+        block = SLOTS_PER_BLOCK
         sim = Simulator(make_scenario(default_dict, **{"sim.node_count": 1,
                                                        "sim.traffic_model": "none",
                                                        "sim.duration_days": 0.73}), seed=2)
@@ -836,10 +855,11 @@ class TestBoundedRunState:
         ends = [block - 1, block, block + 1, 2 * block - 1, 3 * block + 1, 5 * block,
                 node.n_slots]
         for i, upto in enumerate(ends):
-            assert not sim._walk(node, upto, tick=i % 2 == 0)
+            assert not node.ledger.settle_to(upto, i % 2 == 0)
         rows = energy_spy(node)
-        assert len(rows) == node.settled == node.n_slots
-        assert len(node.block) == node.n_slots % block   # the last walk ended in the last block
+        assert len(rows) == node.ledger.settled == node.n_slots
+        # the last walk ended in the last block
+        assert len(node.ledger.block) == node.n_slots % block
 
 
 class TestOrbitClosing:
@@ -870,7 +890,7 @@ class TestOrbitClosing:
         real = Simulator._flush_orbit
 
         def watched(sim, node):
-            flushes.append((node, node.sunrise, node.settled))
+            flushes.append((node, node.sunrise, node.ledger.settled))
             assert len(flushes) <= limit, "a sunrise closed twice: the chain stopped advancing"
             real(sim, node)
 
