@@ -1,40 +1,60 @@
 """Per-node stored-energy balance, solar harvest, and the EWMA estimator.
 
-`NodeLedger` holds a node's energy timeline: its `NodeEnergyState`, its
-running `SlotTotals`, its transmit bookings, the sleep slot after its
-latest brownout, how far it is settled and the sunlit seconds of the
-block its latest walk ended in.  Only its walks and methods move phi,
-phi_max, the slot sums, the bookings and the settled index; the engine
-decides only when to settle, book and refit (it still adds a finished
-transmission and a flushed orbit to the totals, and the MAC's
-reservation and estimate to the state).  `settle_slots` owns the slot law
+`NodeLedger` holds a node's energy timeline on its slot grid: its
+`NodeEnergyState`, its running `SlotTotals`, its transmit bookings, the
+sleep slot after its latest brownout, how far it is settled and the
+sunlit seconds of the block its latest walk ended in.  Only its walks
+and methods move phi, phi_max, the slot sums, the bookings and the
+settled index; the engine decides only when to settle, book and refit
+(it still adds a finished transmission and a flushed orbit to the
+totals, and the MAC's reservation and estimate to the state).
+`settle_slots` owns the slot law
 
     phi[t] = phi[t-1] + y[t]*E_g[t] - x[t]*E_cons - (1 - x[t])*E_sleep
 
 with phi clamped to [0, phi_max]: it settles a run of slots in one walk,
 taking each slot's sunlit seconds, in slot order, from an iterable (the
-ledger passes slices of the node's `SLOTS_PER_BLOCK`-slot blocks) and
-its transmit phase from the node's {slot: phase} map, and adds each slot
-to the node's running `SlotTotals`.  `_slot_terms` gives the terms phi
-does not enter (x, y, E_g and the slot's battery discharge for the orbit
-ledger).  They depend only on (tx_phase, sun_s) and the run's constants,
-so a run makes those of its six whole-slot keys once, in one table that
-every walk only reads (`NodeLedger.whole_slot_terms`), and a walk holds
-an idle slot's terms across each run of equal sunlit seconds without a
-lookup.  A clamp at zero is a brownout; every clamp is counted so the
-run-level ledger can be audited exactly.  A real slot tick settles its
-gap and its own slot through `energy_step`, one walk; a settle before a
-read walks through `settle_slots` itself.
+ledger passes slices of its `SLOTS_PER_BLOCK`-slot blocks) and its
+transmit phase from the ledger's {slot: phase} map, and adds each slot
+to the running `SlotTotals`.  `_slot_terms` gives the terms phi does not
+enter (x, y, E_g and the slot's battery discharge for the orbit ledger).
+They depend only on (tx_phase, sun_s) and the run's constants, its
+`SlotLaw`, which makes those of its six whole-slot keys once, in one
+table that every walk only reads, and a walk holds an idle slot's terms
+across each run of equal sunlit seconds without a lookup.  A clamp at
+zero is a brownout; every clamp is counted so the run-level ledger can
+be audited exactly.  A real slot tick settles its gap and its own slot
+through `energy_step`, one walk; a settle before a read walks through
+`settle_slots` itself.
+
+Accounting is retrospective: slot k of a node spans [T_k, T_{k+1}) on its
+(randomly offset, unsynchronized) grid T_k = slot_offset + k * slot, and
+tick k+1 at T_{k+1} settles it, by which point every transmission attempt
+inside it has already happened.  `orbit.grid_floor` places a time on
+this grid (`NodeLedger.last_tick`) and on the grid of sunrises alike, by
+exact comparisons; only `NodeLedger.slot_time` places a slot edge.
+
+Ticks are lazy (`NodeLedger.next_tick`).  A tick is a real event only
+where the node has work: it drains the node's next arrival, it is the
+first at or after the node's next sunrise, it is the node's last, or it
+is the brownout guard, the first slot where a transmit in every slot
+could empty the battery (phi drops by at most E_cons a slot).  After a
+brownout phi is 0, so the guard is the very next tick; the arrivals a
+brownout tick leaves undrained are created and decided there.  The
+slots between real ticks cannot brown out.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections.abc import Callable, Iterable, Iterator
+import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .exceptions import ConfigError, ContractError, bounded, check_bounds
-from .orbit import ECLIPSE, SUN
+from .orbit import ECLIPSE, SUN, OrbitConfig, grid_floor, sunlit_seconds
 
 # Slots whose sunlit seconds one block holds, made in one `orbit.sunlit_seconds` call.
 SLOTS_PER_BLOCK = 256
@@ -136,6 +156,31 @@ def _slot_terms(tx_phase, sun_s, slot_s, harvest, profile) -> tuple[float, float
     return harvested, consumed, discharge
 
 
+@dataclass(frozen=True)
+class SlotLaw:
+    """A run's slot constants, shared by its ledgers: slot length, harvest, power, term table.
+
+    `table` maps (tx_phase, sun_s) to a slot's `_slot_terms` and their
+    harvested - consumed for six keys: every phase with sun_s 0.0 (wholly
+    in eclipse; -0.0 is the same key) or slot_s (wholly sunlit), about
+    98.5% of all slots.  A walk only reads it.
+    """
+
+    slot_s: float
+    harvest: HarvestModel
+    profile: PowerProfile
+    table: dict[tuple, tuple[float, float, float, float]]
+
+    @classmethod
+    def of(cls, slot_s: float, harvest: HarvestModel, profile: PowerProfile) -> SlotLaw:
+        """The law of a run's constants, its six whole-slot terms made once."""
+        table = {}
+        for key in itertools.product((None, SUN, ECLIPSE), (0.0, slot_s)):
+            harvested, consumed, discharge = _slot_terms(*key, slot_s, harvest, profile)
+            table[key] = harvested, consumed, discharge, harvested - consumed
+        return cls(slot_s, harvest, profile, table)
+
+
 @dataclass
 class SlotTotals:
     """A node's running sums over the run, its report period and its orbit.
@@ -185,15 +230,13 @@ def settle_slots(ledger: NodeLedger, sun_s: Iterable[float]) -> bool:
     The clamp is spelled as the comparisons `max` and `min` make, which
     pick the same float (-0.0 and NaN included) without their call cost.
 
-    The ledger's table maps (tx_phase, sun_s) to a slot's `_slot_terms`
-    and their harvested - consumed (`NodeLedger.whole_slot_terms`); the
-    terms of a slot it lacks are made afresh.  An idle slot whose sun_s
-    equals the slot before's, also idle, reuses that slot's terms without a
-    lookup, and the map is popped only while it holds a booking: so a long
-    idle run costs only its arithmetic.
+    A slot's terms come from the `SlotLaw`'s table, or afresh if it lacks
+    them.  An idle slot whose sun_s equals the slot before's, also idle,
+    reuses that slot's terms without a lookup, and the map is popped only
+    while it holds a booking: so a long idle run costs only its arithmetic.
     """
     state, totals, tx, first = ledger.energy, ledger.totals, ledger.tx, ledger.settled
-    slot_s, harvest, profile = ledger.slot_s, ledger.harvest, ledger.profile
+    slot_s, harvest, profile = ledger.law.slot_s, ledger.law.harvest, ledger.law.profile
     phi, phi_max = state.phi_j, state.phi_max_j
     harvested_j, consumed_j = totals.harvested_j, totals.consumed_j
     period_consumed_j, orbit_s = totals.period_consumed_j, totals.orbit_s
@@ -201,7 +244,7 @@ def settle_slots(ledger: NodeLedger, sun_s: Iterable[float]) -> bool:
     clamp_count, clamp_total_j = totals.clamp_count, totals.clamp_total_j
     brownouts = 0
     raw = phi
-    get, pop = ledger.table.get, tx.pop
+    get, pop = ledger.law.table.get, tx.pop
     held = None   # the sunlit seconds of the idle slot whose terms the locals hold
     k = first
     for s in sun_s:
@@ -255,43 +298,50 @@ def energy_step(ledger: NodeLedger, sun_s: Iterable[float]) -> bool:
 
 @dataclass(slots=True)
 class NodeLedger:
-    """One node's energy timeline: phi and its slot sums move only by its walks and methods.
+    """One node's energy timeline on its slot grid: phi and its slot sums move only by its methods.
 
-    Slots 0 .. settled - 1 are settled.  `tx` books each slot not yet
-    settled whose first attempt transmits, by phase; the slot after the
-    latest brownout (`sleep_slot`) counts no transmit.  `block` holds the
-    sunlit seconds of the block the latest walk ended in, from the node's
-    `sunlit_block(b)`: those of slots b .. b + `SLOTS_PER_BLOCK` - 1 (or to
-    the last), so the node alone places a slot edge.  `table` is the run's
-    `whole_slot_terms`, shared by its nodes.
+    Slot k < n_slots spans [slot_time(k), slot_time(k + 1)); those below
+    `settled` are settled.  `tx` books each slot not yet settled whose first
+    attempt transmits, by phase; the slot after the latest brownout
+    (`sleep_slot`) counts no transmit.  `block` holds the sunlit seconds of
+    the block the latest walk ended in.  A call that takes a time acts on
+    the slot `last_tick` places it in.
     """
 
     energy: NodeEnergyState
-    sunlit_block: Callable[[int], list[float]]
-    table: dict[tuple, tuple[float, float, float, float]]
-    slot_s: float
-    harvest: HarvestModel
-    profile: PowerProfile
+    law: SlotLaw
+    orbit: OrbitConfig
+    slot_offset: float
+    n_slots: int
     totals: SlotTotals = field(default_factory=SlotTotals)
     tx: dict[int, str] = field(default_factory=dict)
     sleep_slot: int = -1
     settled: int = 0
     block: list[float] = field(default_factory=list)
 
-    @staticmethod
-    def whole_slot_terms(slot_s: float, harvest: HarvestModel,
-                         profile: PowerProfile) -> dict[tuple, tuple[float, float, float, float]]:
-        """A run's term table: each whole slot's `_slot_terms` and their harvested - consumed.
+    @classmethod
+    def of(cls, energy: NodeEnergyState, law: SlotLaw, orbit: OrbitConfig, offset: float,
+           t_end: float) -> NodeLedger:
+        """A ledger with nothing settled on the grid at `offset`: every slot that ends by t_end."""
+        return cls(energy, law, orbit, offset, max(grid_floor(offset, law.slot_s, t_end), 0))
 
-        Its six keys are (tx_phase, sun_s) for every transmit phase and sun_s
-        0.0 (wholly in eclipse, and also -0.0, the same key) or slot_s (wholly
-        sunlit), about 98.5% of all slots.  A walk only reads it.
-        """
-        table = {}
-        for key in itertools.product((None, SUN, ECLIPSE), (0.0, slot_s)):
-            harvested, consumed, discharge = _slot_terms(*key, slot_s, harvest, profile)
-            table[key] = harvested, consumed, discharge, harvested - consumed
-        return table
+    def slot_time(self, k: int | np.ndarray) -> float | np.ndarray:
+        """The start of slot k (the time of tick k), for an index or an array of them."""
+        return self.slot_offset + k * self.law.slot_s
+
+    def last_tick(self, t: float) -> int:
+        """The largest m with slot_time(m) <= t: t lies in slot m."""
+        return grid_floor(self.slot_offset, self.law.slot_s, t)
+
+    @property
+    def account_end(self) -> float:
+        """The end of the last slot, or with none, the start of the first."""
+        return self.slot_time(self.n_slots)
+
+    def sunlit_block(self, b: int) -> list[float]:
+        """The sunlit seconds of slots b .. b + `SLOTS_PER_BLOCK` - 1 (or to the last), in order."""
+        ticks = np.arange(b, min(b + SLOTS_PER_BLOCK, self.n_slots) + 1)
+        return sunlit_seconds(self.orbit, self.slot_time(ticks))
 
     def settle_to(self, k: int, tick: bool) -> bool:
         """Settle the slots below tick k in one walk; return whether the last one browned out.
@@ -331,13 +381,17 @@ class NodeLedger:
             self.block = self.sunlit_block(b + start)
             yield self.block[:j - start]
 
-    def book(self, k: int, phase: str):
-        """Count slot k, not yet settled, as a transmit in `phase` (SUN or ECLIPSE)."""
-        self.tx[k] = phase
+    def settle_through(self, t: float):
+        """Settle, in one batch, every slot whose tick is at or before t."""
+        self.settle_to(self.last_tick(t), False)
 
-    def unbook(self, k: int):
-        """Take back slot k's booking, if it has one."""
-        self.tx.pop(k, None)
+    def book(self, t: float, phase: str):
+        """Count the slot t lies in, not yet settled, as a transmit in `phase` (SUN or ECLIPSE)."""
+        self.tx[self.last_tick(t)] = phase
+
+    def unbook(self, t: float):
+        """Take back the booking of the slot t lies in, if it has one."""
+        self.tx.pop(self.last_tick(t), None)
 
     def refit(self, phi_max_j: float):
         """Fit the store to a faded capacity; phi above it is clamped down, a counted clamp."""
@@ -349,7 +403,38 @@ class NodeLedger:
 
     def guard(self) -> int:
         """The first tick whose slot a transmit in every slot from now could brown out."""
-        return self.settled + max(1, int(self.energy.phi_j // self.profile.e_cons_tx_j))
+        return self.settled + max(1, int(self.energy.phi_j // self.law.profile.e_cons_tx_j))
+
+    def next_tick(self, arrival: float, sunrise: float) -> int | None:
+        """The next tick that must be a real event, or None past the last slot.
+
+        A slot needs its own tick if its end drains the next arrival, if it
+        is the first at or after the next sunrise, if it is the node's last,
+        or if the worst-case draw (a transmit every slot) could brown the
+        node out in it (the guard).  A brownout leaves phi at 0, so the guard
+        also gives the tick right after it, which drains the arrivals the
+        brownout tick left.  Every slot before the tick settles in one batch.
+        """
+        if self.settled >= self.n_slots:
+            return None
+        k = self.guard()   # min(n_slots, guard), then min(k, the arrival's tick)
+        if self.n_slots < k:
+            k = self.n_slots
+        if arrival < math.inf:   # grid_floor(inf) overflows
+            first = self._first_tick(arrival)
+            if first < k:
+                k = first
+        if self.slot_time(k) >= sunrise:   # else the sunrise's tick comes after k
+            k = self._first_tick(sunrise)
+        return k
+
+    def _first_tick(self, t: float) -> int:
+        """The first tick k with slot_time(k) >= t, after the settled slots."""
+        k = self.last_tick(t)
+        if self.slot_time(k) < t:
+            k += 1
+        first = self.settled + 1
+        return k if k > first else first
 
 
 def ewma_update(beta: float, e_cons_prev_j: float, ewma_prev_j: float) -> float:

@@ -9,32 +9,14 @@ ends take theirs when the packet is launched, even though each is pushed
 only once the attempt before it has failed, and an attempt nobody can
 hear is never pushed (`_announce` skips it).
 
-Accounting is retrospective: slot k of a node spans [T_k, T_{k+1}) on its
-(randomly offset, unsynchronized) grid T_k = slot_offset + k * slot, and
-tick k+1 at T_{k+1} settles it, by which point every transmission attempt
-inside it has already happened.  `orbit.grid_floor` places a time on
-this grid (`_Node.last_tick`) and on the grid of sunrises alike, by exact
-comparisons.  A packet arriving in a slot is created at the next tick,
-where the MAC decides it; no event is pushed before now or past the end.
-
-Ticks are lazy.  A tick is a real event only where the node has work: it
-drains the node's next arrival, it is the first at or after the node's
-next sunrise, it is the node's last, or it is the brownout guard, the
-first slot where a transmit in every slot could empty the battery (phi
-drops by at most E_cons a slot).  After a brownout phi is 0, so the guard
-is the very next tick; the arrivals a brownout tick leaves undrained are
-created and decided there.  The slots between real ticks cannot brown out.
-A real tick closes the orbits whose sunrise lies before it, then settles
-the rest of that gap and its own slot in one `energy.energy_step` walk,
-which raises `ContractError` if a gap slot browns out and returns whether
-its own slot did, for the tick to act on; it then pushes the next real
-tick.  Every walk, a tick's or a batch settle's, is one
-`energy.NodeLedger.settle_to` call on the node's ledger, which holds its
-energy timeline; the engine decides only when to settle.  A walk takes
-its slots' sunlit seconds from blocks of `energy.SLOTS_PER_BLOCK` slots,
-each made in one `orbit.sunlit_seconds` call (`_Node.sunlit_block`) when
-a walk first reaches it.  Only `_Node.slot_time` places a slot edge, for
-one index or an array.
+Each node's slot grid, energy timeline and next real slot tick are its
+`energy.NodeLedger`'s; the engine decides only when to settle, and
+speaks to the ledger in times.  A packet arriving in a slot is created
+at the next tick, where the MAC decides it; no event is pushed before now
+or past the end.  A real tick closes the orbits whose sunrise lies before
+it, then settles the rest of that gap and its own slot in one
+`energy.energy_step` walk, which returns whether its own slot browned
+out, for the tick to act on; it then pushes the next real tick.
 
 The fleet reports on one clock: one report event per report time settles
 and reports every node in id order, then pushes the next.
@@ -60,7 +42,6 @@ import math
 from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass, field
-from operator import attrgetter
 from pathlib import Path
 from typing import NamedTuple
 
@@ -69,7 +50,7 @@ import numpy as np
 from .airtime import time_on_air
 from .battery import BatteryState, step_battery_per_orbit
 from .config import ScenarioConfig, load_schedule_override
-from .energy import SLOTS_PER_BLOCK, NodeEnergyState, NodeLedger, ewma_update
+from .energy import NodeEnergyState, NodeLedger, SlotLaw, ewma_update
 from .exceptions import ContractError
 from .mac import (
     Backoff,
@@ -86,10 +67,8 @@ from .orbit import (
     OrbitConfig,
     Schedule,
     build_schedule,
-    grid_floor,
     phase_at,
     phase_edges,
-    sunlit_seconds,
 )
 from .report import NodeBatteryReport, gateway_compute_fleet_degradation
 
@@ -159,43 +138,16 @@ class _Packet:
 @dataclass
 class _Node:
     node_id: int
-    slot_s: float
-    orbit: OrbitConfig
     schedule: Schedule
     battery: BatteryState
-    slot_offset: float
-    n_slots: int             # slots 0 .. n_slots - 1; slot k ends at tick k + 1
     backoff: Backoff
+    ledger: NodeLedger       # phi, the totals, the bookings, the slot grid and the settled slots
     arrivals: Iterator[float]  # the arrival times after next_arrival, drawn as they are reached
-    next_arrival: float = math.inf  # the next arrival not yet drained; inf when none is left
+    next_arrival: float        # the next arrival not yet drained; inf when none is left
+    sunrise: float             # the next sunrise, where an orbit closes; inf past the run
     busy_until: float = 0.0
     in_flight: _Packet | None = None
-    sunrise: float = math.inf  # the next sunrise, where an orbit closes; inf past the run
     packets: Counter[str] = field(default_factory=Counter)  # PACKET_OUTCOMES
-    # phi, the totals, the bookings and the settled slots; set once the node exists, since
-    # its walks take their sunlit seconds from `sunlit_block` (so `replace` leaves it out)
-    ledger: NodeLedger = field(init=False)
-    # views for reports and the run's readers; per-event code reads `ledger`, a cheaper lookup
-    energy = property(attrgetter("ledger.energy"), doc="The ledger's `NodeEnergyState`.")
-    totals = property(attrgetter("ledger.totals"), doc="The ledger's `SlotTotals`.")
-
-    def slot_time(self, k: int | np.ndarray) -> float | np.ndarray:
-        """The start of slot k (the time of tick k), for an index or an array of them."""
-        return self.slot_offset + k * self.slot_s
-
-    def sunlit_block(self, b: int) -> list[float]:
-        """The sunlit seconds of slots b .. b + `SLOTS_PER_BLOCK` - 1 (or to the last), in order."""
-        ticks = np.arange(b, min(b + SLOTS_PER_BLOCK, self.n_slots) + 1)
-        return sunlit_seconds(self.orbit, self.slot_time(ticks))
-
-    def last_tick(self, t: float) -> int:
-        """The largest m with slot_time(m) <= t: t lies in slot m."""
-        return grid_floor(self.slot_offset, self.slot_s, t)
-
-    @property
-    def account_end(self) -> float:
-        """The end of the node's last slot, or with none, the start of its first: in the run."""
-        return self.slot_time(self.n_slots)
 
 
 @dataclass
@@ -231,7 +183,7 @@ class Simulator:
         battery = scenario.battery
         self.dif = phase_dif(self.harvest, self.profile, battery.params, battery.base_stress,
                              battery.capacity_rated_j, scenario.mac.dif_ref)
-        terms = NodeLedger.whole_slot_terms(self.slot_s, self.harvest, self.profile)
+        law = SlotLaw.of(self.slot_s, self.harvest, self.profile)
 
         self._heap: list[tuple[float, int, int, EventKind, tuple]] = []
         self._seq = itertools.count()
@@ -253,23 +205,10 @@ class Simulator:
         self.nodes: list[_Node] = []
         for u in range(n):
             orbit = scenario.node_orbit(u)
-            schedule = schedules.get(u, Schedule())
             # a node whose first slot would start past the run end has no slot
             # either way; starting its grid at the end keeps `account_end` in the run
             slot_offset = min(float(offset_rng.uniform(0.0, self.slot_s)), self.t_end)
-            traffic_rng = np.random.default_rng(children[2 * u])
-            node = _Node(
-                node_id=u,
-                slot_s=self.slot_s,
-                orbit=orbit,
-                schedule=schedule,
-                battery=BatteryState(),
-                slot_offset=slot_offset,
-                n_slots=0,
-                backoff=Backoff(np.random.default_rng(children[2 * u + 1])),
-                arrivals=iter(()),
-            )
-            node.ledger = NodeLedger(
+            ledger = NodeLedger.of(
                 NodeEnergyState(
                     phi_j=scenario.steady_state_phi_j(orbit),
                     phi_max_j=scenario.phi_max_j(),
@@ -277,14 +216,21 @@ class Simulator:
                     e_critical_j=scenario.energy.e_critical_j,
                     ewma_estimate_j=scenario.energy.ewma_initial_j,
                 ),
-                node.sunlit_block, terms, self.slot_s, self.harvest, self.profile,
+                law, orbit, slot_offset, self.t_end,
             )
-            node.n_slots = max(node.last_tick(self.t_end), 0)
-            node.sunrise = self._next_sunrise(orbit, 0.0)
-            node.arrivals = self._generate_arrivals(traffic_rng, node.account_end)
-            node.next_arrival = next(node.arrivals, math.inf)
+            arrivals = self._generate_arrivals(np.random.default_rng(children[2 * u]),
+                                               ledger.account_end)
+            node = _Node(
+                node_id=u,
+                schedule=schedules.get(u, Schedule()),
+                battery=BatteryState(),
+                backoff=Backoff(np.random.default_rng(children[2 * u + 1])),
+                ledger=ledger,
+                arrivals=arrivals,
+                next_arrival=next(arrivals, math.inf),
+                sunrise=self._next_sunrise(orbit, 0.0),
+            )
             self.nodes.append(node)
-
             self._schedule_wake(node)
         if n and scenario.sim.report_interval_s < self.t_end:
             self._push(scenario.sim.report_interval_s, EventKind.REPORT_DUE, ())
@@ -363,10 +309,6 @@ class Simulator:
         node.packets["generated"] += len(packets)
         return packets
 
-    def _candidates(self, node: _Node, now: float, created: float) -> list[ForecastWindow]:
-        """The windows a battery-aware decision may pick: before the deadline, in the run."""
-        return node.schedule.candidates(now, created + self.sc.mac.deadline_s, node.account_end)
-
     def _decide(self, node: _Node, packet: _Packet, now: float):
         """Send a waiting packet through the node's MAC, at now or once its last sequence ends."""
         if node.busy_until > now:   # max(now, busy_until)
@@ -375,7 +317,8 @@ class Simulator:
             self._decide_naive(node, packet, now)
             return
         result = select_forecast_window(
-            self._candidates(node, now, packet.created),
+            node.schedule.candidates(now, packet.created + self.sc.mac.deadline_s,
+                                     node.ledger.account_end),
             node.ledger.energy,
             self.harvest,
             self.profile,
@@ -396,14 +339,14 @@ class Simulator:
 
     def _decide_naive(self, node: _Node, packet: _Packet, start: float):
         """Immediate-ALOHA baseline: send as generated, no energy checks, no draw if none fits."""
-        end = min(start + MAX_NAIVE_SPAN_S, node.account_end)
+        end = min(start + MAX_NAIVE_SPAN_S, node.ledger.account_end)
         starts: list[float] = []
         if end - start >= self.toa:
             starts = run_transmission_sequence(start, end, self.toa, self.sc.mac, node.backoff)
         if not starts:
             self._finish(node, packet, "dropped_no_window")
             return
-        self._launch(node, packet, phase_at(node.orbit, starts[0]),
+        self._launch(node, packet, phase_at(node.ledger.orbit, starts[0]),
                      self._visible_targets(node, starts))
 
     def _visible_targets(self, node: _Node,
@@ -438,7 +381,7 @@ class Simulator:
         seq = self._seq
         packet.attempts = attempts = [(t, receiver, next(seq)) for t, receiver in attempts]
         node.in_flight = packet
-        node.ledger.book(node.last_tick(attempts[0][0]), tx_phase)
+        node.ledger.book(attempts[0][0], tx_phase)
         node.busy_until = attempts[-1][0] + self.toa
         self._announce(node, packet, 0)
 
@@ -591,7 +534,7 @@ class Simulator:
         if node.ledger.settle_to(k, True):
             if node.in_flight is not None:
                 victim = node.in_flight
-                node.ledger.unbook(node.last_tick(victim.attempts[0][0]))
+                node.ledger.unbook(victim.attempts[0][0])
                 # an attempt already on air still collides; one yet to start never happens
                 self._on_air = [(a, p) for a, p in self._on_air
                                 if p is not victim or a[0] <= now]
@@ -605,39 +548,11 @@ class Simulator:
         self._schedule_wake(node)
 
     def _schedule_wake(self, node: _Node):
-        """Push the node's next slot tick: the first slot that needs one.
-
-        A slot needs its own tick if its end drains the next arrival, if it
-        is the first at or after the next sunrise, if it is the node's last,
-        or if the worst-case draw (a transmit every slot) could brown the
-        node out in it (the guard).  A brownout leaves phi at 0, so the guard
-        also gives the tick right after it, which drains the arrivals the
-        brownout tick left.  Every slot before the tick settles in one batch.
-        """
-        n_slots = node.n_slots
-        if node.ledger.settled >= n_slots:
-            return
-        k = node.ledger.guard()   # min(n_slots, guard), then min(k, the arrival's tick)
-        if n_slots < k:
-            k = n_slots
-        if node.next_arrival < math.inf:   # grid_floor(inf) overflows
-            arrival = self._first_tick(node, node.next_arrival)
-            if arrival < k:
-                k = arrival
-        t = node.slot_time(k)
-        if t >= node.sunrise:   # else the sunrise's tick comes after k
-            k = self._first_tick(node, node.sunrise)
-            t = node.slot_time(k)
-        heapq.heappush(self._heap, (t, _TICK, next(self._seq), EventKind.SLOT_TICK,
-                                    (node.node_id, k)))
-
-    def _first_tick(self, node: _Node, t: float) -> int:
-        """The first tick k with slot_time(k) >= t, after the settled slots."""
-        k = node.last_tick(t)
-        if node.slot_time(k) < t:
-            k += 1
-        first = node.ledger.settled + 1
-        return k if k > first else first
+        """Push the node's next slot tick, the ledger's `next_tick`, unless it has none left."""
+        k = node.ledger.next_tick(node.next_arrival, node.sunrise)
+        if k is not None:
+            heapq.heappush(self._heap, (node.ledger.slot_time(k), _TICK, next(self._seq),
+                                        EventKind.SLOT_TICK, (node.node_id, k)))
 
     def _settle_before_now(self, node: _Node):
         """Close the orbits whose sunrise is at or before now; settle the slots whose tick is.
@@ -650,13 +565,13 @@ class Simulator:
         """
         while node.sunrise <= self.now:
             self._close_orbit(node)
-        node.ledger.settle_to(node.last_tick(self.now), False)
+        node.ledger.settle_through(self.now)
 
     def _close_orbit(self, node: _Node):
         """Close the orbit ending at the next sunrise, on the slots with a tick at or before it."""
-        node.ledger.settle_to(node.last_tick(node.sunrise), False)
+        node.ledger.settle_through(node.sunrise)
         self._flush_orbit(node)
-        node.sunrise = self._next_sunrise(node.orbit, node.sunrise)
+        node.sunrise = self._next_sunrise(node.ledger.orbit, node.sunrise)
 
     def _flush_orbit(self, node: _Node):
         totals = node.ledger.totals
@@ -682,15 +597,15 @@ class Simulator:
 
     def _emit_report(self, node: _Node, t: float):
         thermal = self.sc.battery.thermal
-        totals = node.totals
+        totals = node.ledger.totals
         self.reports.append(NodeBatteryReport(
             node.node_id, self.period_start, t, *totals.close_period(),
             mean_temperature_sun_k=thermal.t_sun_k,
             mean_temperature_eclipse_k=thermal.t_eclipse_k,
         ))
         self.metrics.append(MetricsRecord(
-            t, node.node_id, node.energy.soc, node.battery.fade_fraction, node.battery.d_linear,
-            *(node.packets[key] for key in END_OUTCOMES),
+            t, node.node_id, node.ledger.energy.soc, node.battery.fade_fraction,
+            node.battery.d_linear, *(node.packets[key] for key in END_OUTCOMES),
             totals.harvested_j, totals.consumed_j,
         ))
 
@@ -707,7 +622,7 @@ class Simulator:
         totals = {key: sum(node.packets[key] for node in self.nodes) for key in PACKET_OUTCOMES}
         for node in self.nodes:
             per_node[str(node.node_id)] = {
-                "soc": node.energy.soc,
+                "soc": node.ledger.energy.soc,
                 "fade_fraction": node.battery.fade_fraction,
                 "d_linear": node.battery.d_linear,
                 "dc_cal": node.battery.dc_cal,
@@ -715,10 +630,10 @@ class Simulator:
                 "cycles_completed": node.battery.cycles_completed,
                 "calendar_days": node.battery.calendar_days,
                 **{key: node.packets[key] for key in END_OUTCOMES},
-                "energy_harvested_j": node.totals.harvested_j,
-                "energy_consumed_j": node.totals.consumed_j,
-                "brownouts": node.totals.brownouts,
-                "clamp_events": node.totals.clamp_count,
+                "energy_harvested_j": node.ledger.totals.harvested_j,
+                "energy_consumed_j": node.ledger.totals.consumed_j,
+                "brownouts": node.ledger.totals.brownouts,
+                "clamp_events": node.ledger.totals.clamp_count,
             }
         delivered = totals["delivered"]
         dropped = sum(totals[key] for key in DROP_OUTCOMES)

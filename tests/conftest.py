@@ -87,9 +87,9 @@ def energy_spy(monkeypatch):
             phases = [tx.get(k) for k in range(first, upto)]
             outside = {k: v for k, v in tx.items() if not first <= k < upto}
             replay, replay_totals = copy.copy(state), copy.copy(totals)
-            rows = [(tx_phase, s, ledger.slot_s,
-                     oracle_slot(replay, replay_totals, tx_phase, s, ledger.slot_s,
-                                 ledger.harvest, ledger.profile))
+            rows = [(tx_phase, s, ledger.law.slot_s,
+                     oracle_slot(replay, replay_totals, tx_phase, s, ledger.law.slot_s,
+                                 ledger.law.harvest, ledger.law.profile))
                     for tx_phase, s in zip(phases, suns)]
             walking.append(ledger)
             try:
@@ -111,8 +111,9 @@ def energy_spy(monkeypatch):
     def slots(node):
         _, indices, rows = calls.get(id(node.ledger), (None, [], []))
         assert indices == list(range(len(indices)))
+        grid = node.ledger
         for k, (_, sun_s, _, _) in zip(indices, rows):
-            want = oracle_sun_seconds(node.orbit, node.slot_time(k), node.slot_time(k + 1))
+            want = oracle_sun_seconds(grid.orbit, grid.slot_time(k), grid.slot_time(k + 1))
             assert sun_s.hex() == want.hex()
         return rows
 
@@ -165,7 +166,7 @@ def decision_spy(monkeypatch):
     monkeypatch.setattr(engine, "select_forecast_window", spy)
 
     def decisions(result):
-        node_of = {id(node.energy): node.node_id for node in result.nodes}
+        node_of = {id(node.ledger.energy): node.node_id for node in result.nodes}
         return [Decision(node_of[id(energy)], *row)
                 for energy, row in calls if id(energy) in node_of]
 

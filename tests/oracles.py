@@ -291,3 +291,37 @@ def oracle_slot(state, totals, tx_phase, sun_s, slot_s, harvest, profile):
     if raw < 0.0:
         totals.brownouts += 1
     return OracleSlot(harvested, consumed, discharge, clamp, raw < 0.0)
+
+
+def oracle_next_tick(ledger, arrival, sunrise):
+    """The node's next real slot tick, or None past its last slot: the wake policy, transcribed.
+
+    `ledger` is read by attribute only: its grid (slot_offset, n_slots and
+    law.slot_s), its settled slots, phi and the transmit draw.  The tick is
+    the earliest of the brownout guard, the last tick and the first tick at
+    or after the arrival; if that one is at or after the sunrise, the first
+    tick at or after the sunrise instead.  A tick is never at or below the
+    settled slots.  A time is placed on the grid by a rounded guess, then
+    exact comparisons.
+    """
+    offset, slot_s, settled = ledger.slot_offset, ledger.law.slot_s, ledger.settled
+
+    def first_tick(t):
+        k = math.floor((t - offset) / slot_s)
+        while offset + k * slot_s > t:
+            k -= 1
+        while offset + (k + 1) * slot_s <= t:
+            k += 1
+        if offset + k * slot_s < t:
+            k += 1
+        return max(k, settled + 1)
+
+    if settled >= ledger.n_slots:
+        return None
+    guard = settled + max(1, int(ledger.energy.phi_j // ledger.law.profile.e_cons_tx_j))
+    k = min(guard, ledger.n_slots)
+    if arrival < math.inf:
+        k = min(k, first_tick(arrival))
+    if offset + k * slot_s >= sunrise:
+        k = first_tick(sunrise)
+    return k

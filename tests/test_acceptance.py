@@ -113,19 +113,19 @@ def _replayed_closure(sc, node, slots) -> float:
     only the clamps come from the engine's running total.
     """
     prof, harvest, slot_s = sc.energy.profile, sc.energy.harvest, sc.sim.slot_s
-    assert len(slots) == round((node.account_end - node.slot_offset) / slot_s)
+    assert len(slots) == round((node.ledger.account_end - node.ledger.slot_offset) / slot_s)
     total = 0.0
     for k, (tx_phase, _, _, _) in enumerate(slots):
-        t0 = node.slot_offset + k * slot_s
-        sunlit = sun_seconds(node.orbit, t0, t0 + slot_s)
+        t0 = node.ledger.slot_offset + k * slot_s
+        sunlit = sun_seconds(node.ledger.orbit, t0, t0 + slot_s)
         x = 0 if tx_phase is None else 1
         y = 1 if sunlit > 0.0 else 0
         e_g = harvest.slot_harvest(min(max(sunlit / slot_s, 0.0), 1.0))
         total += y * e_g - x * prof.e_cons_tx_j - (1 - x) * prof.e_sleep_j
-    clamp = node.totals.clamp_total_j
-    phi0 = sc.steady_state_phi_j(node.orbit)
-    gross = node.totals.consumed_j + node.totals.harvested_j
-    return abs(node.energy.phi_j - phi0 - total - clamp) / gross
+    clamp = node.ledger.totals.clamp_total_j
+    phi0 = sc.steady_state_phi_j(node.ledger.orbit)
+    gross = node.ledger.totals.consumed_j + node.ledger.totals.harvested_j
+    return abs(node.ledger.energy.phi_j - phi0 - total - clamp) / gross
 
 
 def test_criterion_03_energy_conservation(default_dict, energy_spy):
@@ -145,13 +145,13 @@ def test_criterion_03_energy_conservation(default_dict, energy_spy):
     res_clamp = engine.run(sc_clamp)
     node = res_clamp.nodes[0]
     closure_clamp = _replayed_closure(sc_clamp, node, energy_spy(node))
-    clamp_ok = node.totals.clamp_count and closure_clamp <= 1e-9
+    clamp_ok = node.ledger.totals.clamp_count and closure_clamp <= 1e-9
 
     elapsed = time.perf_counter() - t0
     _report("criterion 3 (30-day energy ledger closes to 1e-9)",
             worst <= 1e-9 and clamp_ok and elapsed < 30.0,
             f"worst closure {worst:.2e}; clamped run counted "
-            f"{node.totals.clamp_count} clamps, closure "
+            f"{node.ledger.totals.clamp_count} clamps, closure "
             f"{closure_clamp:.2e}; {elapsed:.1f} s")
 
 

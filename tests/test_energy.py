@@ -1,6 +1,9 @@
 """Stored-energy balance and the EWMA estimator."""
 
 import copy
+import dataclasses
+import math
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import pytest
@@ -13,6 +16,7 @@ from leolora.energy import (
     NodeEnergyState,
     NodeLedger,
     PowerProfile,
+    SlotLaw,
     SlotTotals,
     _slot_terms,
     energy_step,
@@ -42,16 +46,20 @@ def fresh_state(phi=100.0, phi_max=200.0, phi_min=10.0, e_critical=20.0):
 
 
 def ledger(state, tx=None, totals=None, first=0, slot_s=SLOT_S, harvest=HARVEST,
-           profile=PROFILE, table=None, sun_s=SLOT_S):
-    """A ledger settled below slot `first`, on the run's term table unless one is given.
+           profile=PROFILE, law=None, sun_s=SLOT_S):
+    """A ledger settled below slot `first`, on the run's `SlotLaw` unless one is given.
 
-    Its blocks, which only `settle_to` reads, hold `sun_s` in every slot.
+    Its grid starts at 0 and ends at 10^5 s.  Its orbit is sunlit throughout
+    for sun_s = slot_s, and for sun_s = 0.0 is in eclipse up to 10^5 s; on
+    the integer times of a 40 s grid, which only `settle_to` reads, every
+    slot's sunlit seconds are exactly sun_s.
     """
-    return NodeLedger(state, lambda b: [sun_s] * SLOTS_PER_BLOCK,
-                      NodeLedger.whole_slot_terms(slot_s, harvest, profile)
-                      if table is None else table,
-                      slot_s, harvest, profile, SlotTotals() if totals is None else totals,
-                      {} if tx is None else tx, settled=first)
+    orbit = OrbitConfig(period_s=2e5, sun_duration_s=2e5 if sun_s else 1e5, altitude_m=550e3,
+                        inclination_rad=0.9, phase_offset_rad=0.0 if sun_s else math.pi)
+    book = NodeLedger.of(state, SlotLaw.of(slot_s, harvest, profile) if law is None else law,
+                         orbit, 0.0, 1e5)
+    return dataclasses.replace(book, totals=SlotTotals() if totals is None else totals,
+                               tx={} if tx is None else tx, settled=first)
 
 
 def step(state, tx_phase=None, sun_s=0.0, harvest=HARVEST, profile=PROFILE):
@@ -202,13 +210,13 @@ def slot_runs(draw):
     return SlotRun(state, totals, orbit, offset, first, phases, sun_s, slot_s, harvest, profile)
 
 
-def walk(run, state, totals, tx, lo=0, hi=None, table=None):
+def walk(run, state, totals, tx, lo=0, hi=None, law=None):
     """Walk slots lo .. hi - 1 of the run (by walk index), lazily, on the given state and map.
 
-    The walk runs on the run's term table unless given one, and must move
+    The walk runs on the run's `SlotLaw` unless given one, and must move
     the ledger's settled index past its slots.
     """
-    book = ledger(state, tx, totals, run.first + lo, run.slot_s, run.harvest, run.profile, table)
+    book = ledger(state, tx, totals, run.first + lo, run.slot_s, run.harvest, run.profile, law)
     brownout = settle_slots(book, iter(run.sun_s[lo:hi]))
     assert book.settled == run.first + (len(run.sun_s) if hi is None else hi)
     return brownout
@@ -336,7 +344,7 @@ class TestTermTable:
     WHOLE_SLOTS = {(p, s) for p in (None, SUN, ECLIPSE) for s in (0.0, SLOT_S)}
 
     def test_the_table_holds_the_six_whole_slot_keys_with_the_slot_terms_bits(self):
-        table = NodeLedger.whole_slot_terms(SLOT_S, HARVEST, PROFILE)
+        table = SlotLaw.of(SLOT_S, HARVEST, PROFILE).table
         assert set(table) == self.WHOLE_SLOTS
         for (tx_phase, sun_s), terms in table.items():
             harvested, consumed, discharge = _slot_terms(tx_phase, sun_s, SLOT_S, HARVEST, PROFILE)
@@ -350,9 +358,10 @@ class TestTermTable:
 
     def test_no_walk_writes_the_table(self):
         # whole and partly sunlit slots, booked and idle, and a -0.0
-        table = NodeLedger.whole_slot_terms(SLOT_S, HARVEST, PROFILE)
+        law = SlotLaw.of(SLOT_S, HARVEST, PROFILE)
+        table = law.table
         before = table_bits(table)
-        book = ledger(fresh_state(), {1: SUN, 3: ECLIPSE, 5: SUN}, table=table)
+        book = ledger(fresh_state(), {1: SUN, 3: ECLIPSE, 5: SUN}, law=law)
         settle_slots(book, [0.0, SLOT_S, 12.5, -0.0, SLOT_S, 7.0, 7.0])
         energy_step(book, [SLOT_S, 0.5])
         assert table_bits(table) == before
@@ -389,13 +398,35 @@ class TestNodeLedger:
         assert book.settle_to(2, True)
         assert (book.sleep_slot, book.settled, book.energy.phi_j) == (2, 2, 0.0)
         for k, phase in ((2, SUN), (3, ECLIPSE), (5, SUN)):
-            book.book(k, phase)
+            book.book(book.slot_time(k), phase)
         book.energy.phi_j = 100.0
         assert not book.settle_to(3, True)   # slot 2 draws as asleep
         assert (book.tx, book.totals.consumed_j) == ({3: ECLIPSE, 5: SUN}, 5.0 + 5.0 + 1.0)
         assert not book.settle_to(5, False)   # slot 3 transmits, slot 4 sleeps
         assert (book.tx, book.totals.consumed_j) == ({5: SUN}, 11.0 + 5.0 + 1.0)
         assert book.sleep_slot == 2
+
+    def test_walks_across_a_block_edge_and_a_sunset_take_each_slot_s_sunlit_seconds(
+            self, energy_spy):
+        # walks to slots 250, 253, 255, 257 (across the block edge at 256),
+        # 259 and 263, with the sunset at 10333.3 s inside slot 258; the spy
+        # checks each slot's sunlit seconds against `oracle_sun_seconds` on
+        # the ledger's grid and each walk against `oracle_slot`, bit for bit
+        orbit = OrbitConfig(period_s=20000.0, sun_duration_s=10333.3, altitude_m=550e3,
+                            inclination_rad=0.9)
+        book = NodeLedger.of(fresh_state(), SlotLaw.of(SLOT_S, HARVEST, PROFILE), orbit, 7.5,
+                             2e4)
+        assert not book.settle_to(250, False)
+        for k, phase in ((251, SUN), (255, ECLIPSE), (256, SUN), (258, ECLIPSE)):
+            book.book(book.slot_time(k) + 1.0, phase)
+        for upto, tick in ((253, True), (255, False), (257, True), (259, False), (263, True)):
+            assert not book.settle_to(upto, tick)
+        rows = energy_spy(SimpleNamespace(ledger=book))
+        assert len(rows) == book.settled == 263 and not book.tx
+        suns = [sun_s for _, sun_s, _, _ in rows[250:]]
+        assert suns[:8] == [SLOT_S] * 8 and 0.0 < suns[8] < SLOT_S and suns[9:] == [0.0] * 4
+        assert [phase for phase, *_ in rows[250:]] == [
+            None, SUN, None, None, None, ECLIPSE, SUN, None, ECLIPSE, None, None, None, None]
 
     def test_a_settle_to_a_tick_already_reached_walks_nothing(self):
         book = ledger(fresh_state(), {3: SUN}, first=4)
@@ -406,11 +437,11 @@ class TestNodeLedger:
 
     def test_unbook_removes_only_its_own_key(self):
         book = ledger(fresh_state(), {3: SUN, 4: ECLIPSE})
-        book.unbook(3)
-        book.unbook(7)   # no booking: nothing to take back
+        book.unbook(book.slot_time(3))
+        book.unbook(book.slot_time(7))   # no booking: nothing to take back
         assert book.tx == {4: ECLIPSE}
-        book.book(6, SUN)
-        book.unbook(4)
+        book.book(book.slot_time(6), SUN)
+        book.unbook(book.slot_time(4))
         assert book.tx == {6: SUN}
 
     @given(phi=st.floats(0.0, 200.0), settled=st.integers(0, 10**6),

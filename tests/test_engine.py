@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from leolora import energy as energy_module
 from leolora import engine
 from leolora.airtime import time_on_air
-from leolora.energy import SLOTS_PER_BLOCK, NodeLedger
+from leolora.energy import SLOTS_PER_BLOCK, SlotLaw, SlotTotals
 from leolora.engine import Simulator, run
 from leolora.exceptions import ContractError
 from leolora.orbit import (
@@ -34,6 +34,7 @@ from leolora.orbit import (
 from conftest import make_scenario, table_bits, time_limit
 from oracles import (
     oracle_calendar,
+    oracle_next_tick,
     oracle_poisson_arrivals,
     oracle_resolve_collisions,
     oracle_sei,
@@ -55,7 +56,7 @@ class TestFullRuns:
             sc = make_scenario(default_dict, **{"sim.node_count": 2, "sim.duration_days": 0.01,
                                                 "sim.slot_s": slot_s})
             for node in Simulator(sc).nodes:
-                assert node.n_slots == 0 and node.account_end <= sc.sim.duration_s
+                assert node.ledger.n_slots == 0 and node.ledger.account_end <= sc.sim.duration_s
                 # next_arrival is inf only when the node draws no arrival at all
                 arrivals = [node.next_arrival, *node.arrivals]
                 assert all(t < sc.sim.duration_s for t in arrivals if t < math.inf)
@@ -125,14 +126,15 @@ class TestFullRuns:
         assert after.summary == alone.summary
         for result, sc in ((alone, quiet), (between, other), (after, quiet)):
             node = result.nodes[0]
-            table = node.ledger.table
+            table = node.ledger.law.table
             assert {s for _, s in table} == {0.0, sc.sim.slot_s}
-            want = NodeLedger.whole_slot_terms(sc.sim.slot_s, sc.energy.harvest, sc.energy.profile)
+            want = SlotLaw.of(sc.sim.slot_s, sc.energy.harvest, sc.energy.profile).table
             assert table_bits(table) == table_bits(want)
             rows = energy_spy(node)
-            assert len(rows) == node.n_slots
+            assert len(rows) == node.ledger.n_slots
             assert all(slot_s == sc.sim.slot_s for _, _, slot_s, _ in rows)
-        assert alone.nodes[0].ledger.table is not after.nodes[0].ledger.table
+        assert alone.nodes[0].ledger.law.table is not after.nodes[0].ledger.law.table
+        assert alone.nodes[0].ledger.law is not after.nodes[0].ledger.law
 
     @pytest.mark.parametrize("case", list(GOLDEN_CASES))
     def test_no_event_is_popped_past_the_end(self, case, tmp_path, default_dict, monkeypatch):
@@ -177,8 +179,8 @@ class TestFullRuns:
         for node in result.nodes:
             assert energy_spy(node)
             for k, (_, _, _, slot) in enumerate(energy_spy(node)):
-                t0 = node.slot_offset + k * sc.sim.slot_s
-                sunlit = sun_seconds(node.orbit, t0, t0 + sc.sim.slot_s)
+                t0 = node.ledger.slot_offset + k * sc.sim.slot_s
+                sunlit = sun_seconds(node.ledger.orbit, t0, t0 + sc.sim.slot_s)
                 if slot.harvested_j > 0.0:
                     assert sunlit > 0.0
 
@@ -199,11 +201,11 @@ class TestFullRuns:
         )
         result = run(sc)
         node = result.nodes[0]
-        assert node.totals.brownouts >= 1
-        assert node.totals.brownouts == sum(slot.brownout for *_, slot in energy_spy(node))
-        assert node.totals.clamp_count >= 1
-        assert node.totals.clamp_total_j > 0.0
-        assert node.energy.phi_j == 0.0
+        assert node.ledger.totals.brownouts >= 1
+        assert node.ledger.totals.brownouts == sum(slot.brownout for *_, slot in energy_spy(node))
+        assert node.ledger.totals.clamp_count >= 1
+        assert node.ledger.totals.clamp_total_j > 0.0
+        assert node.ledger.energy.phi_j == 0.0
 
     def test_a_batch_that_browns_out_is_a_broken_contract(self, default_dict):
         # the guard keeps brownouts out of batches; a batch that reports one anyway raises
@@ -211,9 +213,10 @@ class TestFullRuns:
                                                        "sim.duration_days": 0.1}),
                         schedules={})
         node = sim.nodes[0]
-        k = node.last_tick(phase_edges(node.orbit, 0.0)[0]) + 1   # the first slot wholly in eclipse
+        # the first slot wholly in eclipse
+        k = node.ledger.last_tick(phase_edges(node.ledger.orbit, 0.0)[0]) + 1
         node.ledger.settle_to(k, False)
-        node.energy.phi_j = 0.0
+        node.ledger.energy.phi_j = 0.0
         with pytest.raises(ContractError, match="browns out"):
             node.ledger.settle_to(k + 1, False)
 
@@ -237,9 +240,9 @@ class TestFullRuns:
         node = run(sc).nodes[0]
         slot_clamps = [slot.clamp_j for *_, slot in energy_spy(node) if slot.clamp_j]
         assert slot_clamps
-        assert node.totals.clamp_count > len(slot_clamps)
-        assert node.totals.clamp_total_j < sum(slot_clamps)
-        assert node.energy.phi_j <= node.energy.phi_max_j
+        assert node.ledger.totals.clamp_count > len(slot_clamps)
+        assert node.ledger.totals.clamp_total_j < sum(slot_clamps)
+        assert node.ledger.energy.phi_j <= node.ledger.energy.phi_max_j
 
     def test_idle_slots_get_no_tick(self, default_dict, monkeypatch):
         # a node gets a slot tick only where it has work; the slots between
@@ -253,8 +256,8 @@ class TestFullRuns:
 
         monkeypatch.setattr(Simulator, "_on_slot_tick", counted)
         result = run(make_scenario(default_dict, **{"sim.duration_days": 1.0}))
-        node_slots = sum(node.n_slots for node in result.nodes)
-        assert all(node.ledger.settled == node.n_slots for node in result.nodes)
+        node_slots = sum(node.ledger.n_slots for node in result.nodes)
+        assert all(node.ledger.settled == node.ledger.n_slots for node in result.nodes)
         assert 0 < len(ticks) <= 0.15 * node_slots
 
     def test_a_fade_clamp_never_leaves_the_pending_tick_past_the_guard(
@@ -281,9 +284,9 @@ class TestFullRuns:
         real = Simulator._flush_orbit
 
         def watched(sim, node):
-            before = node.energy.phi_j
+            before = node.ledger.energy.phi_j
             real(sim, node)
-            flushes.append((before, node.energy.phi_j, pending_tick(sim, node),
+            flushes.append((before, node.ledger.energy.phi_j, pending_tick(sim, node),
                             node.ledger.guard()))
 
         monkeypatch.setattr(Simulator, "_flush_orbit", watched)
@@ -302,9 +305,10 @@ class TestFullRuns:
                     assert pending <= guard
                     lowered += new_phi // e_cons < phi // e_cons
             slots = energy_spy(node)
-            assert len(slots) == node.n_slots
+            assert len(slots) == node.ledger.n_slots
+            grid = node.ledger
             for k, (_, sun_s, _, _) in enumerate(slots):
-                assert sun_s == sun_seconds(node.orbit, node.slot_time(k), node.slot_time(k + 1))
+                assert sun_s == sun_seconds(grid.orbit, grid.slot_time(k), grid.slot_time(k + 1))
         assert lowered
 
     @staticmethod
@@ -456,7 +460,7 @@ class TestLifecycleInvariants:
             for node in result.nodes:
                 assert node.in_flight is None or not _in_flight(node.in_flight)
                 assert sum(r.n_slots for r in sim.reports if r.node_id == node.node_id) \
-                    == node.n_slots
+                    == node.ledger.n_slots
             rows = {}
             for m in result.metrics:
                 rows.setdefault(m.node_id, []).append(m.time_s)
@@ -477,13 +481,15 @@ class TestLifecycleInvariants:
         sim = Simulator(make_scenario(default_dict, **{"sim.node_count": 1}),
                         schedules={0: Schedule((window,))})
         node, p = sim.nodes[0], 8282.546067320636
-        node.energy.phi_j, node.energy.reserved_j = 227378.72777818277, 35661.27384550339
-        node.energy.ewma_estimate_j = p
-        phi, reserved = node.energy.phi_j, node.energy.reserved_j
-        assert phi - reserved + p == node.energy.phi_min_j < phi - max(0.0, reserved - p)
+        node.ledger.energy.phi_j = 227378.72777818277
+        node.ledger.energy.reserved_j = 35661.27384550339
+        node.ledger.energy.ewma_estimate_j = p
+        phi, reserved = node.ledger.energy.phi_j, node.ledger.energy.reserved_j
+        assert phi - reserved + p == node.ledger.energy.phi_min_j < phi - max(0.0, reserved - p)
         sim._heap.clear()
         sim.now = window.start
-        node.ledger.settled = node.last_tick(window.start)   # nothing left to settle at the open
+        # nothing left to settle at the open
+        node.ledger.settled = node.ledger.last_tick(window.start)
         packet = engine._Packet(created=window.start, reserved_j=p)
         sim._push(window.start, engine.EventKind.WINDOW_OPEN, (0, packet, window))
         opens = 0
@@ -582,7 +588,7 @@ def grid_sims(default_dict):
 
 
 class TestSlotGrid:
-    """`_Node.last_tick` places a time on the node's slot grid by exact comparisons."""
+    """`NodeLedger.last_tick` places a time on the node's slot grid by exact comparisons."""
 
     @given(slot_s=st.sampled_from([40.0, 33.3, 7.3]),
            offset=st.floats(0.0, 1.0, exclude_max=True),
@@ -592,18 +598,77 @@ class TestSlotGrid:
         # times on a tick, one ulp either side of one, and inside the slot
         # after it, for a run of ticks: the rounded quotient misplaces a few
         # percent of tick-adjacent times on the 33.3 and 7.3 s grids
-        sim = grid_sims[slot_s]
-        node = dataclasses.replace(sim.nodes[0], slot_offset=offset * slot_s)
-        node.ledger = dataclasses.replace(sim.nodes[0].ledger, settled=0)
+        ledger = dataclasses.replace(grid_sims[slot_s].nodes[0].ledger,
+                                     slot_offset=offset * slot_s, settled=0)
         for k in range(k0, k0 + 256):
-            t_k = node.slot_time(k)
+            t_k = ledger.slot_time(k)
             for t in (math.nextafter(t_k, -math.inf), t_k, math.nextafter(t_k, math.inf),
                       t_k + frac * slot_s):
-                m = node.last_tick(t)
-                assert node.slot_time(m) <= t < node.slot_time(m + 1)
+                m = ledger.last_tick(t)
+                assert ledger.slot_time(m) <= t < ledger.slot_time(m + 1)
                 # the tick draining an arrival at t is the first at or after it
-                first = sim._first_tick(node, t)
-                assert node.slot_time(first - 1) < t <= node.slot_time(first)
+                first = ledger._first_tick(t)
+                assert ledger.slot_time(first - 1) < t <= ledger.slot_time(first)
+
+    @given(slot_s=st.sampled_from([40.0, 33.3, 7.3]),
+           offset=st.floats(0.0, 1.0, exclude_max=True),
+           k=st.integers(1, 200_000),
+           side=st.sampled_from([-math.inf, None, math.inf]))
+    def test_the_calls_that_take_a_time_act_on_the_slot_last_tick_names(
+            self, grid_sims, slot_s, offset, k, side):
+        # a time on tick k or one ulp either side of it: a launch at exactly
+        # T_k books slot k, one an ulp earlier slot k - 1
+        grid = dataclasses.replace(grid_sims[slot_s].nodes[0].ledger,
+                                   slot_offset=offset * slot_s, n_slots=k + 2, settled=0)
+        t_k = grid.slot_time(k)
+        times = [math.nextafter(t_k, -math.inf), t_k, math.nextafter(t_k, math.inf)]
+        t = t_k if side is None else math.nextafter(t_k, side)
+        m = grid.last_tick(t)
+        assert m == (k - 1 if t < t_k else k)
+
+        def fresh(settled=0):
+            return dataclasses.replace(grid, energy=copy.copy(grid.energy), totals=SlotTotals(),
+                                       tx={}, settled=settled, block=[])
+
+        booked = fresh()
+        booked.book(t, SUN)
+        assert booked.tx == {m: SUN}
+        for u in times:
+            ledger = fresh()
+            ledger.book(t, ECLIPSE)
+            ledger.unbook(u)
+            assert ledger.tx == ({} if grid.last_tick(u) == m else {m: ECLIPSE})
+        # a walk from two slots below slot m, holding their block, settles the slots below tick m
+        start = max(m - 2, 0)
+        ledger = fresh(start)
+        ledger.block = ledger.sunlit_block(start - start % SLOTS_PER_BLOCK)
+        ledger.settle_through(t)
+        assert ledger.settled == max(m, start)
+        assert ledger.totals.period_slots == ledger.settled - start
+
+    @given(slot_s=st.sampled_from([40.0, 33.3, 7.3]),
+           offset=st.floats(0.0, 1.0, exclude_max=True),
+           n_slots=st.integers(0, 200_000),
+           data=st.data())
+    def test_next_tick_is_the_wake_policy(self, grid_sims, slot_s, offset, n_slots, data):
+        # random times, times on a tick and an ulp either side, and inf, for
+        # the arrival and the sunrise, at any settled index and phi
+        grid = grid_sims[slot_s].nodes[0].ledger
+        settled = data.draw(st.integers(0, n_slots))
+        phi = data.draw(st.just(0.0) | st.floats(0.0, grid.energy.phi_max_j))
+        ledger = dataclasses.replace(grid, energy=dataclasses.replace(grid.energy, phi_j=phi),
+                                     slot_offset=offset * slot_s, n_slots=n_slots,
+                                     settled=settled)
+        end = ledger.slot_time(n_slots + 2)
+
+        def times():
+            tick = ledger.slot_time(data.draw(st.integers(0, n_slots + 2)))
+            return data.draw(st.sampled_from([math.inf, tick, math.nextafter(tick, -math.inf),
+                                              math.nextafter(tick, math.inf)])
+                             | st.floats(0.0, end))
+
+        arrival, sunrise = times(), times()
+        assert ledger.next_tick(arrival, sunrise) == oracle_next_tick(ledger, arrival, sunrise)
 
 
 def pending_tick(sim, node):
@@ -643,7 +708,7 @@ class TestTickTies:
                      "sim.traffic_model": "periodic", "sim.traffic_rate_per_s": 1.0 / 1000.0,
                      "energy.e_critical_j": 0.0}
         t_k = Simulator(make_scenario(default_dict, **overrides), schedules={}).nodes[0] \
-            .slot_time(self.K)
+            .ledger.slot_time(self.K)
         if event == "window_open":
             path = tmp_path / "override.json"
             path.write_text(json.dumps([{"node": 0, "target": "gw", "start_s": t_k,
@@ -663,8 +728,8 @@ class TestTickTies:
         sim = Simulator(make_scenario(default_dict, **overrides))
         first_arrival = sim.nodes[0].next_arrival
         node = sim.run().nodes[0]
-        assert node.slot_time(self.K) == t_k
-        assert first_arrival < node.slot_time(self.K - 2)
+        assert node.ledger.slot_time(self.K) == t_k
+        assert first_arrival < node.ledger.slot_time(self.K - 2)
         assert seen and all(s == (self.K, self.K) for s in seen)
         if event == "report_due":
             assert sim.reports[0].period_end == t_k
@@ -689,7 +754,8 @@ class TestTickTies:
         ticks = {}
         for now, node, settled, pending in log:
             if id(node) not in ticks:
-                ticks[id(node)] = [node.slot_time(m) for m in range(1, node.n_slots + 1)]
+                grid = node.ledger
+                ticks[id(node)] = [grid.slot_time(m) for m in range(1, grid.n_slots + 1)]
             due = bisect.bisect_right(ticks[id(node)], now)
             assert settled == (due if pending is None else min(due, pending - 1)), \
                 (now, node.node_id)
@@ -784,8 +850,9 @@ class TestBoundedRunState:
         sim = Simulator(make_scenario(default_dict, **{"sim.node_count": 8,
                                                        "sim.duration_days": 4.0,
                                                        "orbit.period_s": 5677.3}), seed=1)
-        table = sim.nodes[0].ledger.table
-        assert all(node.ledger.table is table for node in sim.nodes)
+        table = sim.nodes[0].ledger.law.table
+        assert all(node.ledger.law.table is table for node in sim.nodes)
+        assert all(node.ledger.law is sim.nodes[0].ledger.law for node in sim.nodes)
         before = table_bits(table)
         sim.run()
         assert len(table) == 6 and table_bits(table) == before
@@ -833,8 +900,8 @@ class TestBoundedRunState:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        walks = np.diff(firsts + [node.n_slots])
-        assert node.ledger.settled == node.n_slots == 107_999
+        walks = np.diff(firsts + [node.ledger.n_slots])
+        assert node.ledger.settled == node.ledger.n_slots == 107_999
         assert len(walks) <= 3 and walks.min() > 100 * SLOTS_PER_BLOCK
         # a list of one walk's sunlit seconds would take over 1.7 MB
         assert peak < 2**20
@@ -851,15 +918,15 @@ class TestBoundedRunState:
                                                        "sim.traffic_model": "none",
                                                        "sim.duration_days": 0.73}), seed=2)
         node = sim.nodes[0]
-        assert 6 * block < node.n_slots < 7 * block
+        assert 6 * block < node.ledger.n_slots < 7 * block
         ends = [block - 1, block, block + 1, 2 * block - 1, 3 * block + 1, 5 * block,
-                node.n_slots]
+                node.ledger.n_slots]
         for i, upto in enumerate(ends):
             assert not node.ledger.settle_to(upto, i % 2 == 0)
         rows = energy_spy(node)
-        assert len(rows) == node.ledger.settled == node.n_slots
+        assert len(rows) == node.ledger.settled == node.ledger.n_slots
         # the last walk ended in the last block
-        assert len(node.ledger.block) == node.n_slots % block
+        assert len(node.ledger.block) == node.ledger.n_slots % block
 
 
 class TestOrbitClosing:
@@ -880,7 +947,7 @@ class TestOrbitClosing:
     def _run_closing_each_sunrise(sim, monkeypatch):
         """Run `sim`; each node's flushes close its sunrises on the exact grid, then the end."""
         def sunrises(node):
-            first, period = -node.orbit.phase_time_offset_s, node.orbit.period_s
+            first, period = -node.ledger.orbit.phase_time_offset_s, node.ledger.orbit.period_s
             return list(itertools.takewhile(lambda s: s <= sim.t_end,
                                             (first + m * period for m in itertools.count(1))))
 
@@ -900,10 +967,10 @@ class TestOrbitClosing:
             seen = [(s, settled) for n, s, settled in flushes if n is node]
             # the last flush is the one at the end of the run, past every sunrise
             *closed, (final, settled) = seen
-            assert final == math.inf and settled == node.n_slots
+            assert final == math.inf and settled == node.ledger.n_slots
             assert [s for s, _ in closed] == expected[node.node_id]
             for s, settled in closed:
-                assert settled == max(node.last_tick(s), 0), (node.node_id, s)
+                assert settled == max(node.ledger.last_tick(s), 0), (node.node_id, s)
 
     @pytest.mark.parametrize("case", list(CASES))
     def test_flushes_close_each_sunrise_once_in_order(self, case, tmp_path, default_dict,
@@ -934,13 +1001,14 @@ class TestOrbitClosing:
         # few ulps of 5400 / (k + u), with u its offset in slots, puts its
         # tick k exactly on that sunrise
         base = {"sim.node_count": 1, "sim.duration_days": 0.25}
-        u = Simulator(make_scenario(default_dict, **base), schedules={}).nodes[0].slot_offset / 40.0
+        u = Simulator(make_scenario(default_dict, **base),
+                      schedules={}).nodes[0].ledger.slot_offset / 40.0
         slot_s = math.nextafter(5400.0 / (135 + u), -math.inf)
         for _ in range(64):
             slot_s = math.nextafter(slot_s, math.inf)
             sc = make_scenario(default_dict, **base, **{"sim.slot_s": slot_s})
             node = Simulator(sc, schedules={}).nodes[0]
-            if node.slot_time(node.last_tick(node.sunrise)) == node.sunrise:
+            if node.ledger.slot_time(node.ledger.last_tick(node.sunrise)) == node.sunrise:
                 break
         else:
             pytest.fail("no slot length puts a tick on the sunrise")

@@ -205,8 +205,8 @@ def _tick_aligned_windows(path, sc, seed):
     nodes = Simulator(sc, seed=seed, schedules={}).nodes
     n_ticks = int(sc.sim.duration_s // sc.sim.slot_s)
     windows = [
-        {"node": node.node_id, "target": "gw", "start_s": node.slot_time(k),
-         "end_s": node.slot_time(k) + 30.0, "phase": "sun" if k0 % 90 == 20 else "eclipse"}
+        {"node": node.node_id, "target": "gw", "start_s": node.ledger.slot_time(k),
+         "end_s": node.ledger.slot_time(k) + 30.0, "phase": "sun" if k0 % 90 == 20 else "eclipse"}
         for node in nodes
         for k0 in range(20, n_ticks - 4, 45)
         for k in range(k0, k0 + 4)
